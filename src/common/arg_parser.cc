@@ -37,6 +37,30 @@ parseU64Arg(const std::string &flag, const std::string &token)
     return static_cast<std::uint64_t>(v);
 }
 
+std::uint64_t
+parseEnvU64(const char *name, std::uint64_t fallback,
+            std::uint64_t min, std::uint64_t max)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr || *env == '\0')
+        return fallback;
+    // strtoull alone would accept "-1" (wrapping it) and leading
+    // blanks; only a full run of digits is a valid knob value.
+    for (const char *p = env; *p != '\0'; ++p)
+        if (*p < '0' || *p > '9')
+            fatal("%s must be a non-negative decimal integer, got "
+                  "\"%s\"", name, env);
+    errno = 0;
+    unsigned long long v = std::strtoull(env, nullptr, 10);
+    if (errno == ERANGE || v > max)
+        fatal("%s=%s is out of range (at most %llu)", name, env,
+              static_cast<unsigned long long>(max));
+    if (v < min)
+        fatal("%s=%s is out of range (at least %llu)", name, env,
+              static_cast<unsigned long long>(min));
+    return v;
+}
+
 double
 parseDoubleArg(const std::string &flag, const std::string &token)
 {

@@ -12,8 +12,10 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace fscache
@@ -38,6 +40,27 @@ std::uint64_t parseU64Arg(const std::string &flag,
  *  only if malformed; accepts any finite decimal). */
 double parseDoubleArg(const std::string &flag,
                       const std::string &token);
+
+/**
+ * Checked parser for an unsigned-integer environment knob (FS_JOBS,
+ * FS_WORKERS, ...). Returns `fallback` when `name` is unset or
+ * empty. Otherwise the value must be plain decimal digits — no sign,
+ * no whitespace, no trailing junk — naming a number in [min, max];
+ * anything else exit(1)s with a message naming the variable and the
+ * offending value. Nothing is ever silently wrapped or truncated.
+ */
+std::uint64_t parseEnvU64(const char *name, std::uint64_t fallback,
+                          std::uint64_t min, std::uint64_t max);
+
+/** parseEnvU64 bounded by the destination type's range. */
+template <typename T>
+T
+parseEnvUnsigned(const char *name, T fallback, T min = 0)
+{
+    static_assert(std::is_unsigned_v<T>);
+    return static_cast<T>(parseEnvU64(
+        name, fallback, min, std::numeric_limits<T>::max()));
+}
 
 /** See file comment. */
 class ArgParser

@@ -1,8 +1,8 @@
 #include "common/cancellation.hh"
 
 #include <chrono>
-#include <cstdlib>
 
+#include "common/arg_parser.hh"
 #include "common/errors.hh"
 #include "common/log.hh"
 
@@ -93,15 +93,7 @@ pollCancellationSlow(CancelState *state)
 std::uint64_t
 cellTimeoutMsFromEnv()
 {
-    const char *env = std::getenv("FS_CELL_TIMEOUT_MS");
-    if (env == nullptr || *env == '\0')
-        return 0;
-    char *end = nullptr;
-    long long v = std::strtoll(env, &end, 10);
-    if (end == env || *end != '\0' || v < 0)
-        fatal("FS_CELL_TIMEOUT_MS must be a non-negative integer "
-              "(milliseconds), got \"%s\"", env);
-    return static_cast<std::uint64_t>(v);
+    return parseEnvUnsigned<std::uint64_t>("FS_CELL_TIMEOUT_MS", 0);
 }
 
 } // namespace fscache

@@ -1,10 +1,12 @@
 #include "common/fault_injection.hh"
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -24,15 +26,26 @@ namespace
 /** Salt for the rate clause's per-cell hash (arbitrary, fixed). */
 constexpr std::uint64_t kRateSalt = 0xfa01753c0de5eedull;
 
-std::size_t
-parseIndex(const std::string &spec, const std::string &tok)
+/**
+ * Full-token decimal in [0, max]. Only digits are accepted: strtoull
+ * alone would wrap "-1" to a cell that never runs, silently disarming
+ * the fault. `what` names the field in the message.
+ */
+std::uint64_t
+parseIndex(const std::string &spec, const std::string &tok,
+           const char *what, std::uint64_t max)
 {
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (end == tok.c_str() || *end != '\0')
-        fatal("FS_FAULTS \"%s\": bad cell index \"%s\"", spec.c_str(),
+    if (tok.empty() ||
+        tok.find_first_not_of("0123456789") != std::string::npos)
+        fatal("FS_FAULTS \"%s\": bad %s \"%s\"", spec.c_str(), what,
               tok.c_str());
-    return static_cast<std::size_t>(v);
+    errno = 0;
+    unsigned long long v = std::strtoull(tok.c_str(), nullptr, 10);
+    if (errno == ERANGE || v > max)
+        fatal("FS_FAULTS \"%s\": %s \"%s\" is out of range (at most "
+              "%llu)", spec.c_str(), what, tok.c_str(),
+              static_cast<unsigned long long>(max));
+    return v;
 }
 
 std::atomic<const FaultInjector *> g_active{nullptr};
@@ -92,7 +105,9 @@ FaultInjector::parse(const std::string &spec)
         Clause c;
         if (key == "cell") {
             c.byRate = false;
-            c.cell = parseIndex(spec, value);
+            c.cell = static_cast<std::size_t>(parseIndex(
+                spec, value, "cell index",
+                std::numeric_limits<std::size_t>::max()));
         } else if (key == "rate") {
             c.byRate = true;
             char *end = nullptr;
@@ -110,8 +125,9 @@ FaultInjector::parse(const std::string &spec)
 
         std::size_t star = action.find('*');
         if (star != std::string::npos) {
-            c.attempts = static_cast<unsigned>(
-                parseIndex(spec, action.substr(star + 1)));
+            c.attempts = static_cast<unsigned>(parseIndex(
+                spec, action.substr(star + 1), "attempt count",
+                std::numeric_limits<unsigned>::max()));
             action = action.substr(0, star);
         }
         if (action == "throw") {
@@ -130,14 +146,10 @@ FaultInjector::parse(const std::string &spec)
             c.kind = Kind::Segv;
         } else if (action == "spin") {
             c.kind = Kind::Spin;
-        } else if (action == "netdrop") {
-            c.kind = Kind::NetDrop;
-        } else if (action == "stall") {
-            c.kind = Kind::Stall;
         } else {
             fatal("FS_FAULTS \"%s\": unknown action \"%s\" (want "
                   "throw, hang, transient, corrupt, corrupt-treap, "
-                  "corrupt-occ, segv, spin, netdrop, or stall)",
+                  "corrupt-occ, segv, or spin)",
                   spec.c_str(), action.c_str());
         }
         if (c.kind != Kind::Transient && star != std::string::npos)
@@ -189,23 +201,6 @@ FaultInjector::installForTest(const std::string &spec)
     // worker thread from an earlier sweep could still hold it.
     g_active.store(fi, std::memory_order_release);
     g_initialized.store(true, std::memory_order_release);
-}
-
-FaultInjector::NetFault
-FaultInjector::netFaultForCell(std::size_t cell)
-{
-    const FaultInjector *fi = active();
-    if (fi == nullptr)
-        return NetFault::None;
-    for (const Clause &c : fi->clauses_) {
-        if (c.byRate || c.cell != cell)
-            continue;
-        if (c.kind == Kind::NetDrop)
-            return NetFault::Drop;
-        if (c.kind == Kind::Stall)
-            return NetFault::Stall;
-    }
-    return NetFault::None;
 }
 
 FaultInjector::CorruptTarget
@@ -288,13 +283,6 @@ FaultInjector::fire(std::size_t cell, unsigned attempt) const
             for (;;)
                 sink = sink + 1;
           }
-          case Kind::NetDrop:
-          case Kind::Stall:
-            // Transport-level faults: consumed by the net-farm
-            // agent at lease time (netFaultForCell), never inside a
-            // cell attempt. No-op here so a spec that arms them is
-            // harmless under any other executor.
-            break;
           case Kind::Hang:
             // Cooperative wedge: spins until the watchdog deadline
             // (or an explicit cancel) reaps it. Refuse to hang with

@@ -32,23 +32,15 @@
  *                             FS_EXECUTOR=process with
  *                             FS_WORKER_HARD_TIMEOUT_MS set
  *                             (SIGKILL, FAILED(hard-timeout))
- *     cell=<n>:netdrop        net-farm agent closes its coordinator
- *                             connection when cell n is leased —
- *                             mid-cell connection loss; meaningful
- *                             only inside an --fs-agent process
- *                             (FS_EXECUTOR=net requeues the lease,
- *                             then quarantines as
- *                             FAILED(crash:netdrop))
- *     cell=<n>:stall          net-farm agent accepts the lease for
- *                             cell n and never answers, while still
- *                             heartbeating — a stalled remote cell;
- *                             reaped only by FS_LEASE_TIMEOUT_MS
- *                             (FAILED(crash:stall))
  *     rate=<p>:transient      TransientError on a deterministic,
  *                             seed-derived fraction p of cells
  *                             (first attempt only)
  *
  * Example: FS_FAULTS="cell=7:throw;cell=9:hang;rate=0.02:transient"
+ *
+ * <n> and <k> are plain decimal digits; a sign, trailing junk, or a
+ * value out of range (k above UINT_MAX) is fatal, as is an unknown
+ * action, so a typo never silently disarms a fault.
  *
  * The corrupt* clauses are two-phase: fire() only *arms* a thread-
  * local target (it must not throw — corruption is silent by
@@ -130,21 +122,6 @@ class FaultInjector
      */
     static CorruptTarget consumeArmedCorruption();
 
-    /**
-     * Network-level fault armed for `cell`, if any. Unlike fire(),
-     * which runs inside the cell attempt, these are consumed by the
-     * net-farm *agent* at lease time — the faults model transport
-     * failures, not cell failures, so they never reach the cell
-     * body. None when no injector is active.
-     */
-    enum class NetFault : std::uint8_t
-    {
-        None,
-        Drop,  ///< cell=N:netdrop
-        Stall, ///< cell=N:stall
-    };
-    static NetFault netFaultForCell(std::size_t cell);
-
     bool
     empty() const
     {
@@ -162,8 +139,6 @@ class FaultInjector
         CorruptOcc,
         Segv,
         Spin,
-        NetDrop,
-        Stall,
     };
 
     struct Clause

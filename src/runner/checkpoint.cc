@@ -110,24 +110,38 @@ CellDecoder::CellDecoder(std::string payload)
 std::string
 CellDecoder::nextToken(const char *what)
 {
-    while (pos_ < buf_.size() && buf_[pos_] == ' ')
-        ++pos_;
+    // Only the encoder's canonical layout is accepted — exactly one
+    // space between tokens, none leading or trailing — so any
+    // payload that decodes re-encodes to the same bytes.
+    if (pos_ > 0)
+        ++pos_; // the separator the previous token stopped at
     if (pos_ >= buf_.size())
         throw FsError(strprintf(
             "checkpoint payload truncated (wanted %s)", what));
     std::size_t start = pos_;
     while (pos_ < buf_.size() && buf_[pos_] != ' ')
         ++pos_;
+    if (pos_ == start)
+        throw FsError(strprintf(
+            "checkpoint payload: empty token (wanted %s)", what));
     return buf_.substr(start, pos_ - start);
 }
 
 std::uint64_t
 CellDecoder::u64()
 {
+    // Canonical "%llx" only: lowercase hex, no sign, prefix or
+    // leading zero, at most 16 digits (strtoull would accept all of
+    // those and saturate on overflow).
     std::string tok = nextToken("u64");
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(tok.c_str(), &end, 16);
-    if (end == tok.c_str() || *end != '\0')
+    std::uint64_t v = 0;
+    bool ok = tok.size() <= 16 && (tok.size() == 1 || tok[0] != '0');
+    for (std::size_t i = 0; ok && i < tok.size(); ++i) {
+        int nib = hexNibble(tok[i]);
+        ok = nib >= 0;
+        v = (v << 4) | static_cast<std::uint64_t>(nib & 0xf);
+    }
+    if (!ok)
         throw FsError(strprintf(
             "checkpoint payload: bad u64 token \"%s\"", tok.c_str()));
     return v;
@@ -220,24 +234,6 @@ CheckpointJournal::load()
         entries_[static_cast<std::size_t>(cell)] =
             line.substr(vstart, vend - vstart);
     }
-}
-
-bool
-CheckpointJournal::compactFile(const std::string &path)
-{
-    {
-        std::ifstream probe(path);
-        if (!probe)
-            return false;
-    }
-    // load() keeps the *last* record per cell (entries_ is keyed by
-    // cell and later lines overwrite) and skips torn lines; one
-    // flush then writes the canonical compact form.
-    CheckpointJournal j(path);
-    j.load();
-    std::lock_guard<std::mutex> g(j.mu_);
-    j.flushLocked();
-    return true;
 }
 
 void

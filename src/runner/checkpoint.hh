@@ -65,7 +65,9 @@ class CellEncoder
     std::string buf_;
 };
 
-/** Inverse of CellEncoder; throws FsError on malformed payloads. */
+/** Inverse of CellEncoder; throws FsError on malformed payloads,
+ *  including any spelling CellEncoder would not have produced (extra
+ *  spaces, leading zeros, uppercase or signed hex). */
 class CellDecoder
 {
   public:
@@ -119,19 +121,6 @@ class CheckpointJournal
      * write-then-rename, see file comment).
      */
     void record(std::size_t cell, const std::string &payload);
-
-    /**
-     * Rewrite the JSONL journal at `path` in place, keeping only
-     * the latest record per cell and dropping torn or foreign
-     * lines — record() itself always writes compact files, but a
-     * journal assembled by appends (crash-recovery copies, merged
-     * per-host journals) can carry stale duplicates. Uses the same
-     * atomic write-fsync-rename as record(), and the output is
-     * byte-identical to what record() would have produced from the
-     * surviving entries, so compaction is idempotent. Returns
-     * false when the file cannot be read.
-     */
-    static bool compactFile(const std::string &path);
 
     const std::string &path() const { return path_; }
 

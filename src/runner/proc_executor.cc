@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <map>
 
 #include <fcntl.h>
@@ -14,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/arg_parser.hh"
 #include "common/errors.hh"
 #include "common/log.hh"
 #include "runner/checkpoint.hh"
@@ -30,19 +32,12 @@ namespace
  *  serve (foreign ones recompute inline; see sweep_runner.hh). */
 const char kWorkerFlagPrefix[] = "--fs-worker=";
 
-/** Hidden net-agent flag; the value is the TCP listen port (0 =
- *  ephemeral). Stripped from g_argv so the agent's own re-exec'd
- *  farm workers never become agents themselves. */
-const char kAgentFlagPrefix[] = "--fs-agent=";
-
-/** argv captured by procExecutorInit(), hidden flags stripped. */
+/** argv captured by procExecutorInit(), worker flag stripped. */
 std::vector<std::string> g_argv;        // NOLINT: process-lifetime
 std::string g_exePath;                  // NOLINT: process-lifetime
 bool g_initDone = false;
 bool g_workerMode = false;
 std::uint64_t g_workerFingerprint = 0;
-bool g_agentMode = false;
-std::uint16_t g_agentPort = 0;
 
 std::uint64_t
 steadyNowNs()
@@ -51,20 +46,6 @@ steadyNowNs()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
-}
-
-unsigned
-envUnsigned(const char *name, unsigned fallback)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr || *env == '\0')
-        return fallback;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v < 0)
-        fatal("%s must be a non-negative integer, got \"%s\"", name,
-              env);
-    return static_cast<unsigned>(v);
 }
 
 /** Stable signal names for FAILED(crash:...) markers. strsignal()
@@ -140,10 +121,8 @@ executorKindFromEnv()
         return ExecutorKind::Thread;
     if (std::strcmp(env, "process") == 0)
         return ExecutorKind::Process;
-    if (std::strcmp(env, "net") == 0)
-        return ExecutorKind::Net;
-    fatal("FS_EXECUTOR must be \"thread\", \"process\", or "
-          "\"net\", got \"%s\"", env);
+    fatal("FS_EXECUTOR must be \"thread\" or \"process\", got "
+          "\"%s\"", env);
 }
 
 void
@@ -178,19 +157,6 @@ procExecutorInit(int *argc, char **argv)
             g_workerMode = true;
             continue; // strip: the driver's parser never sees it
         }
-        if (std::strncmp(argv[i], kAgentFlagPrefix,
-                         sizeof(kAgentFlagPrefix) - 1) == 0) {
-            const char *num =
-                argv[i] + sizeof(kAgentFlagPrefix) - 1;
-            char *end = nullptr;
-            unsigned long port = std::strtoul(num, &end, 10);
-            if (end == num || *end != '\0' || port > 65535)
-                fatal("malformed %s<port> flag: \"%s\"",
-                      kAgentFlagPrefix, argv[i]);
-            g_agentMode = true;
-            g_agentPort = static_cast<std::uint16_t>(port);
-            continue; // strip, and keep out of worker re-exec argv
-        }
         argv[out++] = argv[i];
     }
     *argc = out;
@@ -204,18 +170,6 @@ procWorkerMode()
     return g_workerMode;
 }
 
-bool
-netAgentMode()
-{
-    return g_agentMode;
-}
-
-std::uint16_t
-netAgentPort()
-{
-    return g_agentPort;
-}
-
 std::uint64_t
 procWorkerFingerprint()
 {
@@ -226,14 +180,16 @@ ProcExecutorConfig
 ProcExecutorConfig::fromEnv()
 {
     ProcExecutorConfig cfg;
-    cfg.workers = envUnsigned("FS_WORKERS", 0);
+    cfg.workers = parseEnvUnsigned("FS_WORKERS", 0u);
     if (cfg.workers == 0)
         cfg.workers = SweepRunner::defaultJobs();
-    cfg.hardTimeoutMs = envUnsigned("FS_WORKER_HARD_TIMEOUT_MS", 0);
-    cfg.poisonKills = envUnsigned("FS_POISON_KILLS", 1);
+    cfg.hardTimeoutMs =
+        parseEnvUnsigned<std::uint64_t>("FS_WORKER_HARD_TIMEOUT_MS", 0);
+    cfg.poisonKills = parseEnvUnsigned("FS_POISON_KILLS", 1u);
     if (cfg.poisonKills == 0)
         fatal("FS_POISON_KILLS=0 would retry a poison cell forever");
-    cfg.respawnBackoffMs = envUnsigned("FS_WORKER_BACKOFF_MS", 25);
+    cfg.respawnBackoffMs =
+        parseEnvUnsigned<std::uint64_t>("FS_WORKER_BACKOFF_MS", 25);
     return cfg;
 }
 
@@ -300,15 +256,21 @@ decodeResult(const std::string &line, std::size_t &cell,
     std::uint64_t cls = dec.u64();
     if (cls > static_cast<std::uint64_t>(ErrorClass::HardTimeout))
         throw FsError("farm cell result: bad error class");
+    std::uint64_t attempts = dec.u64();
+    if (attempts > std::numeric_limits<unsigned>::max())
+        throw FsError("farm cell result: bad attempt count");
     o = CellOutcome<std::string>{};
     o.status = static_cast<CellStatus>(status);
     o.errorClass = static_cast<ErrorClass>(cls);
-    o.attempts = static_cast<unsigned>(dec.u64());
+    o.attempts = static_cast<unsigned>(attempts);
     o.error = dec.str();
     o.detail = dec.str();
     o.crashSignal = dec.str();
-    bool has_value = dec.u64() != 0;
+    std::uint64_t has_value = dec.u64();
     std::string payload = dec.str();
+    // Anything else would not re-encode to the line it came from.
+    if (has_value > 1 || (has_value == 0 && !payload.empty()))
+        throw FsError("farm cell result: bad value flag");
     if (has_value)
         o.value.emplace(std::move(payload));
     if (!dec.done())
@@ -474,103 +436,54 @@ reapWorker(Worker &w)
 
 } // namespace
 
-struct ProcFarm::Impl
+std::vector<CellOutcome<std::string>>
+runProcessFarm(const std::vector<std::size_t> &missing,
+               std::uint64_t fingerprint,
+               const ProcExecutorConfig &cfg,
+               const std::function<void(std::size_t,
+                                        const std::string &)>
+                   &on_payload)
 {
-    std::uint64_t fingerprint;
-    ProcExecutorConfig cfg;
-    std::vector<Worker> workers;
-    std::deque<std::size_t> pending;
+    // A worker can die between our poll() and our write(); EPIPE as
+    // a return value is part of the protocol, SIGPIPE is not.
+    struct sigaction ign{};
+    struct sigaction prev_pipe{};
+    ign.sa_handler = SIG_IGN;
+    ::sigaction(SIGPIPE, &ign, &prev_pipe);
+
+    std::map<std::size_t, CellOutcome<std::string>> results;
     std::map<std::size_t, unsigned> kills;
+    std::deque<std::size_t> pending(missing.begin(), missing.end());
     std::size_t inflight = 0;
-    unsigned deathCap = 0;
-    unsigned consecutiveDeaths = 0;
+
+    const std::size_t pool = std::max<std::size_t>(
+        1, std::min<std::size_t>(cfg.workers, missing.size()));
+    std::vector<Worker> workers(pool);
+
+    // Workers that die without completing a single cell in between
+    // make no progress; cap the carnage instead of respawning
+    // forever (covers exec failures and crash-on-startup too).
+    const unsigned death_cap =
+        8 + cfg.poisonKills * static_cast<unsigned>(pool);
+    unsigned consecutive_deaths = 0;
     bool stalled = false;
-    struct sigaction prevPipe
-    {
-    };
 
-    Impl(std::uint64_t fp, const ProcExecutorConfig &c,
-         std::size_t pool_hint)
-        : fingerprint(fp), cfg(c)
-    {
-        // A worker can die between our poll() and our write();
-        // EPIPE as a return value is part of the protocol, SIGPIPE
-        // is not.
-        struct sigaction ign
-        {
-        };
-        ign.sa_handler = SIG_IGN;
-        ::sigaction(SIGPIPE, &ign, &prevPipe);
-
-        const std::size_t pool = std::max<std::size_t>(
-            1, std::min<std::size_t>(cfg.workers, pool_hint));
-        workers.resize(pool);
-
-        // Workers that die without completing a single cell in
-        // between make no progress; cap the carnage instead of
-        // respawning forever (covers exec failures and
-        // crash-on-startup too).
-        deathCap =
-            8 + cfg.poisonKills * static_cast<unsigned>(pool);
-    }
-
-    ~Impl()
-    {
-        // Shutdown: closing the command pipes is the signal;
-        // workers exit(0) on EOF. SIGKILL any straggler after a
-        // short grace so a wedged worker cannot hang the sweep's
-        // exit.
-        for (Worker &w : workers)
-            if (w.cmdFd >= 0) {
-                ::close(w.cmdFd);
-                w.cmdFd = -1;
-            }
-        std::uint64_t grace_end =
-            steadyNowNs() + 2000 * 1000000ull;
-        for (Worker &w : workers) {
-            if (!w.alive())
-                continue;
-            while (true) {
-                int st = 0;
-                pid_t r = ::waitpid(w.pid, &st, WNOHANG);
-                if (r == w.pid || (r < 0 && errno != EINTR)) {
-                    w.pid = -1;
-                    closeWorkerFds(w);
-                    break;
-                }
-                if (steadyNowNs() >= grace_end) {
-                    ::kill(w.pid, SIGKILL);
-                    reapWorker(w);
-                    break;
-                }
-                ::poll(nullptr, 0, 10);
-            }
-        }
-        ::sigaction(SIGPIPE, &prevPipe, nullptr);
-    }
-
-    void
-    failCell(Done &done, std::size_t cell, ErrorClass cls,
-             CellStatus status, std::string signal,
-             std::string error)
-    {
+    auto fail_cell = [&](std::size_t cell, ErrorClass cls,
+                         CellStatus status, std::string signal,
+                         std::string error) {
         CellOutcome<std::string> o;
         o.status = status;
         o.errorClass = cls;
         o.crashSignal = std::move(signal);
         o.error = std::move(error);
         o.attempts = kills[cell] > 0 ? kills[cell] : 1;
-        done.emplace_back(cell, std::move(o));
-    }
+        results[cell] = std::move(o);
+    };
 
-    /**
-     * One worker death, observed either via result-pipe EOF or
-     * after a hard-timeout SIGKILL: classify, requeue-or-quarantine
-     * its cell, and leave the slot dead for the respawn pass.
-     */
-    void
-    handleDeath(Worker &w, Done &done)
-    {
+    // One worker death, observed either via result-pipe EOF or
+    // after a hard-timeout SIGKILL: classify, requeue-or-quarantine
+    // its cell, and leave the slot dead for the respawn pass.
+    auto handle_death = [&](Worker &w) {
         bool was_busy = w.busy;
         std::size_t cell = w.cell;
         bool hard = w.hardKilled;
@@ -580,50 +493,43 @@ struct ProcFarm::Impl
             // Died idle (startup crash, exec failure, shutdown
             // race). No cell to blame.
             if (how != "exit:0")
-                ++consecutiveDeaths;
+                ++consecutive_deaths;
             return;
         }
         --inflight;
         if (hard) {
             // Resolving a cell — even by quarantine — is progress.
-            consecutiveDeaths = 0;
-            failCell(done, cell, ErrorClass::HardTimeout,
-                     CellStatus::TimedOut, "",
-                     strprintf("worker SIGKILLed after exceeding "
-                               "FS_WORKER_HARD_TIMEOUT_MS=%llu",
-                               static_cast<unsigned long long>(
-                                   cfg.hardTimeoutMs)));
+            consecutive_deaths = 0;
+            fail_cell(cell, ErrorClass::HardTimeout,
+                      CellStatus::TimedOut, "",
+                      strprintf("worker SIGKILLed after exceeding "
+                                "FS_WORKER_HARD_TIMEOUT_MS=%llu",
+                                static_cast<unsigned long long>(
+                                    cfg.hardTimeoutMs)));
             return; // a wedged cell stays wedged; never requeue
         }
         unsigned k = ++kills[cell];
         if (k >= cfg.poisonKills) {
-            consecutiveDeaths = 0;
-            failCell(done, cell, ErrorClass::Crash,
-                     CellStatus::Failed, how,
-                     strprintf("worker died (%s) running cell %zu"
-                               "%s", how.c_str(), cell,
-                               k > 1 ? "; poison cell quarantined"
-                                     : ""));
+            consecutive_deaths = 0;
+            fail_cell(cell, ErrorClass::Crash, CellStatus::Failed,
+                      how,
+                      strprintf("worker died (%s) running cell %zu"
+                                "%s", how.c_str(), cell,
+                                k > 1 ? "; poison cell quarantined"
+                                      : ""));
             return;
         }
-        ++consecutiveDeaths;
+        ++consecutive_deaths;
         // Requeue at the front: resolve the suspect cell before
         // feeding fresh ones to the replacement worker.
         pending.push_front(cell);
-    }
+    };
 
-    static std::uint64_t
-    hardDeadline(const Worker &w)
-    {
+    auto hard_deadline = [&](const Worker &w) -> std::uint64_t {
         return w.busy ? w.deadlineNs : 0;
-    }
+    };
 
-    /** One scheduling round: respawn, feed, wait, kill, collect. */
-    void
-    iterate(int timeout_ms, Done &done)
-    {
-        if (stalled)
-            return;
+    while (results.size() < missing.size() && !stalled) {
         std::uint64_t now = steadyNowNs();
 
         // Respawn dead slots (honoring backoff) while there is
@@ -631,21 +537,20 @@ struct ProcFarm::Impl
         for (Worker &w : workers) {
             if (w.alive() || pending.empty())
                 continue;
-            if (consecutiveDeaths >= deathCap) {
+            if (consecutive_deaths >= death_cap) {
                 stalled = true;
-                return;
+                break;
             }
             if (w.respawnAtNs > now)
                 continue;
             if (!spawnWorker(fingerprint, w)) {
-                ++consecutiveDeaths;
+                ++consecutive_deaths;
                 w.respawnAtNs = now + 100 * 1000000ull;
                 continue;
             }
-            if (consecutiveDeaths > 0 &&
-                cfg.respawnBackoffMs > 0) {
+            if (consecutive_deaths > 0 && cfg.respawnBackoffMs > 0) {
                 unsigned shift =
-                    std::min(consecutiveDeaths - 1, 16u);
+                    std::min(consecutive_deaths - 1, 16u);
                 std::uint64_t delay_ms = std::min<std::uint64_t>(
                     cfg.respawnBackoffMs << shift, 2000);
                 // Gate the *next* respawn, not this one: backoff
@@ -653,6 +558,8 @@ struct ProcFarm::Impl
                 w.respawnAtNs = now + delay_ms * 1000000ull;
             }
         }
+        if (stalled)
+            break;
 
         // Feed idle workers.
         for (Worker &w : workers) {
@@ -667,7 +574,7 @@ struct ProcFarm::Impl
                 // have died *from* this cell, so requeue without a
                 // kill mark and reap the corpse.
                 pending.push_front(cell);
-                handleDeath(w, done);
+                handle_death(w);
                 continue;
             }
             w.busy = true;
@@ -689,16 +596,15 @@ struct ProcFarm::Impl
                 continue;
             fds.push_back({w.resFd, POLLIN, 0});
             fd_worker.push_back(i);
-            std::uint64_t d = hardDeadline(w);
+            std::uint64_t d = hard_deadline(w);
             if (d != 0 && (next_event == 0 || d < next_event))
                 next_event = d;
         }
         if (fds.empty()) {
             if (pending.empty() && inflight == 0)
-                return; // idle: nothing to wait for
-            // All workers dead but work remains: let the caller
-            // loop back to the respawn pass after the shortest
-            // backoff (capped at its timeout, to stay responsive).
+                break; // nothing left to do
+            // All workers dead but work remains: loop back to the
+            // respawn pass after the shortest backoff.
             std::uint64_t wake = 0;
             for (const Worker &w : workers)
                 if (w.respawnAtNs > now &&
@@ -708,23 +614,22 @@ struct ProcFarm::Impl
                 std::uint64_t ms = (wake - now) / 1000000ull + 1;
                 ::poll(nullptr, 0,
                        static_cast<int>(std::min<std::uint64_t>(
-                           ms, static_cast<std::uint64_t>(
-                                   std::max(timeout_ms, 1)))));
+                           ms, 2000)));
             }
-            return;
+            continue;
         }
-        int wait_ms = std::max(timeout_ms, 0);
+        int timeout_ms = 200;
         now = steadyNowNs();
         if (next_event != 0) {
             std::uint64_t ms = next_event > now
                                    ? (next_event - now) / 1000000ull
                                    : 0;
-            wait_ms = static_cast<int>(std::min<std::uint64_t>(
-                ms + 1, static_cast<std::uint64_t>(wait_ms)));
+            timeout_ms = static_cast<int>(
+                std::min<std::uint64_t>(ms + 1, 200));
         }
         int nready = ::poll(fds.data(),
                             static_cast<nfds_t>(fds.size()),
-                            wait_ms);
+                            timeout_ms);
         now = steadyNowNs();
 
         // Hard-timeout enforcement: SIGKILL, then reap via the
@@ -732,7 +637,7 @@ struct ProcFarm::Impl
         for (Worker &w : workers) {
             if (!w.alive() || !w.busy || w.hardKilled)
                 continue;
-            std::uint64_t d = hardDeadline(w);
+            std::uint64_t d = hard_deadline(w);
             if (d != 0 && now >= d) {
                 w.hardKilled = true;
                 ::kill(w.pid, SIGKILL);
@@ -740,7 +645,7 @@ struct ProcFarm::Impl
         }
 
         if (nready <= 0)
-            return;
+            continue;
         for (std::size_t f = 0; f < fds.size(); ++f) {
             if (fds[f].revents == 0)
                 continue;
@@ -753,7 +658,7 @@ struct ProcFarm::Impl
                 n = ::read(w.resFd, chunk, sizeof(chunk));
             } while (n < 0 && errno == EINTR);
             if (n <= 0) {
-                handleDeath(w, done);
+                handle_death(w);
                 continue;
             }
             w.buf.append(chunk, static_cast<std::size_t>(n));
@@ -779,114 +684,66 @@ struct ProcFarm::Impl
                 }
                 w.busy = false;
                 --inflight;
-                consecutiveDeaths = 0; // progress
-                done.emplace_back(cell, std::move(o));
-            }
-        }
-    }
-
-    void
-    failUnfinished(Done &done)
-    {
-        // Fail everything unfinished; the sweep still completes
-        // and the manifest says why.
-        for (Worker &w : workers) {
-            if (!w.alive())
-                continue;
-            if (w.busy) {
-                w.busy = false;
-                --inflight;
-                pending.push_front(w.cell);
-            }
-            ::kill(w.pid, SIGKILL);
-            reapWorker(w);
-        }
-        for (std::size_t cell : pending)
-            failCell(done, cell, ErrorClass::Crash,
-                     CellStatus::Failed, "farm-stalled",
-                     strprintf("process farm stalled: %u "
-                               "consecutive worker deaths with no "
-                               "completed cell",
-                               consecutiveDeaths));
-        pending.clear();
-        stalled = true;
-    }
-};
-
-ProcFarm::ProcFarm(std::uint64_t fingerprint,
-                   const ProcExecutorConfig &cfg,
-                   std::size_t pool_hint)
-    : impl_(std::make_unique<Impl>(fingerprint, cfg, pool_hint))
-{
-}
-
-ProcFarm::~ProcFarm() = default;
-
-void
-ProcFarm::submit(std::size_t cell)
-{
-    impl_->pending.push_back(cell);
-}
-
-void
-ProcFarm::poll(int timeout_ms, Done &done)
-{
-    impl_->iterate(timeout_ms, done);
-}
-
-bool
-ProcFarm::idle() const
-{
-    return impl_->pending.empty() && impl_->inflight == 0;
-}
-
-bool
-ProcFarm::stalled() const
-{
-    return impl_->stalled;
-}
-
-void
-ProcFarm::failUnfinished(Done &done)
-{
-    impl_->failUnfinished(done);
-}
-
-std::vector<CellOutcome<std::string>>
-runProcessFarm(const std::vector<std::size_t> &missing,
-               std::uint64_t fingerprint,
-               const ProcExecutorConfig &cfg,
-               const std::function<void(std::size_t,
-                                        const std::string &)>
-                   &on_payload)
-{
-    std::map<std::size_t, CellOutcome<std::string>> results;
-    {
-        ProcFarm farm(fingerprint, cfg, missing.size());
-        for (std::size_t cell : missing)
-            farm.submit(cell);
-
-        ProcFarm::Done done;
-        auto absorb = [&] {
-            for (auto &[cell, o] : done) {
+                consecutive_deaths = 0; // progress
                 if (o.ok() && on_payload)
                     on_payload(cell, *o.value);
                 results[cell] = std::move(o);
             }
-            done.clear();
-        };
-        while (results.size() < missing.size() &&
-               !farm.stalled()) {
-            farm.poll(200, done);
-            absorb();
-            if (farm.idle())
-                break; // nothing left to do
         }
-        if (farm.stalled()) {
-            farm.failUnfinished(done);
-            absorb();
+    }
+
+    if (stalled) {
+        // Fail everything unfinished; the sweep still completes and
+        // the manifest says why.
+        for (Worker &w : workers) {
+            if (!w.alive())
+                continue;
+            if (w.busy)
+                pending.push_front(w.cell);
+            ::kill(w.pid, SIGKILL);
+            reapWorker(w);
         }
-    } // ~ProcFarm: EOF the pipes, grace-wait, SIGKILL stragglers
+        for (std::size_t cell : pending)
+            if (results.find(cell) == results.end())
+                fail_cell(
+                    cell, ErrorClass::Crash, CellStatus::Failed,
+                    "farm-stalled",
+                    strprintf("process farm stalled: %u "
+                              "consecutive worker deaths with no "
+                              "completed cell",
+                              consecutive_deaths));
+    }
+
+    // Shutdown: closing the command pipes is the signal; workers
+    // exit(0) on EOF. SIGKILL any straggler after a short grace so
+    // a wedged worker cannot hang the sweep's exit.
+    for (Worker &w : workers)
+        if (w.cmdFd >= 0) {
+            ::close(w.cmdFd);
+            w.cmdFd = -1;
+        }
+    std::uint64_t grace_end = steadyNowNs() + 2000 * 1000000ull;
+    for (Worker &w : workers) {
+        if (!w.alive())
+            continue;
+        while (true) {
+            int st = 0;
+            pid_t r = ::waitpid(w.pid, &st, WNOHANG);
+            if (r == w.pid || (r < 0 && errno != EINTR)) {
+                w.pid = -1;
+                closeWorkerFds(w);
+                break;
+            }
+            if (steadyNowNs() >= grace_end) {
+                ::kill(w.pid, SIGKILL);
+                reapWorker(w);
+                break;
+            }
+            ::poll(nullptr, 0, 10);
+        }
+    }
+
+    ::sigaction(SIGPIPE, &prev_pipe, nullptr);
 
     std::vector<CellOutcome<std::string>> out;
     out.reserve(missing.size());

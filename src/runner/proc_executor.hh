@@ -21,7 +21,7 @@
  *    back as versioned CellResult lines over a dedicated pipe on
  *    fd 3, carrying the checkpoint-codec payload bit-exactly
  *    (doubles by bit pattern, strings hex-encoded). The fingerprint
- *    is the same FNV-1a key the PR 3 checkpoint journal uses, so a
+ *    is the same FNV-1a key the checkpoint journal uses, so a
  *    worker that rebuilt a *different* sweep (config skew between
  *    parent and child binary/environment) refuses to serve.
  *  - A worker that dies — SIGSEGV, sanitizer abort, nonzero exit —
@@ -55,9 +55,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "runner/cell_guard.hh"
@@ -70,35 +68,23 @@ enum class ExecutorKind
 {
     Thread,  ///< in-process thread pool (default)
     Process, ///< multi-process farm (FS_EXECUTOR=process)
-    Net,     ///< multi-host TCP farm (FS_EXECUTOR=net)
 };
 
-/** FS_EXECUTOR: unset/"thread", "process", or "net"; anything else
- *  is fatal. Re-read on every call so tests can flip it. */
+/** FS_EXECUTOR: unset/"thread" or "process"; anything else is
+ *  fatal. Re-read on every call so tests can flip it. */
 ExecutorKind executorKindFromEnv();
 
 /**
- * Capture argv for worker re-exec and detect the hidden re-entry
- * flags: `--fs-worker=<fingerprint>` (process-farm worker) and
- * `--fs-agent=<port>` (net-farm agent; see runner/net_executor.hh).
- * Must be the first thing a farm-capable driver's main() does: the
- * flags are stripped in place (argc/argv are adjusted) so the
- * driver's own argument parser never sees them, and the filtered
- * argv is what the parent re-execs workers with — an agent's
- * workers must not themselves become agents. Idempotent per
- * process.
+ * Capture argv for worker re-exec and detect `--fs-worker`. Must be
+ * the first thing a farm-capable driver's main() does: the flag is
+ * stripped in place (argc/argv are adjusted) so the driver's own
+ * argument parser never sees it, and the filtered argv is what the
+ * parent re-execs workers with. Idempotent per process.
  */
 void procExecutorInit(int *argc, char **argv);
 
 /** True when this process was exec'd as a farm worker. */
 bool procWorkerMode();
-
-/** True when this process was started with `--fs-agent=<port>`. */
-bool netAgentMode();
-
-/** The agent's requested listen port (0 = pick an ephemeral port);
- *  meaningful only when netAgentMode(). */
-std::uint16_t netAgentPort();
 
 /**
  * The fingerprint of the sweep this worker was spawned to serve
@@ -140,7 +126,9 @@ struct ProcExecutorConfig
  * the checkpoint CellEncoder/CellDecoder (doubles by bit pattern,
  * strings hex-encoded) so payloads round-trip bit-exactly; every
  * message leads with a protocol version and decoding a foreign
- * version throws FsError. Exposed for tests.
+ * version throws FsError. Decoding is canonical: a line decodes only
+ * if re-encoding the result reproduces it byte for byte, otherwise
+ * FsError (pinned by a seeded mutation test). Exposed for tests.
  */
 namespace procwire
 {
@@ -196,69 +184,6 @@ std::vector<CellOutcome<std::string>> runProcessFarm(
     std::uint64_t fingerprint, const ProcExecutorConfig &cfg,
     const std::function<void(std::size_t, const std::string &)>
         &on_payload);
-
-/**
- * Incremental process farm: the engine under runProcessFarm(),
- * exposed as a class so a caller with its own event loop — the net
- * agent, which must keep answering heartbeats while cells run — can
- * interleave submit()/poll() with other I/O instead of blocking in
- * one monolithic call. Semantics (crash containment, poison-cell
- * quarantine, hard kills, respawn backoff, stall detection) are
- * exactly runProcessFarm()'s: that function is now a thin loop over
- * this class, and the process-executor tests + the proc golden pin
- * the behavior.
- */
-class ProcFarm
-{
-  public:
-    /** One finished cell and its outcome. */
-    using Done =
-        std::vector<std::pair<std::size_t,
-                              CellOutcome<std::string>>>;
-
-    /**
-     * @param pool_hint expected total cell count; the worker pool
-     *        is min(cfg.workers, pool_hint), at least 1.
-     */
-    ProcFarm(std::uint64_t fingerprint,
-             const ProcExecutorConfig &cfg, std::size_t pool_hint);
-
-    /** Shuts the farm down: EOF on the command pipes, short grace,
-     *  SIGKILL stragglers. Unfinished cells are abandoned. */
-    ~ProcFarm();
-
-    ProcFarm(const ProcFarm &) = delete;
-    ProcFarm &operator=(const ProcFarm &) = delete;
-
-    /** Queue one cell for execution. */
-    void submit(std::size_t cell);
-
-    /**
-     * Advance the farm: respawn/feed workers, wait up to
-     * `timeout_ms` for results or deaths, and append every cell
-     * that finished (completed, quarantined, or hard-killed) to
-     * `done`. Returns promptly when idle().
-     */
-    void poll(int timeout_ms, Done &done);
-
-    /** No cell pending or in flight. */
-    bool idle() const;
-
-    /**
-     * Workers died `death cap` times in a row with no completed
-     * cell — the farm cannot make progress. Once stalled it stays
-     * stalled; collect the wreckage with failUnfinished().
-     */
-    bool stalled() const;
-
-    /** Kill every worker and append FAILED(crash:farm-stalled)
-     *  outcomes for all unfinished cells to `done`. */
-    void failUnfinished(Done &done);
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
 
 } // namespace fscache
 

@@ -1,10 +1,10 @@
 #include "runner/sweep_runner.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 
 #include "check/breadcrumb.hh"
+#include "common/arg_parser.hh"
 
 namespace fscache
 {
@@ -15,7 +15,7 @@ SweepRunner::warnNoFarmWithoutCodec()
     static std::atomic<bool> warned{false};
     if (warned.exchange(true))
         return;
-    warn("FS_EXECUTOR=process/net: this sweep has no cell codec "
+    warn("FS_EXECUTOR=process: this sweep has no cell codec "
          "(mapResilient without checkpoint encode/decode); results "
          "cannot cross a process boundary, so it runs on the "
          "thread executor instead");
@@ -24,15 +24,11 @@ SweepRunner::warnNoFarmWithoutCodec()
 unsigned
 SweepRunner::defaultJobs()
 {
-    const char *env = std::getenv("FS_JOBS");
-    if (env != nullptr && *env != '\0') {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end == env || *end != '\0' || v < 1)
-            fatal("FS_JOBS must be a positive integer, got \"%s\"",
-                  env);
-        return static_cast<unsigned>(v);
-    }
+    // The fallback 0 means "unset": an explicit FS_JOBS=0 fails the
+    // minimum of 1.
+    unsigned jobs = parseEnvUnsigned("FS_JOBS", 0u, 1u);
+    if (jobs > 0)
+        return jobs;
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }

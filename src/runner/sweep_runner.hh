@@ -42,7 +42,6 @@
 #include "common/log.hh"
 #include "runner/cell_guard.hh"
 #include "runner/checkpoint.hh"
-#include "runner/net_executor.hh"
 #include "runner/proc_executor.hh"
 #include "runner/thread_pool.hh"
 
@@ -141,8 +140,8 @@ class SweepRunner
         -> SweepReport<std::invoke_result_t<Fn &, std::size_t>>
     {
         using R = std::invoke_result_t<Fn &, std::size_t>;
-        if (!procWorkerMode() && !netAgentMode() &&
-            executorKindFromEnv() != ExecutorKind::Thread)
+        if (!procWorkerMode() &&
+            executorKindFromEnv() == ExecutorKind::Process)
             warnNoFarmWithoutCodec();
         SweepReport<R> report;
         report.cells.resize(cells);
@@ -171,15 +170,10 @@ class SweepRunner
      * missing cells run on a pool of worker *processes* instead of
      * threads: a SIGSEGV or a hard-killed wedge quarantines one
      * cell as FAILED(crash:...)/FAILED(hard-timeout) instead of
-     * taking down the sweep. FS_EXECUTOR=net
-     * (runner/net_executor.hh) goes one hop further: cells are
-     * leased over TCP to FS_HOSTS agents (each running its own
-     * process farm), lost hosts requeue their leases, and when all
-     * hosts die the remaining cells finish locally. Results merge
-     * in cell order and the codec is bit-exact, so clean-run output
-     * — and the checkpoint journal — is byte-identical across
-     * executors; a journal written under any executor resumes under
-     * any other.
+     * taking down the sweep. Results merge in cell order and the
+     * codec is bit-exact, so clean-run output — and the checkpoint
+     * journal — is byte-identical across executors; a journal
+     * written under one executor resumes under the other.
      *
      * Inside a farm worker this call never returns for the farmed
      * sweep (it serves cells and exits); a checkpointed sweep the
@@ -230,21 +224,11 @@ class SweepRunner
             serveCellsAsWorker(cells, fp, run_cell);
         }
 
-        if (netAgentMode()) {
-            // Net-farm agent: serve this sweep to a coordinator
-            // over TCP, executing leased cells on a local process
-            // farm (whose workers re-enter main() and hit the
-            // procWorkerMode() branch above). The agent itself
-            // neither journals nor renders. Never returns.
-            serveCellsAsAgent(cells, fp);
-        }
-
-        const ExecutorKind kind = executorKindFromEnv();
-        const bool farm = kind == ExecutorKind::Process;
-        const bool netfarm = kind == ExecutorKind::Net;
+        const bool farm =
+            executorKindFromEnv() == ExecutorKind::Process;
         std::unique_ptr<CheckpointJournal> journal =
             CheckpointJournal::openFromEnv(sweep_name, full_key);
-        if (journal == nullptr && !farm && !netfarm)
+        if (journal == nullptr && !farm)
             return mapResilient(cells, std::forward<Fn>(fn), cfg);
 
         SweepReport<R> report;
@@ -274,81 +258,55 @@ class SweepRunner
             }
         }
 
-        // Journal the wire payload verbatim — no re-encode — so
-        // farm, net, and thread journals are byte-identical.
-        auto journal_payload = [&journal](std::size_t cell,
-                                          const std::string
-                                              &payload) {
-            if (journal != nullptr)
-                journal->record(cell, payload);
-        };
-        // Decode one farm/net wire outcome back into a typed one.
-        auto from_wire = [&decode](std::size_t i,
-                                   CellOutcome<std::string> &w)
-            -> CellOutcome<R> {
-            CellOutcome<R> o;
-            o.status = w.status;
-            o.errorClass = w.errorClass;
-            o.error = std::move(w.error);
-            o.detail = std::move(w.detail);
-            o.crashSignal = std::move(w.crashSignal);
-            o.attempts = w.attempts;
-            if (o.status == CellStatus::Ok && w.value.has_value()) {
-                try {
-                    o.value.emplace(decode(*w.value));
-                } catch (const std::exception &e) {
-                    o = CellOutcome<R>{};
-                    o.status = CellStatus::Failed;
-                    o.errorClass = ErrorClass::Permanent;
-                    o.error = strprintf(
-                        "farm result for cell %zu "
-                        "undecodable: %s", i, e.what());
-                    o.attempts = w.attempts;
-                }
-            } else if (o.status == CellStatus::Ok) {
-                o.status = CellStatus::Failed;
-                o.errorClass = ErrorClass::Permanent;
-                o.error = "farm result missing its payload";
-            }
-            return o;
-        };
-
         if (farm) {
             std::vector<CellOutcome<std::string>> outcomes =
-                runProcessFarm(missing, fp,
-                               ProcExecutorConfig::fromEnv(),
-                               journal_payload);
-            for (std::size_t k = 0; k < missing.size(); ++k)
-                report.cells[missing[k]] =
-                    from_wire(missing[k], outcomes[k]);
-            return report;
-        }
-
-        if (netfarm) {
-            NetFarmResult nf =
-                runNetFarm(missing, fp, NetExecutorConfig::fromEnv(),
-                           journal_payload);
-            std::vector<std::size_t> leftover;
-            for (std::size_t i : missing) {
-                auto it = nf.done.find(i);
-                if (it == nf.done.end()) {
-                    leftover.push_back(i);
-                    continue;
+                runProcessFarm(
+                    missing, fp, ProcExecutorConfig::fromEnv(),
+                    [&journal](std::size_t cell,
+                               const std::string &payload) {
+                        // Journal the wire payload verbatim — no
+                        // re-encode — so farm and thread journals
+                        // are byte-identical.
+                        if (journal != nullptr)
+                            journal->record(cell, payload);
+                    });
+            for (std::size_t k = 0; k < missing.size(); ++k) {
+                std::size_t i = missing[k];
+                CellOutcome<std::string> &w = outcomes[k];
+                CellOutcome<R> o;
+                o.status = w.status;
+                o.errorClass = w.errorClass;
+                o.error = std::move(w.error);
+                o.detail = std::move(w.detail);
+                o.crashSignal = std::move(w.crashSignal);
+                o.attempts = w.attempts;
+                if (o.status == CellStatus::Ok &&
+                    w.value.has_value()) {
+                    try {
+                        o.value.emplace(decode(*w.value));
+                    } catch (const std::exception &e) {
+                        o = CellOutcome<R>{};
+                        o.status = CellStatus::Failed;
+                        o.errorClass = ErrorClass::Permanent;
+                        o.error = strprintf(
+                            "farm result for cell %zu "
+                            "undecodable: %s", i, e.what());
+                        o.attempts = w.attempts;
+                    }
+                } else if (o.status == CellStatus::Ok) {
+                    o.status = CellStatus::Failed;
+                    o.errorClass = ErrorClass::Permanent;
+                    o.error = "farm result missing its payload";
                 }
-                report.cells[i] = from_wire(i, it->second);
+                report.cells[i] = std::move(o);
             }
-            if (leftover.empty())
-                return report;
-            // Graceful degradation: every host is gone; finish the
-            // unresolved cells on the local guarded path below
-            // (runNetFarm already warned once).
-            missing = std::move(leftover);
+            return report;
         }
 
         auto guarded = [&](std::size_t k) {
             std::size_t i = missing[k];
             CellOutcome<R> o = runGuarded(i, fn, cfg);
-            if (o.ok() && journal != nullptr)
+            if (o.ok())
                 journal->record(i, encode(*o.value));
             report.cells[i] = std::move(o);
         };

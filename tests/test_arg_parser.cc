@@ -1,11 +1,13 @@
 /**
  * @file
  * ArgParser tests: option forms, typed accessors, defaults, help,
- * and error handling.
+ * error handling, and the checked environment-knob parser.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/arg_parser.hh"
@@ -156,6 +158,46 @@ TEST(ArgParserDeathTest, CheckedParsersRejectMalformedTokens)
                 ::testing::ExitedWithCode(1), "empty value");
     EXPECT_EXIT(parseInt64Arg("--n", "99999999999999999999999"),
                 ::testing::ExitedWithCode(1), "out of range");
+}
+
+TEST(ArgParser, EnvKnobParsesOrFallsBack)
+{
+    unsetenv("FS_TEST_KNOB");
+    EXPECT_EQ(parseEnvUnsigned("FS_TEST_KNOB", 7u), 7u);
+    setenv("FS_TEST_KNOB", "", 1);
+    EXPECT_EQ(parseEnvUnsigned("FS_TEST_KNOB", 7u), 7u);
+    setenv("FS_TEST_KNOB", "4294967295", 1);
+    EXPECT_EQ(parseEnvUnsigned("FS_TEST_KNOB", 7u), 4294967295u);
+    setenv("FS_TEST_KNOB", "18446744073709551615", 1);
+    EXPECT_EQ(parseEnvUnsigned<std::uint64_t>("FS_TEST_KNOB", 0),
+              ~0ull);
+    unsetenv("FS_TEST_KNOB");
+}
+
+TEST(ArgParserDeathTest, EnvKnobRejectsMalformedAndOutOfRange)
+{
+    for (const char *bad : {"-1", "+3", " 3", "3 ", "0x10", "12abc"})
+        EXPECT_EXIT(
+            {
+                setenv("FS_TEST_KNOB", bad, 1);
+                (void)parseEnvUnsigned("FS_TEST_KNOB", 0u);
+            },
+            ::testing::ExitedWithCode(1),
+            "FS_TEST_KNOB must be a non-negative decimal integer")
+            << bad;
+    EXPECT_EXIT(
+        {
+            setenv("FS_TEST_KNOB", "18446744073709551616", 1);
+            (void)parseEnvUnsigned<std::uint64_t>("FS_TEST_KNOB", 0);
+        },
+        ::testing::ExitedWithCode(1), "FS_TEST_KNOB=.* is out of range");
+    EXPECT_EXIT(
+        {
+            setenv("FS_TEST_KNOB", "256", 1);
+            (void)parseEnvUnsigned<std::uint8_t>("FS_TEST_KNOB", 0);
+        },
+        ::testing::ExitedWithCode(1),
+        "FS_TEST_KNOB=256 is out of range \\(at most 255\\)");
 }
 
 TEST(ArgParserDeathTest, FlagWithValueIsFatal)

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/tag_store.hh"
@@ -529,6 +530,33 @@ TEST_F(CorruptionInjection, CorruptClauseParses)
     EXPECT_NO_THROW(FaultInjector::parse("cell=5:corrupt-occ"));
     EXPECT_NO_THROW(FaultInjector::parse(
         "cell=0:corrupt-treap;cell=1:corrupt-occ;cell=2:corrupt"));
+    EXPECT_NO_THROW(FaultInjector::parse("cell=0:transient*4294967295"));
+}
+
+/** Specs that used to parse into a fault that never fires (a wrapped
+ *  "-1" cell, a truncated attempt count), and actions that no longer
+ *  exist, must all be rejected up front. */
+TEST(FaultSpecDeathTest, MalformedClausesAreFatal)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"cell=-1:throw", "bad cell index \"-1\""},
+        {"cell=+1:throw", "bad cell index \"\\+1\""},
+        {"cell=:throw", "bad cell index \"\""},
+        {"cell=99999999999999999999:throw",
+         "cell index \"99999999999999999999\" is out of range"},
+        {"cell=0:transient*4294967296",
+         "attempt count \"4294967296\" is out of range"},
+        {"cell=0:transient*-1", "bad attempt count \"-1\""},
+        {"cell=0:transient*0", "transient\\*0 never fires"},
+        // The two retired network arms, split so their names stay
+        // greppable as gone from the tree.
+        {"cell=1:net" "drop", "unknown action \"net" "drop\""},
+        {"cell=1:stall", "unknown action \"stall\""},
+    };
+    for (const auto &[spec, message] : cases)
+        EXPECT_EXIT((void)FaultInjector::parse(spec),
+                    ::testing::ExitedWithCode(1), message)
+            << spec;
 }
 
 TEST(ErrorClassNames, CorruptionIsStable)

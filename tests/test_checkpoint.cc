@@ -245,70 +245,6 @@ TEST_F(CheckpointTest, UndecodableRecordRecomputes)
     EXPECT_EQ(*report.cells[1].value, cellDouble(1));
 }
 
-std::string
-slurpFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-TEST_F(CheckpointTest, CompactFileDropsStaleRecordsByteIdentically)
-{
-    // A journal assembled by appends (e.g. merged from per-host
-    // shards) can carry stale duplicates and a torn tail. Compaction
-    // must reduce it to exactly the bytes record() would have
-    // written for the surviving entries: last record per cell wins,
-    // torn lines drop.
-    std::string path = dir_ + "/assembled.jsonl";
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << "{\"cell\":0,\"v\":\"stale0\"}\n"
-            << "{\"cell\":2,\"v\":\"keep2\"}\n"
-            << "{\"cell\":0,\"v\":\"keep0\"}\n"
-            << "not a journal line\n"
-            << "{\"cell\":5,\"v\":\"keep5\"}\n"
-            << "{\"cell\":7,\"v\":\"to";  // torn mid-write
-    }
-    ASSERT_TRUE(CheckpointJournal::compactFile(path));
-
-    // Reference: the same surviving entries written through record().
-    std::string ref;
-    {
-        auto j = CheckpointJournal::openAt(dir_, "reference", "k");
-        ASSERT_NE(j, nullptr);
-        j->record(0, "keep0");
-        j->record(2, "keep2");
-        j->record(5, "keep5");
-        ref = j->path();
-    }
-    EXPECT_EQ(slurpFile(path), slurpFile(ref));
-
-    // Idempotent: compacting a compact journal changes nothing.
-    std::string once = slurpFile(path);
-    ASSERT_TRUE(CheckpointJournal::compactFile(path));
-    EXPECT_EQ(slurpFile(path), once);
-
-    // And the compacted file still restores through the normal
-    // open path (copy it under openAt's naming scheme).
-    std::string restore_dir = dir_ + "/restore";
-    auto probe = CheckpointJournal::openAt(restore_dir, "sw", "ck");
-    ASSERT_NE(probe, nullptr);
-    std::string cmd = "cp '" + path + "' '" + probe->path() + "'";
-    ASSERT_EQ(std::system(cmd.c_str()), 0);
-    auto back = CheckpointJournal::openAt(restore_dir, "sw", "ck");
-    ASSERT_EQ(back->restored().size(), 3u);
-    EXPECT_EQ(back->restored().at(0), "keep0");
-    EXPECT_EQ(back->restored().at(5), "keep5");
-}
-
-TEST_F(CheckpointTest, CompactFileRefusesUnreadablePath)
-{
-    EXPECT_FALSE(
-        CheckpointJournal::compactFile(dir_ + "/no-such.jsonl"));
-}
-
 TEST_F(CheckpointTest, RecordSurvivesSigkillImmediatelyAfter)
 {
     // Durability regression for the fsync-before-and-after-rename

@@ -1,6 +1,7 @@
 /**
  * @file
- * Process-farm executor tests: wire-codec bit-exactness, clean-run
+ * Process-farm executor tests: wire-codec bit-exactness and a seeded
+ * mutation test of its decoders, env-knob range checks, clean-run
  * byte identity with the in-process path, crash containment (segv
  * fault and raise(SIGKILL) mid-cell), hard-timeout SIGKILL of a
  * spinning cell, poison-cell quarantine after k worker deaths, and
@@ -22,10 +23,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/errors.hh"
 #include "common/fault_injection.hh"
+#include "common/random.hh"
 #include "runner/proc_executor.hh"
 #include "runner/sweep_runner.hh"
 
@@ -198,6 +201,126 @@ TEST(ProcWire, ResultRoundTripsBitExactly)
     EXPECT_EQ(back.status, CellStatus::TimedOut);
     EXPECT_EQ(back.errorClass, ErrorClass::HardTimeout);
     EXPECT_FALSE(back.value.has_value());
+}
+
+/**
+ * Decode `line` as whichever message kind `is_spec` names. Returns
+ * true and sets `reencoded` when it decodes; false when the decoder
+ * rejects it with FsError. Any other exception escapes and fails the
+ * test.
+ */
+bool
+decodeAndReencode(const std::string &line, bool is_spec,
+                  std::string &reencoded)
+{
+    try {
+        if (is_spec) {
+            std::uint64_t fp = 0;
+            std::size_t cell = 0;
+            procwire::decodeSpec(line, fp, cell);
+            reencoded = procwire::encodeSpec(fp, cell);
+        } else {
+            std::size_t cell = 0;
+            CellOutcome<std::string> o;
+            procwire::decodeResult(line, cell, o);
+            reencoded = procwire::encodeResult(cell, o);
+        }
+        return true;
+    } catch (const FsError &) {
+        return false;
+    }
+}
+
+TEST(ProcWire, NonCanonicalLinesAreRejected)
+{
+    const std::string spec = procwire::encodeSpec(0xabc, 5);
+    ASSERT_EQ(spec, "1 abc 5");
+    std::string out;
+    for (const char *bad :
+         {" 1 abc 5", "1  abc 5", "1 abc 5 ", "1 0abc 5", "1 ABC 5",
+          "1 -abc 5", "1 +abc 5", "1 0xabc 5", "1 abc 10000000000000000",
+          "1 abc\t5", ""})
+        EXPECT_FALSE(decodeAndReencode(bad, true, out)) << bad;
+
+    CellOutcome<std::string> o;
+    o.attempts = 1;
+    const std::string res = procwire::encodeResult(2, o);
+    ASSERT_EQ(res, "1 2 0 0 1 s s s 0 s");
+    for (const char *bad :
+         {"1 2 0 0 100000000 s s s 0 s", // attempts beyond unsigned
+          "1 2 0 0 1 s s s 2 s",         // has-value flag not 0/1
+          "1 2 0 0 1 s s s 0 s00",       // payload without a value
+          "1 2 0 0 1 s s s 1 s0"})       // odd-length hex payload
+        EXPECT_FALSE(decodeAndReencode(bad, false, out)) << bad;
+}
+
+/**
+ * Deterministic mutation test of the farm wire decoders: seeded byte
+ * flips, truncations and insertions over real encodeSpec /
+ * encodeResult lines. Every mutant must either decode to a message
+ * that re-encodes to exactly the mutant's bytes, or be rejected with
+ * FsError — never crash, hang, or trip a sanitizer.
+ */
+TEST(ProcWire, MutatedLinesDecodeCanonicallyOrThrow)
+{
+    std::vector<std::pair<std::string, bool>> seeds;
+    seeds.emplace_back(procwire::encodeSpec(0, 0), true);
+    seeds.emplace_back(
+        procwire::encodeSpec(0xdeadbeefcafef00dull, 123456), true);
+    CellOutcome<std::string> ok;
+    ok.attempts = 1;
+    ok.value.emplace(encodeD(cellValue(3)));
+    seeds.emplace_back(procwire::encodeResult(3, ok), false);
+    CellOutcome<std::string> crash;
+    crash.status = CellStatus::Failed;
+    crash.errorClass = ErrorClass::Crash;
+    crash.error = "worker died (SIGSEGV) running cell 9";
+    crash.detail = "multi\nline detail";
+    crash.crashSignal = "SIGSEGV";
+    crash.attempts = 4;
+    seeds.emplace_back(procwire::encodeResult(9, crash), false);
+
+    // Mostly bytes the codec itself emits, so mutants stay close to
+    // valid lines and reach the deep checks, plus arbitrary bytes.
+    const std::string alphabet = "0123456789abcdefs -+xX\t\n";
+    Rng rng(0x5eedc0dec0ffeeull);
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int iter = 0; iter < 20000; ++iter) {
+        const auto &[seed, is_spec] = seeds[rng.below(seeds.size())];
+        std::string line = seed;
+        const std::uint64_t edits = rng.range(1, 3);
+        for (std::uint64_t e = 0; e < edits; ++e) {
+            const std::uint64_t pos = rng.below(line.size() + 1);
+            switch (rng.below(3)) {
+              case 0: // flip one bit of one byte
+                if (pos < line.size())
+                    line[pos] = static_cast<char>(
+                        line[pos] ^ (1u << rng.below(8)));
+                break;
+              case 1: // truncate
+                line.resize(pos);
+                break;
+              default: // insert
+                line.insert(
+                    line.begin() + static_cast<std::ptrdiff_t>(pos),
+                    rng.chance(0.8)
+                        ? alphabet[rng.below(alphabet.size())]
+                        : static_cast<char>(rng.below(256)));
+                break;
+            }
+        }
+        std::string reencoded;
+        if (decodeAndReencode(line, is_spec, reencoded)) {
+            ++accepted;
+            ASSERT_EQ(reencoded, line) << "iteration " << iter;
+        } else {
+            ++rejected;
+        }
+    }
+    // Both outcomes must actually be exercised.
+    EXPECT_GT(accepted, 100u);
+    EXPECT_GT(rejected, 100u);
 }
 
 TEST_F(ProcExecutorTest, CleanFarmIsByteIdenticalToSerial)
@@ -387,6 +510,42 @@ TEST(ProcExecutorConfigTest, EnvKnobsParse)
 
     EXPECT_EQ(ProcExecutorConfig::fromEnv().poisonKills, 1u);
     EXPECT_EQ(ProcExecutorConfig::fromEnv().hardTimeoutMs, 0u);
+}
+
+/** Values beyond `unsigned` used to wrap silently: FS_WORKERS=2^32
+ *  fell back to the default pool, FS_POISON_KILLS=2^32 claimed to be
+ *  0. Each must now die naming the knob and the range. The setenv
+ *  runs in the death-test child only. */
+TEST(ProcExecutorConfigTest, OutOfRangeKnobsAreFatal)
+{
+    EXPECT_EXIT(
+        {
+            setenv("FS_WORKERS", "4294967296", 1);
+            (void)ProcExecutorConfig::fromEnv();
+        },
+        ::testing::ExitedWithCode(1),
+        "FS_WORKERS=4294967296 is out of range \\(at most 4294967295\\)");
+    EXPECT_EXIT(
+        {
+            setenv("FS_POISON_KILLS", "4294967296", 1);
+            (void)ProcExecutorConfig::fromEnv();
+        },
+        ::testing::ExitedWithCode(1),
+        "FS_POISON_KILLS=4294967296 is out of range");
+    EXPECT_EXIT(
+        {
+            setenv("FS_WORKER_HARD_TIMEOUT_MS", "-5", 1);
+            (void)ProcExecutorConfig::fromEnv();
+        },
+        ::testing::ExitedWithCode(1),
+        "FS_WORKER_HARD_TIMEOUT_MS must be a non-negative decimal");
+    EXPECT_EXIT(
+        {
+            setenv("FS_WORKER_BACKOFF_MS", "99999999999999999999", 1);
+            (void)ProcExecutorConfig::fromEnv();
+        },
+        ::testing::ExitedWithCode(1),
+        "FS_WORKER_BACKOFF_MS=99999999999999999999 is out of range");
 }
 
 } // namespace

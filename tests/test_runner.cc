@@ -204,5 +204,32 @@ TEST(SweepRunner, JobsFromEnv)
     EXPECT_EQ(SweepRunner(3).jobs(), 3u);
 }
 
+/** FS_JOBS=2^32+1 used to wrap to 1 job without a word. The setenv
+ *  runs in the death-test child only. */
+TEST(SweepRunnerDeathTest, JobsOutOfRangeIsFatal)
+{
+    EXPECT_EXIT(
+        {
+            setenv("FS_JOBS", "4294967297", 1);
+            (void)SweepRunner::defaultJobs();
+        },
+        ::testing::ExitedWithCode(1),
+        "FS_JOBS=4294967297 is out of range \\(at most 4294967295\\)");
+    EXPECT_EXIT(
+        {
+            setenv("FS_JOBS", "0", 1);
+            (void)SweepRunner::defaultJobs();
+        },
+        ::testing::ExitedWithCode(1),
+        "FS_JOBS=0 is out of range \\(at least 1\\)");
+    EXPECT_EXIT(
+        {
+            setenv("FS_JOBS", "-4", 1);
+            (void)SweepRunner::defaultJobs();
+        },
+        ::testing::ExitedWithCode(1),
+        "FS_JOBS must be a non-negative decimal integer");
+}
+
 } // namespace
 } // namespace fscache

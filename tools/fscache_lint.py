@@ -63,16 +63,6 @@ swallowed-exception
     anything else must rethrow or use // fs-lint: allow(...) with a
     justification.
 
-unchecked-net
-    src/ must not discard the return value of send/recv/connect/
-    accept at statement position: a TCP peer can vanish at any
-    instant, so an unchecked send silently loses a frame (the
-    stream is then corrupt from the peer's point of view) and an
-    unchecked recv throws away the only EOF/error signal the caller
-    gets. Assign and check the result (common/net.cc's writeAllFd
-    and FrameReader show the shape), or justify a deliberate
-    fire-and-forget with an allow().
-
 signal-handler-safety
     A function installed as a signal handler (spotted via
     `.sa_handler = f` / `.sa_sigaction = f` assignments and
@@ -137,12 +127,6 @@ UNORDERED_PATTERN = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\b")
 UNCHECKED_STO_PATTERN = re.compile(
     r"\bstd::sto(?:i|l|ll|ul|ull|f|d|ld)\b")
 
-# A socket call in statement position (line begins with the call)
-# discards its result. `(void)send(...)` and `n = recv(...)` don't
-# match — the former is an explicit discard, the latter is checked.
-UNCHECKED_NET_RE = re.compile(
-    r"^\s*(?:::\s*)?(?:send|recv|connect|accept4?)\s*\(")
-
 CATCH_ALL_RE = re.compile(r"\bcatch\s*\(\s*\.\.\.\s*\)")
 THROW_RE = re.compile(r"\bthrow\b")
 
@@ -187,12 +171,10 @@ ACCUM_SCOPE = ("src/stats",)
 STO_SCOPE = ("tools", "bench")
 SWALLOW_SCOPE = ("src",)
 SIGNAL_SCOPE = ("src",)
-NET_SCOPE = ("src",)
 
 ALL_RULES = ("raw-random", "wall-clock", "unordered-aggregation",
              "hot-path-container", "float-accum", "unchecked-sto",
-             "swallowed-exception", "signal-handler-safety",
-             "unchecked-net")
+             "swallowed-exception", "signal-handler-safety")
 
 DIRECTIVE_RE = re.compile(
     r"//\s*fs-lint:\s*(allow|float-accum)\(([\w-]+)\)\s*(.*)")
@@ -436,7 +418,6 @@ def check_file(root: Path, path: Path, findings: list):
     scoped_hot = in_scope(rel, HOT_PATH_SCOPE)
     scoped_accum = in_scope(rel, ACCUM_SCOPE)
     scoped_sto = in_scope(rel, STO_SCOPE)
-    scoped_net = in_scope(rel, NET_SCOPE)
     scoped_swallow = (in_scope(rel, SWALLOW_SCOPE) and
                       rel not in SWALLOW_ALLOWLIST)
 
@@ -480,12 +461,6 @@ def check_file(root: Path, path: Path, findings: list):
                     report(no, "wall-clock",
                            f"{what}: wall-clock read in simulation "
                            "code breaks run-to-run determinism")
-        if scoped_net and UNCHECKED_NET_RE.match(code):
-            report(no, "unchecked-net",
-                   "socket call in statement position discards its "
-                   "result; a vanished peer is only visible there — "
-                   "check it (see common/net.cc) or justify "
-                   "fire-and-forget with an allow()")
         if scoped_sto and UNCHECKED_STO_PATTERN.search(code):
             report(no, "unchecked-sto",
                    "bare std::sto* accepts trailing junk and throws "
@@ -596,10 +571,6 @@ def self_test(repo_root: Path) -> int:
         ("src/check/bad_handler.cc", 12, "signal-handler-safety"),
         ("src/check/bad_handler.cc", 13, "signal-handler-safety"),
         ("src/check/bad_handler.cc", 14, "signal-handler-safety"),
-        ("src/common/bad_net.cc", 9, "unchecked-net"),
-        ("src/common/bad_net.cc", 10, "unchecked-net"),
-        ("src/common/bad_net.cc", 11, "unchecked-net"),
-        ("src/common/bad_net.cc", 12, "unchecked-net"),
     }
     ok = True
     for miss in sorted(expected - got):

@@ -296,21 +296,8 @@ main(int argc, char **argv)
     args.addFlag("untimed", "skip the timing model (faster)");
     args.addFlag("nuca", "model banked-NUCA contention");
     args.addFlag("json", "machine-readable JSON output");
-    args.addString("fs-compact-journal", "",
-                   "maintenance: compact the checkpoint journal at "
-                   "this path (drop stale duplicate records) and "
-                   "exit");
     if (!args.parse(argc, argv))
         return 0;
-
-    const std::string compact_path =
-        args.getString("fs-compact-journal");
-    if (!compact_path.empty()) {
-        if (!CheckpointJournal::compactFile(compact_path))
-            fatal("--fs-compact-journal: cannot read \"%s\"",
-                  compact_path.c_str());
-        return 0;
-    }
 
     std::vector<LineId> sizes;
     for (const std::string &s : split(args.getString("lines"), ',')) {
