@@ -90,21 +90,15 @@ runCell(std::size_t cell)
 }
 
 /**
- * Replay-only probe for the batched pipeline: the same cells, but
- * with trace generation hoisted out of the timed region so the
- * measurement isolates the access engine (generation is treap-bound
- * and its output byte-frozen by the goldens; in the combined cell
- * it is over half the wall time and would swamp any engine change).
- * Counts every issued access, warmup included — the engine replays
- * them all.
- *
- * FS_BENCH_SERIAL_REPLAY=1 drives the same probe through the
- * per-access API instead of accessBatch — the A/B knob behind the
- * before/after entries in BENCH_access_engine.json (the results are
- * byte-identical either way; only the wall time differs).
+ * Replay-only probe: the same cells, but with trace generation
+ * hoisted out of the timed region so the measurement isolates the
+ * access engine (generation is treap-bound and its output
+ * byte-frozen by the goldens; in the combined cell it is over half
+ * the wall time and would swamp any engine change). Counts every
+ * issued access, warmup included — the engine replays them all.
  */
 double
-timeBatchedReplay(std::uint64_t &issued_out)
+timeReplay(std::uint64_t &issued_out)
 {
     std::vector<Workload> workloads;
     workloads.reserve(kCells);
@@ -115,41 +109,6 @@ timeBatchedReplay(std::uint64_t &issued_out)
         for (std::uint32_t t = 0; t < wl.threadCount(); ++t)
             issued += wl.thread(t).trace.size();
     }
-
-    const char *ab = std::getenv("FS_BENCH_SERIAL_REPLAY");
-    const bool serial_replay = ab != nullptr && *ab == '1';
-
-    // The pre-batching replay loop (one access() call per record,
-    // same round-robin order), kept as the A/B reference.
-    auto replay_serial = [](PartitionedCache &cache,
-                            const Workload &wl) {
-        const std::uint32_t nt = wl.threadCount();
-        std::vector<std::uint64_t> pos(nt, 0);
-        bool any = true;
-        std::uint64_t done = 0;
-        std::uint64_t total = 0;
-        for (std::uint32_t t = 0; t < nt; ++t)
-            total += wl.thread(t).trace.size();
-        std::uint64_t warmup =
-            static_cast<std::uint64_t>(0.2 * total);
-        bool reset = false;
-        while (any) {
-            any = false;
-            for (std::uint32_t t = 0; t < nt; ++t) {
-                const TraceBuffer &trace = wl.thread(t).trace;
-                if (pos[t] >= trace.size())
-                    continue;
-                any = true;
-                const Access &acc = trace[pos[t]++];
-                cache.access(static_cast<PartId>(t), acc.addr,
-                             acc.nextUse);
-                if (!reset && ++done >= warmup) {
-                    cache.resetStats();
-                    reset = true;
-                }
-            }
-        }
-    };
 
     // Best of two passes: each pass rebuilds every cache and
     // replays identically (fresh state, deterministic), so the min
@@ -162,10 +121,7 @@ timeBatchedReplay(std::uint64_t &issued_out)
             auto cache = buildCache(spec);
             cache->setTargets({spec.array.numLines / 2,
                                spec.array.numLines / 2});
-            if (serial_replay)
-                replay_serial(*cache, workloads[cell]);
-            else
-                runUntimed(*cache, workloads[cell], 0.2);
+            runUntimed(*cache, workloads[cell], 0.2);
         }
         auto t1 = std::chrono::steady_clock::now();
         double secs =
@@ -203,15 +159,15 @@ main()
     std::vector<CellCounts> parallel_counts;
     double t_serial = timeSweep(1, serial_counts);
     double t_parallel = timeSweep(jobs, parallel_counts);
-    std::uint64_t batched_accesses = 0;
-    double t_batched = timeBatchedReplay(batched_accesses);
+    std::uint64_t replay_accesses = 0;
+    double t_replay = timeReplay(replay_accesses);
 
     bool identical = serial_counts == parallel_counts;
     std::uint64_t total_accesses = 0;
     for (const CellCounts &c : serial_counts)
         total_accesses += c.accesses;
     double serial_aps = total_accesses / t_serial;
-    double batched_aps = batched_accesses / t_batched;
+    double replay_aps = replay_accesses / t_replay;
 
     TablePrinter table({"mode", "jobs", "seconds", "cells/sec",
                         "accesses/sec"});
@@ -222,10 +178,9 @@ main()
                   TablePrinter::num(t_parallel, 2),
                   TablePrinter::num(kCells / t_parallel, 2),
                   TablePrinter::num(total_accesses / t_parallel, 0)});
-    table.addRow({"batched-replay", "1",
-                  TablePrinter::num(t_batched, 2),
-                  TablePrinter::num(kCells / t_batched, 2),
-                  TablePrinter::num(batched_aps, 0)});
+    table.addRow({"replay", "1", TablePrinter::num(t_replay, 2),
+                  TablePrinter::num(kCells / t_replay, 2),
+                  TablePrinter::num(replay_aps, 0)});
     table.print(std::cout);
 
     std::printf("\nspeedup: %.2fx   per-cell results identical: "
@@ -249,9 +204,9 @@ main()
         json.field("serial_seconds", t_serial);
         json.field("parallel_seconds", t_parallel);
         json.field("accesses_per_sec_serial", serial_aps);
-        json.field("batched_accesses", batched_accesses);
-        json.field("batched_seconds", t_batched);
-        json.field("accesses_per_sec_batched", batched_aps);
+        json.field("replay_accesses", replay_accesses);
+        json.field("replay_seconds", t_replay);
+        json.field("accesses_per_sec_replay", replay_aps);
         json.field("cells_per_sec_serial", kCells / t_serial);
         json.field("cells_per_sec_parallel", kCells / t_parallel);
         json.field("speedup", t_serial / t_parallel);

@@ -11,8 +11,8 @@
 #                 damps scheduler noise on shared machines
 #   --out FILE    also write measured-summary JSONs (per-run values,
 #                 best, baseline, tolerance): FILE for the serial
-#                 metric plus FILE with a _batched suffix for the
-#                 batched metric — CI uploads both as throughput
+#                 metric plus FILE with a _replay suffix for the
+#                 replay metric — CI uploads both as throughput
 #                 artifacts
 #   build_dir     directory holding bench/micro_sweep_throughput
 #                 (default: build)
@@ -23,9 +23,10 @@
 #   accesses_per_sec_serial   full cells (generation + replay);
 #                             fails > `tolerance` (default 25%)
 #                             below the committed baseline
-#   accesses_per_sec_batched  replay-only batched pipeline; fails
+#   accesses_per_sec_replay   replay-only (runUntimed over
+#                             pre-generated traces); fails
 #                             below baseline*(1-tolerance) OR below
-#                             the absolute batched_floor committed
+#                             the absolute replay_floor committed
 #                             in the baseline file
 #
 # The tolerance absorbs machine-to-machine variance while still
@@ -47,7 +48,7 @@ while [ $# -gt 0 ]; do
       --capture) capture=1; shift ;;
       --runs) runs="$2"; shift 2 ;;
       --out) out="$2"; shift 2 ;;
-      -h|--help) sed -n '2,34p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+      -h|--help) sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
       *) break ;;
     esac
 done
@@ -72,9 +73,9 @@ tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
 best=""
-best_batched=""
+best_replay=""
 values=""
-values_batched=""
+values_replay=""
 i=1
 while [ "$i" -le "$runs" ]; do
     FS_BENCH_JSON="$tmpdir/run$i.json" FS_JOBS=1 "$bench" \
@@ -88,15 +89,15 @@ import json
 print(json.load(open('$tmpdir/run$i.json'))['accesses_per_sec_serial'])")
     vb=$(python3 -c "
 import json
-print(json.load(open('$tmpdir/run$i.json'))['accesses_per_sec_batched'])")
-    echo "bench_baseline: run $i/$runs: $v serial, $vb batched accesses/sec"
+print(json.load(open('$tmpdir/run$i.json'))['accesses_per_sec_replay'])")
+    echo "bench_baseline: run $i/$runs: $v serial, $vb replay accesses/sec"
     best=$(python3 -c "print(max($v, ${best:-0}))")
-    best_batched=$(python3 -c "print(max($vb, ${best_batched:-0}))")
+    best_replay=$(python3 -c "print(max($vb, ${best_replay:-0}))")
     values="$values $v"
-    values_batched="$values_batched $vb"
+    values_replay="$values_replay $vb"
     i=$((i + 1))
 done
-echo "bench_baseline: best of $runs: $best serial, $best_batched batched accesses/sec"
+echo "bench_baseline: best of $runs: $best serial, $best_replay replay accesses/sec"
 
 if [ -n "$out" ]; then
     python3 - "$baseline_file" "$out" "$best" $values <<'EOF'
@@ -115,36 +116,36 @@ with open(out_path, "w") as f:
     json.dump(summary, f, indent=2)
     f.write("\n")
 EOF
-    out_batched="${out%.json}_batched.json"
-    python3 - "$baseline_file" "$out_batched" "$best_batched" \
-        $values_batched <<'EOF'
+    out_replay="${out%.json}_replay.json"
+    python3 - "$baseline_file" "$out_replay" "$best_replay" \
+        $values_replay <<'EOF'
 import json, sys
 baseline_path, out_path, best = sys.argv[1], sys.argv[2], float(sys.argv[3])
 doc = json.load(open(baseline_path))
 summary = {
     "bench": doc.get("bench", "micro_sweep_throughput"),
-    "metric": "accesses_per_sec_batched",
+    "metric": "accesses_per_sec_replay",
     "runs": [float(v) for v in sys.argv[4:]],
     "best": best,
-    "baseline": doc["baseline"]["accesses_per_sec_batched"],
-    "floor": doc["baseline"].get("batched_floor", 0.0),
+    "baseline": doc["baseline"]["accesses_per_sec_replay"],
+    "floor": doc["baseline"].get("replay_floor", 0.0),
     "tolerance": doc.get("tolerance", 0.25),
 }
 with open(out_path, "w") as f:
     json.dump(summary, f, indent=2)
     f.write("\n")
 EOF
-    echo "bench_baseline: wrote measured summaries to $out and $out_batched"
+    echo "bench_baseline: wrote measured summaries to $out and $out_replay"
 fi
 
 if [ "$capture" = 1 ]; then
-    python3 - "$baseline_file" "$best" "$best_batched" <<'EOF'
+    python3 - "$baseline_file" "$best" "$best_replay" <<'EOF'
 import json, sys
-path, best, best_batched = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
+path, best, best_replay = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
 with open(path) as f:
     doc = json.load(f)
 doc["baseline"]["accesses_per_sec_serial"] = round(best, 1)
-doc["baseline"]["accesses_per_sec_batched"] = round(best_batched, 1)
+doc["baseline"]["accesses_per_sec_replay"] = round(best_replay, 1)
 with open(path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
@@ -153,9 +154,9 @@ EOF
     exit 0
 fi
 
-python3 - "$baseline_file" "$best" "$best_batched" <<'EOF'
+python3 - "$baseline_file" "$best" "$best_replay" <<'EOF'
 import json, sys
-path, best, best_batched = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
+path, best, best_replay = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
 doc = json.load(open(path))
 tol = doc.get("tolerance", 0.25)
 fail = False
@@ -172,18 +173,18 @@ if best < floor:
 else:
     print(f"bench_baseline: OK — measured {best:.0f} serial accesses/sec")
 
-b_baseline = doc["baseline"]["accesses_per_sec_batched"]
-b_abs = doc["baseline"].get("batched_floor", 0.0)
+b_baseline = doc["baseline"]["accesses_per_sec_replay"]
+b_abs = doc["baseline"].get("replay_floor", 0.0)
 b_floor = max(b_baseline * (1.0 - tol), b_abs)
-print(f"bench_baseline: batched baseline {b_baseline:.0f}, absolute "
+print(f"bench_baseline: replay baseline {b_baseline:.0f}, absolute "
       f"floor {b_abs:.0f}, gate {b_floor:.0f}")
-if best_batched < b_floor:
-    print(f"bench_baseline: FAIL — measured {best_batched:.0f} batched "
+if best_replay < b_floor:
+    print(f"bench_baseline: FAIL — measured {best_replay:.0f} replay "
           f"accesses/sec is below the gate {b_floor:.0f}",
           file=sys.stderr)
     fail = True
 else:
-    print(f"bench_baseline: OK — measured {best_batched:.0f} batched "
+    print(f"bench_baseline: OK — measured {best_replay:.0f} replay "
           f"accesses/sec")
 
 sys.exit(1 if fail else 0)

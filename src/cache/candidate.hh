@@ -2,8 +2,8 @@
  * @file
  * Replacement candidates handed to partitioning schemes, kept in
  * struct-of-arrays layout so the selectVictim scans (plain, masked
- * and scaled argmax, threshold tests — common/simd.hh) can stream
- * contiguous double/PartId arrays straight into the SIMD kernels.
+ * and scaled argmax, threshold tests — common/simd.hh) walk
+ * contiguous double/PartId arrays.
  */
 
 #ifndef FSCACHE_CACHE_CANDIDATE_HH
@@ -41,8 +41,7 @@ struct Candidate
  * Struct-of-arrays candidate set: line[i]/part[i]/futility[i]
  * describe candidate i. The three vectors are always the same
  * length and are reused across misses (clear() keeps capacity), so
- * the steady-state miss path performs no allocation. Same idiom as
- * sim/access_batch.hh.
+ * the steady-state miss path performs no allocation.
  */
 class CandidateSoA
 {

@@ -47,10 +47,6 @@ class TagStore
         return slot == nullptr ? kInvalidLine : *slot;
     }
 
-    /** Prefetch the index slot a lookup(addr) will probe first
-     *  (batched pipeline look-ahead; a pure cache hint). */
-    void prefetchLookup(Addr addr) const { byAddr_.prefetch(addr); }
-
     /** Install addr into an invalid slot. */
     void install(LineId id, Addr addr, PartId part);
 

@@ -15,10 +15,9 @@
  * FS_HOT
  *     Documentation + optimizer hint for functions that *are* on
  *     the per-access hot path. The analyzer treats reachability
- *     from the hot roots (PartitionedCache::access / accessBatch)
- *     as the source of truth, so FS_HOT is advisory: it exists so
- *     a reader (and the hot attribute) see the contract at the
- *     declaration.
+ *     from the hot root (PartitionedCache::access) as the source
+ *     of truth, so FS_HOT is advisory: it exists so a reader (and
+ *     the hot attribute) see the contract at the declaration.
  *
  * FS_GUARDED_BY(mutex)
  *     Declares which mutex protects a shared mutable field of a

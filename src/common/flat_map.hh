@@ -98,25 +98,6 @@ class FlatMap
     bool contains(std::uint64_t key) const
     { return find(key) != nullptr; }
 
-    /**
-     * Hint the hardware prefetcher at the key's home slot. The
-     * batched replay pipeline issues this for record i+K while
-     * resolving record i, hiding the probe's cache miss behind
-     * useful work. Pure hint: never faults, never changes state,
-     * and a probe chain longer than one slot still pays for its
-     * tail (chains are short at <=50% load).
-     */
-    void
-    prefetch(std::uint64_t key) const
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(&slots_[home(key)], /*rw=*/0,
-                           /*locality=*/1);
-#else
-        (void)key;
-#endif
-    }
-
     /** Insert a key that must be absent (and not the sentinel). */
     void
     insert(std::uint64_t key, const V &value)

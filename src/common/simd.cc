@@ -1,194 +1,26 @@
 #include "common/simd.hh"
 
-#include <cstdlib>
-#include <cstring>
-
-#include "common/simd_backends.hh"
-
 namespace fscache
 {
 namespace simd
 {
 
-namespace scalar
-{
-
-std::uint32_t
-argmaxPlain(const double *v, std::size_t n)
-{
-    std::uint32_t best = 0;
-    for (std::size_t i = 1; i < n; ++i)
-        if (v[i] > v[best])
-            best = static_cast<std::uint32_t>(i);
-    return best;
-}
-
-std::int64_t
-argmaxMasked(const double *v, const PartId *mask, PartId want,
-             std::size_t n)
-{
-    std::int64_t best = -1;
-    double best_v = -1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (mask[i] != want)
-            continue;
-        if (v[i] > best_v) {
-            best_v = v[i];
-            best = static_cast<std::int64_t>(i);
-        }
-    }
-    return best;
-}
-
-std::uint32_t
-argmaxScaled(const double *v, const PartId *part,
-             const double *factors, std::size_t num_factors,
-             std::size_t n)
-{
-    std::uint32_t best = 0;
-    double best_s = -1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (part[i] >= num_factors)
-            continue;
-        double scaled = v[i] * factors[part[i]];
-        if (scaled > best_s) {
-            best_s = scaled;
-            best = static_cast<std::uint32_t>(i);
-        }
-    }
-    return best;
-}
-
-std::uint32_t
-thresholdGe(const double *v, const double *thresh, std::size_t n,
-            std::uint8_t *out)
-{
-    std::uint32_t count = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = v[i] >= thresh[i] ? 1 : 0;
-        count += out[i];
-    }
-    return count;
-}
-
-} // namespace scalar
-
-namespace
-{
-
-constexpr Kernels kScalarTable{
-    &scalar::argmaxPlain,
-    &scalar::argmaxMasked,
-    &scalar::argmaxScaled,
-    &scalar::thresholdGe,
-};
-
-struct Backend
-{
-    const char *name;
-    const Kernels *table; ///< null when not compiled in/runnable
-};
-
-/** Compiled-in backends, best first. */
-const Backend *
-backends()
-{
-    static const Backend tbl[] = {
-#if defined(FSCACHE_SIMD_AVX2)
-        {"avx2", detail::avx2Supported() ? &detail::avx2Kernels()
-                                         : nullptr},
-#else
-        {"avx2", nullptr},
-#endif
-#if defined(FSCACHE_SIMD_SSE2)
-        {"sse2", &detail::sse2Kernels()},
-#else
-        {"sse2", nullptr},
-#endif
-        {"scalar", &kScalarTable},
-        {nullptr, nullptr},
-    };
-    return tbl;
-}
-
-const Backend *
-findBackend(const char *name)
-{
-    for (const Backend *b = backends(); b->name != nullptr; ++b)
-        if (std::strcmp(b->name, name) == 0)
-            return b;
-    return nullptr;
-}
-
-/** Best compiled-in + runnable backend, honoring FS_SIMD. An
- *  unknown or unavailable FS_SIMD value falls back to the best
- *  available (never an error: goldens must be reproducible on
- *  machines without the requested ISA). */
-const Backend *
-resolveBackend()
-{
-    const char *want = std::getenv("FS_SIMD");
-    if (want != nullptr && *want != '\0') {
-        const Backend *b = findBackend(want);
-        if (b != nullptr && b->table != nullptr)
-            return b;
-    }
-    for (const Backend *b = backends(); b->name != nullptr; ++b)
-        if (b->table != nullptr)
-            return b;
-    return findBackend("scalar"); // unreachable: scalar always set
-}
-
-struct Dispatch
-{
-    Kernels table;
-    const char *name;
-};
-
-/** Magic-static init makes first-use resolution thread-safe; the
- *  table is copied by value so hot paths read one cache line with
- *  no second indirection. */
-Dispatch &
-dispatchState()
-{
-    static Dispatch d = [] {
-        const Backend *b = resolveBackend();
-        return Dispatch{*b->table, b->name};
-    }();
-    return d;
-}
-
-} // namespace
-
 const Kernels &
 kernels()
 {
-    return dispatchState().table;
+    static constexpr Kernels kTable{
+        &argmaxPlain,
+        &argmaxMasked,
+        &argmaxScaled,
+        &thresholdGe,
+    };
+    return kTable;
 }
 
 const char *
 backendName()
 {
-    return dispatchState().name;
-}
-
-bool
-backendAvailable(const char *name)
-{
-    const Backend *b = findBackend(name);
-    return b != nullptr && b->table != nullptr;
-}
-
-bool
-setBackend(const char *name)
-{
-    const Backend *b = findBackend(name);
-    if (b == nullptr || b->table == nullptr)
-        return false;
-    Dispatch &d = dispatchState();
-    d.table = *b->table;
-    d.name = b->name;
-    return true;
+    return "scalar";
 }
 
 } // namespace simd

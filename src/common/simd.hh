@@ -1,44 +1,21 @@
 /**
  * @file
- * Data-parallel kernels for the victim-selection hot path.
+ * The victim-selection scans.
  *
  * Every partitioning scheme reduces eviction to a scan over the
  * candidates' futilities (cache/candidate.hh keeps them in a
- * contiguous double array for exactly this reason): a plain argmax
- * (unpartitioned, the Vantage/PriSM fallbacks), a partition-masked
- * argmax (PriSM's drawn partition, Vantage's unmanaged region, way
- * partitioning's owned ways), a scale-by-partition-factor argmax
- * (FS analytic/feedback), and a per-candidate threshold test
- * (Vantage's aperture demotion). This header exposes those four
- * scans behind one dispatch table with scalar, SSE2 and AVX2
- * implementations.
+ * contiguous double array): a plain argmax (unpartitioned, the
+ * Vantage/PriSM fallbacks), a partition-masked argmax (PriSM's
+ * drawn partition, Vantage's unmanaged region, way partitioning's
+ * owned ways), a scale-by-partition-factor argmax (FS analytic/
+ * feedback), and a per-candidate threshold test (Vantage's aperture
+ * demotion). They are plain inline loops over ~R = 16-52 doubles;
+ * the schemes call them directly.
  *
- * Byte-identity contract: serial replay order is the spec
- * (docs/PERF.md §6), so every backend must reproduce the scalar
- * loops' FP semantics exactly —
- *
- *  - comparisons are per-lane IEEE compares of the very same double
- *    values the scalar loop computes (one multiply per candidate
- *    for the scaled scan; never a reassociated reduction, fma
- *    contraction or reciprocal trick);
- *  - ties resolve to the lowest index: each SIMD lane tracks the
- *    first index of its running maximum (strict-greater updates),
- *    and the horizontal reduction picks the smallest index among
- *    the lanes holding the global maximum — which is the first
- *    occurrence overall, exactly what the scalar left-to-right
- *    strict-greater scan selects (docs/PERF.md §7);
- *  - excluded lanes (masked-out partition, factor-less partition)
- *    are fed -inf, which can never win a strict-greater compare
- *    against the -1.0 "nothing yet" sentinel because every live
- *    candidate value is a futility (or scaled futility) >= 0.
- *
- * Backend selection: the best backend compiled in (see
- * FSCACHE_SIMD in CMakeLists.txt) and supported by the CPU is
- * chosen on first use; FS_SIMD=scalar|sse2|avx2 overrides it
- * (downgrades only — requesting an unavailable backend falls back
- * to the best available, so goldens can be pinned on any machine).
- * tests/test_simd_kernels.cc cross-checks every compiled backend
- * against the scalar reference on randomized inputs.
+ * Ties resolve to the lowest index (strict-greater updates in a
+ * left-to-right scan), and the scaled scan performs exactly one
+ * multiply per candidate, so results are reproducible bit for bit
+ * on every compiler and ISA (docs/PERF.md §7).
  */
 
 #ifndef FSCACHE_COMMON_SIMD_HH
@@ -55,94 +32,104 @@ namespace simd
 {
 
 /**
- * The four victim-selection scans. All kernels treat n == 0 as
- * "nothing to do" (argmax variants return their scalar loops' init
- * value: 0 for the plain/scaled forms, -1 for the masked form).
+ * Index of the largest value, first index on ties. Returns 0 for
+ * n == 0.
  */
+inline std::uint32_t
+argmaxPlain(const double *v, std::size_t n)
+{
+    std::uint32_t best = 0;
+    for (std::size_t i = 1; i < n; ++i)
+        if (v[i] > v[best])
+            best = static_cast<std::uint32_t>(i);
+    return best;
+}
+
+/**
+ * Masked argmax: only candidates with mask[i] == want compete;
+ * entries with v[i] <= -1.0 can never win (the invalid-slot
+ * sentinel). Returns -1 when no masked-in candidate beats the -1.0
+ * floor (including n == 0).
+ */
+inline std::int64_t
+argmaxMasked(const double *v, const PartId *mask, PartId want,
+             std::size_t n)
+{
+    std::int64_t best = -1;
+    double best_v = -1.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (mask[i] != want)
+            continue;
+        if (v[i] > best_v) {
+            best_v = v[i];
+            best = static_cast<std::int64_t>(i);
+        }
+    }
+    return best;
+}
+
+/**
+ * Scaled argmax: candidates whose partition has a scaling factor
+ * compete on v[i] * factors[part[i]]; partitions >= num_factors
+ * (including kInvalidPart) are skipped. Returns 0 when everything
+ * is skipped (including n == 0).
+ */
+inline std::uint32_t
+argmaxScaled(const double *v, const PartId *part,
+             const double *factors, std::size_t num_factors,
+             std::size_t n)
+{
+    std::uint32_t best = 0;
+    double best_s = -1.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (part[i] >= num_factors)
+            continue;
+        double scaled = v[i] * factors[part[i]];
+        if (scaled > best_s) {
+            best_s = scaled;
+            best = static_cast<std::uint32_t>(i);
+        }
+    }
+    return best;
+}
+
+/**
+ * Per-candidate threshold test: out[i] = (v[i] >= thresh[i]), one
+ * byte per candidate; returns the number of set entries. A +inf
+ * threshold excludes a candidate (finite v); Vantage's aperture
+ * pass uses that for unmanaged/invalid entries.
+ */
+inline std::uint32_t
+thresholdGe(const double *v, const double *thresh, std::size_t n,
+            std::uint8_t *out)
+{
+    std::uint32_t count = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        out[i] = v[i] >= thresh[i] ? 1 : 0;
+        count += out[i];
+    }
+    return count;
+}
+
+/** The four scans as a table of pointers (for kernels()). */
 struct Kernels
 {
-    /**
-     * Index of the largest value, first index on ties — the
-     * unpartitioned scheme's scan:
-     *   best = 0; for i: if (v[i] > v[best]) best = i;
-     */
-    std::uint32_t (*argmaxPlain)(const double *v, std::size_t n);
-
-    /**
-     * Masked argmax: only candidates with mask[i] == want compete;
-     * entries with v[i] <= -1.0 can never win (the invalid-slot
-     * sentinel). Returns -1 when no masked-in candidate beats the
-     * -1.0 floor:
-     *   best = -1; best_v = -1.0;
-     *   for i: if (mask[i] == want && v[i] > best_v) ...
-     */
-    std::int64_t (*argmaxMasked)(const double *v, const PartId *mask,
-                                 PartId want, std::size_t n);
-
-    /**
-     * Scaled argmax: candidates whose partition has a scaling
-     * factor compete on v[i] * factors[part[i]]; partitions >=
-     * num_factors (including kInvalidPart) are skipped. Returns 0
-     * when everything is skipped (the scalar loops' init):
-     *   best = 0; best_s = -1.0;
-     *   for i: if (part[i] < num_factors &&
-     *              v[i] * factors[part[i]] > best_s) ...
-     */
-    std::uint32_t (*argmaxScaled)(const double *v, const PartId *part,
-                                  const double *factors,
-                                  std::size_t num_factors,
-                                  std::size_t n);
-
-    /**
-     * Per-candidate threshold test: out[i] = (v[i] >= thresh[i]),
-     * one byte per candidate; returns the number of set entries.
-     * A +inf threshold excludes a candidate (finite v); Vantage's
-     * aperture pass uses that for unmanaged/invalid entries.
-     */
-    std::uint32_t (*thresholdGe)(const double *v,
-                                 const double *thresh, std::size_t n,
-                                 std::uint8_t *out);
+    std::uint32_t (*argmaxPlain)(const double *, std::size_t);
+    std::int64_t (*argmaxMasked)(const double *, const PartId *,
+                                 PartId, std::size_t);
+    std::uint32_t (*argmaxScaled)(const double *, const PartId *,
+                                  const double *, std::size_t,
+                                  std::size_t);
+    std::uint32_t (*thresholdGe)(const double *, const double *,
+                                 std::size_t, std::uint8_t *);
 };
 
-/**
- * The active dispatch table (resolved once, on first use, from the
- * compiled-in backends + CPU support + FS_SIMD). Hot paths load one
- * pointer per scan; docs/PERF.md §7.
- */
+/** Constant table of the scans above, for callers that want them
+ *  by pointer. The simulator itself calls the scans directly. */
 const Kernels &kernels();
 
-/** Name of the active backend: "scalar", "sse2" or "avx2". */
+/** Name of the scan implementation: always "scalar". */
 const char *backendName();
-
-/** True when `name` is compiled in and runnable on this CPU. */
-bool backendAvailable(const char *name);
-
-/**
- * Force a backend (tests/bench only; not thread-safe — call before
- * any simulation threads start). Returns false (and changes
- * nothing) when the backend is unavailable.
- */
-bool setBackend(const char *name);
-
-/**
- * Scalar reference implementations — the semantics every backend
- * must match bit for bit. Exposed for the property tests and the
- * scalar-vs-SIMD microbench; kernels() returns exactly these when
- * the scalar backend is active.
- */
-namespace scalar
-{
-
-std::uint32_t argmaxPlain(const double *v, std::size_t n);
-std::int64_t argmaxMasked(const double *v, const PartId *mask,
-                          PartId want, std::size_t n);
-std::uint32_t argmaxScaled(const double *v, const PartId *part,
-                           const double *factors,
-                           std::size_t num_factors, std::size_t n);
-std::uint32_t thresholdGe(const double *v, const double *thresh,
-                          std::size_t n, std::uint8_t *out);
-
-} // namespace scalar
 
 } // namespace simd
 } // namespace fscache

@@ -27,8 +27,8 @@ FutilityScalingAnalytic::selectVictim(CandidateSoA &cands,
 {
     (void)incoming;
     // Scaled argmax over f * alpha; invalid slots (part ==
-    // kInvalidPart >= alphas_.size()) are skipped by the kernel.
-    return simd::kernels().argmaxScaled(
+    // kInvalidPart >= alphas_.size()) are skipped by the scan.
+    return simd::argmaxScaled(
         cands.futility.data(), cands.part.data(), alphas_.data(),
         alphas_.size(), cands.size());
 }

@@ -32,8 +32,8 @@ FutilityScalingFeedback::selectVictim(CandidateSoA &cands,
 {
     (void)incoming;
     // Scaled argmax over f * ratio^width; invalid slots (part ==
-    // kInvalidPart >= factors_.size()) are skipped by the kernel.
-    return simd::kernels().argmaxScaled(
+    // kInvalidPart >= factors_.size()) are skipped by the scan.
+    return simd::argmaxScaled(
         cands.futility.data(), cands.part.data(), factors_.data(),
         factors_.size(), cands.size());
 }

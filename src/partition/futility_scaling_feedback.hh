@@ -93,8 +93,7 @@ class FutilityScalingFeedback : public PartitionScheme
     std::vector<PartRegs> regs_;
     /** factors_[p] == ratio^regs_[p].shiftWidth, kept as a flat
      *  array so selectVictim can feed it straight to the scaled
-     *  argmax kernel (common/simd.hh) without a gather through
-     *  PartRegs. */
+     *  argmax (common/simd.hh) without a gather through PartRegs. */
     std::vector<double> factors_;
 };
 

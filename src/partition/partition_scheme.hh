@@ -79,7 +79,7 @@ class PartitionScheme
      * kInvalidPart and futility -1.0 and must never be chosen (at
      * least one valid entry is guaranteed). May demote candidates
      * via ops. Implementations scan the futility/part arrays with
-     * the common/simd.hh kernels.
+     * the common/simd.hh scans.
      *
      * @return index into cands
      */

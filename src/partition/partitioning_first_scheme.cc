@@ -33,7 +33,7 @@ PartitioningFirstScheme::selectVictim(CandidateSoA &cands,
 
     // Step 2: Victim Identification — largest futility within the
     // chosen partition.
-    std::int64_t best = simd::kernels().argmaxMasked(
+    std::int64_t best = simd::argmaxMasked(
         cands.futility.data(), cands.part.data(), chosen, n);
     return best < 0 ? 0 : static_cast<std::uint32_t>(best);
 }

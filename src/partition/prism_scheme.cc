@@ -84,7 +84,7 @@ PrismScheme::selectVictim(CandidateSoA &cands, PartId incoming)
         ++chosen;
 
     // Victim-Identification within the chosen partition.
-    std::int64_t best = simd::kernels().argmaxMasked(
+    std::int64_t best = simd::argmaxMasked(
         cands.futility.data(), cands.part.data(), chosen,
         cands.size());
     if (best >= 0)
@@ -92,8 +92,8 @@ PrismScheme::selectVictim(CandidateSoA &cands, PartId incoming)
 
     // Abnormality: no candidate from the chosen partition.
     ++abnormalities_;
-    return simd::kernels().argmaxPlain(cands.futility.data(),
-                                       cands.size());
+    return simd::argmaxPlain(cands.futility.data(),
+                             cands.size());
 }
 
 double

@@ -11,8 +11,8 @@ UnpartitionedScheme::selectVictim(CandidateSoA &cands, PartId incoming)
     (void)incoming;
     // Plain argmax; invalid slots (futility -1.0) can never beat a
     // valid candidate and at least one valid entry is guaranteed.
-    return simd::kernels().argmaxPlain(cands.futility.data(),
-                                       cands.size());
+    return simd::argmaxPlain(cands.futility.data(),
+                             cands.size());
 }
 
 } // namespace fscache

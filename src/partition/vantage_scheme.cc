@@ -35,9 +35,9 @@ VantageScheme::bind(PartitionOps *ops, std::uint32_t num_parts)
 void
 VantageScheme::hwDemotePass(CandidateSoA &cands)
 {
-    // Stays fully scalar: the mid-scan threshold feedback makes
-    // each candidate's test depend on the previous candidates'
-    // outcomes, so there is no snapshot to vectorize against.
+    // Stays a single serial pass: the mid-scan threshold feedback
+    // makes each candidate's test depend on the previous
+    // candidates' outcomes, so there is no snapshot to test against.
     const std::size_t n = cands.size();
     for (std::size_t i = 0; i < n; ++i) {
         PartId p = cands.part[i];
@@ -69,7 +69,7 @@ VantageScheme::hwDemotePass(CandidateSoA &cands)
 void
 VantageScheme::exactDemotePass(CandidateSoA &cands)
 {
-    // Vectorized form of the serial pass
+    // Snapshot form of the serial pass
     //   for c: ap = aperture(c.part);
     //          if (ap > 0 && c.futility >= 1 - ap) demote(c);
     // Snapshot each candidate's threshold, test all of them with
@@ -98,7 +98,7 @@ VantageScheme::exactDemotePass(CandidateSoA &cands)
         double ap = aperture(p);
         threshBuf_[i] = ap > 0.0 ? 1.0 - ap : kPosInf;
     }
-    std::uint32_t flagged = simd::kernels().thresholdGe(
+    std::uint32_t flagged = simd::thresholdGe(
         cands.futility.data(), threshBuf_.data(), n,
         flagBuf_.data());
     if (flagged == 0)
@@ -166,7 +166,7 @@ VantageScheme::selectVictim(CandidateSoA &cands, PartId incoming)
     }
 
     // Evict the most futile unmanaged candidate.
-    std::int64_t best = simd::kernels().argmaxMasked(
+    std::int64_t best = simd::argmaxMasked(
         cands.futility.data(), cands.part.data(), unmanagedPart(),
         cands.size());
     if (best >= 0)
@@ -174,8 +174,8 @@ VantageScheme::selectVictim(CandidateSoA &cands, PartId incoming)
 
     // Forced eviction from the managed region (weak isolation).
     ++forced_;
-    return simd::kernels().argmaxPlain(cands.futility.data(),
-                                       cands.size());
+    return simd::argmaxPlain(cands.futility.data(),
+                             cands.size());
 }
 
 } // namespace fscache

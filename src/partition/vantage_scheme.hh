@@ -108,7 +108,7 @@ class VantageScheme : public PartitionScheme
 
     /** Exact-mode demote-pass scratch, reused across replacements:
      *  per-candidate demotion thresholds and the threshold-test
-     *  flags from the thresholdGe kernel (common/simd.hh). */
+     *  flags from the thresholdGe scan (common/simd.hh). */
     std::vector<double> threshBuf_;
     std::vector<std::uint8_t> flagBuf_;
     /** staleGen_[p] == curGen_ marks a partition whose occupancy a

@@ -108,7 +108,7 @@ WayPartitionScheme::selectVictim(CandidateSoA &cands, PartId incoming)
     // Masked argmax over the incoming partition's own ways
     // (candidate order is way order, so owner_ doubles as the
     // per-candidate mask).
-    std::int64_t best = simd::kernels().argmaxMasked(
+    std::int64_t best = simd::argmaxMasked(
         cands.futility.data(), owner_.data(), incoming,
         cands.size());
     fs_assert(best >= 0, "partition %u owns no way", incoming);

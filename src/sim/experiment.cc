@@ -1,11 +1,8 @@
 #include "sim/experiment.hh"
 
-#include <algorithm>
-
 #include "common/cancellation.hh"
 #include "common/log.hh"
 #include "runner/sweep_runner.hh"
-#include "sim/access_batch.hh"
 #include "trace/benchmark_profiles.hh"
 #include "trace/trace_buffer.hh"
 
@@ -46,42 +43,22 @@ runUntimed(PartitionedCache &cache, const Workload &workload,
         total += workload.thread(t).trace.size();
     auto warmup = static_cast<std::uint64_t>(warmup_fraction * total);
 
-    // Batched replay. The persistent round-robin cursor reproduces
-    // the original per-access interleaving exactly — one access per
-    // non-exhausted thread in thread order, round after round — so
-    // the gathered global sequence is the serial loop's, record for
-    // record. Chunks split at the warmup boundary, which puts
-    // resetStats() after exactly `warmup` issued accesses, where
-    // the serial loop put it.
-    constexpr std::uint64_t kReplayBatch = 4096;
+    // One access per non-exhausted thread in thread order, round
+    // after round; stats reset after exactly `warmup` issued
+    // accesses.
+    constexpr std::uint64_t kPollMask = 4096 - 1;
     std::vector<std::uint64_t> pos(n, 0);
-    std::uint64_t issued = 0;
-    bool reset = (warmup == 0);
-    AccessBatch batch;
-    batch.reserve(static_cast<std::size_t>(
-        std::min(kReplayBatch, total)));
     std::uint32_t turn = 0;
-    while (issued < total) {
-        std::uint64_t limit = std::min(kReplayBatch, total - issued);
-        if (!reset)
-            limit = std::min(limit, warmup - issued);
-        batch.clear();
-        while (batch.size() < limit) {
-            while (pos[turn] >= workload.thread(turn).trace.size())
-                turn = (turn + 1 == n) ? 0 : turn + 1;
-            const Access &acc =
-                workload.thread(turn).trace[pos[turn]++];
-            batch.push(static_cast<PartId>(turn), acc.addr,
-                       acc.nextUse);
+    for (std::uint64_t issued = 1; issued <= total; ++issued) {
+        while (pos[turn] >= workload.thread(turn).trace.size())
             turn = (turn + 1 == n) ? 0 : turn + 1;
-        }
-        cache.accessBatch(batch);
-        issued += batch.size();
-        pollCancellation();
-        if (!reset && issued >= warmup) {
+        const Access &acc = workload.thread(turn).trace[pos[turn]++];
+        cache.access(static_cast<PartId>(turn), acc.addr, acc.nextUse);
+        turn = (turn + 1 == n) ? 0 : turn + 1;
+        if (issued == warmup)
             cache.resetStats();
-            reset = true;
-        }
+        if ((issued & kPollMask) == 0)
+            pollCancellation();
     }
 }
 

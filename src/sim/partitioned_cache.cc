@@ -10,7 +10,6 @@
 #include "common/errors.hh"
 #include "common/fault_injection.hh"
 #include "common/log.hh"
-#include "sim/access_batch.hh"
 #include "sim/victim_check.hh"
 
 namespace fscache
@@ -27,31 +26,6 @@ constexpr std::uint32_t kDevBins = 2048;
  *  occupancy sums at cheap, plus full deep audits at paranoid.
  *  Paranoid additionally runs the cheap sums every access. */
 constexpr std::uint64_t kAuditStrideMask = 0x3ff; // every 1024
-
-/**
- * Batched-replay look-ahead, in records: while record i resolves,
- * the address-index home slot of record i+K is prefetched. Large
- * enough to cover a DRAM load behind the per-record work (a hit is
- * ~a treap reKey, tens of ns), small enough that the prefetched
- * line is still resident when its record arrives. Tuned on the
- * micro_sweep_throughput workloads; see docs/PERF.md.
- */
-constexpr std::size_t kPrefetchDistance = 8;
-
-/**
- * Hit-arm outcome: shared by access() and both accessBatch()
- * variants so the three hit arms cannot drift.
- */
-inline AccessOutcome
-hitOutcome()
-{
-    AccessOutcome out;
-    out.hit = true;
-    out.evicted = false;
-    out.victimOwner = kInvalidPart;
-    out.victimFutility = 0.0;
-    return out;
-}
 
 } // namespace
 
@@ -213,72 +187,13 @@ PartitionedCache::access(PartId part, Addr addr, AccessTime next_use)
         // the fall-through arm.
         ranking_->onHit(id, next_use);
         ++stats_[part].hits;
-        AccessOutcome out = hitOutcome();
+        AccessOutcome out;
+        out.hit = true;
         if (selfCheck_) [[unlikely]]
             selfCheckHit(id, part, addr, next_use);
         return out;
     }
     return accessMiss(part, addr, next_use);
-}
-
-void
-PartitionedCache::accessBatch(AccessBatch &batch)
-{
-    const std::size_t n = batch.size();
-    // fs-analyze: allow(hot-path-alloc) sizes the caller's reused
-    // outcome array; capacity saturates at the largest batch the
-    // driver replays (witness: tests/test_hot_alloc.cc).
-    batch.outcome.resize(n);
-    TagStore &tags = array_->tags();
-
-    if (!selfCheck_) [[likely]] {
-        // Hot variant: the self-check gate is hoisted out of the
-        // loop and the hit arm is fully inline; only the prefetch
-        // distinguishes a record here from one run through
-        // access(), and a prefetch is architecturally invisible.
-        for (std::size_t i = 0; i < n; ++i) {
-            if (i + kPrefetchDistance < n)
-                tags.prefetchLookup(batch.addr[i + kPrefetchDistance]);
-            const PartId part = batch.part[i];
-            const Addr addr = batch.addr[i];
-            fs_assert(part < numParts_,
-                      "access for unknown partition");
-            if ((++accessTick_ & 0x1fff) == 0)
-                pollSlowChecks();
-            LineId id = tags.lookup(addr);
-            if (id != kInvalidLine) [[likely]] {
-                ranking_->onHit(id, batch.nextUse[i]);
-                ++stats_[part].hits;
-                batch.outcome[i] = hitOutcome();
-                continue;
-            }
-            batch.outcome[i] =
-                accessMiss(part, addr, batch.nextUse[i]);
-        }
-        return;
-    }
-
-    // Checked variant: same sequence plus the per-record self-check
-    // hooks, so FS_AUDIT strides and FS_SHADOW comparisons land on
-    // identical access ticks as a serial replay.
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i + kPrefetchDistance < n)
-            tags.prefetchLookup(batch.addr[i + kPrefetchDistance]);
-        const PartId part = batch.part[i];
-        const Addr addr = batch.addr[i];
-        fs_assert(part < numParts_, "access for unknown partition");
-        if ((++accessTick_ & 0x1fff) == 0)
-            pollSlowChecks();
-        LineId id = tags.lookup(addr);
-        if (id != kInvalidLine) {
-            ranking_->onHit(id, batch.nextUse[i]);
-            ++stats_[part].hits;
-            batch.outcome[i] = hitOutcome();
-            selfCheckHit(id, part, addr, batch.nextUse[i]);
-            continue;
-        }
-        batch.outcome[i] = accessMiss(part, addr, batch.nextUse[i]);
-    }
 }
 
 AccessOutcome

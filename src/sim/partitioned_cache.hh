@@ -35,8 +35,6 @@ namespace check
 class ShadowCache;
 } // namespace check
 
-struct AccessBatch;
-
 /** Hit/miss/insertion/eviction counters for one partition. */
 struct CachePartStats
 {
@@ -99,21 +97,6 @@ class PartitionedCache : public PartitionOps
     AccessOutcome access(PartId part, Addr addr,
                          AccessTime next_use = kNeverUsed);
 
-    /**
-     * Replay a batch of accesses (sim/access_batch.hh) and record
-     * each outcome in batch.outcome.
-     *
-     * Strictly equivalent to calling access() once per record in
-     * order — replay order IS the spec; every counter, golden hash,
-     * FS_AUDIT stride and FS_SHADOW comparison lands on the same
-     * access tick as the serial loop. The batch form only buys the
-     * engine room to soften memory latency: the address-index probe
-     * of record i+K is prefetched while record i resolves, and the
-     * hit-dominant arm runs in a loop with the self-check gate
-     * hoisted out.
-     */
-    void accessBatch(AccessBatch &batch);
-
     std::uint32_t numPartitions() const { return numParts_; }
 
     const CachePartStats &stats(PartId part) const
@@ -169,10 +152,8 @@ class PartitionedCache : public PartitionOps
 
     /**
      * The miss path of access(): stats, placement, eviction,
-     * install, deviation sampling. Shared verbatim by access() and
-     * accessBatch() so the two entry points cannot drift — byte
-     * identity between serial and batched replay reduces to the
-     * shared lookup/hit prefix.
+     * install, deviation sampling. Out of line so the hit arm of
+     * access() stays small.
      */
     AccessOutcome accessMiss(PartId part, Addr addr,
                              AccessTime next_use);

@@ -1,5 +1,8 @@
 #include "trace/file_trace.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -14,25 +17,42 @@ namespace
 {
 
 /**
- * Full-token u64 parse (hex 0x... or decimal); throws
- * TraceFormatError with the source, record index, line and byte
- * offset of the offending token.
+ * Full-token unsigned parse: `0x`/`0X` followed by hex digits, or
+ * decimal digits only (no sign, no whitespace, no octal), at most
+ * `max`. Throws TraceFormatError with the source, record index,
+ * line and byte offset of the offending token.
  */
 std::uint64_t
 parseField(const std::string &tok, const char *field,
-           const std::string &source, std::uint64_t record,
-           std::uint64_t lineno, std::uint64_t offset)
+           std::uint64_t max, const std::string &source,
+           std::uint64_t record, std::uint64_t lineno,
+           std::uint64_t offset)
 {
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(tok.c_str(), &end, 0);
-    if (end == tok.c_str() || *end != '\0') {
-        throw TraceFormatError(strprintf(
-            "%s: bad %s '%s' (record %llu, line %llu, byte offset "
-            "%llu)", source.c_str(), field, tok.c_str(),
+    auto bad = [&](const char *why) {
+        return TraceFormatError(strprintf(
+            "%s: bad %s '%s': %s (record %llu, line %llu, byte "
+            "offset %llu)", source.c_str(), field, tok.c_str(), why,
             static_cast<unsigned long long>(record),
             static_cast<unsigned long long>(lineno),
             static_cast<unsigned long long>(offset)));
+    };
+    const bool hex = tok.size() > 2 && tok[0] == '0' &&
+                     (tok[1] == 'x' || tok[1] == 'X');
+    const char *digits = tok.c_str() + (hex ? 2 : 0);
+    if (*digits == '\0')
+        throw bad("expected hex (0x...) or decimal digits");
+    for (const char *c = digits; *c != '\0'; ++c) {
+        const auto u = static_cast<unsigned char>(*c);
+        if (hex ? !std::isxdigit(u) : !std::isdigit(u))
+            throw bad("expected hex (0x...) or decimal digits");
     }
+    errno = 0;
+    unsigned long long v =
+        std::strtoull(digits, nullptr, hex ? 16 : 10);
+    if (errno == ERANGE || v > max)
+        throw bad(strprintf("out of range (max %llu)",
+                            static_cast<unsigned long long>(max))
+                      .c_str());
     return v;
 }
 
@@ -60,20 +80,22 @@ readTrace(std::istream &in, const std::string &source)
 
         std::uint64_t record = buf.size();
         Access acc;
-        acc.addr = parseField(addr_str, "address", source, record,
-                              lineno, line_start);
+        acc.addr = parseField(addr_str, "address", UINT64_MAX,
+                              source, record, lineno, line_start);
 
         std::string tok;
         if (fields >> tok) {
-            std::uint64_t gap = parseField(tok, "instr-gap", source,
+            std::uint64_t gap = parseField(tok, "instr-gap",
+                                           UINT32_MAX, source,
                                            record, lineno,
                                            line_start);
             acc.instrGap = static_cast<std::uint32_t>(
                 gap < 1 ? 1 : gap);
         }
         if (fields >> tok) {
-            acc.nextUse = parseField(tok, "next-use", source, record,
-                                     lineno, line_start);
+            acc.nextUse = parseField(tok, "next-use", UINT64_MAX,
+                                     source, record, lineno,
+                                     line_start);
         }
         if (fields >> tok) {
             throw TraceFormatError(strprintf(

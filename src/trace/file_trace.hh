@@ -4,10 +4,11 @@
  * converted Sniper/Pin output) and save generated ones.
  *
  * Format: one access per line, `<line-address> <instr-gap>
- * [next-use]`, addresses in hex (0x...) or decimal, '#' comments
- * and blank lines ignored. next-use is optional; run
- * annotateNextUse() if OPT ranking is needed and the field is
- * absent.
+ * [next-use]`, every field an unsigned integer in hex (0x...) or
+ * decimal (no sign; a leading 0 does not mean octal), instr-gap at
+ * most 2^32 - 1; '#' comments and blank lines ignored. next-use is
+ * optional; run annotateNextUse() if OPT ranking is needed and the
+ * field is absent.
  */
 
 #ifndef FSCACHE_TRACE_FILE_TRACE_HH

@@ -30,7 +30,7 @@ class TraceSource
     /**
      * Produce the next n accesses of the stream into dst — exactly
      * the sequence n successive next() calls would return (bulk
-     * pull for the batched replay pipeline). The default delegates
+     * pull for trace capture and the drivers). The default delegates
      * to next(); generators whose per-call virtual dispatch or
      * state reloads are measurable override this with a loop that
      * calls their own next() non-virtually.

@@ -88,6 +88,85 @@ TEST(RunUntimed, WarmupResetsStats)
     EXPECT_GE(cache->stats(0).accesses(), 4999u);
 }
 
+/**
+ * Hand-written per-access round-robin reference for runUntimed: one
+ * access per non-exhausted thread per round, in thread order, with
+ * the stats reset once exactly `warmup` accesses have been issued
+ * (never, when warmup is 0).
+ */
+void
+replayRoundRobin(PartitionedCache &cache, const Workload &wl,
+                 std::uint64_t warmup)
+{
+    const std::uint32_t nt = wl.threadCount();
+    std::vector<std::uint64_t> pos(nt, 0);
+    std::uint64_t done = 0;
+    bool any = true;
+    while (any) {
+        any = false;
+        for (std::uint32_t t = 0; t < nt; ++t) {
+            const TraceBuffer &trace = wl.thread(t).trace;
+            if (pos[t] >= trace.size())
+                continue;
+            any = true;
+            const Access &acc = trace[pos[t]++];
+            cache.access(static_cast<PartId>(t), acc.addr,
+                         acc.nextUse);
+            if (++done == warmup)
+                cache.resetStats();
+        }
+    }
+}
+
+/** runUntimed against the reference on a real generated workload
+ *  whose threads run out at different times, so the round-robin
+ *  cursor must skip exhausted threads: same interleave, same reset
+ *  point, so every counter and deviation sample must match. */
+TEST(RunUntimed, MatchesPerAccessRoundRobinReference)
+{
+    Workload wl = Workload::mix({"mcf", "lbm", "h264ref"}, 20000, 42);
+    wl.thread(1).trace.accesses().resize(5000);
+    wl.thread(2).trace.accesses().resize(12001);
+    const std::uint64_t total = 20000 + 5000 + 12001;
+
+    CacheSpec spec;
+    spec.array.kind = ArrayKind::SetAssoc;
+    spec.array.numLines = 256;
+    spec.array.ways = 16;
+    spec.ranking = RankKind::CoarseTsLru;
+    spec.scheme.kind = SchemeKind::Fs;
+    spec.numParts = 3;
+    spec.seed = 11;
+
+    for (double fraction : {0.2, 0.0}) {
+        SCOPED_TRACE(fraction);
+        auto warmup = static_cast<std::uint64_t>(fraction * total);
+
+        auto driven = buildCache(spec);
+        driven->setTargets({96, 64, 96});
+        runUntimed(*driven, wl, fraction);
+
+        auto reference = buildCache(spec);
+        reference->setTargets({96, 64, 96});
+        replayRoundRobin(*reference, wl, warmup);
+
+        std::uint64_t measured = 0;
+        for (std::uint32_t p = 0; p < spec.numParts; ++p) {
+            SCOPED_TRACE(p);
+            const CachePartStats &a = reference->stats(p);
+            const CachePartStats &b = driven->stats(p);
+            EXPECT_EQ(a.hits, b.hits);
+            EXPECT_EQ(a.misses, b.misses);
+            EXPECT_EQ(a.insertions, b.insertions);
+            EXPECT_EQ(a.evictions, b.evictions);
+            EXPECT_EQ(reference->deviation(p).samples(),
+                      driven->deviation(p).samples());
+            measured += b.accesses();
+        }
+        EXPECT_EQ(measured, total - warmup);
+    }
+}
+
 TEST(DriveByInsertionRate, FractionsEnforced)
 {
     CacheSpec spec;

@@ -3,9 +3,9 @@
  * Runtime witness for the no-alloc-on-hot-path contract that
  * tools/fscache_analyze.py checks statically: after a warmup replay
  * has grown every amortized buffer (treap node pools, candidate
- * buffers, batch outcome vectors, eviction free lists) to its
- * high-water mark, a steady-state accessBatch() replay of the same
- * stream must perform ZERO heap allocations.
+ * buffers, eviction free lists) to its high-water mark, a
+ * steady-state access() replay of the same stream must perform ZERO
+ * heap allocations.
  *
  * Every allow(hot-path-alloc) directive in src/ that cites amortized
  * or bounded growth names this test as its witness — if a push_back
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/random.hh"
-#include "sim/access_batch.hh"
 #include "sim/experiment.hh"
 
 namespace
@@ -149,63 +148,11 @@ TEST(HotPathAlloc, CountingHookIsInstalled)
 /**
  * Steady-state zero-allocation contract. Pass 1 replays the full
  * stream to grow every pool and scratch buffer to high water; pass 2
- * replays the identical stream through the same AccessBatch object
- * and must not touch the heap at all. The stream mixes hits, misses
- * and evictions (working set ≈ 600 lines > 256-line cache), so the
- * quiet pass exercises lookup, install, eviction and relocation
- * paths — not just hits.
+ * replays the identical stream and must not touch the heap at all.
+ * The stream mixes hits, misses and evictions (working set ≈ 600
+ * lines > 256-line cache), so the quiet pass exercises lookup,
+ * install, eviction and relocation paths — not just hits.
  */
-TEST(HotPathAlloc, SteadyStateBatchReplayAllocatesNothing)
-{
-    // The diagnostic layers are exempt from the contract (FS_COLD):
-    // paranoid audits and the shadow model allocate by design.
-    if (std::getenv("FS_AUDIT") != nullptr ||
-        std::getenv("FS_SHADOW") != nullptr)
-        GTEST_SKIP() << "audit/shadow diagnostics may allocate";
-
-    constexpr std::size_t kStream = 20000;
-    constexpr std::size_t kBatch = 512;
-
-    Rng rng(777);
-    std::vector<PartId> parts;
-    std::vector<Addr> addrs;
-    parts.reserve(kStream);
-    addrs.reserve(kStream);
-    for (std::size_t i = 0; i < kStream; ++i) {
-        auto part = static_cast<PartId>(rng.below(2));
-        parts.push_back(part);
-        addrs.push_back((part + 1) * 1000000 + rng.below(600) * 64);
-    }
-
-    auto cache = buildCache(hotSpec());
-    cache->setTargets({128, 128});
-
-    AccessBatch batch;
-    batch.reserve(kBatch);
-    auto replay = [&] {
-        for (std::size_t base = 0; base < kStream; base += kBatch) {
-            batch.clear();
-            std::size_t end = std::min(base + kBatch, kStream);
-            for (std::size_t i = base; i < end; ++i)
-                batch.push(parts[i], addrs[i]);
-            cache->accessBatch(batch);
-        }
-    };
-
-    replay(); // warmup: amortized growth to high water is allowed
-
-    std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    replay(); // steady state: the hot path must not allocate
-    std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
-
-    EXPECT_EQ(after - before, 0u)
-        << "steady-state accessBatch replay hit operator new "
-        << (after - before) << " time(s); some hot-path container "
-        << "is growing per access, not amortized";
-}
-
-/** Same contract through the per-access API: access() is the other
- *  analyzer hot root and must also be heap-quiet once warm. */
 TEST(HotPathAlloc, SteadyStatePerAccessReplayAllocatesNothing)
 {
     if (std::getenv("FS_AUDIT") != nullptr ||

@@ -1,15 +1,19 @@
 /**
  * @file
- * Unit tests for the partitioning schemes' decision logic (PF,
- * FS-analytic, FS-feedback, unpartitioned) against a mock owner.
+ * Unit tests for the victim-selection scans (common/simd.hh) and
+ * the partitioning schemes' decision logic (PF, FS-analytic,
+ * FS-feedback, unpartitioned) against a mock owner.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "analytic/scaling_solver.hh"
+#include "common/simd.hh"
 #include "partition/futility_scaling_analytic.hh"
 #include "partition/futility_scaling_feedback.hh"
 #include "partition/partitioning_first_scheme.hh"
@@ -54,6 +58,64 @@ CandidateVec
 cands(std::initializer_list<Candidate> list)
 {
     return CandidateVec(list);
+}
+
+TEST(VictimScans, TiesPickFirstIndex)
+{
+    const double v[] = {0.25, 0.75, 0.5, 0.75, 0.75};
+    const PartId part[] = {0, 1, 0, 1, 0};
+    const double factors[] = {1.0, 1.0};
+    EXPECT_EQ(simd::argmaxPlain(v, 5), 1u);
+    EXPECT_EQ(simd::argmaxMasked(v, part, 1, 5), 1);
+    EXPECT_EQ(simd::argmaxMasked(v, part, 0, 5), 4);
+    EXPECT_EQ(simd::argmaxScaled(v, part, factors, 2, 5), 1u);
+}
+
+TEST(VictimScans, MaskedWithNoMatchReturnsMinusOne)
+{
+    const double v[] = {0.9, 0.1, -1.0};
+    const PartId part[] = {0, 1, 2};
+    EXPECT_EQ(simd::argmaxMasked(v, part, 3, 3), -1);
+    // A masked-in invalid-slot sentinel never beats the -1.0 floor.
+    EXPECT_EQ(simd::argmaxMasked(v, part, 2, 3), -1);
+}
+
+TEST(VictimScans, AllSkippedScaledReturnsZero)
+{
+    const double v[] = {0.3, 0.9, -1.0};
+    const PartId part[] = {2, 5, kInvalidPart};
+    const double factors[] = {1.0, 2.0};
+    EXPECT_EQ(simd::argmaxScaled(v, part, factors, 2, 3), 0u);
+    // Only candidates with a factor compete, on v * factor.
+    const PartId some[] = {0, 1, kInvalidPart};
+    const double v2[] = {0.5, 0.3, 0.0};
+    EXPECT_EQ(simd::argmaxScaled(v2, some, factors, 2, 3), 1u);
+}
+
+TEST(VictimScans, InfiniteThresholdExcludes)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const double v[] = {1.0, 0.5, 0.5, 0.0};
+    const double thresh[] = {kInf, 0.5, 0.75, 0.0};
+    std::uint8_t out[4] = {7, 7, 7, 7};
+    EXPECT_EQ(simd::thresholdGe(v, thresh, 4, out), 2u);
+    EXPECT_EQ(out[0], 0u);
+    EXPECT_EQ(out[1], 1u); // >= includes equality
+    EXPECT_EQ(out[2], 0u);
+    EXPECT_EQ(out[3], 1u);
+}
+
+TEST(VictimScans, EmptyInputReturnsInitValue)
+{
+    const double v[] = {0.5};
+    const PartId part[] = {0};
+    const double factors[] = {1.0};
+    std::uint8_t out[1] = {7};
+    EXPECT_EQ(simd::argmaxPlain(v, 0), 0u);
+    EXPECT_EQ(simd::argmaxMasked(v, part, 0, 0), -1);
+    EXPECT_EQ(simd::argmaxScaled(v, part, factors, 1, 0), 0u);
+    EXPECT_EQ(simd::thresholdGe(v, v, 0, out), 0u);
+    EXPECT_EQ(out[0], 7u); // nothing written
 }
 
 TEST(Unpartitioned, EvictsMaxFutility)

@@ -232,5 +232,54 @@ TEST(PartitionedCache, DeviationSampledOnEvictions)
     EXPECT_DOUBLE_EQ(cache->deviation(0).target(), 128.0);
 }
 
+/**
+ * Regression: resetStats() must also clear the deviation-sampling
+ * countdown. Before the fix the countdown carried pre-reset
+ * evictions across the warmup boundary, so the first measured sample
+ * landed early — here after only two post-reset evictions instead of
+ * the configured four.
+ */
+TEST(PartitionedCache, ResetStatsClearsDeviationSampleCountdown)
+{
+    auto cache = buildCache(smallSpec(SchemeKind::Fs, 2));
+    cache->setTargets({128, 128});
+    cache->setDeviationSampleInterval(4);
+
+    auto evictions = [&cache] {
+        return cache->stats(0).evictions + cache->stats(1).evictions;
+    };
+    // Unique addresses: every access misses, and once the array is
+    // full every install evicts exactly one line.
+    Addr next_addr = 1;
+    auto evictOnce = [&] {
+        std::uint64_t before = evictions();
+        while (evictions() == before)
+            cache->access(0, next_addr++ * 64);
+    };
+
+    // Two pre-reset evictions: the countdown sits mid-interval (2 of
+    // 4) and no sample has been taken yet.
+    evictOnce();
+    evictOnce();
+    ASSERT_EQ(evictions(), 2u);
+    EXPECT_EQ(cache->deviation(0).samples(), 0u);
+
+    cache->resetStats();
+    EXPECT_EQ(cache->deviation(0).samples(), 0u);
+
+    // The first measured sample must land on the 4th post-reset
+    // eviction — not the 2nd, which is where a carried-over
+    // countdown would put it.
+    evictOnce();
+    evictOnce();
+    evictOnce();
+    ASSERT_EQ(evictions(), 3u);
+    EXPECT_EQ(cache->deviation(0).samples(), 0u)
+        << "deviation sample countdown leaked across resetStats()";
+    evictOnce();
+    ASSERT_EQ(evictions(), 4u);
+    EXPECT_EQ(cache->deviation(0).samples(), 1u);
+}
+
 } // namespace
 } // namespace fscache

@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "common/errors.hh"
+#include "common/random.hh"
 #include "trace/cyclic_generator.hh"
 #include "trace/file_trace.hh"
 #include "trace/next_use_annotator.hh"
@@ -137,6 +142,137 @@ TEST(FileTrace, BadAddressThrowsTyped)
         EXPECT_NE(std::string(e.what()).find("record 0"),
                   std::string::npos);
     }
+}
+
+/** Tokens a lenient integer parse would map to a wrong value (a
+ *  sign wraps, an overflow saturates, an over-wide gap truncates, a
+ *  doubled prefix re-parses) must be rejected with a located
+ *  diagnostic naming the field. */
+TEST(FileTrace, MalformedIntegersThrowTyped)
+{
+    const struct
+    {
+        const char *text;
+        const char *want;
+    } cases[] = {
+        {"-1 1\n", "bad address '-1'"},
+        {"+1 1\n", "bad address '+1'"},
+        {"0x40 -5\n", "bad instr-gap '-5'"},
+        {"0x40 +5\n", "bad instr-gap '+5'"},
+        {"99999999999999999999\n",
+         "bad address '99999999999999999999': out of range"},
+        {"0x10000000000000000\n", "out of range"},
+        {"0x40 4294967297\n", "bad instr-gap '4294967297': out of "
+                               "range (max 4294967295)"},
+        {"0x40 1 18446744073709551616\n", "bad next-use"},
+        {"0x40 1 -1\n", "bad next-use '-1'"},
+        {"0x 1\n", "bad address '0x'"},
+        {"0x0x10 1\n", "bad address '0x0x10'"},
+        {"0x40 0x\n", "bad instr-gap '0x'"},
+        {"1e3 1\n", "bad address '1e3'"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.text);
+        std::istringstream in(std::string("0x1 1\n") + c.text);
+        try {
+            readTrace(in, "int.trc");
+            FAIL() << "expected TraceFormatError";
+        } catch (const TraceFormatError &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find(c.want), std::string::npos) << msg;
+            EXPECT_NE(msg.find("record 1, line 2, byte offset 6"),
+                      std::string::npos)
+                << msg;
+        }
+    }
+}
+
+TEST(FileTrace, IntegerEdgesParse)
+{
+    std::istringstream in("0xFFFFFFFFFFFFFFFF 4294967295 0\n"
+                          "18446744073709551615 0xffffffff 0X1f\n"
+                          "010 0 007\n");
+    TraceBuffer buf = readTrace(in);
+    ASSERT_EQ(buf.size(), 3u);
+    EXPECT_EQ(buf[0].addr, UINT64_MAX);
+    EXPECT_EQ(buf[0].instrGap, UINT32_MAX);
+    EXPECT_EQ(buf[0].nextUse, 0u);
+    EXPECT_EQ(buf[1].addr, UINT64_MAX);
+    EXPECT_EQ(buf[1].instrGap, UINT32_MAX);
+    EXPECT_EQ(buf[1].nextUse, 0x1fu);
+    // A leading 0 is decimal, not octal; a zero gap reads as 1.
+    EXPECT_EQ(buf[2].addr, 10u);
+    EXPECT_EQ(buf[2].instrGap, 1u);
+    EXPECT_EQ(buf[2].nextUse, 7u);
+}
+
+/**
+ * Seeded mutation sweep over valid trace lines: bit flips,
+ * truncations and insertions (mostly bytes of the format itself, so
+ * mutants stay near-valid). Every mutant must either load — and
+ * then survive a writeTrace/readTrace round trip unchanged — or be
+ * rejected with TraceFormatError; nothing else may escape.
+ */
+TEST(FileTrace, MutatedLinesLoadOrThrowTyped)
+{
+    const std::string seeds[] = {
+        "0x1f40 3 17\n",
+        "4096 12\n",
+        "0xFFFFFFFFFFFFFFFF 4294967295 18446744073709551615\n",
+        "0x10 5 42 # comment\n",
+    };
+    const std::string alphabet = "0123456789abcdefxX+- \t#\n";
+    Rng rng(0x7ace5eedull);
+    std::size_t loaded = 0;
+    std::size_t rejected = 0;
+    for (int iter = 0; iter < 20000; ++iter) {
+        std::string text = seeds[rng.below(std::size(seeds))];
+        const std::uint64_t edits = rng.range(1, 3);
+        for (std::uint64_t e = 0; e < edits; ++e) {
+            const std::uint64_t pos = rng.below(text.size() + 1);
+            switch (rng.below(3)) {
+              case 0: // flip one bit of one byte
+                if (pos < text.size())
+                    text[pos] = static_cast<char>(
+                        text[pos] ^ (1u << rng.below(8)));
+                break;
+              case 1: // truncate
+                text.resize(pos);
+                break;
+              default: // insert
+                text.insert(
+                    text.begin() + static_cast<std::ptrdiff_t>(pos),
+                    rng.chance(0.8)
+                        ? alphabet[rng.below(alphabet.size())]
+                        : static_cast<char>(rng.below(256)));
+                break;
+            }
+        }
+        std::istringstream in(text);
+        TraceBuffer buf;
+        try {
+            buf = readTrace(in, "mut.trc");
+        } catch (const TraceFormatError &) {
+            ++rejected;
+            continue;
+        }
+        ++loaded;
+        std::ostringstream out;
+        writeTrace(out, buf);
+        std::istringstream again(out.str());
+        TraceBuffer back = readTrace(again);
+        ASSERT_EQ(back.size(), buf.size()) << "iteration " << iter;
+        for (std::uint64_t i = 0; i < buf.size(); ++i) {
+            ASSERT_EQ(back[i].addr, buf[i].addr) << "iteration " << iter;
+            ASSERT_EQ(back[i].instrGap, buf[i].instrGap)
+                << "iteration " << iter;
+            ASSERT_EQ(back[i].nextUse, buf[i].nextUse)
+                << "iteration " << iter;
+        }
+    }
+    // Both outcomes must actually be exercised.
+    EXPECT_GT(loaded, 100u);
+    EXPECT_GT(rejected, 100u);
 }
 
 TEST(FileTrace, DiagnosticCarriesRecordAndOffset)

@@ -2,7 +2,7 @@
  * @file
  * no-alloc-on-hot-path fixture (tools/fscache_analyze.py
  * --self-test). Mirrors the real hot-path shape: a PartitionedCache
- * with access()/accessBatch() roots, a virtual ranking hierarchy,
+ * with an access() root, a virtual ranking hierarchy,
  * an FS_COLD diagnostic helper, and one allow()-annotated amortized
  * growth site.
  *
@@ -77,15 +77,8 @@ class PartitionedCache
         // fs-analyze: allow(hot-path-alloc) reused buffer, capacity
         // saturates at its high-water mark (negative fixture).
         hits_.push_back(addr);
+        refill(addr);
         return true;
-    }
-
-    void
-    accessBatch(const std::vector<std::uint64_t> &addrs)
-    {
-        for (std::uint64_t a : addrs)
-            access(a);
-        refill(addrs.size());
     }
 
   private:

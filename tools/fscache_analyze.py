@@ -8,8 +8,8 @@ contracts Futility Scaling's reproduction depends on:
 Passes
 ------
 no-alloc-on-hot-path
-    Walks the call graph from the hot roots
-    (fscache::PartitionedCache::access / ::accessBatch) and reports
+    Walks the call graph from the hot root
+    (fscache::PartitionedCache::access) and reports
     every reachable heap allocation: operator new, the malloc
     family, make_unique/make_shared, and growth calls on allocating
     std:: containers (push_back, resize, ...). Functions marked
@@ -99,26 +99,9 @@ from pathlib import Path
 # Configuration: project contracts
 # ------------------------------------------------------------------
 
-# Call-graph roots of the per-access hot path. The SIMD
-# victim-selection kernels (common/simd.hh) run on every miss but
-# are reached through a function-pointer dispatch table the walker
-# cannot follow, so each backend's entry points are roots of their
-# own.
+# Call-graph roots of the per-access hot path.
 HOT_ROOTS = (
     "fscache::PartitionedCache::access",
-    "fscache::PartitionedCache::accessBatch",
-    "fscache::simd::scalar::argmaxPlain",
-    "fscache::simd::scalar::argmaxMasked",
-    "fscache::simd::scalar::argmaxScaled",
-    "fscache::simd::scalar::thresholdGe",
-    "fscache::simd::detail::argmaxPlainSse2",
-    "fscache::simd::detail::argmaxMaskedSse2",
-    "fscache::simd::detail::argmaxScaledSse2",
-    "fscache::simd::detail::thresholdGeSse2",
-    "fscache::simd::detail::argmaxPlainAvx2",
-    "fscache::simd::detail::argmaxMaskedAvx2",
-    "fscache::simd::detail::argmaxScaledAvx2",
-    "fscache::simd::detail::thresholdGeAvx2",
 )
 
 # Free functions that allocate.
