@@ -10,11 +10,11 @@
  * O(log n) with no allocation on the hot path (nodes come from a
  * free-listed pool).
  *
- * Keys encode "usefulness": *larger key = more useful* (e.g. a more
- * recent access time under LRU). The futility rank of a key k is
+ * Keys encode "usefulness": *larger key = more useful* (e.g. a
+ * higher access count under LFU). The futility rank of a key k is
  * then size() - countLess(k), and the least useful line is minKey().
- * Keys must be unique; callers guarantee this by keying on strictly
- * monotonic access counters (ties broken by line id where needed).
+ * Keys must be unique; the rankings make them so by breaking ties
+ * in their policy value on line id.
  *
  * Hot-path design (see docs/PERF.md): every mutation is iterative —
  * the simulator calls insert/erase/reKey once or twice per cache
@@ -28,9 +28,7 @@
 #define FSCACHE_COMMON_ORDER_STAT_TREAP_HH
 
 #include <cstdint>
-#include <iterator>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/annotations.hh"
@@ -67,60 +65,6 @@ class OrderStatTreap
     }
 
     /**
-     * Build the treap from strictly ascending keys in O(n),
-     * replacing n sequential insert() calls during bulk loads
-     * (trace-generator prewarm is the motivating case — see
-     * docs/PERF.md). One priority is drawn per key in key order,
-     * exactly as n insert() calls would, so the resulting tree —
-     * shape, pool layout and rng state — is identical to the
-     * sequential build; only the n O(log n) descents are gone.
-     * The treap must be empty (pool reuse after clear() is fine).
-     */
-    template <typename It>
-    void
-    buildFromSorted(It first, It last)
-    {
-        fs_assert(root_ == kNil, "buildFromSorted on non-empty "
-                  "treap");
-        if constexpr (std::is_base_of_v<
-                          std::random_access_iterator_tag,
-                          typename std::iterator_traits<
-                              It>::iterator_category>) {
-            nodes_.reserve(nodes_.size() + (last - first));
-        }
-        // Rightmost spine, top of stack = deepest. Each new key is
-        // the largest so far: pop spine nodes with smaller priority
-        // (they become its left subtree), then attach it below the
-        // remaining spine. Sizes are finalized at pop time — a
-        // popped node's subtree never changes again.
-        scratch_.clear();
-        for (It it = first; it != last; ++it) {
-            fs_assert(scratch_.empty() ||
-                          nodes_[scratch_.back()].key < *it,
-                      "buildFromSorted keys not ascending");
-            std::uint32_t node = allocNode(*it);
-            std::uint32_t popped = kNil;
-            while (!scratch_.empty() &&
-                   nodes_[scratch_.back()].prio <
-                       nodes_[node].prio) {
-                popped = scratch_.back();
-                scratch_.pop_back();
-                pull(popped);
-            }
-            nodes_[node].left = popped;
-            if (scratch_.empty())
-                root_ = node;
-            else
-                nodes_[scratch_.back()].right = node;
-            scratch_.push_back(node);
-        }
-        for (auto it = scratch_.rbegin(); it != scratch_.rend();
-             ++it)
-            pull(*it);
-        recomputeMin();
-    }
-
-    /**
      * Erase a key that must be present.
      * Panics (in debug spirit) if the key is absent, since an absent
      * key means the caller's line bookkeeping is corrupt.
@@ -137,31 +81,11 @@ class OrderStatTreap
     }
 
     /**
-     * Insert a key known to exceed every stored key. Equivalent to
-     * insert() (the resulting tree is identical node for node), but
-     * the displaced subtree needs no split — every displaced key is
-     * smaller, so the whole subtree becomes the new node's left
-     * child. Monotonic-clock callers (LRU-style rankings, the
-     * stack-distance trace stack) sit on this path every access.
-     */
-    void
-    insertMax(const Key &key)
-    {
-        // Debug-only: the check is an O(log n) right-spine walk,
-        // i.e. as expensive as the split this path exists to skip.
-#ifndef NDEBUG
-        fs_assert(root_ == kNil || !(key < maxKey()),
-                  "insertMax key is not the maximum");
-#endif
-        insertMaxNode(allocNode(key));
-    }
-
-    /**
      * Move a present key to a new (absent) key in one operation:
      * the node is detached and relinked without touching the free
      * list or drawing a fresh priority. This is the hit path of
-     * every exact ranking (LRU rekeys a line to the newest key on
-     * each touch).
+     * every treap-backed ranking (LFU and RRIP re-key a line on each
+     * touch).
      */
     void
     reKey(const Key &old_key, const Key &new_key)
@@ -174,51 +98,6 @@ class OrderStatTreap
         n.right = kNil;
         n.size = 1;
         insertNode(node);
-    }
-
-    /** reKey() where new_key is known to exceed every stored key. */
-    void
-    reKeyToMax(const Key &old_key, const Key &new_key)
-    {
-        std::uint32_t node = detach(old_key);
-        fs_assert(node != kNil, "reKeyToMax of absent key");
-#ifndef NDEBUG
-        fs_assert(root_ == kNil || !(new_key < maxKey()),
-                  "reKeyToMax key is not the maximum");
-#endif
-        Node &n = nodes_[node];
-        n.key = new_key;
-        n.left = kNil;
-        n.right = kNil;
-        n.size = 1;
-        insertMaxNode(node);
-    }
-
-    /**
-     * Detach the k-th smallest key (0-based) and relink its node
-     * under make_key(old_key), which must exceed every stored key;
-     * returns the detached key. One rank descent replaces the
-     * kth() + reKey() pair on the trace generator's re-reference
-     * path (the new key is derived from the old one there, hence
-     * the callable).
-     */
-    template <typename MakeKey>
-    Key
-    reKeyKthToMax(std::uint32_t k, MakeKey make_key)
-    {
-        std::uint32_t node = detachKthNode(k);
-        Node &n = nodes_[node];
-        Key old_key = n.key;
-        n.key = make_key(old_key);
-#ifndef NDEBUG
-        fs_assert(root_ == kNil || !(n.key < maxKey()),
-                  "reKeyKthToMax key is not the maximum");
-#endif
-        n.left = kNil;
-        n.right = kNil;
-        n.size = 1;
-        insertMaxNode(node);
-        return old_key;
     }
 
     /** True iff the key is present. */
@@ -335,11 +214,10 @@ class OrderStatTreap
 
     /**
      * Structural self-audit (FS_AUDIT=paranoid; see src/check).
-     * Walks the whole tree verifying the three treap invariants the
-     * fast paths (insertMax/reKeyToMax/buildFromSorted) must
-     * preserve — heap order on priorities, BST order on keys,
-     * subtree-size augmentation — plus the cached minimum, link
-     * sanity and acyclicity. O(n); not for hot paths.
+     * Walks the whole tree verifying the three treap invariants —
+     * heap order on priorities, BST order on keys, subtree-size
+     * augmentation — plus the cached minimum, link sanity and
+     * acyclicity. O(n); not for hot paths.
      *
      * @return "" when consistent, else the first violation found.
      */
@@ -560,69 +438,6 @@ class OrderStatTreap
             pull(*it);
         if (minNode_ == kNil || key < nodes_[minNode_].key)
             minNode_ = node;
-    }
-
-    /**
-     * insertNode() for a node whose key exceeds every stored key:
-     * the priority descent only ever goes right, and the displaced
-     * subtree is adopted whole as the left child (splitting it by a
-     * key larger than all of its keys would move every node to the
-     * low side anyway). Produces the identical tree.
-     */
-    void
-    insertMaxNode(std::uint32_t node)
-    {
-        std::uint32_t *link = &root_;
-        path_.clear();
-        while (*link != kNil &&
-               nodes_[*link].prio > nodes_[node].prio) {
-            std::uint32_t n = *link;
-            // fs-analyze: allow(hot-path-alloc) reused spine
-            // buffer, depth-bounded (see insertNode).
-            path_.push_back(n);
-            link = &nodes_[n].right;
-        }
-        nodes_[node].left = *link;
-        *link = node;
-        pull(node);
-        for (auto it = path_.rbegin(); it != path_.rend(); ++it)
-            pull(*it);
-        if (minNode_ == kNil)
-            minNode_ = node;
-    }
-
-    /**
-     * Unlink and return the node holding the k-th smallest key
-     * (0-based, must be < size()). Same unlink as detach(), reached
-     * by one rank descent instead of a kth() lookup followed by a
-     * key descent.
-     */
-    std::uint32_t
-    detachKthNode(std::uint32_t k)
-    {
-        fs_assert(k < size(), "detachKthNode out of range");
-        std::uint32_t *link = &root_;
-        path_.clear();
-        while (true) {
-            std::uint32_t n = *link;
-            std::uint32_t left = count(nodes_[n].left);
-            if (k < left) {
-                path_.push_back(n);
-                link = &nodes_[n].left;
-            } else if (k == left) {
-                *link = merge(nodes_[n].left, nodes_[n].right);
-                for (auto it = path_.rbegin(); it != path_.rend();
-                     ++it)
-                    pull(*it);
-                if (n == minNode_)
-                    recomputeMin();
-                return n;
-            } else {
-                k -= left + 1;
-                path_.push_back(n);
-                link = &nodes_[n].right;
-            }
-        }
     }
 
     /**

@@ -5,38 +5,58 @@
  * futile, never-reused lines most of all (paper Section III.A).
  *
  * Requires traces annotated by annotateNextUse().
+ *
+ * Order: more useful = smaller next use, then larger line id. The
+ * order lives in Fenwick count trees (common/fenwick.hh), one set
+ * per partition:
+ *
+ *  - Finite next uses: a FenwickTree over the next-use axis counts
+ *    the partition's lines per next-use time. The axis doubles on
+ *    demand to cover the largest next use seen (the ranking is not
+ *    told the trace length). Each position also heads a list of the
+ *    partition's lines with that next use, so equal finite next
+ *    uses are told apart by id. They need lines of several traces
+ *    in one ranking partition, which the interface allows but no
+ *    simulation loop produces (every thread owns its partition, and
+ *    Vantage's demotions retag only the tag store), so the lists
+ *    hold one line in practice.
+ *  - Never-used lines all tie, so they are ordered by line id alone:
+ *    a bitset over line ids with a FenwickTree over its 64-bit word
+ *    popcounts (about 0.2 B per line per partition).
+ *
+ * Exact rank = 1 + (lines with a smaller next use) + (ties with a
+ * larger id), the same integer the (usefulness, line id) treap order
+ * it replaces gave; the least useful line is the smallest-id
+ * never-used line, else the smallest id at the highest occupied
+ * next-use position. Every operation is O(log axis) array
+ * arithmetic.
  */
 
 #ifndef FSCACHE_RANKING_OPT_RANKING_HH
 #define FSCACHE_RANKING_OPT_RANKING_HH
 
+#include <cstdint>
 #include <span>
+#include <vector>
 
-#include "ranking/treap_ranking_base.hh"
+#include "common/fenwick.hh"
+#include "ranking/futility_ranking.hh"
 
 namespace fscache
 {
 
 /** See file comment. */
-class OptRanking : public TreapRankingBase
+class OptRanking : public FutilityRanking
 {
   public:
-    explicit OptRanking(LineId num_lines)
-        : TreapRankingBase(num_lines)
-    {
-    }
+    explicit OptRanking(LineId num_lines);
 
-    void
-    onInstall(LineId id, PartId part, AccessTime next_use) override
-    {
-        place(id, part, usefulness(next_use));
-    }
-
-    void
-    onHit(LineId id, AccessTime next_use) override
-    {
-        reKey(id, usefulness(next_use));
-    }
+    void onInstall(LineId id, PartId part,
+                   AccessTime next_use) override;
+    void onHit(LineId id, AccessTime next_use) override;
+    void onEvict(LineId id) override;
+    void onRelocate(LineId from, LineId to) override;
+    void onRetag(LineId id, PartId new_part) override;
 
     double
     schemeFutility(LineId id) const override
@@ -46,22 +66,69 @@ class OptRanking : public TreapRankingBase
 
     bool schemeFutilityIsExact() const override { return true; }
 
-    void
-    schemeFutilityMany(std::span<const LineId> ids,
-                       double *out) const override
-    {
-        exactFutilityManyImpl(ids, out);
-    }
-
+    void schemeFutilityMany(std::span<const LineId> ids,
+                            double *out) const override;
+    double exactFutility(LineId id) const override;
+    LineId worstIn(PartId part) const override;
+    std::uint32_t partLines(PartId part) const override;
+    PartId partOf(LineId id) const override { return partOf_[id]; }
     std::string name() const override { return "opt"; }
+    std::string auditInvariants() const override;
+    bool corruptRankNodeForFaultInjection() override;
 
   private:
-    /** Sooner next use => larger usefulness; never-used => 0. */
-    static std::uint64_t
-    usefulness(AccessTime next_use)
+    /** Axis position of a never-used line (it is on no axis). */
+    static constexpr std::uint32_t kNeverPos = 0xffffffffu;
+
+    struct Part
     {
-        return kNeverUsed - next_use;
-    }
+        /** Lines per finite next-use position. */
+        FenwickTree byNextUse;
+        /** First line at each next-use position (kInvalidLine if
+         *  none); OptRanking::nextAt_ chains the rest. */
+        std::vector<LineId> headAt;
+        /** Never-used lines: one bit per line id ... */
+        std::vector<std::uint64_t> neverBits;
+        /** ... and the popcount of each bitset word. */
+        FenwickTree neverWords;
+        /** Resident lines. Kept apart from the Fenwick totals so the
+         *  corruption fault hook has an independently auditable
+         *  counter to damage. */
+        std::uint32_t size = 0;
+    };
+
+    /** Axis position for a next use, growing the axis to cover it. */
+    std::uint32_t axisPos(AccessTime next_use);
+    void growAxis(std::uint32_t pos);
+    void ensurePart(PartId part);
+
+    /** Enter / leave `part`'s order at `pos` (no size bookkeeping). */
+    void link(LineId id, PartId part, std::uint32_t pos);
+    void unlink(LineId id, PartId part, std::uint32_t pos);
+
+    void place(LineId id, PartId part, std::uint32_t pos);
+    void remove(LineId id);
+
+    /** Exact rank in [1, size]: 1 = most useful. */
+    std::uint32_t rankOf(LineId id) const;
+
+    /** Never-used lines of `part` with an id <= `id`. */
+    std::uint32_t neverUpTo(const Part &p, LineId id) const;
+
+    LineId numLines_;
+    /** Bitset words per partition, and its popcount Fenwick size. */
+    std::uint32_t words_;
+    std::uint32_t wordCap_;
+    /** Next-use axis length: a power of two above every position. */
+    std::uint32_t axisCap_;
+    /** Next line at the same position of the same partition. */
+    std::vector<LineId> nextAt_;
+    std::vector<std::uint32_t> posOf_;
+    std::vector<PartId> partOf_;
+    /** Byte- (not bit-) backed presence flags, as in
+     *  RecencyRankingBase. */
+    std::vector<std::uint8_t> present_;
+    std::vector<Part> parts_;
 };
 
 } // namespace fscache

@@ -10,41 +10,35 @@
  * diagonal: high-valued lines die young, so survivors skew low and
  * evictions skew toward young, useful lines.)
  *
- * Exact futility is still reported against true LRU order.
+ * Exact futility is still reported against true LRU order, kept by
+ * RecencyRankingBase.
  */
 
 #ifndef FSCACHE_RANKING_RANDOM_RANKING_HH
 #define FSCACHE_RANKING_RANDOM_RANKING_HH
 
 #include "common/random.hh"
-#include "ranking/treap_ranking_base.hh"
+#include "ranking/recency_ranking_base.hh"
 
 namespace fscache
 {
 
 /** See file comment. */
-class RandomRanking : public TreapRankingBase
+class RandomRanking : public RecencyRankingBase
 {
   public:
     RandomRanking(LineId num_lines, Rng rng)
-        : TreapRankingBase(num_lines), rng_(rng)
+        : RecencyRankingBase(num_lines), rng_(rng)
     {
     }
 
     void
     onInstall(LineId id, PartId part, AccessTime) override
     {
-        // The primary is a strictly increasing clock drawn fresh
-        // here, so this ranking qualifies for the max-key treap
-        // fast paths and the deferred re-key ring.
-        placeNewest(id, part, ++clock_);
+        placeNewest(id, part);
     }
 
-    void
-    onHit(LineId id, AccessTime) override
-    {
-        reKeyNewest(id, ++clock_);
-    }
+    void onHit(LineId id, AccessTime) override { touchNewest(id); }
 
     double
     schemeFutility(LineId) const override
@@ -56,7 +50,6 @@ class RandomRanking : public TreapRankingBase
 
   private:
     mutable Rng rng_;
-    std::uint64_t clock_ = 0;
 };
 
 } // namespace fscache

@@ -194,7 +194,7 @@ RecencyRankingBase::worstIn(PartId part) const
     // safe under that damage (audits, not crashes, report it).
     if (part >= fens_.size() || fens_[part].total() == 0)
         return kInvalidLine;
-    return lineAt_[fens_[part].firstMarked()];
+    return lineAt_[fens_[part].select(0)];
 }
 
 std::uint32_t

@@ -3,7 +3,7 @@
  * Shared machinery for rankings whose exact per-partition order IS
  * recency — every install and every hit moves the line to the
  * newest end, nothing ever re-keys to the middle (exact LRU, the
- * coarse-timestamp LRU's exact shadow order).
+ * coarse-timestamp LRU's exact shadow order, Random's exact order).
  *
  * That monotonicity admits a much cheaper order structure than the
  * general order-statistic treap (ranking/treap_ranking_base.hh):
@@ -14,12 +14,13 @@
  * marked stamp. Every operation is O(log capacity) over contiguous
  * arrays — no node allocation, no pointer chasing, no rebalancing.
  *
- * Byte-identity with the treap-backed order it replaces: stamps are
- * assigned in call order, exactly the order of the strictly
- * increasing usefulness clocks the treap keys encoded, so every
- * rank is the identical integer and every futility the identical
- * double. (Rankings with non-monotone keys — LFU, OPT, RRIP — stay
- * on TreapRankingBase.)
+ * Stamps are assigned in call order, so the order is exactly the
+ * (strictly increasing usefulness clock, line id) order a treap
+ * keyed on a per-access clock would hold: every rank is the same
+ * integer and every futility the same double. OPT keeps its own
+ * Fenwick index over next-use times (ranking/opt_ranking.hh); LFU
+ * and RRIP, whose keys move to the middle of the order, stay on
+ * TreapRankingBase.
  */
 
 #ifndef FSCACHE_RANKING_RECENCY_RANKING_BASE_HH

@@ -7,36 +7,8 @@ namespace fscache
 
 TreapRankingBase::TreapRankingBase(LineId num_lines)
     : keyOf_(num_lines), partOf_(num_lines, kInvalidPart),
-      pendingSlot_(num_lines, kNoPending), present_(num_lines, 0)
+      present_(num_lines, 0)
 {
-    // Pre-size the ring so the hit path never allocates.
-    pending_.reserve(kPendingCap);
-}
-
-void
-TreapRankingBase::flushPendingSlow() const
-{
-    // const_cast: several observers (exactFutility, worstIn, the
-    // audits) are const but must see the settled order. A flush
-    // only materializes key updates that already happened
-    // semantically, so every externally visible query answers
-    // exactly as if each re-key had been applied eagerly.
-    auto *self = const_cast<TreapRankingBase *>(this);
-    for (const PendingReKey &pr : self->pending_) {
-        if (pr.line == kInvalidLine)
-            continue; // superseded by a later re-hit of the line
-        // Ring order is append order, so primaries are strictly
-        // increasing and every entry re-keys to the treap maximum
-        // (reKeyToMax keeps the node's priority and draws no RNG,
-        // which is what makes deferral replay-invisible: the final
-        // treap is a pure function of the surviving key set).
-        Key key{pr.primary, pr.line};
-        self->treapFor(self->partOf_[pr.line])
-            .reKeyToMax(self->keyOf_[pr.line], key);
-        self->keyOf_[pr.line] = key;
-        self->pendingSlot_[pr.line] = kNoPending;
-    }
-    self->pending_.clear();
 }
 
 OrderStatTreap<TreapRankingBase::Key> &
@@ -63,7 +35,6 @@ TreapRankingBase::treapFor(PartId part) const
 void
 TreapRankingBase::place(LineId id, PartId part, std::uint64_t primary)
 {
-    flushPending();
     fs_assert(!present_[id], "placing an already-present line");
     Key key{primary, id};
     keyOf_[id] = key;
@@ -75,7 +46,6 @@ TreapRankingBase::place(LineId id, PartId part, std::uint64_t primary)
 void
 TreapRankingBase::reKey(LineId id, std::uint64_t primary)
 {
-    flushPending();
     fs_assert(present_[id], "rekeying an absent line");
     // Single treap reKey: the node is relinked in place instead of
     // freed and reinserted (this is the per-hit path).
@@ -85,43 +55,8 @@ TreapRankingBase::reKey(LineId id, std::uint64_t primary)
 }
 
 void
-TreapRankingBase::placeNewest(LineId id, PartId part,
-                              std::uint64_t primary)
-{
-    // Inserted keys are newer than any pending re-key; flushing
-    // after the insert would break reKeyToMax's max-key invariant.
-    flushPending();
-    fs_assert(!present_[id], "placing an already-present line");
-    Key key{primary, id};
-    keyOf_[id] = key;
-    partOf_[id] = part;
-    present_[id] = 1;
-    treapFor(part).insertMax(key);
-}
-
-void
-TreapRankingBase::reKeyNewest(LineId id, std::uint64_t primary)
-{
-    fs_assert(present_[id], "rekeying an absent line");
-    // Defer to the ring instead of touching the treap: runs of
-    // hits between misses collapse into one flush (and re-hits of
-    // the same line into one re-key). keyOf_[id] keeps the key
-    // that is physically in the treap until then.
-    std::uint32_t slot = pendingSlot_[id];
-    if (slot != kNoPending)
-        pending_[slot].line = kInvalidLine; // latest re-key wins
-    if (pending_.size() >= kPendingCap)
-        flushPending();
-    pendingSlot_[id] = static_cast<std::uint32_t>(pending_.size());
-    // fs-analyze: allow(hot-path-alloc) never reallocates: the ctor
-    // reserves kPendingCap and the flush above bounds size() < cap.
-    pending_.push_back(PendingReKey{id, primary});
-}
-
-void
 TreapRankingBase::remove(LineId id)
 {
-    flushPending();
     fs_assert(present_[id], "removing an absent line");
     treapFor(partOf_[id]).erase(keyOf_[id]);
     present_[id] = 0;
@@ -137,9 +72,6 @@ TreapRankingBase::onEvict(LineId id)
 void
 TreapRankingBase::onRelocate(LineId from, LineId to)
 {
-    // Flush before reading keyOf_[from]: a pending re-key of the
-    // moving line must land under its old id first.
-    flushPending();
     fs_assert(present_[from] && !present_[to],
               "bad relocation in ranking");
     // Keys embed the line id for uniqueness, so the key changes.
@@ -152,7 +84,6 @@ TreapRankingBase::onRelocate(LineId from, LineId to)
 void
 TreapRankingBase::onRetag(LineId id, PartId new_part)
 {
-    flushPending();
     fs_assert(present_[id], "retag of an absent line");
     std::uint64_t primary = keyOf_[id].primary;
     remove(id);
@@ -162,7 +93,6 @@ TreapRankingBase::onRetag(LineId id, PartId new_part)
 double
 TreapRankingBase::exactFutility(LineId id) const
 {
-    flushPending();
     fs_assert(present_[id], "futility of an absent line");
     const auto *treap = treapFor(partOf_[id]);
     std::uint32_t size = treap->size();
@@ -171,21 +101,9 @@ TreapRankingBase::exactFutility(LineId id) const
 }
 
 void
-TreapRankingBase::schemeFutilityMany(std::span<const LineId> ids,
-                                     double *out) const
-{
-    // Settle the order once, then take the per-id default (concrete
-    // rankings with array-backed estimates override this again and
-    // skip even the flush).
-    flushPending();
-    FutilityRanking::schemeFutilityMany(ids, out);
-}
-
-void
 TreapRankingBase::exactFutilityManyImpl(std::span<const LineId> ids,
                                         double *out) const
 {
-    flushPending();
     for (std::size_t i = 0; i < ids.size(); ++i) {
         LineId id = ids[i];
         fs_assert(present_[id], "futility of an absent line");
@@ -200,7 +118,6 @@ TreapRankingBase::exactFutilityManyImpl(std::span<const LineId> ids,
 LineId
 TreapRankingBase::worstIn(PartId part) const
 {
-    flushPending();
     const auto *treap = treapFor(part);
     if (treap == nullptr || treap->empty())
         return kInvalidLine;
@@ -217,7 +134,6 @@ TreapRankingBase::partLines(PartId part) const
 bool
 TreapRankingBase::corruptRankNodeForFaultInjection()
 {
-    flushPending();
     for (auto &treap : treaps_) {
         if (treap.corruptSubtreeSizeForFaultInjection())
             return true;
@@ -228,7 +144,6 @@ TreapRankingBase::corruptRankNodeForFaultInjection()
 std::string
 TreapRankingBase::auditInvariants() const
 {
-    flushPending();
     // Per-partition treap structure first (heap/order/size/min).
     std::uint32_t inTreaps = 0;
     for (std::size_t p = 0; p < treaps_.size(); ++p) {

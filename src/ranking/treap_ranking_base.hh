@@ -5,10 +5,12 @@
  * "usefulness" value (larger = more useful), plus per-line metadata.
  *
  * Concrete rankings derive and translate their policy (frequency,
- * next use, RRIP age) into the primary key. Rankings whose order is
+ * RRIP age) into the primary key: LFU and RRIP, whose updates move
+ * lines to arbitrary points of the order. Rankings whose order is
  * pure recency — every update moves the line to the newest end —
  * use the cheaper Fenwick-backed RecencyRankingBase instead
- * (ranking/recency_ranking_base.hh).
+ * (ranking/recency_ranking_base.hh), and OPT keeps its own Fenwick
+ * index over next-use times (ranking/opt_ranking.hh).
  */
 
 #ifndef FSCACHE_RANKING_TREAP_RANKING_BASE_HH
@@ -35,8 +37,6 @@ class TreapRankingBase : public FutilityRanking
     void onRetag(LineId id, PartId new_part) override;
 
     double exactFutility(LineId id) const override;
-    void schemeFutilityMany(std::span<const LineId> ids,
-                            double *out) const override;
     LineId worstIn(PartId part) const override;
     std::uint32_t partLines(PartId part) const override;
     PartId partOf(LineId id) const override { return partOf_[id]; }
@@ -47,7 +47,7 @@ class TreapRankingBase : public FutilityRanking
     /**
      * Usefulness key: ordered by primary, ties broken by line id
      * (which also makes keys unique when primaries collide, e.g.
-     * OPT's never-used lines).
+     * equal LFU counts).
      */
     struct Key
     {
@@ -75,73 +75,22 @@ class TreapRankingBase : public FutilityRanking
     /** Update a present line's usefulness (same partition). */
     void reKey(LineId id, std::uint64_t primary);
 
-    /**
-     * place()/reKey() for rankings whose primary is a strictly
-     * increasing clock drawn fresh for this call: the key is then
-     * the treap maximum, which relinks without a subtree split.
-     * Relocation/retag paths reuse *old* primaries and must stay on
-     * the generic variants.
-     */
-    void placeNewest(LineId id, PartId part, std::uint64_t primary);
-    void reKeyNewest(LineId id, std::uint64_t primary);
-
     /** Remove a present line. */
     void remove(LineId id);
 
     /**
      * Batched exactFutility() for rankings whose scheme futility IS
-     * the exact rank (LFU/exact-LRU/OPT): one pending flush, then
-     * direct rank queries.
+     * the exact rank (LFU): direct rank queries.
      */
     void exactFutilityManyImpl(std::span<const LineId> ids,
                                double *out) const;
 
-    bool present(LineId id) const { return present_[id] != 0; }
-    std::uint64_t primaryOf(LineId id) const
-    { return keyOf_[id].primary; }
-
   private:
-    /** One deferred hit-path re-key (reKeyNewest). line ==
-     *  kInvalidLine marks an entry superseded by a later re-hit. */
-    struct PendingReKey
-    {
-        LineId line;
-        std::uint64_t primary;
-    };
-
-    static constexpr std::uint32_t kNoPending = 0xffffffffu;
-    /** Ring capacity: big enough to swallow the hit runs between
-     *  misses, small enough that a flush stays cache-resident. */
-    static constexpr std::size_t kPendingCap = 64;
-
-    /**
-     * Apply the deferred re-keys in ring order. Called before any
-     * operation that observes or restructures the treaps; partLines
-     * is the one exception (re-keys never change sizes), which
-     * keeps the FS_AUDIT=cheap occupancy sums flush-free. const:
-     * flushing only materializes already-committed key updates, so
-     * it is logically state-preserving (see .cc). The empty check
-     * stays inline: most flush points find nothing pending, and the
-     * call overhead itself showed up in miss-heavy profiles.
-     */
-    void
-    flushPending() const
-    {
-        if (!pending_.empty())
-            flushPendingSlow();
-    }
-
-    void flushPendingSlow() const;
-
     OrderStatTreap<Key> &treapFor(PartId part);
     const OrderStatTreap<Key> *treapFor(PartId part) const;
 
     std::vector<OrderStatTreap<Key>> treaps_;
     std::vector<Key> keyOf_;
-    std::vector<PendingReKey> pending_;
-    /** Per-line index into pending_, or kNoPending. Lets a re-hit
-     *  dead-mark its older entry so only the final key is applied. */
-    std::vector<std::uint32_t> pendingSlot_;
     std::vector<PartId> partOf_;
     /**
      * Byte- (not bit-) backed presence flags: reKey/place/remove

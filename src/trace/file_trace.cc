@@ -65,6 +65,25 @@ readTrace(std::istream &in, const std::string &source)
     std::string line;
     std::uint64_t lineno = 0;
     std::uint64_t offset = 0; // byte offset of the current line
+    // The record holding the largest finite next use: the only one
+    // the end-of-input bound (next use < record count) must check.
+    struct
+    {
+        AccessTime nextUse = 0;
+        std::uint64_t record = 0, lineno = 0, offset = 0;
+    } farthest;
+    auto nextUseError = [&](AccessTime next_use, const std::string &why,
+                            std::uint64_t record, std::uint64_t at_line,
+                            std::uint64_t at_offset) {
+        return TraceFormatError(strprintf(
+            "%s: bad next-use %llu: %s; a next use is a later record "
+            "index of this trace, or 18446744073709551615 for never "
+            "(record %llu, line %llu, byte offset %llu)",
+            source.c_str(), static_cast<unsigned long long>(next_use),
+            why.c_str(), static_cast<unsigned long long>(record),
+            static_cast<unsigned long long>(at_line),
+            static_cast<unsigned long long>(at_offset)));
+    };
     while (std::getline(in, line)) {
         ++lineno;
         std::uint64_t line_start = offset;
@@ -96,6 +115,18 @@ readTrace(std::istream &in, const std::string &source)
             acc.nextUse = parseField(tok, "next-use", UINT64_MAX,
                                      source, record, lineno,
                                      line_start);
+            // A next use names a later record of this trace (OPT
+            // sizes its next-use axis by the largest one), or never.
+            if (acc.nextUse != kNeverUsed) {
+                if (acc.nextUse <= record) {
+                    throw nextUseError(acc.nextUse,
+                                       "not after its own record",
+                                       record, lineno, line_start);
+                }
+                if (acc.nextUse > farthest.nextUse)
+                    farthest = {acc.nextUse, record, lineno,
+                                line_start};
+            }
         }
         if (fields >> tok) {
             throw TraceFormatError(strprintf(
@@ -113,6 +144,13 @@ readTrace(std::istream &in, const std::string &source)
         throw TraceFormatError(strprintf(
             "%s: trace contains no accesses (file is empty or "
             "holds only comments/blank lines)", source.c_str()));
+    }
+    if (farthest.nextUse >= buf.size()) {
+        throw nextUseError(
+            farthest.nextUse,
+            strprintf("past the last record (the trace holds %llu)",
+                      static_cast<unsigned long long>(buf.size())),
+            farthest.record, farthest.lineno, farthest.offset);
     }
     return buf;
 }

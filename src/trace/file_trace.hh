@@ -8,7 +8,9 @@
  * decimal (no sign; a leading 0 does not mean octal), instr-gap at
  * most 2^32 - 1; '#' comments and blank lines ignored. next-use is
  * optional; run annotateNextUse() if OPT ranking is needed and the
- * field is absent.
+ * field is absent. When present it is the index of a later record
+ * (own index < next-use < record count) or 18446744073709551615 for
+ * never.
  */
 
 #ifndef FSCACHE_TRACE_FILE_TRACE_HH

@@ -1,7 +1,7 @@
 #include "trace/stack_dist_generator.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "common/log.hh"
 
@@ -59,10 +59,29 @@ DepthDist::sample(Rng &rng, std::uint64_t cap) const
     return d;
 }
 
+namespace
+{
+
+/** Recency-axis length for `live` entries: the next power of two
+ *  above them plus a quarter of headroom, so a renumber frees at
+ *  least a fifth of the axis. */
+std::uint32_t
+stampCapacity(std::uint64_t live)
+{
+    fs_assert(live < (1u << 30), "stack too large for the stamp axis");
+    std::uint64_t want = live + live / 4 + 16;
+    std::uint32_t cap = 16;
+    while (cap <= want)
+        cap <<= 1;
+    return cap;
+}
+
+} // namespace
+
 StackDistGenerator::StackDistGenerator(const StackDistConfig &cfg,
                                        Addr base_addr, Rng rng)
     : cfg_(cfg), baseAddr_(base_addr), rng_(rng),
-      gap_(cfg.meanInstrGap), stack_(rng_())
+      gap_(cfg.meanInstrGap)
 {
     fs_assert(cfg_.pNew >= 0.0 && cfg_.pNew <= 1.0, "bad pNew");
     fs_assert(cfg_.depth.minDepth >= 1 &&
@@ -70,59 +89,83 @@ StackDistGenerator::StackDistGenerator(const StackDistConfig &cfg,
               "bad depth range");
     fs_assert(cfg_.maxResident >= 2, "need at least two residents");
 
-    if (cfg_.prewarm) {
-        // Oldest entries first, so depth d reaches address
-        // maxDepth - d initially. The keys a touch() loop would
-        // insert are strictly ascending (packed clock dominates)
-        // and warm <= maxResident means no evictions, so the stack
-        // can be bulk-built in O(warm) instead of warm treap
-        // descents — constructing thousands of generators per sweep
-        // made the loop the single hottest path in the benches.
-        std::uint64_t warm =
-            std::min(cfg_.depth.maxDepth, cfg_.maxResident);
-        std::vector<std::uint64_t> keys;
-        keys.reserve(warm);
-        for (std::uint64_t i = 0; i < warm; ++i) {
-            keys.push_back((++clock_ << kAddrBits) |
-                           (nextNewAddr_++ & kAddrMask));
-        }
-        stack_.buildFromSorted(keys.begin(), keys.end());
-    }
+    // Earlier versions seeded a treap from this stream here. The
+    // draw stays so every generated trace is unchanged.
+    static_cast<void>(rng_());
+
+    // Prewarm: the oldest entries first, so depth d reaches address
+    // warm - d initially. warm <= maxResident, so nothing is evicted
+    // and the stack is a plain linear fill.
+    std::uint64_t warm =
+        cfg_.prewarm ? std::min(cfg_.depth.maxDepth, cfg_.maxResident)
+                     : 0;
+    std::uint32_t cap = stampCapacity(warm);
+    live_.reset(cap);
+    live_.fillPrefix(static_cast<std::uint32_t>(warm));
+    lineAt_.assign(cap, kEmpty);
+    for (std::uint32_t s = 0; s < warm; ++s)
+        lineAt_[s] = s;
+    stampNext_ = static_cast<std::uint32_t>(warm);
+    nextNewAddr_ = warm;
 }
 
-std::uint64_t
-StackDistGenerator::touch(Addr local)
+void
+StackDistGenerator::renumber()
 {
-    std::uint64_t key = (++clock_ << kAddrBits) | (local & kAddrMask);
-    // The packed clock dominates the key, so every touch inserts
-    // the new stack maximum.
-    stack_.insertMax(key);
-    if (stack_.size() > cfg_.maxResident)
-        stack_.erase(stack_.minKey());
-    return key;
+    std::uint32_t live = live_.total();
+    std::uint32_t next = 0;
+    for (std::uint32_t s = 0; s < stampNext_; ++s) {
+        if (lineAt_[s] != kEmpty)
+            lineAt_[next++] = lineAt_[s];
+    }
+    std::uint32_t cap = stampCapacity(live);
+    if (cap > live_.capacity()) {
+        // fs-analyze: allow(hot-path-alloc) the axis only grows with
+        // the live stack, which maxResident bounds: at most
+        // log2(maxResident) doublings per generator.
+        lineAt_.resize(cap);
+        live_.reset(cap);
+    }
+    std::fill(lineAt_.begin() + next, lineAt_.end(), kEmpty);
+    live_.fillPrefix(live);
+    stampNext_ = live;
+}
+
+void
+StackDistGenerator::push(std::uint32_t local)
+{
+    if (stampNext_ == live_.capacity())
+        renumber();
+    lineAt_[stampNext_] = local;
+    live_.mark(stampNext_++);
+    if (live_.total() > cfg_.maxResident) {
+        std::uint32_t oldest = live_.select(0);
+        live_.unmark(oldest);
+        lineAt_[oldest] = kEmpty;
+    }
 }
 
 Access
 StackDistGenerator::next()
 {
-    Addr local;
-    if (stack_.empty() || rng_.chance(cfg_.pNew)) {
-        local = nextNewAddr_++;
-        touch(local);
+    std::uint32_t local;
+    if (live_.total() == 0 || rng_.chance(cfg_.pNew)) {
+        fs_assert(nextNewAddr_ < kEmpty,
+                  "generator ran out of local addresses");
+        local = static_cast<std::uint32_t>(nextNewAddr_++);
     } else {
-        // Depth d = 1 is the most recently used entry. Moving it to
-        // the top of the stack is one rank-descent detach plus a
-        // max-key relink: no free-list churn, and size is unchanged
-        // so the maxResident bound needs no re-check. The address
-        // rides in the low bits of the detached key.
-        std::uint64_t d = cfg_.depth.sample(rng_, stack_.size());
-        std::uint64_t key = stack_.reKeyKthToMax(
-            static_cast<std::uint32_t>(stack_.size() - d),
-            [this](std::uint64_t old) {
-                return (++clock_ << kAddrBits) | (old & kAddrMask);
-            });
-        local = key & kAddrMask;
+        // Depth d = 1 is the most recently used entry, the live
+        // stamp with total() - 1 older ones. Re-pushing it leaves
+        // the size unchanged, so maxResident evicts nothing.
+        std::uint32_t size = live_.total();
+        auto d = static_cast<std::uint32_t>(
+            cfg_.depth.sample(rng_, size));
+        std::uint32_t stamp = live_.select(size - d);
+        local = lineAt_[stamp];
+        live_.unmark(stamp);
+        lineAt_[stamp] = kEmpty;
     }
+    push(local);
 
     Access acc;
     acc.addr = baseAddr_ + local;

@@ -3,11 +3,15 @@
  * LRU-stack-distance trace generator.
  *
  * The generator maintains an exact LRU stack of previously touched
- * line addresses (an order-statistic treap keyed by last-touch time,
- * so re-referencing depth d costs O(log n)). Each access either
- * touches a brand-new address (probability pNew, modeling compulsory
- * misses / footprint growth) or re-references the address at a stack
- * depth drawn from a configurable distribution.
+ * line addresses. Every touch takes the next stamp on a recency
+ * axis; lineAt_ records the address at each stamp and a Fenwick
+ * count tree (common/fenwick.hh) marks the live stamps, so the
+ * entry at depth d is one select() and re-referencing it costs
+ * O(log capacity) array arithmetic. When the axis fills, live
+ * entries are renumbered in place onto its low end. Each access
+ * either touches a brand-new address (probability pNew, modeling
+ * compulsory misses / footprint growth) or re-references the address
+ * at a stack depth drawn from a configurable distribution.
  *
  * Stack-distance structure is exactly what determines an
  * application's miss curve and associativity sensitivity, which is
@@ -20,8 +24,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
-#include "common/order_stat_treap.hh"
+#include "common/fenwick.hh"
 #include "common/random.hh"
 #include "trace/instr_gap.hh"
 #include "trace/trace_source.hh"
@@ -118,29 +123,40 @@ class StackDistGenerator : public TraceSource
     std::string name() const override { return "stackdist"; }
 
     /** Number of currently resident addresses (for tests). */
-    std::uint64_t resident() const { return stack_.size(); }
+    std::uint64_t resident() const { return live_.total(); }
+
+    /** Recency-axis length (for tests). */
+    std::uint32_t capacity() const { return live_.capacity(); }
 
   private:
-    /**
-     * Stack keys pack (touch time << 32 | local address), so the
-     * treap alone stores the whole stack: order follows touch time
-     * (strictly increasing), and the address rides along in the low
-     * bits. Bounds: < 2^32 accesses per generator and < 2^32
-     * distinct local addresses — ample for any workload here.
-     */
-    static constexpr unsigned kAddrBits = 32;
-    static constexpr std::uint64_t kAddrMask = (1ull << kAddrBits) - 1;
+    /** lineAt_ value of a stamp no live entry holds. Local addresses
+     *  stay below it (< 2^32 - 1 distinct addresses per generator —
+     *  ample for any workload here). */
+    static constexpr std::uint32_t kEmpty = 0xffffffffu;
 
-    std::uint64_t touch(Addr local);
+    /** Push `local` as the most recent entry. */
+    void push(std::uint32_t local);
+
+    /**
+     * Compact the axis: live entries keep their order but move to
+     * stamps 0..live-1, and the axis doubles first if live entries
+     * would leave it too little headroom. Runs once per
+     * capacity - live touches, so its O(capacity) cost amortizes to
+     * O(1) per touch.
+     */
+    void renumber();
 
     StackDistConfig cfg_;
     Addr baseAddr_;
     Rng rng_;
     InstrGapSampler gap_;
 
-    /** Packed (time, addr) keys; larger time = more recent. */
-    OrderStatTreap<std::uint64_t> stack_;
-    std::uint64_t clock_ = 0;
+    /** One mark per live stamp; total() is the stack size. */
+    FenwickTree live_;
+    /** Local address at each stamp, kEmpty where none is live. */
+    std::vector<std::uint32_t> lineAt_;
+    /** Next free stamp; every stamp below it has been handed out. */
+    std::uint32_t stampNext_ = 0;
     Addr nextNewAddr_ = 0;
 };
 

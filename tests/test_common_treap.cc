@@ -187,147 +187,6 @@ TEST(Treap, ClearRetainsNodePool)
     }
 }
 
-TEST(Treap, BuildFromSortedMatchesSequentialInsert)
-{
-    // Same seed on both sides: buildFromSorted draws one priority
-    // per key in key order exactly like n insert() calls, so every
-    // observable query must agree.
-    std::vector<std::uint64_t> keys;
-    for (std::uint64_t k = 0; k < 3000; ++k)
-        keys.push_back(k * 5 + 1);
-
-    OrderStatTreap<std::uint64_t> bulk(42);
-    bulk.buildFromSorted(keys.begin(), keys.end());
-    OrderStatTreap<std::uint64_t> seq(42);
-    for (std::uint64_t k : keys)
-        seq.insert(k);
-
-    ASSERT_EQ(bulk.size(), seq.size());
-    EXPECT_EQ(bulk.minKey(), seq.minKey());
-    EXPECT_EQ(bulk.maxKey(), seq.maxKey());
-    for (std::uint32_t k = 0; k < keys.size(); k += 13)
-        EXPECT_EQ(bulk.kth(k), seq.kth(k));
-    EXPECT_EQ(bulk.countLess(7500), seq.countLess(7500));
-
-    // And both must keep behaving identically under mutation.
-    for (std::uint64_t k = 0; k < 3000; k += 3) {
-        bulk.erase(k * 5 + 1);
-        seq.erase(k * 5 + 1);
-    }
-    ASSERT_EQ(bulk.size(), seq.size());
-    for (std::uint32_t k = 0; k < bulk.size(); k += 11)
-        EXPECT_EQ(bulk.kth(k), seq.kth(k));
-}
-
-TEST(Treap, BuildFromSortedEmptyAndSingle)
-{
-    OrderStatTreap<std::uint64_t> t;
-    std::vector<std::uint64_t> none;
-    t.buildFromSorted(none.begin(), none.end());
-    EXPECT_TRUE(t.empty());
-
-    std::vector<std::uint64_t> one{77};
-    t.buildFromSorted(one.begin(), one.end());
-    EXPECT_EQ(t.size(), 1u);
-    EXPECT_EQ(t.minKey(), 77u);
-    EXPECT_EQ(t.maxKey(), 77u);
-}
-
-TEST(Treap, InsertMaxMatchesInsert)
-{
-    OrderStatTreap<std::uint64_t> a(7), b(7);
-    Rng rng(4242);
-    std::uint64_t clock = 0;
-    // Interleave max-inserts with erases so the fast path sees
-    // non-trivial shapes, and diff every query against insert().
-    for (int op = 0; op < 4000; ++op) {
-        std::uint64_t key = ++clock;
-        a.insertMax(key);
-        b.insert(key);
-        if (a.size() > 64) {
-            std::uint32_t k =
-                static_cast<std::uint32_t>(rng.below(a.size()));
-            std::uint64_t victim = a.kth(k);
-            a.erase(victim);
-            b.erase(victim);
-        }
-        ASSERT_EQ(a.size(), b.size());
-        EXPECT_EQ(a.minKey(), b.minKey());
-        EXPECT_EQ(a.kth(a.size() / 2), b.kth(b.size() / 2));
-    }
-}
-
-TEST(Treap, ReKeyToMaxMatchesReKey)
-{
-    OrderStatTreap<std::uint64_t> a(9), b(9);
-    std::uint64_t clock = 0;
-    for (int i = 0; i < 512; ++i) {
-        a.insertMax(++clock);
-        b.insert(clock);
-    }
-    Rng rng(777);
-    for (int op = 0; op < 4000; ++op) {
-        std::uint32_t k =
-            static_cast<std::uint32_t>(rng.below(a.size()));
-        std::uint64_t old_key = a.kth(k);
-        std::uint64_t fresh = ++clock;
-        a.reKeyToMax(old_key, fresh);
-        b.reKey(old_key, fresh);
-        ASSERT_EQ(a.size(), b.size());
-        EXPECT_EQ(a.minKey(), b.minKey());
-        EXPECT_FALSE(a.contains(old_key));
-        EXPECT_TRUE(a.contains(fresh));
-    }
-    for (std::uint32_t k = 0; k < a.size(); k += 29)
-        EXPECT_EQ(a.kth(k), b.kth(k));
-}
-
-TEST(Treap, ReKeyKthToMaxMatchesKthPlusReKey)
-{
-    OrderStatTreap<std::uint64_t> a(3), b(3);
-    std::uint64_t clock = 0;
-    for (int i = 0; i < 300; ++i) {
-        a.insertMax(++clock);
-        b.insert(clock);
-    }
-    Rng rng(31337);
-    for (int op = 0; op < 3000; ++op) {
-        std::uint32_t k =
-            static_cast<std::uint32_t>(rng.below(a.size()));
-        std::uint64_t expected_old = b.kth(k);
-        std::uint64_t fresh = ++clock;
-        std::uint64_t got_old = a.reKeyKthToMax(
-            k, [&](std::uint64_t) { return fresh; });
-        b.reKey(expected_old, fresh);
-        EXPECT_EQ(got_old, expected_old);
-        ASSERT_EQ(a.size(), b.size());
-        EXPECT_EQ(a.minKey(), b.minKey());
-    }
-    for (std::uint32_t k = 0; k < a.size(); k += 17)
-        EXPECT_EQ(a.kth(k), b.kth(k));
-}
-
-TEST(Treap, ReKeyKthToMaxOfMinAndOfOnlyNode)
-{
-    OrderStatTreap<std::uint64_t> t;
-    t.insertMax(1);
-    // Detaching the only node leaves an empty tree mid-operation;
-    // the relink must restore the cached minimum.
-    std::uint64_t old =
-        t.reKeyKthToMax(0, [](std::uint64_t) { return 2ull; });
-    EXPECT_EQ(old, 1u);
-    EXPECT_EQ(t.minKey(), 2u);
-
-    for (std::uint64_t k = 10; k < 20; ++k)
-        t.insertMax(k);
-    // Rekey the minimum: the cached min must move to the old
-    // second-smallest.
-    old = t.reKeyKthToMax(0, [](std::uint64_t) { return 100ull; });
-    EXPECT_EQ(old, 2u);
-    EXPECT_EQ(t.minKey(), 10u);
-    EXPECT_EQ(t.maxKey(), 100u);
-}
-
 TEST(Treap, StructKeyWithTieBreak)
 {
     struct Key

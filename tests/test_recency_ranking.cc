@@ -1,11 +1,13 @@
 /**
  * @file
- * Fenwick occupancy tree (common/fenwick.hh) and the Fenwick-backed
- * recency ranking base (ranking/recency_ranking_base.hh): the
- * primitive against a naive mark array, the full ranking against a
- * naive recency-list reference through randomized op sequences long
- * enough to force many stamp-axis renumberings, and the corruption
- * fault hook's detectability contract.
+ * Fenwick count tree (common/fenwick.hh) and its three clients: the
+ * recency ranking base (ranking/recency_ranking_base.hh), the OPT
+ * ranking (ranking/opt_ranking.hh) and the stack-distance generator
+ * (trace/stack_dist_generator.hh). The primitive is checked against a
+ * naive count array; each client against a naive reference through
+ * randomized op sequences long enough to force every axis
+ * renumbering and growth path; plus the corruption fault hooks'
+ * detectability contract.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,9 @@
 #include "common/fenwick.hh"
 #include "common/random.hh"
 #include "ranking/exact_lru_ranking.hh"
+#include "ranking/opt_ranking.hh"
+#include "trace/instr_gap.hh"
+#include "trace/stack_dist_generator.hh"
 
 namespace fscache
 {
@@ -54,8 +59,66 @@ TEST(Fenwick, MatchesNaiveMarkArray)
             want_below += naive[p];
         ASSERT_EQ(fen.countBelow(probe), want_below) << probe;
         if (want_total > 0) {
-            ASSERT_EQ(fen.firstMarked(), first);
+            ASSERT_EQ(fen.select(0), first);
         }
+    }
+}
+
+/**
+ * Counts above one (OPT's equal next uses), select() over every
+ * rank, grow() by one and by several doublings, and fillPrefix(),
+ * all against a naive per-position count array.
+ */
+TEST(Fenwick, CountsSelectAndGrowMatchNaiveCounts)
+{
+    FenwickTree fen(8);
+    std::vector<std::uint32_t> naive(8, 0);
+    Rng rng(77);
+    auto check = [&](int round) {
+        std::uint32_t total = 0;
+        for (std::uint32_t p = 0; p < naive.size(); ++p) {
+            ASSERT_EQ(fen.countBelow(p), total) << round << " @" << p;
+            total += naive[p];
+        }
+        ASSERT_EQ(fen.countBelow(fen.capacity()), total) << round;
+        ASSERT_EQ(fen.total(), total) << round;
+        std::uint32_t k = 0;
+        for (std::uint32_t p = 0; p < naive.size(); ++p) {
+            for (std::uint32_t c = 0; c < naive[p]; ++c, ++k)
+                ASSERT_EQ(fen.select(k), p) << round << " k=" << k;
+        }
+    };
+    for (int round = 0; round < 3000; ++round) {
+        if (round % 500 == 499) {
+            // Grow by 1..3 doublings, keeping every count.
+            auto cap = static_cast<std::uint32_t>(
+                naive.size() << rng.range(1, 3));
+            fen.grow(cap);
+            naive.resize(cap, 0);
+            ASSERT_EQ(fen.capacity(), cap);
+        } else {
+            // Concentrate marks on few positions so counts pile up.
+            auto pos = static_cast<std::uint32_t>(
+                rng.below(12) * naive.size() / 12);
+            if (naive[pos] > 0 && rng.chance(0.45)) {
+                fen.unmark(pos);
+                --naive[pos];
+            } else {
+                fen.mark(pos);
+                ++naive[pos];
+            }
+        }
+        check(round);
+    }
+
+    for (std::uint32_t n : {0u, 1u, 5u, 64u, 128u}) {
+        FenwickTree fill(128);
+        fill.mark(3); // overwritten by the fill
+        fill.fillPrefix(n);
+        naive.assign(128, 0);
+        std::fill(naive.begin(), naive.begin() + n, 1);
+        fen = fill;
+        check(-static_cast<int>(n));
     }
 }
 
@@ -69,7 +132,7 @@ TEST(Fenwick, ClearKeepsCapacity)
     EXPECT_EQ(fen.capacity(), 16u);
     EXPECT_EQ(fen.countBelow(16), 0u);
     fen.mark(15);
-    EXPECT_EQ(fen.firstMarked(), 15u);
+    EXPECT_EQ(fen.select(0), 15u);
 }
 
 /**
@@ -272,6 +335,303 @@ TEST(RecencyBase, CorruptionHookIsDetectedByAudits)
     EXPECT_EQ(rank.worstIn(0), 0u);
     // ... and the deep self-audit pins the damage.
     EXPECT_NE(rank.auditInvariants(), "");
+}
+
+/**
+ * Naive OPT order: every line's (partition, next use), ranked by
+ * the definition — more useful = smaller next use, then larger line
+ * id — with O(n) scans.
+ */
+class NaiveOpt
+{
+  public:
+    void
+    install(LineId id, PartId part, AccessTime nu)
+    {
+        lines_[id] = {part, nu};
+    }
+
+    void hit(LineId id, AccessTime nu) { lines_.at(id).nu = nu; }
+    void evict(LineId id) { lines_.erase(id); }
+    void retag(LineId id, PartId part) { lines_.at(id).part = part; }
+
+    void
+    relocate(LineId from, LineId to)
+    {
+        lines_[to] = lines_.at(from);
+        lines_.erase(from);
+    }
+
+    bool contains(LineId id) const { return lines_.count(id) != 0; }
+    std::size_t lines() const { return lines_.size(); }
+
+    LineId
+    lineAt(std::size_t i) const
+    {
+        return std::next(lines_.begin(),
+                         static_cast<std::ptrdiff_t>(i))->first;
+    }
+
+    PartId partOf(LineId id) const { return lines_.at(id).part; }
+
+    std::uint32_t
+    partLines(PartId part) const
+    {
+        std::uint32_t n = 0;
+        for (const auto &[id, l] : lines_)
+            n += l.part == part;
+        return n;
+    }
+
+    double
+    exactFutility(LineId id) const
+    {
+        const Line &me = lines_.at(id);
+        std::uint32_t size = 0;
+        std::uint32_t rank = 1;
+        for (const auto &[other, l] : lines_) {
+            if (l.part != me.part)
+                continue;
+            ++size;
+            rank += l.nu < me.nu || (l.nu == me.nu && other > id);
+        }
+        return static_cast<double>(rank) / static_cast<double>(size);
+    }
+
+    LineId
+    worstIn(PartId part) const
+    {
+        LineId worst = kInvalidLine;
+        AccessTime worstNu = 0;
+        for (const auto &[id, l] : lines_) { // ascending ids
+            if (l.part == part &&
+                (worst == kInvalidLine || l.nu > worstNu)) {
+                worst = id;
+                worstNu = l.nu;
+            }
+        }
+        return worst;
+    }
+
+  private:
+    struct Line
+    {
+        PartId part;
+        AccessTime nu;
+    };
+    std::map<LineId, Line> lines_;
+};
+
+/**
+ * OptRanking against NaiveOpt through randomized install / hit /
+ * evict / retag / relocate sequences. Next uses are drawn so every
+ * path is hot: a small band (finite ties across and within
+ * partitions), never-used (id-ordered ties), and a band that widens
+ * with the op count (the axis doubles from 1024 to 2^15). Every
+ * step compares every line's exact futility and every partition's
+ * worstIn and partLines, and runs the deep self-audit.
+ */
+TEST(OptIndex, MatchesNaiveReference)
+{
+    constexpr LineId kLines = 150; // spans three bitset words
+    constexpr PartId kParts = 3;
+    OptRanking rank(kLines);
+    NaiveOpt naive;
+    Rng rng(9090);
+
+    auto drawNextUse = [&](int op) -> AccessTime {
+        std::uint32_t kind = rng.below(10);
+        if (kind < 3)
+            return kNeverUsed;
+        if (kind < 7)
+            return 2000 + rng.below(6); // collisions
+        return rng.below(64 + static_cast<std::uint64_t>(op) * 8);
+    };
+    auto randomPresent = [&]() {
+        return naive.lineAt(rng.below(naive.lines()));
+    };
+    auto randomAbsent = [&]() {
+        LineId id;
+        do {
+            id = static_cast<LineId>(rng.below(kLines));
+        } while (naive.contains(id));
+        return id;
+    };
+
+    for (int op = 0; op < 3000; ++op) {
+        std::uint32_t kind = rng.below(10);
+        if (naive.lines() == 0 ||
+            (kind < 3 && naive.lines() < kLines)) {
+            LineId id = randomAbsent();
+            auto part = static_cast<PartId>(rng.below(kParts));
+            AccessTime nu = drawNextUse(op);
+            rank.onInstall(id, part, nu);
+            naive.install(id, part, nu);
+        } else if (kind < 6) {
+            LineId id = randomPresent();
+            AccessTime nu = drawNextUse(op);
+            rank.onHit(id, nu);
+            naive.hit(id, nu);
+        } else if (kind < 7) {
+            LineId id = randomPresent();
+            rank.onEvict(id);
+            naive.evict(id);
+        } else if (kind < 8) {
+            LineId id = randomPresent();
+            auto part = static_cast<PartId>(rng.below(kParts));
+            rank.onRetag(id, part);
+            naive.retag(id, part);
+        } else if (naive.lines() < kLines) {
+            LineId from = randomPresent();
+            LineId to = randomAbsent();
+            rank.onRelocate(from, to);
+            naive.relocate(from, to);
+        }
+
+        ASSERT_EQ(rank.auditInvariants(), "") << "op " << op;
+        for (PartId p = 0; p < kParts + 1; ++p) {
+            ASSERT_EQ(rank.partLines(p), naive.partLines(p))
+                << "op " << op << " part " << int{p};
+            ASSERT_EQ(rank.worstIn(p), naive.worstIn(p))
+                << "op " << op << " part " << int{p};
+        }
+        for (std::size_t i = 0; i < naive.lines(); ++i) {
+            LineId id = naive.lineAt(i);
+            ASSERT_EQ(rank.partOf(id), naive.partOf(id))
+                << "op " << op << " line " << id;
+            ASSERT_EQ(rank.exactFutility(id), naive.exactFutility(id))
+                << "op " << op << " line " << id;
+        }
+        std::vector<LineId> ids;
+        for (std::size_t i = 0; i < naive.lines(); ++i)
+            ids.push_back(naive.lineAt(i));
+        std::vector<double> many(ids.size());
+        rank.schemeFutilityMany(ids, many.data());
+        for (std::size_t i = 0; i < ids.size(); ++i)
+            ASSERT_EQ(many[i], rank.exactFutility(ids[i]));
+    }
+}
+
+TEST(OptIndex, CorruptionHookIsDetectedByAudits)
+{
+    OptRanking rank(8);
+    EXPECT_FALSE(rank.corruptRankNodeForFaultInjection())
+        << "nothing to corrupt in an empty ranking";
+    rank.onInstall(0, 0, 40);
+    rank.onInstall(1, 0, kNeverUsed);
+    rank.onInstall(2, 0, 7);
+    ASSERT_EQ(rank.auditInvariants(), "");
+
+    ASSERT_TRUE(rank.corruptRankNodeForFaultInjection());
+    EXPECT_EQ(rank.partLines(0), 4u);
+    EXPECT_EQ(rank.worstIn(0), 1u) << "navigation must stay safe";
+    EXPECT_NE(rank.auditInvariants(), "");
+}
+
+/**
+ * Vector LRU stack, oldest first, drawing from the same Rng stream
+ * in the same order as StackDistGenerator (the discarded seed draw
+ * included): the definitionally correct trace the Fenwick-backed
+ * generator must reproduce access for access.
+ */
+class NaiveStackDist
+{
+  public:
+    NaiveStackDist(const StackDistConfig &cfg, Addr base, Rng rng)
+        : cfg_(cfg), base_(base), rng_(rng), gap_(cfg.meanInstrGap)
+    {
+        rng_();
+        if (cfg_.prewarm) {
+            std::uint64_t warm =
+                std::min(cfg_.depth.maxDepth, cfg_.maxResident);
+            while (stack_.size() < warm)
+                stack_.push_back(nextNew_++);
+        }
+    }
+
+    Access
+    next()
+    {
+        std::uint64_t local;
+        if (stack_.empty() || rng_.chance(cfg_.pNew)) {
+            local = nextNew_++;
+            stack_.push_back(local);
+            if (stack_.size() > cfg_.maxResident)
+                stack_.erase(stack_.begin());
+        } else {
+            std::uint64_t d = cfg_.depth.sample(rng_, stack_.size());
+            auto it = stack_.end() - static_cast<std::ptrdiff_t>(d);
+            local = *it;
+            stack_.erase(it);
+            stack_.push_back(local);
+        }
+        Access acc;
+        acc.addr = base_ + local;
+        acc.instrGap = gap_.sample(rng_);
+        return acc;
+    }
+
+    std::size_t resident() const { return stack_.size(); }
+
+  private:
+    StackDistConfig cfg_;
+    Addr base_;
+    Rng rng_;
+    InstrGapSampler gap_;
+    std::vector<std::uint64_t> stack_;
+    std::uint64_t nextNew_ = 0;
+};
+
+/**
+ * Prewarm on and off, a stack held at maxResident (every new address
+ * evicts the oldest), and runs long enough to renumber the stamp
+ * axis many times and to grow it from 16 stamps.
+ */
+TEST(StackDistIndex, MatchesNaiveLruStack)
+{
+    struct Case
+    {
+        bool prewarm;
+        double pNew;
+        DepthDist depth;
+        std::uint64_t maxResident;
+    };
+    const Case cases[] = {
+        {true, 0.05, DepthDist::logUniform(1, 300), 600},
+        {false, 0.05, DepthDist::logUniform(1, 300), 600},
+        {true, 0.3, DepthDist::uniform(1, 64), 64},     // at the cap
+        {false, 0.6, DepthDist::uniform(1, 2000), 3000}, // growth
+        {true, 0.0, DepthDist::fixed(5), 1024},
+    };
+    std::uint64_t seed = 1;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message() << "case " << seed);
+        StackDistConfig cfg;
+        cfg.prewarm = c.prewarm;
+        cfg.pNew = c.pNew;
+        cfg.depth = c.depth;
+        cfg.maxResident = c.maxResident;
+        cfg.meanInstrGap = 20;
+        StackDistGenerator gen(cfg, 1u << 20, Rng(seed));
+        NaiveStackDist naive(cfg, 1u << 20, Rng(seed));
+        std::uint32_t startCap = gen.capacity();
+        ASSERT_EQ(gen.resident(), naive.resident());
+        for (int i = 0; i < 20000; ++i) {
+            Access a = gen.next();
+            Access b = naive.next();
+            ASSERT_EQ(a.addr, b.addr) << "access " << i;
+            ASSERT_EQ(a.instrGap, b.instrGap) << "access " << i;
+            ASSERT_EQ(gen.resident(), naive.resident())
+                << "access " << i;
+        }
+        // 20000 touches on an axis of at most a few thousand stamps
+        // renumbered it; the growth case had to widen it as well.
+        EXPECT_LE(gen.resident(), c.maxResident);
+        if (!c.prewarm && c.maxResident > 1000) {
+            EXPECT_GT(gen.capacity(), startCap);
+        }
+        ++seed;
+    }
 }
 
 } // namespace

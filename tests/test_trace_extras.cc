@@ -31,17 +31,75 @@ TEST(FileTrace, ParseBasicFormats)
     std::istringstream in(
         "# comment line\n"
         "0x10 5\n"
-        "32 7\n"
+        "32 7 2\n"
         "\n"
-        "0xff 2 42   # trailing comment\n");
+        "0xff 2 18446744073709551615   # trailing comment\n");
     TraceBuffer buf = readTrace(in);
     ASSERT_EQ(buf.size(), 3u);
     EXPECT_EQ(buf[0].addr, 0x10u);
     EXPECT_EQ(buf[0].instrGap, 5u);
     EXPECT_EQ(buf[0].nextUse, kNeverUsed);
     EXPECT_EQ(buf[1].addr, 32u);
+    EXPECT_EQ(buf[1].nextUse, 2u);
     EXPECT_EQ(buf[2].addr, 0xffu);
-    EXPECT_EQ(buf[2].nextUse, 42u);
+    EXPECT_EQ(buf[2].nextUse, kNeverUsed);
+}
+
+/** A next use must name a later record of the same trace (or be
+ *  the never value): anything else is rejected with the offending
+ *  record's location, before OPT could size an axis by it. */
+TEST(FileTrace, OutOfRangeNextUseThrowsTyped)
+{
+    const struct
+    {
+        const char *text;
+        const char *want;
+        const char *where;
+    } cases[] = {
+        // Own index and earlier.
+        {"0x1 1\n0x2 1 1\n0x3 1\n",
+         "bad next-use 1: not after its own record;",
+         "(record 1, line 2, byte offset 6)"},
+        {"0x1 1\n0x2 1 0\n0x3 1\n",
+         "bad next-use 0: not after its own record;",
+         "(record 1, line 2, byte offset 6)"},
+        // Past the end: the record count is 3, so 3 is one too far.
+        {"0x1 1\n0x2 1 3\n0x3 1\n",
+         "bad next-use 3: past the last record (the trace holds 3);",
+         "(record 1, line 2, byte offset 6)"},
+        {"0x1 1\n# gap\n0x2 1 1000000000000\n0x3 1\n",
+         "bad next-use 1000000000000: past the last record",
+         "(record 1, line 3, byte offset 12)"},
+        // The farthest next use is the one reported.
+        {"0x1 1 2\n0x2 1 9\n0x3 1 7\n",
+         "bad next-use 9: past the last record (the trace holds 3);",
+         "(record 1, line 2, byte offset 8)"},
+        // One below the never value is just a very large index.
+        {"0x1 1 18446744073709551614\n",
+         "bad next-use 18446744073709551614: past the last record",
+         "(record 0, line 1, byte offset 0)"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.text);
+        std::istringstream in(c.text);
+        try {
+            readTrace(in, "nu.trc");
+            FAIL() << "expected TraceFormatError";
+        } catch (const TraceFormatError &e) {
+            std::string msg = e.what();
+            EXPECT_EQ(msg.rfind("nu.trc: ", 0), 0u) << msg;
+            EXPECT_NE(msg.find(c.want), std::string::npos) << msg;
+            EXPECT_NE(msg.find(c.where), std::string::npos) << msg;
+        }
+    }
+
+    // The boundary values themselves load.
+    std::istringstream ok("0x1 1 2\n0x2 1 18446744073709551615\n"
+                          "0x3 1\n");
+    TraceBuffer buf = readTrace(ok);
+    ASSERT_EQ(buf.size(), 3u);
+    EXPECT_EQ(buf[0].nextUse, 2u);
+    EXPECT_EQ(buf[1].nextUse, kNeverUsed);
 }
 
 TEST(FileTrace, DefaultGapIsOne)
@@ -189,21 +247,21 @@ TEST(FileTrace, MalformedIntegersThrowTyped)
 
 TEST(FileTrace, IntegerEdgesParse)
 {
-    std::istringstream in("0xFFFFFFFFFFFFFFFF 4294967295 0\n"
-                          "18446744073709551615 0xffffffff 0X1f\n"
-                          "010 0 007\n");
+    std::istringstream in("0xFFFFFFFFFFFFFFFF 4294967295 0X2\n"
+                          "18446744073709551615 0xffffffff 002\n"
+                          "010 0 0xFFFFFFFFFFFFFFFF\n");
     TraceBuffer buf = readTrace(in);
     ASSERT_EQ(buf.size(), 3u);
     EXPECT_EQ(buf[0].addr, UINT64_MAX);
     EXPECT_EQ(buf[0].instrGap, UINT32_MAX);
-    EXPECT_EQ(buf[0].nextUse, 0u);
+    EXPECT_EQ(buf[0].nextUse, 2u);
     EXPECT_EQ(buf[1].addr, UINT64_MAX);
     EXPECT_EQ(buf[1].instrGap, UINT32_MAX);
-    EXPECT_EQ(buf[1].nextUse, 0x1fu);
+    EXPECT_EQ(buf[1].nextUse, 2u);
     // A leading 0 is decimal, not octal; a zero gap reads as 1.
     EXPECT_EQ(buf[2].addr, 10u);
     EXPECT_EQ(buf[2].instrGap, 1u);
-    EXPECT_EQ(buf[2].nextUse, 7u);
+    EXPECT_EQ(buf[2].nextUse, kNeverUsed);
 }
 
 /**
@@ -216,10 +274,10 @@ TEST(FileTrace, IntegerEdgesParse)
 TEST(FileTrace, MutatedLinesLoadOrThrowTyped)
 {
     const std::string seeds[] = {
-        "0x1f40 3 17\n",
+        "0x1f40 3 1\n0x1f40 4\n",
         "4096 12\n",
         "0xFFFFFFFFFFFFFFFF 4294967295 18446744073709551615\n",
-        "0x10 5 42 # comment\n",
+        "0x10 5 2 # comment\n0x20 6\n0x10 7 18446744073709551615\n",
     };
     const std::string alphabet = "0123456789abcdefxX+- \t#\n";
     Rng rng(0x7ace5eedull);
@@ -279,7 +337,7 @@ TEST(FileTrace, DiagnosticCarriesRecordAndOffset)
 {
     // 1st line (10 bytes incl. newline) is fine; the bad token
     // starts record 1 at byte offset 10, line 2.
-    std::istringstream in("0x10 5 42\n0x20 oops\n");
+    std::istringstream in("0x10 50 1\n0x20 oops\n");
     try {
         readTrace(in, "t.trc");
         FAIL() << "expected TraceFormatError";
@@ -296,8 +354,14 @@ TEST(FileTrace, DiagnosticCarriesRecordAndOffset)
 
 TEST(FileTrace, TrailingFieldThrows)
 {
-    std::istringstream in("0x10 5 42 99\n");
-    EXPECT_THROW(readTrace(in), TraceFormatError);
+    std::istringstream in("0x10 5 1 99\n0x20 5\n");
+    try {
+        readTrace(in);
+        FAIL() << "expected TraceFormatError";
+    } catch (const TraceFormatError &e) {
+        EXPECT_NE(std::string(e.what()).find("trailing field '99'"),
+                  std::string::npos) << e.what();
+    }
 }
 
 TEST(FileTrace, EmptyTraceThrowsClearMessage)
