@@ -71,9 +71,9 @@ section(const std::string &title)
 
 /**
  * Explicit table/JSON marker for a quarantined sweep cell, e.g.
- * "FAILED(timeout)" or "FAILED(crash:SIGSEGV)". Built from the
- * error class and crash signal only — reasons can contain
- * wall-clock-dependent text, and artifacts must stay deterministic.
+ * "FAILED(timeout)" or "FAILED(corruption)". Built from the error
+ * class only — reasons can contain wall-clock-dependent text, and
+ * artifacts must stay deterministic.
  */
 template <typename R>
 std::string

@@ -80,12 +80,8 @@ run(const std::string &benchmark, std::uint32_t n,
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    // Farm support (FS_EXECUTOR=process): capture argv for worker
-    // re-exec and strip the hidden --fs-worker flag.
-    procExecutorInit(&argc, argv);
-
     bench::banner("Figure 2",
                   "PF associativity degradation vs partition count "
                   "(512KB/partition, 16-way, OPT ranking)");

@@ -68,12 +68,8 @@ run(const FsFeedbackConfig &fs_cfg, std::uint64_t accesses)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    // Farm support (FS_EXECUTOR=process): capture argv for worker
-    // re-exec and strip the hidden --fs-worker flag.
-    procExecutorInit(&argc, argv);
-
     bench::banner("Section VIII (sensitivity)",
                   "FS feedback parameters: interval length l and "
                   "changing ratio, 16-subject QoS mix");

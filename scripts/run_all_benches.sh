@@ -98,7 +98,7 @@ for b in "$build_dir"/bench/*; do
     "$b" >"$out_dir/$name.txt" 2>"$out_dir/$name.err" || status=$?
     cat "$out_dir/$name.txt"
     # A bench that quarantined cells still exits 0 but leaves its
-    # failure manifest (FAILED(crash:SIGSEGV), worker deaths, ...)
+    # failure manifest (FAILED(timeout), FAILED(corruption), ...)
     # on stderr; surface it instead of silently filing it away — a
     # sweep that lost cells must not read as a clean pass.
     if [ -s "$out_dir/$name.err" ]; then

@@ -5,7 +5,7 @@
 #                                        CLI-parsing rules over tools/
 #                                        and bench/)
 #   3. fscache_analyze.py --self-test   (the semantic analyzer's
-#                                        fixtures, builtin frontend)
+#                                        fixtures)
 #   4. fscache_analyze.py               (hot-path allocation,
 #                                        determinism, lock-discipline
 #                                        and layering passes; see
@@ -20,9 +20,7 @@
 # positional argument (default: build/release, falling back to
 # build). When clang-tidy or the database is missing the step is
 # skipped with a notice, not an error, so the determinism lint still
-# gates in minimal environments. The analyzer's clang frontend uses
-# the same database when python3-clang is available; without it the
-# dependency-free builtin frontend gates (same exit semantics).
+# gates in minimal environments. The analyzer needs no database.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)

@@ -26,9 +26,9 @@
  *     field of a mutex-holding class to either carry this marker —
  *     after which each access must happen with that mutex held —
  *     or an explicit `// fs-analyze: allow(lock-discipline) <why>`
- *     exemption (e.g. const after construction). Under clang the
- *     marker emits an annotate attribute the libclang frontend
- *     reads back; under GCC it compiles away.
+ *     exemption (e.g. const after construction). The analyzer
+ *     reads the marker from the source text; under clang it also
+ *     emits an annotate attribute, under GCC it compiles away.
  *
  * The macros expand to standard GNU attributes, so they are free at
  * runtime and cannot change behavior — they only make contracts the

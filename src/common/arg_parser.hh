@@ -43,7 +43,7 @@ double parseDoubleArg(const std::string &flag,
 
 /**
  * Checked parser for an unsigned-integer environment knob (FS_JOBS,
- * FS_WORKERS, ...). Returns `fallback` when `name` is unset or
+ * FS_CELL_TIMEOUT_MS, ...). Returns `fallback` when `name` is unset or
  * empty. Otherwise the value must be plain decimal digits — no sign,
  * no whitespace, no trailing junk — naming a number in [min, max];
  * anything else exit(1)s with a message naming the variable and the

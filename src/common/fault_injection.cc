@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -142,14 +141,10 @@ FaultInjector::parse(const std::string &spec)
             c.kind = Kind::CorruptTreap;
         } else if (action == "corrupt-occ") {
             c.kind = Kind::CorruptOcc;
-        } else if (action == "segv") {
-            c.kind = Kind::Segv;
-        } else if (action == "spin") {
-            c.kind = Kind::Spin;
         } else {
             fatal("FS_FAULTS \"%s\": unknown action \"%s\" (want "
                   "throw, hang, transient, corrupt, corrupt-treap, "
-                  "corrupt-occ, segv, or spin)",
+                  "or corrupt-occ)",
                   spec.c_str(), action.c_str());
         }
         if (c.kind != Kind::Transient && star != std::string::npos)
@@ -257,32 +252,6 @@ FaultInjector::fire(std::size_t cell, unsigned attempt) const
                     "injected transient fault at cell %zu attempt "
                     "%u", cell, attempt));
             break;
-          case Kind::Segv: {
-            // A *real* crash, on purpose: the null store below is
-            // the injection. Survivable only under the process
-            // executor, where it kills one worker and the parent
-            // quarantines the cell as FAILED(crash:SIGSEGV) — in
-            // thread mode it takes the process down (after the
-            // crash-breadcrumb handler reports), which is exactly
-            // the gap FS_EXECUTOR=process exists to close.
-            volatile int *null_store = nullptr;
-            *null_store = 42;
-            // Sanitizers may turn the store into a report+exit
-            // instead of a signal; make death unconditional either
-            // way.
-            std::raise(SIGSEGV);
-            break;
-          }
-          case Kind::Spin: {
-            // Hard wedge: never polls cancellation, so the
-            // cooperative watchdog cannot reap it. Only the
-            // process executor's FS_WORKER_HARD_TIMEOUT_MS SIGKILL
-            // ends it. The volatile sink keeps the infinite loop
-            // observable (a side-effect-free loop is UB).
-            volatile std::uint64_t sink = 0;
-            for (;;)
-                sink = sink + 1;
-          }
           case Kind::Hang:
             // Cooperative wedge: spins until the watchdog deadline
             // (or an explicit cancel) reaps it. Refuse to hang with

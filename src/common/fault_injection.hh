@@ -20,18 +20,6 @@
  *                             resident counter)
  *     cell=<n>:corrupt-occ    silently inflate a partition occupancy
  *                             counter mid-cell
- *     cell=<n>:segv           real segfault (guarded null store) at
- *                             cell n — survivable only under
- *                             FS_EXECUTOR=process, where it kills
- *                             one worker and quarantines the cell
- *                             as FAILED(crash:...)
- *     cell=<n>:spin           hard wedge: busy loop that never
- *                             polls cancellation, so the
- *                             FS_CELL_TIMEOUT_MS watchdog cannot
- *                             reap it — survivable only under
- *                             FS_EXECUTOR=process with
- *                             FS_WORKER_HARD_TIMEOUT_MS set
- *                             (SIGKILL, FAILED(hard-timeout))
  *     rate=<p>:transient      TransientError on a deterministic,
  *                             seed-derived fraction p of cells
  *                             (first attempt only)
@@ -137,8 +125,6 @@ class FaultInjector
         Corrupt,
         CorruptTreap,
         CorruptOcc,
-        Segv,
-        Spin,
     };
 
     struct Clause

@@ -12,7 +12,6 @@ kernels()
         &argmaxPlain,
         &argmaxMasked,
         &argmaxScaled,
-        &thresholdGe,
     };
     return kTable;
 }

@@ -7,9 +7,8 @@
  * contiguous double array): a plain argmax (unpartitioned, the
  * Vantage/PriSM fallbacks), a partition-masked argmax (PriSM's
  * drawn partition, Vantage's unmanaged region, way partitioning's
- * owned ways), a scale-by-partition-factor argmax (FS analytic/
- * feedback), and a per-candidate threshold test (Vantage's aperture
- * demotion). They are plain inline loops over ~R = 16-52 doubles;
+ * owned ways), and a scale-by-partition-factor argmax (FS analytic/
+ * feedback). They are plain inline loops over ~R = 16-52 doubles;
  * the schemes call them directly.
  *
  * Ties resolve to the lowest index (strict-greater updates in a
@@ -93,25 +92,7 @@ argmaxScaled(const double *v, const PartId *part,
     return best;
 }
 
-/**
- * Per-candidate threshold test: out[i] = (v[i] >= thresh[i]), one
- * byte per candidate; returns the number of set entries. A +inf
- * threshold excludes a candidate (finite v); Vantage's aperture
- * pass uses that for unmanaged/invalid entries.
- */
-inline std::uint32_t
-thresholdGe(const double *v, const double *thresh, std::size_t n,
-            std::uint8_t *out)
-{
-    std::uint32_t count = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = v[i] >= thresh[i] ? 1 : 0;
-        count += out[i];
-    }
-    return count;
-}
-
-/** The four scans as a table of pointers (for kernels()). */
+/** The three scans as a table of pointers (for kernels()). */
 struct Kernels
 {
     std::uint32_t (*argmaxPlain)(const double *, std::size_t);
@@ -120,8 +101,6 @@ struct Kernels
     std::uint32_t (*argmaxScaled)(const double *, const PartId *,
                                   const double *, std::size_t,
                                   std::size_t);
-    std::uint32_t (*thresholdGe)(const double *, const double *,
-                                 std::size_t, std::uint8_t *);
 };
 
 /** Constant table of the scans above, for callers that want them

@@ -1,7 +1,6 @@
 #include "partition/vantage_scheme.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/log.hh"
 #include "common/simd.hh"
@@ -28,16 +27,13 @@ VantageScheme::bind(PartitionOps *ops, std::uint32_t num_parts)
     demotions_ = 0;
     forced_ = 0;
     replacements_ = 0;
-    staleGen_.assign(num_parts, 0);
-    curGen_ = 0;
 }
 
 void
 VantageScheme::hwDemotePass(CandidateSoA &cands)
 {
-    // Stays a single serial pass: the mid-scan threshold feedback
-    // makes each candidate's test depend on the previous
-    // candidates' outcomes, so there is no snapshot to test against.
+    // The mid-scan threshold feedback makes each candidate's test
+    // depend on the previous candidates' outcomes.
     const std::size_t n = cands.size();
     for (std::size_t i = 0; i < n; ++i) {
         PartId p = cands.part[i];
@@ -69,60 +65,19 @@ VantageScheme::hwDemotePass(CandidateSoA &cands)
 void
 VantageScheme::exactDemotePass(CandidateSoA &cands)
 {
-    // Snapshot form of the serial pass
-    //   for c: ap = aperture(c.part);
-    //          if (ap > 0 && c.futility >= 1 - ap) demote(c);
-    // Snapshot each candidate's threshold, test all of them with
-    // one thresholdGe sweep, then demote serially. A demotion only
-    // changes the occupancy of the demoted partition (and the
-    // unmanaged region, which is never tested), so a snapshot
-    // decision is stale only for candidates whose partition lost a
-    // line earlier in this pass — those re-test against the
-    // current aperture, exactly what the serial loop would have
-    // seen at that point.
-    const double kPosInf = std::numeric_limits<double>::infinity();
+    // A demotion shrinks its partition's occupancy, and with it the
+    // aperture, so each candidate is tested against the aperture as
+    // it stands after the demotions before it.
     const std::size_t n = cands.size();
-    // fs-analyze: allow(hot-path-alloc) reused scratch, capacity
-    // settles at the array's associativity after one replacement
-    threshBuf_.resize(n);
-    // fs-analyze: allow(hot-path-alloc) reused scratch, capacity
-    // settles at the array's associativity after one replacement
-    flagBuf_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        PartId p = cands.part[i];
-        if (p >= numParts_) {
-            // Already unmanaged, or an invalid slot: never demoted.
-            threshBuf_[i] = kPosInf;
-            continue;
-        }
-        double ap = aperture(p);
-        threshBuf_[i] = ap > 0.0 ? 1.0 - ap : kPosInf;
-    }
-    std::uint32_t flagged = simd::thresholdGe(
-        cands.futility.data(), threshBuf_.data(), n,
-        flagBuf_.data());
-    if (flagged == 0)
-        return; // no demotions, so no snapshot ever goes stale
-
-    ++curGen_;
     for (std::size_t i = 0; i < n; ++i) {
         PartId p = cands.part[i];
         if (p >= numParts_)
-            continue;
-        bool demote_it;
-        if (staleGen_[p] == curGen_) {
-            // This partition lost a line since the snapshot; its
-            // aperture can only have shrunk, so re-test live.
-            double ap = aperture(p);
-            demote_it = ap > 0.0 && cands.futility[i] >= 1.0 - ap;
-        } else {
-            demote_it = flagBuf_[i] != 0;
-        }
-        if (demote_it) {
+            continue; // already unmanaged, or an invalid slot
+        double ap = aperture(p);
+        if (ap > 0.0 && cands.futility[i] >= 1.0 - ap) {
             ops_->demote(cands.line[i], unmanagedPart());
             cands.part[i] = unmanagedPart();
             ++demotions_;
-            staleGen_[p] = curGen_;
         }
     }
 }

@@ -105,17 +105,6 @@ class VantageScheme : public PartitionScheme
     std::uint64_t demotions_ = 0;
     std::uint64_t forced_ = 0;
     std::uint64_t replacements_ = 0;
-
-    /** Exact-mode demote-pass scratch, reused across replacements:
-     *  per-candidate demotion thresholds and the threshold-test
-     *  flags from the thresholdGe scan (common/simd.hh). */
-    std::vector<double> threshBuf_;
-    std::vector<std::uint8_t> flagBuf_;
-    /** staleGen_[p] == curGen_ marks a partition whose occupancy a
-     *  demotion changed earlier in the current pass, invalidating
-     *  its snapshot threshold (see exactDemotePass). */
-    std::vector<std::uint64_t> staleGen_;
-    std::uint64_t curGen_ = 0;
 };
 
 } // namespace fscache

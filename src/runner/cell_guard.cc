@@ -36,21 +36,14 @@ errorClassName(ErrorClass cls)
         return "timeout";
       case ErrorClass::Corruption:
         return "corruption";
-      case ErrorClass::Crash:
-        return "crash";
-      case ErrorClass::HardTimeout:
-        return "hard-timeout";
     }
     return "?";
 }
 
 std::string
-failureLabel(ErrorClass cls, const std::string &crash_signal)
+failureLabel(ErrorClass cls)
 {
-    std::string label = errorClassName(cls);
-    if (!crash_signal.empty())
-        label += ":" + crash_signal;
-    return label;
+    return errorClassName(cls);
 }
 
 namespace detail
@@ -90,7 +83,7 @@ renderManifest(const std::vector<ManifestEntry> &entries)
     std::string out;
     out += strprintf("quarantined cells: %zu\n", entries.size());
     for (const ManifestEntry &e : entries) {
-        std::string cls = failureLabel(e.errorClass, e.crashSignal);
+        std::string cls = failureLabel(e.errorClass);
         out += strprintf("  cell %zu: %s [%s, %u attempt%s] %s\n",
                          e.cell, cellStatusName(e.status),
                          cls.c_str(), e.attempts,

@@ -17,6 +17,14 @@
  *  - TimedOut: the cooperative watchdog (FS_CELL_TIMEOUT_MS)
  *    expired — pollCancellation() threw CellTimeoutError somewhere
  *    inside the cell. Never retried.
+ *  - Failed (corruption): a self-check (FS_AUDIT / FS_SHADOW)
+ *    threw StateCorruptionError. Never retried.
+ *
+ * The guard contains only failures that unwind: an exception or a
+ * watchdog poll. A hard crash (SIGSEGV, a sanitizer abort, an OOM
+ * kill) ends the process; the crash breadcrumbs name the cell, and
+ * a checkpointed sweep (runner/checkpoint.hh) rerun with the same
+ * FS_CHECKPOINT_DIR recomputes only the cells it had not finished.
  *
  * Each attempt runs inside a fresh CancelScope whose deadline is
  * cfg.timeoutMs, and fires the fault-injection point
@@ -70,35 +78,20 @@ enum class ErrorClass
      *  corrupt; never retried — the deterministic rerun would
      *  corrupt identically. */
     Corruption,
-    /** The worker process running the cell died hard (SIGSEGV, a
-     *  sanitizer abort, a nonzero exit mid-cell). Only observable
-     *  under the process executor (runner/proc_executor.hh); the
-     *  signal name travels in CellOutcome::crashSignal. Requeued on
-     *  a fresh worker up to the poison-cell threshold, then
-     *  quarantined. */
-    Crash,
-    /** The worker blew the FS_WORKER_HARD_TIMEOUT_MS wall-clock
-     *  budget and was SIGKILLed — no cooperation required, unlike
-     *  the FS_CELL_TIMEOUT_MS watchdog. Never requeued (a wedged
-     *  cell stays wedged). */
-    HardTimeout,
 };
 
 const char *cellStatusName(CellStatus status);
 
-/** "transient" / "permanent" / "timeout" / "corruption" / "crash" /
- *  "hard-timeout" / "none". */
+/** "transient" / "permanent" / "timeout" / "corruption" / "none". */
 const char *errorClassName(ErrorClass cls);
 
 /**
- * FAILED(...) marker text for artifacts: the error class, extended
- * with the terminating signal for crashes — "crash:SIGSEGV",
- * "hard-timeout", "permanent", ... Built from the class and signal
- * name only (both deterministic for deterministic faults), never
- * from reason strings, which may mention timing.
+ * FAILED(...) marker text for artifacts: the error class name —
+ * "permanent", "timeout", ... Built from the class only
+ * (deterministic for deterministic faults), never from reason
+ * strings, which may mention timing.
  */
-std::string failureLabel(ErrorClass cls,
-                         const std::string &crash_signal);
+std::string failureLabel(ErrorClass cls);
 
 /** Guard knobs; fromEnv() fills the watchdog from the environment. */
 struct CellGuardConfig
@@ -127,10 +120,6 @@ struct CellOutcome
     /** Structured multi-line report (audit violation / shadow
      *  first-divergence repro); empty for other failures. */
     std::string detail;
-    /** Signal (or exit status) that killed the worker process, e.g.
-     *  "SIGSEGV" or "exit:1"; set only for ErrorClass::Crash under
-     *  the process executor. */
-    std::string crashSignal;
     unsigned attempts = 0;      ///< attempts actually made
     std::uint64_t wallNs = 0;   ///< wall time across all attempts
     bool restored = false;      ///< satisfied from a checkpoint
@@ -138,12 +127,12 @@ struct CellOutcome
     bool ok() const { return status == CellStatus::Ok; }
 };
 
-/** failureLabel() from an outcome's class + crash signal. */
+/** failureLabel() from an outcome's class. */
 template <typename R>
 std::string
 failureLabel(const CellOutcome<R> &o)
 {
-    return failureLabel(o.errorClass, o.crashSignal);
+    return failureLabel(o.errorClass);
 }
 
 namespace detail
@@ -230,8 +219,6 @@ struct ManifestEntry
     std::string error;
     /** Structured report (audit / shadow divergence), or empty. */
     std::string detail;
-    /** Worker-terminating signal / exit status for crashes. */
-    std::string crashSignal;
     unsigned attempts = 0;
 };
 
@@ -275,7 +262,7 @@ struct SweepReport
             if (c.ok())
                 continue;
             out.push_back({i, c.status, c.errorClass, c.error,
-                           c.detail, c.crashSignal, c.attempts});
+                           c.detail, c.attempts});
         }
         return out;
     }

@@ -1,6 +1,5 @@
 #include "runner/sweep_runner.hh"
 
-#include <atomic>
 #include <thread>
 
 #include "check/breadcrumb.hh"
@@ -8,18 +7,6 @@
 
 namespace fscache
 {
-
-void
-SweepRunner::warnNoFarmWithoutCodec()
-{
-    static std::atomic<bool> warned{false};
-    if (warned.exchange(true))
-        return;
-    warn("FS_EXECUTOR=process: this sweep has no cell codec "
-         "(mapResilient without checkpoint encode/decode); results "
-         "cannot cross a process boundary, so it runs on the "
-         "thread executor instead");
-}
 
 unsigned
 SweepRunner::defaultJobs()

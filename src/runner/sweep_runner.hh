@@ -33,6 +33,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -42,7 +43,6 @@
 #include "common/log.hh"
 #include "runner/cell_guard.hh"
 #include "runner/checkpoint.hh"
-#include "runner/proc_executor.hh"
 #include "runner/thread_pool.hh"
 
 namespace fscache
@@ -54,14 +54,6 @@ class SweepRunner
   public:
     /** FS_JOBS if set (must be >= 1), else hardware concurrency. */
     static unsigned defaultJobs();
-
-    /**
-     * Warn (once per process) that FS_EXECUTOR=process was
-     * requested for a sweep that cannot farm — mapResilient()
-     * without a codec has no way to ship results across a process
-     * boundary — and that the thread executor is used instead.
-     */
-    static void warnNoFarmWithoutCodec();
 
     /** @param jobs worker count; 0 means defaultJobs() */
     explicit SweepRunner(unsigned jobs = 0);
@@ -140,9 +132,6 @@ class SweepRunner
         -> SweepReport<std::invoke_result_t<Fn &, std::size_t>>
     {
         using R = std::invoke_result_t<Fn &, std::size_t>;
-        if (!procWorkerMode() &&
-            executorKindFromEnv() == ExecutorKind::Process)
-            warnNoFarmWithoutCodec();
         SweepReport<R> report;
         report.cells.resize(cells);
         auto guarded = [&fn, &cfg, &report](std::size_t i) {
@@ -158,27 +147,14 @@ class SweepRunner
     }
 
     /**
-     * mapResilient() with crash-safe checkpoint/resume and (because
-     * the codec makes cells serializable) the process-farm
-     * executor. When FS_CHECKPOINT_DIR is set, completed cells are
-     * journaled (runner/checkpoint.hh) and a rerun with the same
-     * sweep_name + config_key recomputes only the missing cells —
-     * failed cells are never journaled, so a resume retries them.
-     * The config key is automatically extended with the cell count.
-     *
-     * When FS_EXECUTOR=process (runner/proc_executor.hh), the
-     * missing cells run on a pool of worker *processes* instead of
-     * threads: a SIGSEGV or a hard-killed wedge quarantines one
-     * cell as FAILED(crash:...)/FAILED(hard-timeout) instead of
-     * taking down the sweep. Results merge in cell order and the
-     * codec is bit-exact, so clean-run output — and the checkpoint
-     * journal — is byte-identical across executors; a journal
-     * written under one executor resumes under the other.
-     *
-     * Inside a farm worker this call never returns for the farmed
-     * sweep (it serves cells and exits); a checkpointed sweep the
-     * worker reaches *earlier* in the driver is recomputed inline,
-     * serially and unjournaled, so main() proceeds identically.
+     * mapResilient() with crash-safe checkpoint/resume. When
+     * FS_CHECKPOINT_DIR is set, completed cells are journaled
+     * (runner/checkpoint.hh) and a rerun with the same sweep_name +
+     * config_key recomputes only the missing cells — failed cells
+     * are never journaled, so a resume retries them. The config key
+     * is automatically extended with the cell count. The codec is
+     * bit-exact, so a resumed sweep renders byte-identical output
+     * to an uninterrupted one.
      *
      * @param encode R -> payload string (use CellEncoder for exact
      *        round-trips)
@@ -194,51 +170,17 @@ class SweepRunner
         -> SweepReport<std::invoke_result_t<Fn &, std::size_t>>
     {
         using R = std::invoke_result_t<Fn &, std::size_t>;
-        const std::string full_key =
-            config_key + strprintf(";cells=%zu", cells);
-        const std::uint64_t fp = fingerprint64(full_key);
-
-        if (procWorkerMode()) {
-            if (procWorkerFingerprint() != fp) {
-                // A sweep the driver runs *before* the farmed one:
-                // recompute inline (stdout is /dev/null'd) so
-                // main() reaches the sweep we were spawned for.
-                SweepRunner serial(1);
-                return serial.mapResilient(
-                    cells, std::forward<Fn>(fn), cfg);
-            }
-            auto run_cell = [&fn, &cfg, &encode](std::size_t i)
-                -> CellOutcome<std::string> {
-                CellOutcome<R> o = runGuarded(i, fn, cfg);
-                CellOutcome<std::string> w;
-                w.status = o.status;
-                w.errorClass = o.errorClass;
-                w.error = o.error;
-                w.detail = o.detail;
-                w.crashSignal = o.crashSignal;
-                w.attempts = o.attempts;
-                if (o.ok())
-                    w.value.emplace(encode(*o.value));
-                return w;
-            };
-            serveCellsAsWorker(cells, fp, run_cell);
-        }
-
-        const bool farm =
-            executorKindFromEnv() == ExecutorKind::Process;
         std::unique_ptr<CheckpointJournal> journal =
-            CheckpointJournal::openFromEnv(sweep_name, full_key);
-        if (journal == nullptr && !farm)
+            CheckpointJournal::openFromEnv(
+                sweep_name,
+                config_key + strprintf(";cells=%zu", cells));
+        if (journal == nullptr)
             return mapResilient(cells, std::forward<Fn>(fn), cfg);
 
         SweepReport<R> report;
         report.cells.resize(cells);
         std::vector<std::size_t> missing;
         for (std::size_t i = 0; i < cells; ++i) {
-            if (journal == nullptr) {
-                missing.push_back(i);
-                continue;
-            }
             auto it = journal->restored().find(i);
             if (it == journal->restored().end()) {
                 missing.push_back(i);
@@ -256,51 +198,6 @@ class SweepRunner
                 report.cells[i] = CellOutcome<R>{};
                 missing.push_back(i);
             }
-        }
-
-        if (farm) {
-            std::vector<CellOutcome<std::string>> outcomes =
-                runProcessFarm(
-                    missing, fp, ProcExecutorConfig::fromEnv(),
-                    [&journal](std::size_t cell,
-                               const std::string &payload) {
-                        // Journal the wire payload verbatim — no
-                        // re-encode — so farm and thread journals
-                        // are byte-identical.
-                        if (journal != nullptr)
-                            journal->record(cell, payload);
-                    });
-            for (std::size_t k = 0; k < missing.size(); ++k) {
-                std::size_t i = missing[k];
-                CellOutcome<std::string> &w = outcomes[k];
-                CellOutcome<R> o;
-                o.status = w.status;
-                o.errorClass = w.errorClass;
-                o.error = std::move(w.error);
-                o.detail = std::move(w.detail);
-                o.crashSignal = std::move(w.crashSignal);
-                o.attempts = w.attempts;
-                if (o.status == CellStatus::Ok &&
-                    w.value.has_value()) {
-                    try {
-                        o.value.emplace(decode(*w.value));
-                    } catch (const std::exception &e) {
-                        o = CellOutcome<R>{};
-                        o.status = CellStatus::Failed;
-                        o.errorClass = ErrorClass::Permanent;
-                        o.error = strprintf(
-                            "farm result for cell %zu "
-                            "undecodable: %s", i, e.what());
-                        o.attempts = w.attempts;
-                    }
-                } else if (o.status == CellStatus::Ok) {
-                    o.status = CellStatus::Failed;
-                    o.errorClass = ErrorClass::Permanent;
-                    o.error = "farm result missing its payload";
-                }
-                report.cells[i] = std::move(o);
-            }
-            return report;
         }
 
         auto guarded = [&](std::size_t k) {

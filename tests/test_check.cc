@@ -552,6 +552,10 @@ TEST(FaultSpecDeathTest, MalformedClausesAreFatal)
         // greppable as gone from the tree.
         {"cell=1:net" "drop", "unknown action \"net" "drop\""},
         {"cell=1:stall", "unknown action \"stall\""},
+        // The retired worker-fatal arms: a leftover spec must fail
+        // loudly, not run the cell unharmed.
+        {"cell=1:segv", "unknown action \"segv\""},
+        {"cell=0:spin", "unknown action \"spin\""},
     };
     for (const auto &[spec, message] : cases)
         EXPECT_EXIT((void)FaultInjector::parse(spec),

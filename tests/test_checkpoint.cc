@@ -1,10 +1,12 @@
 /**
  * @file
  * Checkpoint/resume tests: bit-exact payload codec round-trips,
- * journal persistence and atomicity, fingerprint keying, torn-line
- * tolerance, and the crash-safety contract — a sweep killed
- * mid-run (fork + _exit at cell k) resumes executing only the
- * missing cells with values identical to an uninterrupted run.
+ * seeded mutation tests of the codec's canonical form and of the
+ * journal loader, journal persistence and atomicity, fingerprint
+ * keying, torn-line tolerance, and the crash-safety contract — a
+ * sweep killed mid-run (fork + _exit at cell k) resumes executing
+ * only the missing cells with values identical to an uninterrupted
+ * run.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "common/errors.hh"
+#include "common/log.hh"
 #include "common/random.hh"
 #include "runner/checkpoint.hh"
 #include "runner/sweep_runner.hh"
@@ -111,6 +115,161 @@ TEST(CellCodec, GarbagePayloadThrowsTyped)
     EXPECT_THROW(d.u64(), FsError);
 }
 
+/**
+ * Decode `payload` as the token kinds in `schema` ('u' u64, 'f' f64,
+ * 's' str) and re-encode the values. Trailing tokens throw FsError,
+ * as the drivers' cell decoders do.
+ */
+std::string
+reencodeAs(const std::string &schema, const std::string &payload)
+{
+    CellDecoder d(payload);
+    CellEncoder e;
+    for (char kind : schema) {
+        if (kind == 'u')
+            e.u64(d.u64());
+        else if (kind == 'f')
+            e.f64(d.f64());
+        else
+            e.str(d.str());
+    }
+    if (!d.done())
+        throw FsError("trailing tokens");
+    return e.result();
+}
+
+/** reencodeAs() that reports FsError as false. */
+bool
+decodesCanonically(const std::string &schema,
+                   const std::string &payload, std::string &reencoded)
+{
+    try {
+        reencoded = reencodeAs(schema, payload);
+        return true;
+    } catch (const FsError &) {
+        return false;
+    }
+}
+
+/** Real encoder payloads with the schema each decodes under. */
+std::vector<std::pair<std::string, std::string>>
+seedPayloads()
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<std::pair<std::string, std::string>> seeds;
+    seeds.emplace_back(
+        "uuu", CellEncoder()
+                   .u64(0)
+                   .u64(std::numeric_limits<std::uint64_t>::max())
+                   .u64(0xdeadbeefcafef00dull)
+                   .result());
+    seeds.emplace_back(
+        "fffffff",
+        CellEncoder()
+            .f64(std::numeric_limits<double>::quiet_NaN())
+            .f64(std::bit_cast<double>(0xfff0000000000badull))
+            .f64(kInf)
+            .f64(-kInf)
+            .f64(-0.0)
+            .f64(1e-310)
+            .f64(cellDouble(3))
+            .result());
+    seeds.emplace_back("sss", CellEncoder()
+                                  .str("hello world")
+                                  .str("")
+                                  .str(std::string("\0\xff bin", 6))
+                                  .result());
+    seeds.emplace_back("usfu", CellEncoder()
+                                   .u64(7)
+                                   .str("mcf")
+                                   .f64(0.1)
+                                   .u64(0)
+                                   .result());
+    return seeds;
+}
+
+/**
+ * Apply 1-3 seeded edits to `text`: a bit flip, a truncation, or an
+ * insertion drawn mostly from `alphabet` (bytes the format itself
+ * uses, so mutants stay close to valid input and reach the deep
+ * checks) and sometimes from all 256 bytes.
+ */
+std::string
+mutate(Rng &rng, std::string text, const std::string &alphabet)
+{
+    const std::uint64_t edits = rng.range(1, 3);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+        const std::uint64_t pos = rng.below(text.size() + 1);
+        switch (rng.below(3)) {
+          case 0: // flip one bit of one byte
+            if (pos < text.size())
+                text[pos] = static_cast<char>(
+                    text[pos] ^ (1u << rng.below(8)));
+            break;
+          case 1: // truncate
+            text.resize(pos);
+            break;
+          default: // insert
+            text.insert(
+                text.begin() + static_cast<std::ptrdiff_t>(pos),
+                rng.chance(0.8)
+                    ? alphabet[rng.below(alphabet.size())]
+                    : static_cast<char>(rng.below(256)));
+            break;
+        }
+    }
+    return text;
+}
+
+TEST(CellCodec, NonCanonicalPayloadsAreRejected)
+{
+    const std::string u3 =
+        CellEncoder().u64(1).u64(0xabc).u64(5).result();
+    ASSERT_EQ(u3, "1 abc 5");
+    std::string out;
+    for (const char *bad :
+         {" 1 abc 5", "1  abc 5", "1 abc 5 ", "1 0abc 5", "1 ABC 5",
+          "1 -abc 5", "1 +abc 5", "1 0xabc 5",
+          "1 abc 10000000000000000", "1 abc\t5", "1 abc", ""})
+        EXPECT_FALSE(decodesCanonically("uuu", bad, out)) << bad;
+
+    const std::string s2 = CellEncoder().str("").str("\x01").result();
+    ASSERT_EQ(s2, "s s01");
+    for (const char *bad :
+         {"s s0", "s s1", "s S01", "s s0A", "x s01", "s s01 s"})
+        EXPECT_FALSE(decodesCanonically("ss", bad, out)) << bad;
+}
+
+/**
+ * Deterministic mutation test of CellDecoder's canonical-form
+ * checks: seeded byte flips, truncations and insertions over real
+ * CellEncoder payloads. Every mutant must either decode to values
+ * that re-encode to exactly its bytes, or be rejected with FsError —
+ * never crash, hang, or trip a sanitizer.
+ */
+TEST(CellCodec, MutatedPayloadsDecodeCanonicallyOrThrow)
+{
+    const auto seeds = seedPayloads();
+    const std::string alphabet = "0123456789abcdefs -+xX\t\n";
+    Rng rng(0x5eedc0dec0ffeeull);
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int iter = 0; iter < 20000; ++iter) {
+        const auto &[schema, seed] = seeds[rng.below(seeds.size())];
+        const std::string payload = mutate(rng, seed, alphabet);
+        std::string reencoded;
+        if (decodesCanonically(schema, payload, reencoded)) {
+            ++accepted;
+            ASSERT_EQ(reencoded, payload) << "iteration " << iter;
+        } else {
+            ++rejected;
+        }
+    }
+    // Both outcomes must actually be exercised.
+    EXPECT_GT(accepted, 100u);
+    EXPECT_GT(rejected, 100u);
+}
+
 TEST(Fingerprint, DiffersAcrossKeys)
 {
     EXPECT_NE(fingerprint64("fig2;cells=54"),
@@ -161,6 +320,59 @@ TEST_F(CheckpointTest, TornTrailingLineIsSkipped)
     auto j = CheckpointJournal::openAt(dir_, "sweep", "k=1");
     ASSERT_EQ(j->restored().size(), 2u);
     EXPECT_EQ(j->restored().count(2), 0u);
+}
+
+/**
+ * Mutated journal lines through CheckpointJournal's loader: each
+ * mutant is either skipped (that cell recomputes) or restored as one
+ * entry whose payload then decodes canonically or throws FsError
+ * (mapResilientCheckpointed recomputes that cell too). Never a
+ * crash.
+ */
+TEST_F(CheckpointTest, MutatedJournalLinesAreSkippedOrRestored)
+{
+    const auto seeds = seedPayloads();
+    const std::string alphabet = "0123456789abcdefs -+\"{}:,cellv\n";
+    Rng rng(0x5eedc0dec0ffeeull);
+    std::string path;
+    {
+        auto probe = CheckpointJournal::openAt(dir_, "mut", "k");
+        ASSERT_NE(probe, nullptr);
+        path = probe->path();
+    }
+    std::size_t skipped = 0;
+    std::size_t decoded = 0;
+    std::size_t undecodable = 0;
+    for (int iter = 0; iter < 2000; ++iter) {
+        const std::size_t k = rng.below(seeds.size());
+        const auto &[schema, payload] = seeds[k];
+        const std::string line = mutate(
+            rng,
+            strprintf("{\"cell\":%zu,\"v\":\"%s\"}", k,
+                      payload.c_str()),
+            alphabet);
+        {
+            std::ofstream out(path, std::ios::trunc);
+            out << line << '\n';
+        }
+        auto j = CheckpointJournal::openAt(dir_, "mut", "k");
+        ASSERT_LE(j->restored().size(), 1u) << line;
+        if (j->restored().empty()) {
+            ++skipped;
+            continue;
+        }
+        const std::string &restored = j->restored().begin()->second;
+        std::string reencoded;
+        if (decodesCanonically(schema, restored, reencoded)) {
+            ++decoded;
+            ASSERT_EQ(reencoded, restored) << "iteration " << iter;
+        } else {
+            ++undecodable;
+        }
+    }
+    EXPECT_GT(skipped, 100u);
+    EXPECT_GT(decoded, 100u);
+    EXPECT_GT(undecodable, 100u);
 }
 
 TEST_F(CheckpointTest, UnsetEnvDisablesCheckpointing)

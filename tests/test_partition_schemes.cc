@@ -9,7 +9,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "analytic/scaling_solver.hh"
@@ -92,30 +91,14 @@ TEST(VictimScans, AllSkippedScaledReturnsZero)
     EXPECT_EQ(simd::argmaxScaled(v2, some, factors, 2, 3), 1u);
 }
 
-TEST(VictimScans, InfiniteThresholdExcludes)
-{
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    const double v[] = {1.0, 0.5, 0.5, 0.0};
-    const double thresh[] = {kInf, 0.5, 0.75, 0.0};
-    std::uint8_t out[4] = {7, 7, 7, 7};
-    EXPECT_EQ(simd::thresholdGe(v, thresh, 4, out), 2u);
-    EXPECT_EQ(out[0], 0u);
-    EXPECT_EQ(out[1], 1u); // >= includes equality
-    EXPECT_EQ(out[2], 0u);
-    EXPECT_EQ(out[3], 1u);
-}
-
 TEST(VictimScans, EmptyInputReturnsInitValue)
 {
     const double v[] = {0.5};
     const PartId part[] = {0};
     const double factors[] = {1.0};
-    std::uint8_t out[1] = {7};
     EXPECT_EQ(simd::argmaxPlain(v, 0), 0u);
     EXPECT_EQ(simd::argmaxMasked(v, part, 0, 0), -1);
     EXPECT_EQ(simd::argmaxScaled(v, part, factors, 1, 0), 0u);
-    EXPECT_EQ(simd::thresholdGe(v, v, 0, out), 0u);
-    EXPECT_EQ(out[0], 7u); // nothing written
 }
 
 TEST(Unpartitioned, EvictsMaxFutility)

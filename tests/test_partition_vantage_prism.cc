@@ -37,6 +37,8 @@ class MockOps : public PartitionOps
     demote(LineId line, PartId to_part) override
     {
         demoted.emplace_back(line, to_part);
+        if (shrinkOnDemote < sizes_.size())
+            --sizes_[shrinkOnDemote];
     }
 
     double
@@ -57,6 +59,9 @@ class MockOps : public PartitionOps
     std::vector<std::uint32_t> sizes_;
     std::vector<std::pair<LineId, PartId>> demoted;
     std::unordered_map<LineId, double> fut;
+    /** Partition that loses a line per demotion, as the demoted
+     *  line's partition does in the real cache; none by default. */
+    PartId shrinkOnDemote = kInvalidPart;
 };
 
 TEST(Vantage, ApertureZeroAtOrBelowTarget)
@@ -108,6 +113,28 @@ TEST(Vantage, DemotesOversizedCandidatesInAperture)
     EXPECT_EQ(victim, 0u);
     EXPECT_EQ(s.demotions(), 1u);
     EXPECT_EQ(s.forcedEvictions(), 0u);
+}
+
+TEST(Vantage, EachDemotionNarrowsTheApertureForLaterCandidates)
+{
+    MockOps ops({105, 100});
+    ops.shrinkOnDemote = 0;
+    VantageScheme s; // slack 0.1, aMax 0.5
+    s.bind(&ops, 2);
+    s.setTarget(0, 100);
+    s.setTarget(1, 100);
+    // 105 lines: aperture 0.25, so the pass starts demoting at
+    // futility >= 0.75. Each demotion costs partition 0 a line:
+    // at 104 the bar is 0.8, at 103 it is 0.85, so the third
+    // candidate stays even though it clears the starting bar.
+    CandidateVec c{{1, 0, 0.95}, {2, 0, 0.82}, {3, 0, 0.83}};
+    ops.loadFutilities(c);
+    s.selectVictim(c, 0);
+    ASSERT_EQ(ops.demoted.size(), 2u);
+    EXPECT_EQ(ops.demoted[0].first, 1u);
+    EXPECT_EQ(ops.demoted[1].first, 2u);
+    EXPECT_EQ(ops.sizes_[0], 103u);
+    EXPECT_EQ(s.demotions(), 2u);
 }
 
 TEST(Vantage, EvictsMostFutileUnmanaged)

@@ -52,23 +52,13 @@ layering
     (#include from a lower layer into a higher one) fails the pass;
     CMake link lines cannot catch these for header-only reach.
 
-Frontends
----------
-The passes run on a frontend-independent model. Two frontends build
-it:
-
-  clang    libclang via clang.cindex over compile_commands.json —
-           full semantic types. Used when the bindings and a
-           libclang shared library are importable (CI installs a
-           pinned `libclang` wheel).
-  builtin  a dependency-free C++ tokenizer/scope parser shipped in
-           this file. Less precise (no overload resolution, textual
-           types) but understands declarations, scopes, call
-           expressions and annotations — enough for every pass, and
-           what runs in minimal environments.
-
---frontend auto (default) prefers clang and falls back to builtin
-with a notice. Findings are designed to be stable across frontends.
+Frontend
+--------
+The passes run on a model built by a dependency-free C++
+tokenizer/scope parser shipped in this file. It is not a full
+parser (no overload resolution, textual types) but understands
+declarations, scopes, call expressions and annotations — enough for
+every pass, with nothing to install.
 
 Suppressions and the baseline
 -----------------------------
@@ -189,7 +179,7 @@ CPP_KEYWORDS = frozenset({
 
 
 # ------------------------------------------------------------------
-# Model: the frontend-independent IR
+# Model: the IR the passes run on
 # ------------------------------------------------------------------
 
 @dataclass
@@ -280,7 +270,6 @@ class Model:
         self.class_by_name = {}    # simple name -> [qnames]
         self.derived = {}          # class qname -> set(derived qnames)
         self.aliases = {}          # simple alias name -> target type
-        self.frontend = "?"
 
     def add_function(self, fn: FunctionInfo):
         self.functions.setdefault(fn.qname, []).append(fn)
@@ -364,12 +353,8 @@ class AnalyzerError(Exception):
     pass
 
 
-class FrontendUnavailable(AnalyzerError):
-    pass
-
-
 # ------------------------------------------------------------------
-# Builtin frontend: comment stripping + tokenizer
+# Frontend: comment stripping + tokenizer
 # ------------------------------------------------------------------
 
 TOKEN_RE = re.compile(r"""
@@ -457,18 +442,16 @@ def norm_expr(tokens) -> str:
 
 
 # ------------------------------------------------------------------
-# Builtin frontend: parser
+# Frontend: parser
 # ------------------------------------------------------------------
 
-class BuiltinFrontend:
+class Frontend:
     """Token/scope-level C++ parser producing the Model.
 
     Not a full parser: it tracks namespaces, class bodies, function
     definitions, member declarations, aliases, call expressions and
     lock scopes, which is what the passes consume. Heuristics are
     documented inline; the fixture self-test pins the behavior."""
-
-    name = "builtin"
 
     def __init__(self, root: Path, subdirs=("src",)):
         self.root = root
@@ -480,7 +463,6 @@ class BuiltinFrontend:
 
     def build(self) -> Model:
         model = Model()
-        model.frontend = self.name
         files = []
         for sub in self.subdirs:
             d = self.root / sub
@@ -520,9 +502,8 @@ class BuiltinFrontend:
                 fi.comment_only.add(no)
 
         # Lines inside FSCACHE_AUDIT(...) arguments are runtime
-        # audit-gated (src/check/audit.hh): cold by construction,
-        # whatever frontend parsed them. Track balanced parens from
-        # each macro head.
+        # audit-gated (src/check/audit.hh): cold by construction.
+        # Track balanced parens from each macro head.
         audit_depth = 0
         for no, line in stripped_lines(text):
             col = 0
@@ -1283,315 +1264,6 @@ class BuiltinFrontend:
 
 
 # ------------------------------------------------------------------
-# clang.cindex frontend
-# ------------------------------------------------------------------
-
-class ClangFrontend:
-    """libclang frontend: same Model, semantic types.
-
-    Requires the `clang` Python bindings plus a loadable libclang
-    (pip install libclang pins both). compile_commands.json supplies
-    per-file flags; without one, a -std=c++20 -I<root>/src fallback
-    is used (enough for self-contained fixtures)."""
-
-    name = "clang"
-
-    def __init__(self, root: Path, subdirs=("src",),
-                 compile_commands: Path | None = None):
-        self.root = root
-        self.subdirs = subdirs
-        self.ccpath = compile_commands
-        try:
-            import clang.cindex as cindex  # noqa: PLC0415
-        except ImportError as e:
-            raise FrontendUnavailable(
-                f"clang.cindex not importable: {e}") from e
-        self.cindex = cindex
-        try:
-            self.index = cindex.Index.create()
-        except Exception as e:  # loading libclang can fail many ways
-            raise FrontendUnavailable(
-                f"libclang not loadable: {e}") from e
-
-    def _args_for(self, path: Path) -> list:
-        if self.ccpath and self.ccpath.is_file():
-            try:
-                db = self.cindex.CompilationDatabase.fromDirectory(
-                    str(self.ccpath.parent))
-                cmds = db.getCompileCommands(str(path))
-                if cmds:
-                    args = list(cmds[0].arguments)[1:]
-                    # Strip -c/-o and the filename.
-                    out = []
-                    skip = False
-                    for a in args:
-                        if skip:
-                            skip = False
-                            continue
-                        if a in ("-c", str(path)):
-                            continue
-                        if a == "-o":
-                            skip = True
-                            continue
-                        out.append(a)
-                    return out
-            except Exception:
-                pass
-        return ["-std=c++20", "-x", "c++",
-                f"-I{self.root / 'src'}"]
-
-    def build(self) -> Model:
-        cindex = self.cindex
-        model = Model()
-        model.frontend = self.name
-        files = []
-        for sub in self.subdirs:
-            d = self.root / sub
-            if d.is_dir():
-                files.extend(p for p in sorted(d.rglob("*"))
-                             if p.suffix in (".cc", ".cpp"))
-                # Headers are reached through the TUs; standalone
-                # headers with no .cc still need direct parses.
-                files.extend(p for p in sorted(d.rglob("*"))
-                             if p.suffix in (".hh", ".hpp", ".h")
-                             and not p.with_suffix(".cc").exists())
-        seen_files = set()
-        for p in files:
-            try:
-                tu = self.index.parse(
-                    str(p), args=self._args_for(p),
-                    options=cindex.TranslationUnit.
-                    PARSE_DETAILED_PROCESSING_RECORD)
-            except Exception as e:
-                raise AnalyzerError(f"clang parse failed for "
-                                    f"{p}: {e}") from e
-            self._collect_tu(model, tu, seen_files)
-        # Directive comments / includes still come from the text —
-        # reuse the builtin reader so suppression semantics match.
-        bf = BuiltinFrontend(self.root, self.subdirs)
-        text_model = bf.build()
-        model.files = text_model.files
-        for name, target in text_model.aliases.items():
-            model.aliases.setdefault(name, target)
-        model.finalize()
-        return model
-
-    def _rel(self, cursor) -> str:
-        try:
-            f = cursor.location.file
-            if f is None:
-                return ""
-            p = Path(f.name).resolve()
-            return p.relative_to(self.root.resolve()).as_posix()
-        except Exception:
-            return ""
-
-    def _qname(self, cursor) -> str:
-        parts = []
-        c = cursor
-        while c is not None and c.kind not in (
-                self.cindex.CursorKind.TRANSLATION_UNIT,):
-            if c.spelling:
-                parts.append(c.spelling)
-            c = c.semantic_parent
-        return "::".join(reversed(parts))
-
-    def _annotations(self, cursor):
-        out = set()
-        for ch in cursor.get_children():
-            if ch.kind == self.cindex.CursorKind.ANNOTATE_ATTR:
-                out.add(ch.spelling)
-        return out
-
-    def _collect_tu(self, model, tu, seen_files):
-        CK = self.cindex.CursorKind
-        root_res = self.root.resolve()
-
-        def in_repo(c):
-            try:
-                f = c.location.file
-                return f is not None and Path(f.name).resolve()\
-                    .is_relative_to(root_res)
-            except Exception:
-                return False
-
-        def visit(cursor):
-            for c in cursor.get_children():
-                if not in_repo(c):
-                    continue
-                rel = self._rel(c)
-                if c.kind in (CK.CLASS_DECL, CK.STRUCT_DECL,
-                              CK.CLASS_TEMPLATE) and \
-                        c.is_definition():
-                    key = (rel, c.location.line, c.spelling, "class")
-                    if key not in seen_files:
-                        seen_files.add(key)
-                        self._collect_class(model, c, rel)
-                    visit(c)
-                elif c.kind in (CK.CXX_METHOD, CK.FUNCTION_DECL,
-                                CK.CONSTRUCTOR, CK.DESTRUCTOR,
-                                CK.FUNCTION_TEMPLATE) and \
-                        c.is_definition():
-                    key = (rel, c.location.line, c.spelling, "fn")
-                    if key not in seen_files:
-                        seen_files.add(key)
-                        self._collect_function(model, c, rel)
-                elif c.kind in (CK.NAMESPACE,):
-                    visit(c)
-                elif c.kind in (CK.TYPE_ALIAS_DECL,
-                                CK.TYPEDEF_DECL):
-                    try:
-                        target = c.underlying_typedef_type\
-                            .get_canonical().spelling
-                        model.aliases.setdefault(c.spelling, target)
-                    except Exception:
-                        pass
-                    # also visit children for nested decls
-                elif c.kind in (CK.UNEXPOSED_DECL,
-                                CK.LINKAGE_SPEC):
-                    visit(c)
-
-        visit(tu.cursor)
-
-    def _collect_class(self, model, cursor, rel):
-        CK = self.cindex.CursorKind
-        qname = self._qname(cursor)
-        ci = ClassInfo(qname=qname, name=cursor.spelling, file=rel,
-                       line=cursor.location.line)
-        for ch in cursor.get_children():
-            if ch.kind == CK.CXX_BASE_SPECIFIER:
-                base = ch.type.spelling.split("<")[0]
-                ci.bases.append(base.split("::")[-1].strip())
-            elif ch.kind == CK.FIELD_DECL:
-                guard = ""
-                for ann in self._annotations(ch):
-                    if ann.startswith("fs_guarded_by:"):
-                        guard = ann.split(":", 1)[1].strip()
-                ty = ch.type.get_canonical().spelling
-                ci.fields[ch.spelling] = FieldInfo(
-                    name=ch.spelling, type=ty,
-                    line=ch.location.line, guard=guard,
-                    is_const=ch.type.is_const_qualified())
-            elif ch.kind in (CK.CXX_METHOD, CK.CONSTRUCTOR,
-                             CK.DESTRUCTOR, CK.FUNCTION_TEMPLATE):
-                ci.method_names.add(ch.spelling)
-                if "fs_cold" in self._annotations(ch) and \
-                        not ch.is_definition():
-                    model.add_function(FunctionInfo(
-                        qname=f"{qname}::{ch.spelling}",
-                        name=ch.spelling, cls=qname, file=rel,
-                        line=ch.location.line, cold=True))
-        model.add_class(ci)
-
-    def _collect_function(self, model, cursor, rel):
-        CK = self.cindex.CursorKind
-        qname = self._qname(cursor)
-        parent = cursor.semantic_parent
-        cls = ""
-        if parent is not None and parent.kind in (
-                CK.CLASS_DECL, CK.STRUCT_DECL, CK.CLASS_TEMPLATE):
-            cls = self._qname(parent)
-        ann = self._annotations(cursor)
-        fn = FunctionInfo(qname=qname, name=cursor.spelling,
-                          cls=cls, file=rel,
-                          line=cursor.location.line,
-                          cold="fs_cold" in ann,
-                          hot="fs_hot" in ann)
-        # GNU cold attribute without annotate (GCC branch of
-        # annotations.hh) — not visible here; the textual FS_COLD
-        # marker is recovered by merging with the builtin model in
-        # the auto frontend if ever needed.
-        self._walk_body(model, fn, cursor)
-        model.add_function(fn)
-
-    def _walk_body(self, model, fn, cursor):
-        CK = self.cindex.CursorKind
-
-        def visit(c, locks):
-            for ch in c.get_children():
-                k = ch.kind
-                if k == CK.CXX_NEW_EXPR:
-                    fn.allocs.append(AllocSite(
-                        kind="new", what="operator new",
-                        line=ch.location.line))
-                elif k == CK.CALL_EXPR:
-                    self._record_call_cursor(model, fn, ch, locks)
-                elif k == CK.CXX_FOR_RANGE_STMT:
-                    kids = list(ch.get_children())
-                    if len(kids) >= 2:
-                        rng = kids[-2]
-                        fn.iters.append(IterSite(
-                            expr=self._expr_text(rng),
-                            line=ch.location.line))
-                elif k == CK.VAR_DECL:
-                    ty = ch.type.spelling
-                    fn.locals.setdefault(ch.spelling,
-                                         ch.type.get_canonical()
-                                         .spelling)
-                    if LOCK_DECL_RE.search(ty):
-                        args = [self._expr_text(a) for a in
-                                ch.get_children()
-                                if a.kind != CK.TYPE_REF]
-                        locks = locks | {a for a in args if a}
-                elif k == CK.MEMBER_REF_EXPR:
-                    base = list(ch.get_children())
-                    recv = self._expr_text(base[0]) if base else ""
-                    if recv in ("this", ""):
-                        recv = ""
-                    fn.uses.append(FieldUse(
-                        recv=recv, name=ch.spelling,
-                        line=ch.location.line,
-                        locks=frozenset(locks)))
-                visit(ch, locks)
-
-        visit(cursor, frozenset())
-
-    def _expr_text(self, cursor) -> str:
-        try:
-            toks = [t.spelling for t in cursor.get_tokens()]
-            return "".join("." if t == "->" else t for t in toks)
-        except Exception:
-            return ""
-
-    def _record_call_cursor(self, model, fn, cursor, locks):
-        CK = self.cindex.CursorKind
-        name = cursor.spelling or ""
-        ref = cursor.referenced
-        quals = ()
-        recv = ""
-        if ref is not None:
-            q = self._qname(ref)
-            if "::" in q:
-                quals = tuple(q.split("::")[:-1])
-                name = q.split("::")[-1]
-        kids = list(cursor.get_children())
-        if kids and kids[0].kind == CK.MEMBER_REF_EXPR:
-            sub = list(kids[0].get_children())
-            if sub:
-                recv = self._expr_text(sub[0])
-        if name:
-            fn.calls.append(CallSite(
-                name=name, qual=quals, recv=recv,
-                line=cursor.location.line))
-            if name in ALLOC_CALLS or name == "operator new":
-                fn.allocs.append(AllocSite(
-                    kind="call", what=f"{name}()",
-                    line=cursor.location.line))
-            elif name in STRONG_GROWTH_METHODS or \
-                    name in WEAK_GROWTH_METHODS:
-                owner = ""
-                if ref is not None and ref.semantic_parent:
-                    owner = self._qname(ref.semantic_parent)
-                strong = owner.startswith("std::")
-                if strong or name in STRONG_GROWTH_METHODS:
-                    fn.allocs.append(AllocSite(
-                        kind="container-growth", what=f".{name}()",
-                        recv=recv or owner, method=name,
-                        line=cursor.location.line,
-                        strong=strong))
-
-
-# ------------------------------------------------------------------
 # Shared helpers for passes
 # ------------------------------------------------------------------
 
@@ -2091,24 +1763,8 @@ PASS_FNS = {
 }
 
 
-def build_model(root: Path, frontend: str,
-                compile_commands: Path | None,
-                subdirs=("src",)) -> Model:
-    if frontend in ("clang", "auto"):
-        try:
-            return ClangFrontend(root, subdirs,
-                                 compile_commands).build()
-        except FrontendUnavailable as e:
-            if frontend == "clang":
-                raise
-            print(f"fscache_analyze: libclang unavailable "
-                  f"({e}); using builtin frontend", file=sys.stderr)
-        except AnalyzerError as e:
-            if frontend == "clang":
-                raise
-            print(f"fscache_analyze: clang frontend failed ({e}); "
-                  f"using builtin frontend", file=sys.stderr)
-    return BuiltinFrontend(root, subdirs).build()
+def build_model(root: Path, subdirs=("src",)) -> Model:
+    return Frontend(root, subdirs).build()
 
 
 def run_passes(model: Model, passes) -> list:
@@ -2151,13 +1807,13 @@ def write_baseline(path: Path, findings):
 # Fixture self-test
 # ------------------------------------------------------------------
 
-def self_test(repo_root: Path, frontend: str) -> int:
+def self_test(repo_root: Path) -> int:
     fixture_root = repo_root / "tools" / "analyze_fixtures"
     if not fixture_root.is_dir():
         print(f"self-test: fixture dir missing: {fixture_root}",
               file=sys.stderr)
         return 2
-    model = build_model(fixture_root, frontend, None)
+    model = build_model(fixture_root)
     findings = run_passes(model, ALL_PASSES)
     got = {(f.file, f.rule, f.symbol) for f in findings}
     expected = {
@@ -2207,9 +1863,8 @@ def self_test(repo_root: Path, frontend: str) -> int:
         ok = False
     if not ok:
         return 2
-    print(f"self-test: ok ({len(expected)} expected findings on "
-          f"the {model.frontend} frontend; negative fixtures and "
-          f"suppressed sites stayed quiet)")
+    print(f"self-test: ok ({len(expected)} expected findings; "
+          f"negative fixtures and suppressed sites stayed quiet)")
     return 0
 
 
@@ -2219,12 +1874,6 @@ def main(argv=None) -> int:
                     "(see module docstring)")
     ap.add_argument("--root", type=Path, default=None,
                     help="repo root (default: this script's repo)")
-    ap.add_argument("--frontend", choices=("auto", "clang",
-                                           "builtin"),
-                    default="auto")
-    ap.add_argument("--compile-commands", type=Path, default=None,
-                    help="compile_commands.json for the clang "
-                         "frontend (default: build/release/)")
     ap.add_argument("--passes", default=",".join(ALL_PASSES),
                     help="comma-separated subset of: "
                          + ", ".join(ALL_PASSES))
@@ -2248,7 +1897,7 @@ def main(argv=None) -> int:
 
     try:
         if args.self_test:
-            return self_test(repo_root, args.frontend)
+            return self_test(repo_root)
 
         passes = [p.strip() for p in args.passes.split(",")
                   if p.strip()]
@@ -2257,20 +1906,12 @@ def main(argv=None) -> int:
                 print(f"unknown pass: {p}", file=sys.stderr)
                 return 2
 
-        cc = args.compile_commands
-        if cc is None:
-            for d in ("build/release", "build"):
-                cand = repo_root / d / "compile_commands.json"
-                if cand.is_file():
-                    cc = cand
-                    break
-        model = build_model(repo_root, args.frontend, cc)
+        model = build_model(repo_root)
         findings = run_passes(model, passes)
 
         if args.json:
             args.json.write_text(json.dumps(
-                {"frontend": model.frontend,
-                 "findings": [f.to_json() for f in findings]},
+                {"findings": [f.to_json() for f in findings]},
                 indent=2) + "\n", encoding="utf-8")
 
         baseline_path = (args.baseline or
@@ -2302,13 +1943,12 @@ def main(argv=None) -> int:
                   file=sys.stderr)
         if fresh:
             print(f"fscache_analyze: {len(fresh)} unbaselined "
-                  f"finding(s) on the {model.frontend} frontend "
-                  f"({len(findings) - len(fresh)} baselined)",
+                  f"finding(s) ({len(findings) - len(fresh)} "
+                  f"baselined)",
                   file=sys.stderr)
             return 1
         print(f"fscache_analyze: clean "
-              f"({len(findings)} baselined finding(s), "
-              f"frontend={model.frontend})")
+              f"({len(findings)} baselined finding(s))")
         return 0
     except AnalyzerError as e:
         print(f"fscache_analyze: error: {e}", file=sys.stderr)

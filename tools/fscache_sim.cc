@@ -22,9 +22,8 @@
  *
  * Each sweep cell reduces to a serializable SimCellRecord (every
  * number the reports print, doubles stored by bit pattern), so the
- * sweep is checkpointable (FS_CHECKPOINT_DIR) and farmable across
- * worker processes (FS_EXECUTOR=process) with byte-identical
- * output; see docs/ROBUSTNESS.md.
+ * sweep is checkpointable (FS_CHECKPOINT_DIR): a killed run resumes
+ * with byte-identical output; see docs/ROBUSTNESS.md.
  */
 
 #include <cstdio>
@@ -97,8 +96,8 @@ struct ThreadReport
 /**
  * One finished (size) cell, reduced to the numbers the reports
  * print — plain data, so a cell result can cross a checkpoint
- * journal or a worker-process pipe bit-exactly instead of keeping a
- * live PartitionedCache alive until rendering.
+ * journal bit-exactly instead of keeping a live PartitionedCache
+ * alive until rendering.
  */
 struct SimCellRecord
 {
@@ -257,10 +256,6 @@ reportTable(const SimCellRecord &cell, const Workload &wl,
 int
 main(int argc, char **argv)
 {
-    // Farm support: capture argv for worker re-exec and strip the
-    // hidden --fs-worker flag before ArgParser sees it.
-    procExecutorInit(&argc, argv);
-
     ArgParser args("fscache_sim",
                    "trace-driven partitioned-cache simulator "
                    "(Futility Scaling et al.)");
@@ -358,8 +353,8 @@ main(int argc, char **argv)
     std::string targets = args.getString("targets");
 
     // Everything that changes a cell's numbers goes into the
-    // checkpoint/farm identity key: a journal (or a farm worker)
-    // can only ever be matched with the sweep that produced it.
+    // checkpoint identity key: a journal can only ever be matched
+    // with the sweep that produced it.
     std::string config_key = strprintf(
         "fscache_sim;scheme=%s;array=%s;ranking=%s;hash=%s;"
         "lines=%s;ways=%lld;cands=%lld;threads=%s;traces=%s;"
@@ -382,8 +377,7 @@ main(int argc, char **argv)
     // randomness re-seeded from --seed) driving the shared traces.
     // Resilient: a failing size renders as an explicit FAILED entry
     // and the other sizes still report; with FS_CHECKPOINT_DIR set
-    // the sweep is resumable and with FS_EXECUTOR=process each cell
-    // runs in a crash-contained worker process (docs/ROBUSTNESS.md).
+    // the sweep is resumable (docs/ROBUSTNESS.md).
     SweepRunner runner;
     auto report = runner.mapResilientCheckpointed(
         sizes.size(),
