@@ -1,26 +1,34 @@
 /**
  * @file
- * Binary-indexed (Fenwick) count tree over a power-of-two range of
- * positions: each position holds a count (mark() adds one, unmark()
- * removes one), and the tree answers "how many marks below position
- * p" and "where is the k-th mark" in O(log capacity) array
- * arithmetic.
+ * Binary-indexed (Fenwick) count trees over a power-of-two range of
+ * positions: mark() adds a mark at a position, unmark() removes one,
+ * and the tree answers "how many marks below position p" and "where
+ * is the k-th mark" in O(log capacity) array arithmetic. Compared to
+ * an order-statistic treap, a Fenwick walk touches log2(C)
+ * contiguous array words instead of chasing log2(N) heap-allocated
+ * node pointers, and needs no rebalancing state (no priorities, no
+ * RNG).
  *
- * This is the order structure behind RecencyRankingBase (positions
- * are recency stamps, marks are resident lines, prefix counts are
- * exact LRU ranks), OptRanking (positions are next-use times; equal
- * next uses share a position, so counts exceed one) and the
- * StackDistGenerator's LRU stack (the k-th most recent entry is a
- * select). Compared to an order-statistic treap, a Fenwick walk
- * touches log2(C) contiguous array words instead of chasing log2(N)
- * heap-allocated node pointers, and needs no rebalancing state (no
- * priorities, no RNG).
+ * Two shapes:
+ *
+ *  - FenwickTree: a 4-byte count per position, so a position can
+ *    hold any number of marks. OptRanking's next-use axis needs
+ *    that (equal next uses share a position).
+ *  - BitFenwick: for mark-once axes, one bit per position plus a
+ *    FenwickTree over the popcounts of the 64-bit words: 1/8 B
+ *    plus 1/16 B per position instead of 4 B, and a tree six
+ *    levels shallower. Every other client is mark-once: the
+ *    recency stamp axis behind RecencyRankingBase (marks are
+ *    resident lines, prefix counts are exact LRU ranks), OPT's
+ *    never-used set over line ids, and the StackDistGenerator's
+ *    LRU stack (the k-th most recent entry is a select).
  */
 
 #ifndef FSCACHE_COMMON_FENWICK_HH
 #define FSCACHE_COMMON_FENWICK_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -29,10 +37,18 @@
 namespace fscache
 {
 
-/** See file comment. */
+/** A 4-byte count per position; see file comment. */
 class FenwickTree
 {
   public:
+    /** Where select() found the k-th mark: its position, and k's
+     *  0-based index among the marks at that position. */
+    struct Slot
+    {
+        std::uint32_t pos;
+        std::uint32_t within;
+    };
+
     FenwickTree() = default;
 
     explicit FenwickTree(std::uint32_t capacity) { reset(capacity); }
@@ -47,10 +63,9 @@ class FenwickTree
         cap_ = capacity;
         total_ = 0;
         // fs-analyze: allow(hot-path-alloc) reset runs once per
-        // tree — construction, or first sight of a partition id in
-        // a ranking's ensurePart, bounded by the partition count —
-        // or when StackDistGenerator doubles its axis, bounded by
-        // log2(maxResident) (witness: tests/test_hot_alloc.cc).
+        // tree, from BitFenwick::reset or OptRanking's ensurePart;
+        // both are bounded (see BitFenwick::reset; witness:
+        // tests/test_hot_alloc.cc).
         tree_.assign(cap_ + 1, 0);
     }
 
@@ -83,15 +98,24 @@ class FenwickTree
         cap_ = capacity;
     }
 
-    /** Make exactly positions [0, n) marked once each, in O(capacity)
-     *  (node i covers the 1-based range (i - lowbit(i), i]). */
+    /**
+     * Lay n marks out `per_pos` to a position from position 0 up
+     * (the last position reached may hold fewer), in O(capacity):
+     * node i covers the 0-based positions [i - lowbit(i), i), which
+     * hold the marks numbered from per_pos * (i - lowbit(i)).
+     */
     void
-    fillPrefix(std::uint32_t n)
+    fillPrefix(std::uint32_t n, std::uint32_t per_pos = 1)
     {
-        fs_assert(n <= cap_, "fenwick prefix fill out of range");
+        fs_assert(n <= std::uint64_t{per_pos} * cap_,
+                  "fenwick prefix fill out of range");
         for (std::uint32_t i = 1; i <= cap_; ++i) {
             std::uint32_t lo = i - (i & (0u - i));
-            tree_[i] = n > lo ? std::min(i, n) - lo : 0;
+            std::uint64_t first = std::uint64_t{per_pos} * lo;
+            std::uint64_t span = std::uint64_t{per_pos} * (i - lo);
+            tree_[i] = n > first ? static_cast<std::uint32_t>(
+                                       std::min(n - first, span))
+                                 : 0;
         }
         total_ = n;
     }
@@ -129,15 +153,15 @@ class FenwickTree
     std::uint32_t capacity() const { return cap_; }
 
     /**
-     * Position of the k-th mark in position order (0-based; a
-     * position holding c marks is hit by c consecutive k), by the
-     * standard select descent: walk the implicit tree from the top
-     * bit down, stepping right past every left subtree that holds
-     * no more than the marks still needed. Requires k < total().
-     * select(0) is the lowest marked position, select(total() - 1)
-     * the highest.
+     * Where the k-th mark in position order lies (0-based; a
+     * position holding c marks is hit by c consecutive k, with
+     * within 0..c-1), by the standard select descent: walk the
+     * implicit tree from the top bit down, stepping right past
+     * every left subtree that holds no more than the marks still
+     * needed. Requires k < total(). select(0) is the lowest marked
+     * position, select(total() - 1) the highest.
      */
-    std::uint32_t
+    Slot
     select(std::uint32_t k) const
     {
         fs_assert(k < total_, "fenwick select out of range");
@@ -152,7 +176,7 @@ class FenwickTree
                 pos = next;
             }
         }
-        return pos;
+        return {pos, need - 1};
     }
 
   private:
@@ -170,6 +194,160 @@ class FenwickTree
     /** 1-based implicit tree; tree_[i] counts marks in the range
      *  (i - lowbit(i), i] of 1-based positions. */
     std::vector<std::uint32_t> tree_;
+};
+
+/**
+ * A mark-once FenwickTree: one bit per position and a FenwickTree
+ * over the popcounts of the 64-bit words (see file comment). Same
+ * interface and answers as a FenwickTree whose positions each hold
+ * at most one mark; mark() and unmark() assert that.
+ */
+class BitFenwick
+{
+  public:
+    BitFenwick() = default;
+
+    explicit BitFenwick(std::uint32_t capacity) { reset(capacity); }
+
+    /** (Re)size to `capacity` positions (a power of two >= 64), all
+     *  empty. */
+    void
+    reset(std::uint32_t capacity)
+    {
+        fs_assert(capacity >= 64 && (capacity & (capacity - 1)) == 0,
+                  "bit fenwick capacity must be a power of two >= 64");
+        // fs-analyze: allow(hot-path-alloc) reset runs once per
+        // index — construction, or first sight of a partition id in
+        // a ranking's ensurePart, bounded by the partition count —
+        // or when StackDistGenerator doubles its axis, bounded by
+        // log2(maxResident) (witness: tests/test_hot_alloc.cc). The
+        // extra last word stays zero, so countBelow(capacity) needs
+        // no branch.
+        bits_.assign(capacity / 64 + 1, 0);
+        words_.reset(capacity / 64);
+    }
+
+    /** Empty every position; capacity is kept. */
+    void
+    clear()
+    {
+        std::fill(bits_.begin(), bits_.end(), 0);
+        words_.clear();
+    }
+
+    /** Make exactly positions [0, n) marked, in O(capacity / 64). */
+    void
+    fillPrefix(std::uint32_t n)
+    {
+        fs_assert(n <= capacity(), "fenwick prefix fill out of range");
+        std::fill(bits_.begin(), bits_.end(), 0);
+        std::fill(bits_.begin(), bits_.begin() + n / 64, ~0ull);
+        if (n % 64 != 0)
+            bits_[n / 64] = (1ull << (n % 64)) - 1;
+        words_.fillPrefix(n, 64);
+    }
+
+    /** Mark the (currently unmarked) position `pos`. */
+    void
+    mark(std::uint32_t pos)
+    {
+        fs_assert(pos < capacity(), "fenwick position out of range");
+        std::uint64_t bit = 1ull << (pos & 63);
+        std::uint64_t &word = bits_[pos >> 6];
+        fs_assert((word & bit) == 0, "fenwick position already marked");
+        word |= bit;
+        words_.mark(pos >> 6);
+    }
+
+    /** Unmark the (currently marked) position `pos`. */
+    void
+    unmark(std::uint32_t pos)
+    {
+        fs_assert(pos < capacity(), "fenwick position out of range");
+        std::uint64_t bit = 1ull << (pos & 63);
+        std::uint64_t &word = bits_[pos >> 6];
+        fs_assert((word & bit) != 0, "fenwick position not marked");
+        word &= ~bit;
+        words_.unmark(pos >> 6);
+    }
+
+    /** Number of marked positions strictly below `pos`
+     *  (pos == capacity() gives the full count). */
+    std::uint32_t
+    countBelow(std::uint32_t pos) const
+    {
+        fs_assert(pos <= capacity(), "fenwick prefix out of range");
+        std::uint64_t low = (1ull << (pos & 63)) - 1;
+        return words_.countBelow(pos >> 6) +
+               popcount64(bits_[pos >> 6] & low);
+    }
+
+    std::uint32_t total() const { return words_.total(); }
+
+    std::uint32_t capacity() const { return words_.capacity() * 64; }
+
+    /** Position of the k-th marked position (0-based) in position
+     *  order: one descent over the word tree, then a select inside
+     *  the word it ends at. Requires k < total(). */
+    std::uint32_t
+    select(std::uint32_t k) const
+    {
+        FenwickTree::Slot slot = words_.select(k);
+        return slot.pos * 64 + selectInWord(bits_[slot.pos], slot.within);
+    }
+
+  private:
+    static constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+
+    /** Popcount of each byte of w, in that byte. Plain shifts and
+     *  masks: the default x86-64 target has no popcount instruction,
+     *  and std::popcount compiles to a library call there. */
+    static constexpr std::uint64_t
+    byteCounts(std::uint64_t w)
+    {
+        constexpr std::uint64_t kPairs = 0x3333333333333333ull;
+        w -= (w >> 1) & 0x5555555555555555ull;
+        w = (w & kPairs) + ((w >> 2) & kPairs);
+        return (w + (w >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    }
+
+    static constexpr std::uint32_t
+    popcount64(std::uint64_t w)
+    {
+        return static_cast<std::uint32_t>((byteCounts(w) * kOnes) >> 56);
+    }
+
+    /** Bit index of the r-th (0-based) set bit of w; r < popcount(w).
+     *  Running byte sums locate the byte, then at most seven
+     *  lowest-bit clears locate the bit within it. */
+    static constexpr std::uint32_t
+    selectInWord(std::uint64_t w, std::uint32_t r)
+    {
+        if (r == 0) // the lowest set bit: select(0), every worstIn()
+            return static_cast<std::uint32_t>(std::countr_zero(w));
+        constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+        // Byte i of sums = set bits in bytes 0..i (at most 64, so no
+        // byte carries into the next).
+        std::uint64_t sums = byteCounts(w) * kOnes;
+        // A byte's high bit survives iff its running sum is <= r,
+        // i.e. the byte lies wholly below the wanted bit; those bytes
+        // are a prefix, and counting them names the wanted byte.
+        std::uint64_t below = ((r * kOnes | kHigh) - sums) & kHigh;
+        std::uint32_t shift =
+            8 * static_cast<std::uint32_t>(((below >> 7) * kOnes) >> 56);
+        r -= static_cast<std::uint32_t>(((sums << 8) >> shift) & 0xff);
+        std::uint64_t bits = (w >> shift) & 0xff;
+        for (; r > 0; --r)
+            bits &= bits - 1;
+        return shift +
+               static_cast<std::uint32_t>(std::countr_zero(bits));
+    }
+
+    /** Bit p % 64 of word p / 64 is set iff position p is marked;
+     *  one zero word past the end. */
+    std::vector<std::uint64_t> bits_;
+    /** Marks per word of bits_. */
+    FenwickTree words_;
 };
 
 } // namespace fscache

@@ -1,7 +1,6 @@
 #include "ranking/opt_ranking.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/log.hh"
 
@@ -17,29 +16,22 @@ constexpr std::uint32_t kInitialAxis = 1024;
 /** Largest axis: positions must fit a u32 Fenwick index. */
 constexpr std::uint32_t kMaxAxis = 1u << 31;
 
+/** Never-used set length: a power of two covering every line id,
+ *  and at least 64 (the smallest BitFenwick). */
 std::uint32_t
-pow2AtLeast(std::uint32_t n)
+neverCapacity(LineId num_lines)
 {
-    std::uint32_t cap = 1;
-    while (cap < n)
+    std::uint32_t cap = 64;
+    while (cap < num_lines)
         cap <<= 1;
     return cap;
-}
-
-/** Bits 0..b of a word. */
-std::uint64_t
-bitsThrough(std::uint32_t b)
-{
-    // 2 << 63 wraps to 0 in unsigned arithmetic, giving all ones.
-    return (2ull << b) - 1;
 }
 
 } // namespace
 
 OptRanking::OptRanking(LineId num_lines)
-    : numLines_(num_lines), words_((num_lines + 63) / 64),
-      wordCap_(pow2AtLeast(std::max<std::uint32_t>(words_, 1))),
-      axisCap_(kInitialAxis), nextAt_(num_lines, kInvalidLine), posOf_(num_lines, kNeverPos),
+    : numLines_(num_lines), axisCap_(kInitialAxis),
+      nextAt_(num_lines, kInvalidLine), posOf_(num_lines, kNeverPos),
       partOf_(num_lines, kInvalidPart), present_(num_lines, 0)
 {
 }
@@ -91,9 +83,7 @@ OptRanking::ensurePart(PartId part)
         // fs-analyze: allow(hot-path-alloc) see above.
         p.headAt.assign(axisCap_, kInvalidLine);
         // fs-analyze: allow(hot-path-alloc) see above.
-        p.neverBits.assign(words_, 0);
-        // fs-analyze: allow(hot-path-alloc) see above.
-        p.neverWords.reset(wordCap_);
+        p.never.reset(neverCapacity(numLines_));
     }
 }
 
@@ -103,8 +93,7 @@ OptRanking::link(LineId id, PartId part, std::uint32_t pos)
     Part &p = parts_[part];
     posOf_[id] = pos;
     if (pos == kNeverPos) {
-        p.neverBits[id >> 6] |= 1ull << (id & 63);
-        p.neverWords.mark(id >> 6);
+        p.never.mark(id);
         return;
     }
     p.byNextUse.mark(pos);
@@ -117,8 +106,7 @@ OptRanking::unlink(LineId id, PartId part, std::uint32_t pos)
 {
     Part &p = parts_[part];
     if (pos == kNeverPos) {
-        p.neverBits[id >> 6] &= ~(1ull << (id & 63));
-        p.neverWords.unmark(id >> 6);
+        p.never.unmark(id);
         return;
     }
     p.byNextUse.unmark(pos);
@@ -202,15 +190,6 @@ OptRanking::onRetag(LineId id, PartId new_part)
 }
 
 std::uint32_t
-OptRanking::neverUpTo(const Part &p, LineId id) const
-{
-    std::uint32_t w = id >> 6;
-    return p.neverWords.countBelow(w) +
-           static_cast<std::uint32_t>(
-               std::popcount(p.neverBits[w] & bitsThrough(id & 63)));
-}
-
-std::uint32_t
 OptRanking::rankOf(LineId id) const
 {
     PartId part = partOf_[id];
@@ -219,8 +198,8 @@ OptRanking::rankOf(LineId id) const
     if (pos == kNeverPos) {
         // Below every finite line; among the never-used, more
         // useful than every smaller id.
-        return 1 + p.byNextUse.total() + p.neverWords.total() -
-               neverUpTo(p, id);
+        return 1 + p.byNextUse.total() + p.never.total() -
+               p.never.countBelow(id + 1);
     }
     std::uint32_t ties = 0;
     for (LineId l = p.headAt[pos]; l != kInvalidLine; l = nextAt_[l])
@@ -253,14 +232,12 @@ OptRanking::worstIn(PartId part) const
     if (part >= parts_.size())
         return kInvalidLine;
     const Part &p = parts_[part];
-    if (p.neverWords.total() > 0) {
-        std::uint32_t w = p.neverWords.select(0);
-        return (w << 6) |
-               static_cast<LineId>(std::countr_zero(p.neverBits[w]));
-    }
+    if (p.never.total() > 0)
+        return p.never.select(0);
     if (p.byNextUse.total() == 0)
         return kInvalidLine;
-    std::uint32_t pos = p.byNextUse.select(p.byNextUse.total() - 1);
+    std::uint32_t pos =
+        p.byNextUse.select(p.byNextUse.total() - 1).pos;
     LineId worst = kInvalidLine;
     for (LineId l = p.headAt[pos]; l != kInvalidLine; l = nextAt_[l])
         worst = std::min(worst, l);
@@ -314,12 +291,6 @@ OptRanking::auditInvariants() const
         std::uint32_t pos = posOf_[id];
         if (pos == kNeverPos) {
             ++never[part];
-            if ((parts_[part].neverBits[id >> 6] >> (id & 63) & 1) ==
-                0) {
-                return strprintf("never-used line %u missing from "
-                                 "partition %u's bitset", id,
-                                 static_cast<unsigned>(part));
-            }
             continue;
         }
         ++finite[part];
@@ -331,9 +302,9 @@ OptRanking::auditInvariants() const
     // Per partition: the next-use lists hold exactly its finite
     // lines, each at its own position (acyclic: a list can never
     // hold more than the count); the Fenwick marks match the lists
-    // position by position, and the bitset word by word; then the
-    // size counter (the corruption arm's target) against that
-    // ground truth.
+    // position by position, and the never-used marks the never-used
+    // lines id by id; then the size counter (the corruption arm's
+    // target) against that ground truth.
     for (std::size_t part = 0; part < parts_.size(); ++part) {
         const Part &p = parts_[part];
         std::uint32_t listed = 0;
@@ -371,23 +342,22 @@ OptRanking::auditInvariants() const
                              p.byNextUse.total());
         }
         prev = 0;
-        for (std::uint32_t w = 0; w < wordCap_; ++w) {
-            std::uint32_t want =
-                w < words_ ? static_cast<std::uint32_t>(
-                                 std::popcount(p.neverBits[w]))
-                           : 0;
-            std::uint32_t cur = p.neverWords.countBelow(w + 1);
+        for (LineId id = 0; id < p.never.capacity(); ++id) {
+            std::uint32_t want = id < numLines_ && present_[id] != 0 &&
+                                 partOf_[id] == part &&
+                                 posOf_[id] == kNeverPos;
+            std::uint32_t cur = p.never.countBelow(id + 1);
             if (cur - prev != want) {
-                return strprintf("partition %zu never-used word %u "
-                                 "counts %u lines (want %u)", part,
-                                 w, cur - prev, want);
+                return strprintf("partition %zu never-used set "
+                                 "holds %u marks for line %u (want "
+                                 "%u)", part, cur - prev, id, want);
             }
             prev = cur;
         }
-        if (prev != never[part] || p.neverWords.total() != prev) {
+        if (prev != never[part] || p.never.total() != prev) {
             return strprintf("partition %zu has %u never-used lines "
-                             "but its bitset counts %u", part,
-                             never[part], p.neverWords.total());
+                             "but its set counts %u", part,
+                             never[part], p.never.total());
         }
         if (p.size != finite[part] + never[part]) {
             return strprintf("partition %zu counts %u lines but "

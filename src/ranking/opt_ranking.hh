@@ -7,8 +7,8 @@
  * Requires traces annotated by annotateNextUse().
  *
  * Order: more useful = smaller next use, then larger line id. The
- * order lives in Fenwick count trees (common/fenwick.hh), one set
- * per partition:
+ * order lives in Fenwick indexes (common/fenwick.hh), one pair per
+ * partition:
  *
  *  - Finite next uses: a FenwickTree over the next-use axis counts
  *    the partition's lines per next-use time. The axis doubles on
@@ -21,8 +21,8 @@
  *    Vantage's demotions retag only the tag store), so the lists
  *    hold one line in practice.
  *  - Never-used lines all tie, so they are ordered by line id alone:
- *    a bitset over line ids with a FenwickTree over its 64-bit word
- *    popcounts (about 0.2 B per line per partition).
+ *    a BitFenwick over line ids (3/16 B per id, the id axis
+ *    rounded up to a power of two, per partition).
  *
  * Exact rank = 1 + (lines with a smaller next use) + (ties with a
  * larger id), the same integer the (usefulness, line id) treap order
@@ -87,10 +87,8 @@ class OptRanking : public FutilityRanking
         /** First line at each next-use position (kInvalidLine if
          *  none); OptRanking::nextAt_ chains the rest. */
         std::vector<LineId> headAt;
-        /** Never-used lines: one bit per line id ... */
-        std::vector<std::uint64_t> neverBits;
-        /** ... and the popcount of each bitset word. */
-        FenwickTree neverWords;
+        /** Never-used lines, marked by line id. */
+        BitFenwick never;
         /** Resident lines. Kept apart from the Fenwick totals so the
          *  corruption fault hook has an independently auditable
          *  counter to damage. */
@@ -112,13 +110,7 @@ class OptRanking : public FutilityRanking
     /** Exact rank in [1, size]: 1 = most useful. */
     std::uint32_t rankOf(LineId id) const;
 
-    /** Never-used lines of `part` with an id <= `id`. */
-    std::uint32_t neverUpTo(const Part &p, LineId id) const;
-
     LineId numLines_;
-    /** Bitset words per partition, and its popcount Fenwick size. */
-    std::uint32_t words_;
-    std::uint32_t wordCap_;
     /** Next-use axis length: a power of two above every position. */
     std::uint32_t axisCap_;
     /** Next line at the same position of the same partition. */

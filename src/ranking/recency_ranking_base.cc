@@ -8,13 +8,14 @@ namespace fscache
 namespace
 {
 
-/** Smallest power of two >= 2 * num_lines (and >= 16, so tiny test
- *  caches still get a useful renumber interval). */
+/** Smallest power of two >= 2 * num_lines (and >= 64, the smallest
+ *  BitFenwick, which also gives tiny test caches a useful renumber
+ *  interval). */
 std::uint32_t
 stampCapacity(LineId num_lines)
 {
     fs_assert(num_lines < (1u << 30), "line count overflows stamps");
-    std::uint32_t cap = 16;
+    std::uint32_t cap = 64;
     while (cap < 2 * std::max<std::uint32_t>(num_lines, 1))
         cap <<= 1;
     return cap;
@@ -40,7 +41,7 @@ RecencyRankingBase::ensurePart(PartId part)
     fens_.resize(part + 1);
     // fs-analyze: allow(hot-path-alloc) see above.
     size_.resize(part + 1, 0);
-    for (FenwickTree &fen : fens_) {
+    for (BitFenwick &fen : fens_) {
         if (fen.capacity() == 0)
             // fs-analyze: allow(hot-path-alloc) see above.
             fen.reset(capacity_);
@@ -73,7 +74,7 @@ RecencyRankingBase::renumber()
     stampNext_ = next;
     fs_assert(next < capacity_, "stamp axis cannot hold its lines");
 
-    for (FenwickTree &fen : fens_)
+    for (BitFenwick &fen : fens_)
         fen.clear();
     for (std::uint32_t pos = 0; pos < next; ++pos)
         fens_[partOf_[lineAt_[pos]]].mark(pos);
@@ -274,7 +275,7 @@ RecencyRankingBase::auditInvariants() const
     // position, plus the size counters (the corruption arm's
     // target) against the Fenwick ground truth.
     for (std::size_t p = 0; p < fens_.size(); ++p) {
-        const FenwickTree &fen = fens_[p];
+        const BitFenwick &fen = fens_[p];
         std::uint32_t prev = 0;
         for (std::uint32_t pos = 0; pos < stampNext_; ++pos) {
             std::uint32_t cur = fen.countBelow(pos + 1);

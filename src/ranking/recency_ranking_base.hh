@@ -8,17 +8,22 @@
  * That monotonicity admits a much cheaper order structure than the
  * general order-statistic treap (ranking/treap_ranking_base.hh):
  * lines are laid out on an append-only recency-stamp axis and a
- * per-partition Fenwick tree (common/fenwick.hh) counts resident
- * lines per stamp prefix. Exact rank = partition size minus the
- * count of older residents; the least-recent line is the first
+ * per-partition BitFenwick (common/fenwick.hh) marks the stamps of
+ * the partition's resident lines. Exact rank = partition size minus
+ * the count of older residents; the least-recent line is the first
  * marked stamp. Every operation is O(log capacity) over contiguous
  * arrays — no node allocation, no pointer chasing, no rebalancing.
+ * A stamp holds at most one line, so the index is one bit per stamp
+ * plus a count per 64 stamps: the axis spans 2x the whole cache's
+ * lines for every partition, and a 4-byte count per stamp (a plain
+ * FenwickTree) made 32 partitions of a 131072-line cache hold 32 MB
+ * of index where the bits take 1.5 MB.
  *
  * Stamps are assigned in call order, so the order is exactly the
  * (strictly increasing usefulness clock, line id) order a treap
  * keyed on a per-access clock would hold: every rank is the same
  * integer and every futility the same double. OPT keeps its own
- * Fenwick index over next-use times (ranking/opt_ranking.hh); LFU
+ * index over next-use times (ranking/opt_ranking.hh); LFU
  * and RRIP, whose keys move to the middle of the order, stay on
  * TreapRankingBase.
  */
@@ -96,8 +101,8 @@ class RecencyRankingBase : public FutilityRanking
      *  stampOf_ over present lines. */
     std::vector<LineId> lineAt_;
     std::vector<std::uint32_t> stampOf_;
-    /** Per-partition mark-per-resident Fenwick over the stamp axis. */
-    std::vector<FenwickTree> fens_;
+    /** Per-partition mark-per-resident index over the stamp axis. */
+    std::vector<BitFenwick> fens_;
     /** Per-partition resident-line counts. Kept separate from the
      *  Fenwick totals so the corruption fault hook has an
      *  independently-auditable counter to damage (mirroring the

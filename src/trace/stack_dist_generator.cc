@@ -64,13 +64,14 @@ namespace
 
 /** Recency-axis length for `live` entries: the next power of two
  *  above them plus a quarter of headroom, so a renumber frees at
- *  least a fifth of the axis. */
+ *  least a fifth of the axis, and at least 64 (the smallest
+ *  BitFenwick). */
 std::uint32_t
 stampCapacity(std::uint64_t live)
 {
     fs_assert(live < (1u << 30), "stack too large for the stamp axis");
     std::uint64_t want = live + live / 4 + 16;
-    std::uint32_t cap = 16;
+    std::uint32_t cap = 64;
     while (cap <= want)
         cap <<= 1;
     return cap;

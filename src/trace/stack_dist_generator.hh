@@ -4,14 +4,17 @@
  *
  * The generator maintains an exact LRU stack of previously touched
  * line addresses. Every touch takes the next stamp on a recency
- * axis; lineAt_ records the address at each stamp and a Fenwick
- * count tree (common/fenwick.hh) marks the live stamps, so the
- * entry at depth d is one select() and re-referencing it costs
- * O(log capacity) array arithmetic. When the axis fills, live
- * entries are renumbered in place onto its low end. Each access
- * either touches a brand-new address (probability pNew, modeling
- * compulsory misses / footprint growth) or re-references the address
- * at a stack depth drawn from a configurable distribution.
+ * axis; lineAt_ records the address at each stamp and a BitFenwick
+ * (common/fenwick.hh) marks the live stamps, so the entry at depth
+ * d is one select() and re-referencing it costs O(log capacity)
+ * array arithmetic. A stamp holds at most one entry, so the index
+ * is a bit per stamp plus a count per 64 stamps: 384 KB for a
+ * 2^20-entry stack (a 2^21-stamp axis) rather than 8 MB of 4-byte
+ * counts. When the axis fills, live entries are renumbered in place
+ * onto its low end. Each access either touches a brand-new address
+ * (probability pNew, modeling compulsory misses / footprint growth)
+ * or re-references the address at a stack depth drawn from a
+ * configurable distribution.
  *
  * Stack-distance structure is exactly what determines an
  * application's miss curve and associativity sensitivity, which is
@@ -152,7 +155,7 @@ class StackDistGenerator : public TraceSource
     InstrGapSampler gap_;
 
     /** One mark per live stamp; total() is the stack size. */
-    FenwickTree live_;
+    BitFenwick live_;
     /** Local address at each stamp, kEmpty where none is live. */
     std::vector<std::uint32_t> lineAt_;
     /** Next free stamp; every stamp below it has been handed out. */

@@ -28,6 +28,7 @@
 
 #include "common/random.hh"
 #include "sim/experiment.hh"
+#include "trace/stack_dist_generator.hh"
 
 namespace
 {
@@ -122,17 +123,60 @@ namespace
 {
 
 CacheSpec
-hotSpec()
+hotSpec(std::uint32_t num_lines, std::uint32_t num_parts)
 {
     CacheSpec spec;
     spec.array.kind = ArrayKind::SetAssoc;
-    spec.array.numLines = 256;
+    spec.array.numLines = num_lines;
     spec.array.ways = 16;
     spec.ranking = RankKind::CoarseTsLru;
     spec.scheme.kind = SchemeKind::Fs;
-    spec.numParts = 2;
+    spec.numParts = num_parts;
     spec.seed = 11;
     return spec;
+}
+
+bool
+diagnosticsOn()
+{
+    return std::getenv("FS_AUDIT") != nullptr ||
+           std::getenv("FS_SHADOW") != nullptr;
+}
+
+/**
+ * Replay a random stream of `accesses` over `num_parts` partitions
+ * (each with a working set of `lines_per_part` lines) twice through
+ * an FS cache with equal targets, and return the operator-new calls
+ * of the second pass. Partitions are drawn at random, so each one
+ * is first seen (and sized in the ranking) mid-way through pass 1.
+ */
+std::uint64_t
+steadyStateAllocs(std::uint32_t num_lines, std::uint32_t num_parts,
+                  std::uint32_t lines_per_part, std::size_t accesses)
+{
+    Rng rng(778);
+    std::vector<PartId> parts;
+    std::vector<Addr> addrs;
+    parts.reserve(accesses);
+    addrs.reserve(accesses);
+    for (std::size_t i = 0; i < accesses; ++i) {
+        auto part = static_cast<PartId>(rng.below(num_parts));
+        parts.push_back(part);
+        addrs.push_back((part + 1) * 1000000 +
+                        rng.below(lines_per_part) * 64);
+    }
+
+    auto cache = buildCache(hotSpec(num_lines, num_parts));
+    cache->setTargets(
+        std::vector<std::uint32_t>(num_parts, num_lines / num_parts));
+
+    for (std::size_t i = 0; i < accesses; ++i)
+        cache->access(parts[i], addrs[i]);
+
+    std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < accesses; ++i)
+        cache->access(parts[i], addrs[i]);
+    return g_allocs.load(std::memory_order_relaxed) - before;
 }
 
 /** The hook itself must be live, or the zero-assert below proves
@@ -155,36 +199,67 @@ TEST(HotPathAlloc, CountingHookIsInstalled)
  */
 TEST(HotPathAlloc, SteadyStatePerAccessReplayAllocatesNothing)
 {
-    if (std::getenv("FS_AUDIT") != nullptr ||
-        std::getenv("FS_SHADOW") != nullptr)
+    if (diagnosticsOn())
         GTEST_SKIP() << "audit/shadow diagnostics may allocate";
 
-    constexpr std::size_t kStream = 20000;
-    Rng rng(778);
-    std::vector<PartId> parts;
-    std::vector<Addr> addrs;
-    parts.reserve(kStream);
-    addrs.reserve(kStream);
-    for (std::size_t i = 0; i < kStream; ++i) {
-        auto part = static_cast<PartId>(rng.below(2));
-        parts.push_back(part);
-        addrs.push_back((part + 1) * 1000000 + rng.below(600) * 64);
-    }
+    std::uint64_t allocs = steadyStateAllocs(256, 2, 600, 20000);
+    EXPECT_EQ(allocs, 0u)
+        << "steady-state access() replay hit operator new " << allocs
+        << " time(s)";
+}
 
-    auto cache = buildCache(hotSpec());
-    cache->setTargets({128, 128});
+/**
+ * The same contract past 32 partitions: every partition's recency
+ * index is sized lazily, on the ranking's first sight of its id,
+ * which must all happen in the warm-up pass.
+ */
+TEST(HotPathAlloc, ManyPartitionCoarseCacheAllocatesNothing)
+{
+    if (diagnosticsOn())
+        GTEST_SKIP() << "audit/shadow diagnostics may allocate";
 
-    for (std::size_t i = 0; i < kStream; ++i)
-        cache->access(parts[i], addrs[i]);
+    std::uint64_t allocs = steadyStateAllocs(2048, 33, 120, 60000);
+    EXPECT_EQ(allocs, 0u)
+        << "33-partition access() replay hit operator new " << allocs
+        << " time(s)";
+}
 
+/**
+ * A live stack-distance generator at its steady state (stack held
+ * at maxResident, stamp axis at its final size) renumbers its axis
+ * every capacity - maxResident accesses; a run crossing several
+ * renumbers must not allocate.
+ */
+TEST(HotPathAlloc, StackDistGeneratorSteadyStateAllocatesNothing)
+{
+    StackDistConfig cfg;
+    cfg.pNew = 0.2;
+    cfg.depth = DepthDist::logUniform(1, 1024);
+    cfg.maxResident = 4096;
+    StackDistGenerator gen(cfg, 0, Rng(21));
+
+    // Warm up until the stack is full and the axis has stopped
+    // growing.
+    for (int i = 0; i < 100000; ++i)
+        gen.next();
+    ASSERT_EQ(gen.resident(), cfg.maxResident);
+    std::uint32_t cap = gen.capacity();
+    std::uint64_t renumberEvery = cap - cfg.maxResident;
+    std::uint64_t steady = 8 * renumberEvery;
+
+    Addr sum = 0;
     std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < kStream; ++i)
-        cache->access(parts[i], addrs[i]);
-    std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+    for (std::uint64_t i = 0; i < steady; ++i)
+        sum += gen.next().addr;
+    std::uint64_t allocs =
+        g_allocs.load(std::memory_order_relaxed) - before;
 
-    EXPECT_EQ(after - before, 0u)
-        << "steady-state access() replay hit operator new "
-        << (after - before) << " time(s)";
+    EXPECT_GT(sum, 0u);
+    EXPECT_EQ(gen.capacity(), cap);
+    EXPECT_EQ(allocs, 0u)
+        << "steady-state generator hit operator new " << allocs
+        << " time(s) over " << steady / renumberEvery
+        << " renumbers";
 }
 
 } // namespace

@@ -1,13 +1,13 @@
 /**
  * @file
- * Fenwick count tree (common/fenwick.hh) and its three clients: the
+ * Fenwick indexes (common/fenwick.hh) and their three clients: the
  * recency ranking base (ranking/recency_ranking_base.hh), the OPT
  * ranking (ranking/opt_ranking.hh) and the stack-distance generator
- * (trace/stack_dist_generator.hh). The primitive is checked against a
- * naive count array; each client against a naive reference through
- * randomized op sequences long enough to force every axis
- * renumbering and growth path; plus the corruption fault hooks'
- * detectability contract.
+ * (trace/stack_dist_generator.hh). FenwickTree is checked against a
+ * naive count array and BitFenwick against FenwickTree; each client
+ * against a naive reference through randomized op sequences long
+ * enough to force every axis renumbering and growth path; plus the
+ * corruption fault hooks' detectability contract.
  */
 
 #include <gtest/gtest.h>
@@ -59,7 +59,7 @@ TEST(Fenwick, MatchesNaiveMarkArray)
             want_below += naive[p];
         ASSERT_EQ(fen.countBelow(probe), want_below) << probe;
         if (want_total > 0) {
-            ASSERT_EQ(fen.select(0), first);
+            ASSERT_EQ(fen.select(0).pos, first);
         }
     }
 }
@@ -84,8 +84,11 @@ TEST(Fenwick, CountsSelectAndGrowMatchNaiveCounts)
         ASSERT_EQ(fen.total(), total) << round;
         std::uint32_t k = 0;
         for (std::uint32_t p = 0; p < naive.size(); ++p) {
-            for (std::uint32_t c = 0; c < naive[p]; ++c, ++k)
-                ASSERT_EQ(fen.select(k), p) << round << " k=" << k;
+            for (std::uint32_t c = 0; c < naive[p]; ++c, ++k) {
+                FenwickTree::Slot slot = fen.select(k);
+                ASSERT_EQ(slot.pos, p) << round << " k=" << k;
+                ASSERT_EQ(slot.within, c) << round << " k=" << k;
+            }
         }
     };
     for (int round = 0; round < 3000; ++round) {
@@ -132,7 +135,98 @@ TEST(Fenwick, ClearKeepsCapacity)
     EXPECT_EQ(fen.capacity(), 16u);
     EXPECT_EQ(fen.countBelow(16), 0u);
     fen.mark(15);
-    EXPECT_EQ(fen.select(0), 15u);
+    EXPECT_EQ(fen.select(0).pos, 15u);
+}
+
+/** Every countBelow, every select and the total of a BitFenwick
+ *  against a FenwickTree holding the same marks. */
+void
+expectSameIndex(const BitFenwick &bits, const FenwickTree &ref,
+                const char *where)
+{
+    SCOPED_TRACE(where);
+    ASSERT_EQ(bits.capacity(), ref.capacity());
+    ASSERT_EQ(bits.total(), ref.total());
+    for (std::uint32_t pos = 0; pos <= ref.capacity(); ++pos)
+        ASSERT_EQ(bits.countBelow(pos), ref.countBelow(pos)) << pos;
+    for (std::uint32_t k = 0; k < ref.total(); ++k)
+        ASSERT_EQ(bits.select(k), ref.select(k).pos) << "k=" << k;
+}
+
+/**
+ * BitFenwick against FenwickTree through seeded random mark/unmark
+ * runs at the smallest capacity (64, a single word) and two larger
+ * ones. Each run starts from a prefix fill at or around a word edge
+ * (n = 0, 1, 63, 64, 65, capacity), then goes sparse (a few marks
+ * per word), dense (whole words of ones, so in-word selects land on
+ * every bit) and sparse again; clear() then empties the pair for a
+ * last half-full run.
+ */
+TEST(BitFenwick, MatchesFenwickTree)
+{
+    Rng rng(6464);
+    for (std::uint32_t cap : {64u, 256u, 4096u}) {
+        SCOPED_TRACE(testing::Message() << "capacity " << cap);
+        BitFenwick bits(cap);
+        FenwickTree ref(cap);
+        std::vector<std::uint8_t> marked(cap, 0);
+        auto randomOps = [&](double density, int ops) {
+            for (int i = 0; i < ops; ++i) {
+                std::uint32_t pos = rng.below(cap);
+                // Drift toward `density` marked positions.
+                bool want = rng.chance(density);
+                if (marked[pos] && !want) {
+                    bits.unmark(pos);
+                    ref.unmark(pos);
+                    marked[pos] = 0;
+                } else if (!marked[pos] && want) {
+                    bits.mark(pos);
+                    ref.mark(pos);
+                    marked[pos] = 1;
+                }
+            }
+        };
+        auto fillBoth = [&](std::uint32_t n) {
+            bits.fillPrefix(n);
+            ref.clear();
+            for (std::uint32_t pos = 0; pos < cap; ++pos) {
+                marked[pos] = pos < n;
+                if (pos < n)
+                    ref.mark(pos);
+            }
+        };
+
+        expectSameIndex(bits, ref, "empty");
+        for (std::uint32_t n : {0u, 1u, 63u, 64u, 65u, cap}) {
+            if (n > cap)
+                continue;
+            fillBoth(n);
+            expectSameIndex(bits, ref, "fillPrefix");
+            randomOps(0.05, static_cast<int>(cap));
+            expectSameIndex(bits, ref, "sparse");
+            randomOps(0.98, static_cast<int>(4 * cap));
+            expectSameIndex(bits, ref, "dense");
+            randomOps(0.02, static_cast<int>(4 * cap));
+            expectSameIndex(bits, ref, "thinned");
+        }
+        bits.clear();
+        ref.clear();
+        std::fill(marked.begin(), marked.end(), 0);
+        expectSameIndex(bits, ref, "clear");
+        EXPECT_EQ(bits.capacity(), cap);
+        randomOps(0.5, static_cast<int>(cap));
+        expectSameIndex(bits, ref, "after clear");
+    }
+}
+
+TEST(BitFenwickDeathTest, RejectsDoubleMarksAndSmallCapacity)
+{
+    BitFenwick bits(64);
+    bits.mark(5);
+    EXPECT_DEATH(bits.mark(5), "already marked");
+    EXPECT_DEATH(bits.unmark(6), "not marked");
+    EXPECT_DEATH(bits.mark(64), "out of range");
+    EXPECT_DEATH(BitFenwick(32), "power of two >= 64");
 }
 
 /**
@@ -231,24 +325,22 @@ class NaiveRecency
  * Drive ExactLruRanking (the thinnest RecencyRankingBase client: its
  * futilities ARE the base's ranks) and the naive reference through
  * the same randomized install/hit/evict/retag/relocate sequence,
- * comparing every query after every op. 6000 ops over 24 line slots
- * churn through the stamp axis (capacity 64) dozens of times, so
- * the renumbering path runs under every op mix.
+ * comparing every query after every op.
  */
-TEST(RecencyBase, MatchesNaiveReferenceThroughRenumbering)
+void
+matchNaiveRecency(LineId kLines, PartId kParts, int ops,
+                  std::uint64_t seed)
 {
-    constexpr LineId kLines = 24;
-    constexpr PartId kParts = 3;
     ExactLruRanking rank(kLines);
     NaiveRecency naive;
-    Rng rng(4242);
+    Rng rng(seed);
 
     auto randomPresent = [&]() -> LineId {
         std::size_t i = rng.below(naive.lines());
         return naive.lineAt(i);
     };
 
-    for (int op = 0; op < 6000; ++op) {
+    for (int op = 0; op < ops; ++op) {
         std::uint32_t kind = rng.below(10);
         if (naive.lines() == 0 || (kind < 3 && naive.lines() < kLines)) {
             LineId id;
@@ -302,10 +394,29 @@ TEST(RecencyBase, MatchesNaiveReferenceThroughRenumbering)
     }
 }
 
+/**
+ * 6000 ops over 24 line slots churn through the stamp axis
+ * (capacity 64) dozens of times, so the renumbering path runs under
+ * every op mix. The second run spreads 100 lines over 40
+ * partitions, more than 32, so partitions first appear (and their
+ * indexes are sized) mid-run, between renumbers.
+ */
+TEST(RecencyBase, MatchesNaiveReferenceThroughRenumbering)
+{
+    {
+        SCOPED_TRACE("24 lines, 3 partitions");
+        matchNaiveRecency(24, 3, 6000, 4242);
+    }
+    {
+        SCOPED_TRACE("100 lines, 40 partitions");
+        matchNaiveRecency(100, 40, 3000, 4343);
+    }
+}
+
 TEST(RecencyBase, SingleLineSurvivesEndlessTouches)
 {
     // One resident line, thousands of touches: the smallest stamp
-    // axis (16) renumbers hundreds of times and the answers never
+    // axis (64) renumbers dozens of times and the answers never
     // move.
     ExactLruRanking rank(1);
     rank.onInstall(0, 0, kNeverUsed);
@@ -585,7 +696,7 @@ class NaiveStackDist
 /**
  * Prewarm on and off, a stack held at maxResident (every new address
  * evicts the oldest), and runs long enough to renumber the stamp
- * axis many times and to grow it from 16 stamps.
+ * axis many times and to grow it from 64 stamps.
  */
 TEST(StackDistIndex, MatchesNaiveLruStack)
 {
