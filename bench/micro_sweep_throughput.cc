@@ -92,7 +92,7 @@ runCell(std::size_t cell)
 /**
  * Replay-only probe: the same cells, but with trace generation
  * hoisted out of the timed region so the measurement isolates the
- * access engine (generation is treap-bound and its output
+ * access engine (generation is a layer of its own and its output
  * byte-frozen by the goldens; in the combined cell it is over half
  * the wall time and would swamp any engine change). Counts every
  * issued access, warmup included — the engine replays them all.

@@ -10,8 +10,8 @@
  *   cheap     O(#partitions) occupancy-sum audits on a stride, plus
  *             inline bound checks in the analytic solver / feedback
  *             scheme. Safe for production sweeps.
- *   paranoid  cheap + full structural audits on a stride: treap
- *             heap/order/size invariants, FlatMap probe chains,
+ *   paranoid  cheap + full structural audits on a stride: ranking
+ *             order-index marks and counts, FlatMap probe chains,
  *             tag-store index bijection, ranking<->tag-store
  *             cross-consistency.
  *

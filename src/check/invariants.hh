@@ -2,10 +2,9 @@
  * @file
  * Cross-structure invariant audits (FS_AUDIT; see check/audit.hh).
  *
- * The per-structure audits (FlatMap / OrderStatTreap / TagStore /
- * TreapRankingBase / RecencyRankingBase ::auditInvariants()) verify
- * each structure
- * against itself; the functions here verify the structures against
+ * The per-structure audits (FlatMap / TagStore / the rankings'
+ * order indexes ::auditInvariants()) verify each structure against
+ * itself; the functions here verify the structures against
  * *each other* — the facade-level bookkeeping PartitionedCache is
  * responsible for keeping consistent:
  *

@@ -207,7 +207,7 @@ ShadowCache::futilityOf(LineId slot) const
         if (id != slot && keyLess(id, slot))
             ++less;
     }
-    // Same integers, same division as the treap path — equality is
+    // Same integers, same division as the ranking's path — equality is
     // exact, not approximate.
     std::uint32_t rank = size - less;
     return static_cast<double>(rank) / static_cast<double>(size);
@@ -289,7 +289,7 @@ ShadowCache::checkEviction(std::uint64_t access_index, Addr addr,
     if (shadow_worst != fast_worst) {
         diverge("worst-line (victim candidate) mismatch",
                 access_index, addr, part,
-                strprintf("  fast victim  : %u (worst per treap: "
+                strprintf("  fast victim  : %u (worst per ranking: "
                           "%u)\n"
                           "  shadow victim: %u (linear rescan of "
                           "owner %u)\n",

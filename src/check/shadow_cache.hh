@@ -5,7 +5,7 @@
  * A deliberately naive re-implementation of the state the optimized
  * access engine keeps: a std::map address index instead of the
  * open-addressing FlatMap, flat per-line records with linear-scan
- * worst-line / rank queries instead of order-statistic treaps.
+ * worst-line / rank queries instead of the rankings' Fenwick indexes.
  * PartitionedCache::access mirrors every mutation (install / hit /
  * evict / relocate / retag) into the shadow and asks it to confirm,
  * each access:
@@ -126,7 +126,7 @@ class ShadowCache
     };
 
     /** (primary, line) lexicographic order, smaller = less useful —
-     *  the treap rankings' exact tie-break. */
+     *  the exact rankings' tie-break. */
     bool keyLess(LineId a, LineId b) const;
 
     void setPrimaryOnInstall(ShadowLine &l, AccessTime next_use);

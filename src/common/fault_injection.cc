@@ -138,7 +138,7 @@ FaultInjector::parse(const std::string &spec)
         } else if (action == "corrupt") {
             c.kind = Kind::Corrupt;
         } else if (action == "corrupt-treap") {
-            c.kind = Kind::CorruptTreap;
+            c.kind = Kind::CorruptRankIndex;
         } else if (action == "corrupt-occ") {
             c.kind = Kind::CorruptOcc;
         } else {
@@ -240,8 +240,8 @@ FaultInjector::fire(std::size_t cell, unsigned attempt) const
             // mid-cell.
             t_corruptArmed = CorruptTarget::AddrIndex;
             break;
-          case Kind::CorruptTreap:
-            t_corruptArmed = CorruptTarget::RankTreap;
+          case Kind::CorruptRankIndex:
+            t_corruptArmed = CorruptTarget::RankIndex;
             break;
           case Kind::CorruptOcc:
             t_corruptArmed = CorruptTarget::Occupancy;

@@ -14,10 +14,10 @@
  *     cell=<n>:corrupt        silently flip a tag-store index entry
  *                             mid-cell (detected only by FS_AUDIT /
  *                             FS_SHADOW; see docs/ROBUSTNESS.md)
- *     cell=<n>:corrupt-treap  silently inflate the ranking's order
- *                             structure size mid-cell (treap root
- *                             subtree size, or the recency base's
- *                             resident counter)
+ *     cell=<n>:corrupt-treap  silently damage the ranking's order
+ *                             index mid-cell (inflate its resident
+ *                             counter; the action keeps the name of
+ *                             the structure it first targeted)
  *     cell=<n>:corrupt-occ    silently inflate a partition occupancy
  *                             counter mid-cell
  *     rate=<p>:transient      TransientError on a deterministic,
@@ -34,7 +34,7 @@
  * local target (it must not throw — corruption is silent by
  * definition); PartitionedCache consumes the target at its next
  * watchdog stride and desynchronizes the matching structure (tag
- * index, ranking treap, or occupancy counter — together covering
+ * index, ranking order index, or occupancy counter — together covering
  * every FS_AUDIT arm end to end). Arming is per-thread and fire()
  * re-disarms at the top of every cell attempt, so a target armed
  * for a short cell that never consumed it cannot leak into the next
@@ -68,14 +68,14 @@ class FaultInjector
     /**
      * Which structure an armed corrupt* clause targets. Each value
      * maps one grammar action onto one audited structure:
-     * corrupt -> AddrIndex, corrupt-treap -> RankTreap,
+     * corrupt -> AddrIndex, corrupt-treap -> RankIndex,
      * corrupt-occ -> Occupancy.
      */
     enum class CorruptTarget : std::uint8_t
     {
         None,
         AddrIndex,
-        RankTreap,
+        RankIndex,
         Occupancy,
     };
 
@@ -123,7 +123,7 @@ class FaultInjector
         Hang,
         Transient,
         Corrupt,
-        CorruptTreap,
+        CorruptRankIndex,
         CorruptOcc,
     };
 

@@ -12,16 +12,19 @@
  * Two shapes:
  *
  *  - FenwickTree: a 4-byte count per position, so a position can
- *    hold any number of marks. OptRanking's next-use axis needs
- *    that (equal next uses share a position).
+ *    hold any number of marks. OptRanking's next-use axis (equal
+ *    next uses share a position) and ClassRankingBase's class
+ *    counts (a class holds many lines) need that.
  *  - BitFenwick: for mark-once axes, one bit per position plus a
  *    FenwickTree over the popcounts of the 64-bit words: 1/8 B
  *    plus 1/16 B per position instead of 4 B, and a tree six
  *    levels shallower. Every other client is mark-once: the
  *    recency stamp axis behind RecencyRankingBase (marks are
- *    resident lines, prefix counts are exact LRU ranks), OPT's
- *    never-used set over line ids, and the StackDistGenerator's
- *    LRU stack (the k-th most recent entry is a select).
+ *    resident lines, prefix counts are exact LRU ranks), LFU's and
+ *    RRIP's per-class buckets on the same axis
+ *    (ClassRankingBase), OPT's never-used set over line ids, and
+ *    the StackDistGenerator's LRU stack (the k-th most recent
+ *    entry is a select).
  */
 
 #ifndef FSCACHE_COMMON_FENWICK_HH

@@ -3,7 +3,7 @@
  * Deterministic, cheap pseudo-random number generation.
  *
  * Every stochastic component in fscache (trace generators, hash
- * function families, candidate sampling, treap priorities) draws from
+ * function families, candidate sampling) draws from
  * an explicitly seeded Rng so that simulations are reproducible
  * bit-for-bit. The generator is xoshiro256** seeded through
  * SplitMix64, which is both much faster than std::mt19937_64 and has

@@ -106,11 +106,11 @@ class FutilityRanking
     { return std::string(); }
 
     /**
-     * Deliberately corrupt one internal rank-order node (FS_FAULTS
+     * Deliberately damage the ranking's order index (FS_FAULTS
      * `cell=N:corrupt-treap`; see docs/ROBUSTNESS.md). The damage
      * must be silent and navigation-safe — detectable only by the
      * audits / shadow model, never a crash. Returns false when the
-     * ranking keeps no such structure (nothing was corrupted).
+     * ranking keeps no such index (nothing was corrupted).
      */
     virtual bool corruptRankNodeForFaultInjection() { return false; }
 };

@@ -2,54 +2,40 @@
  * @file
  * LFU futility ranking: lines ranked by access frequency, recency
  * breaking ties (so the ranking stays a strict total order, as the
- * paper's model requires).
+ * paper's model requires). The frequency is the line's class in
+ * ClassRankingBase (ranking/class_ranking_base.hh).
  */
 
 #ifndef FSCACHE_RANKING_LFU_RANKING_HH
 #define FSCACHE_RANKING_LFU_RANKING_HH
 
-#include <vector>
-
 #include <span>
 
-#include "ranking/treap_ranking_base.hh"
+#include "ranking/class_ranking_base.hh"
 
 namespace fscache
 {
 
 /** See file comment. */
-class LfuRanking : public TreapRankingBase
+class LfuRanking : public ClassRankingBase
 {
   public:
     explicit LfuRanking(LineId num_lines)
-        : TreapRankingBase(num_lines), freq_(num_lines, 0)
+        : ClassRankingBase(num_lines, kInitialClasses)
     {
     }
 
     void
     onInstall(LineId id, PartId part, AccessTime) override
     {
-        freq_[id] = 1;
-        place(id, part, usefulness(id));
+        place(id, part, 1);
     }
 
     void
     onHit(LineId id, AccessTime) override
     {
-        if (freq_[id] < kFreqCap)
-            ++freq_[id];
-        reKey(id, usefulness(id));
-    }
-
-    void
-    onRelocate(LineId from, LineId to) override
-    {
-        TreapRankingBase::onRelocate(from, to);
-        // The frequency is line metadata and must follow the line,
-        // or a zcache relocation leaves the moved line counting
-        // from whatever stale value the destination slot last held.
-        freq_[to] = freq_[from];
-        freq_[from] = 0;
+        std::uint32_t freq = classOf(id);
+        touch(id, freq < kFreqCap ? freq + 1 : freq);
     }
 
     double
@@ -69,22 +55,14 @@ class LfuRanking : public TreapRankingBase
 
     std::string name() const override { return "lfu"; }
 
-    std::uint32_t frequency(LineId id) const { return freq_[id]; }
+    std::uint32_t frequency(LineId id) const { return classOf(id); }
 
-  private:
-    /** Frequency dominates; recency (a global clock) breaks ties. */
-    std::uint64_t
-    usefulness(LineId id)
-    {
-        ++clock_;
-        return (static_cast<std::uint64_t>(freq_[id]) << 44) |
-               (clock_ & ((1ull << 44) - 1));
-    }
-
+    /** Frequencies saturate here. */
     static constexpr std::uint32_t kFreqCap = (1u << 19) - 1;
 
-    std::vector<std::uint32_t> freq_;
-    std::uint64_t clock_ = 0;
+  private:
+    /** Class axis before the first growth: frequencies up to 15. */
+    static constexpr std::uint32_t kInitialClasses = 16;
 };
 
 } // namespace fscache

@@ -25,8 +25,8 @@
  *    rounded up to a power of two, per partition).
  *
  * Exact rank = 1 + (lines with a smaller next use) + (ties with a
- * larger id), the same integer the (usefulness, line id) treap order
- * it replaces gave; the least useful line is the smallest-id
+ * larger id), the integer of the (usefulness, line id) key order;
+ * the least useful line is the smallest-id
  * never-used line, else the smallest id at the highest occupied
  * next-use position. Every operation is O(log axis) array
  * arithmetic.

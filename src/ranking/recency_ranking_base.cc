@@ -5,28 +5,9 @@
 namespace fscache
 {
 
-namespace
-{
-
-/** Smallest power of two >= 2 * num_lines (and >= 64, the smallest
- *  BitFenwick, which also gives tiny test caches a useful renumber
- *  interval). */
-std::uint32_t
-stampCapacity(LineId num_lines)
-{
-    fs_assert(num_lines < (1u << 30), "line count overflows stamps");
-    std::uint32_t cap = 64;
-    while (cap < 2 * std::max<std::uint32_t>(num_lines, 1))
-        cap <<= 1;
-    return cap;
-}
-
-} // namespace
-
 RecencyRankingBase::RecencyRankingBase(LineId num_lines)
-    : capacity_(stampCapacity(num_lines)),
-      lineAt_(capacity_, kInvalidLine), stampOf_(num_lines, 0),
-      partOf_(num_lines, kInvalidPart), present_(num_lines, 0)
+    : axis_(num_lines), partOf_(num_lines, kInvalidPart),
+      present_(num_lines, 0)
 {
 }
 
@@ -44,40 +25,21 @@ RecencyRankingBase::ensurePart(PartId part)
     for (BitFenwick &fen : fens_) {
         if (fen.capacity() == 0)
             // fs-analyze: allow(hot-path-alloc) see above.
-            fen.reset(capacity_);
+            fen.reset(axis_.capacity());
     }
 }
 
 std::uint32_t
-RecencyRankingBase::allocStamp()
+RecencyRankingBase::newStamp(LineId id)
 {
-    if (stampNext_ == capacity_)
-        renumber();
-    return stampNext_++;
-}
-
-void
-RecencyRankingBase::renumber()
-{
-    // Compact in stamp order: relative recency — the only thing the
-    // ranks depend on — is preserved exactly.
-    std::uint32_t next = 0;
-    for (std::uint32_t pos = 0; pos < capacity_; ++pos) {
-        LineId id = lineAt_[pos];
-        if (id == kInvalidLine)
-            continue;
-        lineAt_[next] = id;
-        stampOf_[id] = next;
-        ++next;
+    if (axis_.full()) [[unlikely]] {
+        axis_.compact();
+        for (BitFenwick &fen : fens_)
+            fen.clear();
+        for (std::uint32_t pos = 0; pos < axis_.next(); ++pos)
+            fens_[partOf_[axis_.lineAt(pos)]].mark(pos);
     }
-    std::fill(lineAt_.begin() + next, lineAt_.end(), kInvalidLine);
-    stampNext_ = next;
-    fs_assert(next < capacity_, "stamp axis cannot hold its lines");
-
-    for (BitFenwick &fen : fens_)
-        fen.clear();
-    for (std::uint32_t pos = 0; pos < next; ++pos)
-        fens_[partOf_[lineAt_[pos]]].mark(pos);
+    return axis_.assign(id);
 }
 
 void
@@ -87,10 +49,7 @@ RecencyRankingBase::placeNewest(LineId id, PartId part)
     ensurePart(part);
     partOf_[id] = part;
     present_[id] = 1;
-    std::uint32_t pos = allocStamp();
-    stampOf_[id] = pos;
-    lineAt_[pos] = id;
-    fens_[part].mark(pos);
+    fens_[part].mark(newStamp(id));
     ++size_[part];
 }
 
@@ -99,13 +58,9 @@ RecencyRankingBase::touchNewest(LineId id)
 {
     fs_assert(present_[id], "touching an absent line");
     PartId part = partOf_[id];
-    std::uint32_t old_pos = stampOf_[id];
-    fens_[part].unmark(old_pos);
-    lineAt_[old_pos] = kInvalidLine;
-    std::uint32_t pos = allocStamp();
-    stampOf_[id] = pos;
-    lineAt_[pos] = id;
-    fens_[part].mark(pos);
+    fens_[part].unmark(axis_.stampOf(id));
+    axis_.release(id);
+    fens_[part].mark(newStamp(id));
 }
 
 void
@@ -113,8 +68,8 @@ RecencyRankingBase::remove(LineId id)
 {
     fs_assert(present_[id], "removing an absent line");
     PartId part = partOf_[id];
-    fens_[part].unmark(stampOf_[id]);
-    lineAt_[stampOf_[id]] = kInvalidLine;
+    fens_[part].unmark(axis_.stampOf(id));
+    axis_.release(id);
     --size_[part];
     present_[id] = 0;
     partOf_[id] = kInvalidPart;
@@ -133,9 +88,7 @@ RecencyRankingBase::onRelocate(LineId from, LineId to)
               "bad relocation in ranking");
     // The stamp is positional metadata that follows the line: the
     // order (and so every rank) is untouched, no Fenwick changes.
-    std::uint32_t pos = stampOf_[from];
-    lineAt_[pos] = to;
-    stampOf_[to] = pos;
+    axis_.move(from, to);
     partOf_[to] = partOf_[from];
     present_[to] = 1;
     present_[from] = 0;
@@ -148,10 +101,9 @@ RecencyRankingBase::onRetag(LineId id, PartId new_part)
     fs_assert(present_[id], "retag of an absent line");
     // The line keeps its stamp — its recency relative to every other
     // line is unchanged — but its mark moves between the partition
-    // Fenwicks, exactly like the treap key moving between treaps
-    // with its old primary.
+    // Fenwicks.
     PartId old_part = partOf_[id];
-    std::uint32_t pos = stampOf_[id];
+    std::uint32_t pos = axis_.stampOf(id);
     ensurePart(new_part);
     fens_[old_part].unmark(pos);
     --size_[old_part];
@@ -167,7 +119,7 @@ RecencyRankingBase::exactFutility(LineId id) const
     PartId part = partOf_[id];
     std::uint32_t size = size_[part];
     std::uint32_t rank =
-        size - fens_[part].countBelow(stampOf_[id]);
+        size - fens_[part].countBelow(axis_.stampOf(id));
     return static_cast<double>(rank) / static_cast<double>(size);
 }
 
@@ -181,7 +133,7 @@ RecencyRankingBase::exactFutilityManyImpl(
         PartId part = partOf_[id];
         std::uint32_t size = size_[part];
         std::uint32_t rank =
-            size - fens_[part].countBelow(stampOf_[id]);
+            size - fens_[part].countBelow(axis_.stampOf(id));
         out[i] = static_cast<double>(rank) /
                  static_cast<double>(size);
     }
@@ -195,7 +147,7 @@ RecencyRankingBase::worstIn(PartId part) const
     // safe under that damage (audits, not crashes, report it).
     if (part >= fens_.size() || fens_[part].total() == 0)
         return kInvalidLine;
-    return lineAt_[fens_[part].select(0)];
+    return axis_.lineAt(fens_[part].select(0));
 }
 
 std::uint32_t
@@ -207,9 +159,8 @@ RecencyRankingBase::partLines(PartId part) const
 bool
 RecencyRankingBase::corruptRankNodeForFaultInjection()
 {
-    // The recency analog of the treap's root-size bump (the treap's
-    // size() IS its root size): silently inflate the first non-empty
-    // partition's resident-line counter. Navigation never reads it
+    // Silently inflate the first non-empty partition's resident-line
+    // counter. Navigation never reads it
     // (see worstIn), so the damage is crash-safe and visible only to
     // the occupancy-sum audit and the deep self-audit below.
     for (std::uint32_t &size : size_) {
@@ -224,28 +175,9 @@ RecencyRankingBase::corruptRankNodeForFaultInjection()
 std::string
 RecencyRankingBase::auditInvariants() const
 {
-    // Stamp axis <-> line metadata: lineAt_/stampOf_ must be inverse
-    // over present lines, and nothing may sit past stampNext_.
-    std::uint32_t live = 0;
-    for (std::uint32_t pos = 0; pos < capacity_; ++pos) {
-        LineId id = lineAt_[pos];
-        if (id == kInvalidLine)
-            continue;
-        if (pos >= stampNext_) {
-            return strprintf("line %u at unallocated stamp %u", id,
-                             pos);
-        }
-        if (id >= present_.size() || present_[id] == 0) {
-            return strprintf("absent line %u on the stamp axis",
-                             id);
-        }
-        if (stampOf_[id] != pos) {
-            return strprintf("line %u at stamp %u but mapped to %u",
-                             id, pos, stampOf_[id]);
-        }
-        ++live;
-    }
-    std::uint32_t presentLines = 0;
+    std::string err = axis_.audit(present_);
+    if (!err.empty())
+        return err;
     for (LineId id = 0; id < present_.size(); ++id) {
         if (present_[id] == 0) {
             if (partOf_[id] != kInvalidPart) {
@@ -255,20 +187,11 @@ RecencyRankingBase::auditInvariants() const
             }
             continue;
         }
-        ++presentLines;
         if (partOf_[id] >= fens_.size()) {
             return strprintf("present line %u in untracked "
                              "partition %u", id,
                              static_cast<unsigned>(partOf_[id]));
         }
-        if (lineAt_[stampOf_[id]] != id) {
-            return strprintf("present line %u missing from the "
-                             "stamp axis", id);
-        }
-    }
-    if (presentLines != live) {
-        return strprintf("%u present lines but %u stamps live",
-                         presentLines, live);
     }
 
     // Per-partition Fenwick marks vs. the axis, position by
@@ -277,11 +200,11 @@ RecencyRankingBase::auditInvariants() const
     for (std::size_t p = 0; p < fens_.size(); ++p) {
         const BitFenwick &fen = fens_[p];
         std::uint32_t prev = 0;
-        for (std::uint32_t pos = 0; pos < stampNext_; ++pos) {
+        for (std::uint32_t pos = 0; pos < axis_.next(); ++pos) {
             std::uint32_t cur = fen.countBelow(pos + 1);
             std::uint32_t markHere = cur - prev;
             prev = cur;
-            LineId id = lineAt_[pos];
+            LineId id = axis_.lineAt(pos);
             std::uint32_t want =
                 (id != kInvalidLine && partOf_[id] == p) ? 1 : 0;
             if (markHere != want) {

@@ -5,27 +5,27 @@
  * newest end, nothing ever re-keys to the middle (exact LRU, the
  * coarse-timestamp LRU's exact shadow order, Random's exact order).
  *
- * That monotonicity admits a much cheaper order structure than the
- * general order-statistic treap (ranking/treap_ranking_base.hh):
- * lines are laid out on an append-only recency-stamp axis and a
- * per-partition BitFenwick (common/fenwick.hh) marks the stamps of
- * the partition's resident lines. Exact rank = partition size minus
- * the count of older residents; the least-recent line is the first
- * marked stamp. Every operation is O(log capacity) over contiguous
- * arrays — no node allocation, no pointer chasing, no rebalancing.
- * A stamp holds at most one line, so the index is one bit per stamp
- * plus a count per 64 stamps: the axis spans 2x the whole cache's
- * lines for every partition, and a 4-byte count per stamp (a plain
- * FenwickTree) made 32 partitions of a 131072-line cache hold 32 MB
- * of index where the bits take 1.5 MB.
+ * That monotonicity admits an index cheaper than any balanced
+ * tree: lines are laid out on the append-only recency stamp axis
+ * (ranking/stamp_axis.hh) and a per-partition BitFenwick
+ * (common/fenwick.hh) marks the stamps of the partition's resident
+ * lines. Exact rank = partition size minus the count of older
+ * residents; the least-recent line is the first marked stamp. Every
+ * operation is O(log capacity) over contiguous arrays — no node
+ * allocation, no pointer chasing, no rebalancing. A stamp holds at
+ * most one line, so the index is one bit per stamp plus a count per
+ * 64 stamps: the axis spans 2x the whole cache's lines for every
+ * partition, and a 4-byte count per stamp (a plain FenwickTree) made
+ * 32 partitions of a 131072-line cache hold 32 MB of index where the
+ * bits take 1.5 MB.
  *
  * Stamps are assigned in call order, so the order is exactly the
- * (strictly increasing usefulness clock, line id) order a treap
- * keyed on a per-access clock would hold: every rank is the same
- * integer and every futility the same double. OPT keeps its own
- * index over next-use times (ranking/opt_ranking.hh); LFU
- * and RRIP, whose keys move to the middle of the order, stay on
- * TreapRankingBase.
+ * (strictly increasing usefulness clock, line id) order of a
+ * per-access clock key: every rank is that order's integer and
+ * every futility the same double. OPT keeps its own index over
+ * next-use times (ranking/opt_ranking.hh); LFU and RRIP, whose order
+ * is touch order within a class, share this stamp axis through
+ * ClassRankingBase (ranking/class_ranking_base.hh).
  */
 
 #ifndef FSCACHE_RANKING_RECENCY_RANKING_BASE_HH
@@ -37,6 +37,7 @@
 
 #include "common/fenwick.hh"
 #include "ranking/futility_ranking.hh"
+#include "ranking/stamp_axis.hh"
 
 namespace fscache
 {
@@ -78,35 +79,19 @@ class RecencyRankingBase : public FutilityRanking
     bool present(LineId id) const { return present_[id] != 0; }
 
   private:
-    /** Next free recency stamp, renumbering when the axis is full. */
-    std::uint32_t allocStamp();
-
-    /**
-     * Compact the stamp axis: live lines keep their relative order
-     * but move to stamps 0..live-1, and the partition Fenwicks are
-     * rebuilt. Runs once per ~capacity_ - num_lines stamp
-     * allocations, so its O(capacity_) cost amortizes to O(1) per
-     * touch; it allocates nothing.
-     */
-    void renumber();
+    /** Newest stamp for `id`, compacting the axis (and re-marking
+     *  the partition indexes) when it is full. */
+    std::uint32_t newStamp(LineId id);
 
     /** Grow the per-partition structures to cover `part`. */
     void ensurePart(PartId part);
 
-    /** Stamp-axis length; power of two >= 2x the line count, so at
-     *  least half of every renumber interval is fresh stamps. */
-    std::uint32_t capacity_;
-    std::uint32_t stampNext_ = 0;
-    /** Line at each stamp, kInvalidLine where empty. Inverse of
-     *  stampOf_ over present lines. */
-    std::vector<LineId> lineAt_;
-    std::vector<std::uint32_t> stampOf_;
+    StampAxis axis_;
     /** Per-partition mark-per-resident index over the stamp axis. */
     std::vector<BitFenwick> fens_;
     /** Per-partition resident-line counts. Kept separate from the
      *  Fenwick totals so the corruption fault hook has an
-     *  independently-auditable counter to damage (mirroring the
-     *  treap's root-size arm). */
+     *  independently-auditable counter to damage. */
     std::vector<std::uint32_t> size_;
     std::vector<PartId> partOf_;
     /**

@@ -6,9 +6,8 @@ namespace fscache
 {
 
 RripRanking::RripRanking(LineId num_lines, std::uint32_t rrpv_bits)
-    : TreapRankingBase(num_lines),
-      rrpvMax_((1u << rrpv_bits) - 1), rrpv_(num_lines, 0),
-      lastTouch_(num_lines, 0)
+    : ClassRankingBase(num_lines, 1u << rrpv_bits),
+      rrpvMax_((1u << rrpv_bits) - 1), lastTouch_(num_lines, 0)
 {
     fs_assert(rrpv_bits >= 1 && rrpv_bits <= 8, "bad RRPV width");
 }

@@ -11,8 +11,10 @@
  * ("long"), hits promote to 0 ("near-immediate"), so scan-heavy
  * workloads that thrash LRU keep their reused core resident.
  *
- * Scheme futility is RRPV / (2^M - 1), with the exact per-partition
- * LRU shadow breaking ties for worst-line queries and statistics.
+ * Scheme futility is RRPV / (2^M - 1), with recency breaking ties.
+ * The exact order behind worst-line queries and statistics is "RRIP
+ * with LRU tie-break": class rrpvMax - RRPV in ClassRankingBase
+ * (ranking/class_ranking_base.hh).
  */
 
 #ifndef FSCACHE_RANKING_RRIP_RANKING_HH
@@ -21,13 +23,13 @@
 #include <span>
 #include <vector>
 
-#include "ranking/treap_ranking_base.hh"
+#include "ranking/class_ranking_base.hh"
 
 namespace fscache
 {
 
 /** See file comment. */
-class RripRanking : public TreapRankingBase
+class RripRanking : public ClassRankingBase
 {
   public:
     /**
@@ -40,29 +42,26 @@ class RripRanking : public TreapRankingBase
     void
     onInstall(LineId id, PartId part, AccessTime) override
     {
-        rrpv_[id] = static_cast<std::uint8_t>(rrpvMax_ - 1);
         lastTouch_[id] = ++clock_;
-        place(id, part, usefulness(id));
+        place(id, part, 1); // RRPV rrpvMax - 1 ("long")
     }
 
     void
     onHit(LineId id, AccessTime) override
     {
-        rrpv_[id] = 0; // hit promotion (SRRIP-HP)
         lastTouch_[id] = ++clock_;
-        reKey(id, usefulness(id));
+        touch(id, rrpvMax_); // RRPV 0: hit promotion (SRRIP-HP)
     }
 
     void
     onRelocate(LineId from, LineId to) override
     {
-        TreapRankingBase::onRelocate(from, to);
-        // RRPV and last-touch are line metadata and must follow the
-        // line, or a zcache relocation leaves the moved line
-        // predicted by the destination slot's stale state.
-        rrpv_[to] = rrpv_[from];
+        ClassRankingBase::onRelocate(from, to);
+        // Last-touch is line metadata and must follow the line (the
+        // base moves the RRPV's class), or a zcache relocation leaves
+        // the moved line predicted by the destination slot's stale
+        // state.
         lastTouch_[to] = lastTouch_[from];
-        rrpv_[from] = 0;
         lastTouch_[from] = 0;
     }
 
@@ -78,13 +77,11 @@ class RripRanking : public TreapRankingBase
             clock_ ? 1.0 - static_cast<double>(lastTouch_[id]) /
                                static_cast<double>(clock_)
                    : 0.0;
-        return (static_cast<double>(rrpv_[id]) + tie) /
+        return (static_cast<double>(rrpv(id)) + tie) /
                (rrpvMax_ + 1.0);
     }
 
-    /** Batched estimate off the rrpv_/lastTouch_ arrays; the
-     *  estimate never reads the exact-order treap, so no
-     *  pending-re-key flush is needed here. */
+    /** Batched estimate off the class and lastTouch_ arrays. */
     void
     schemeFutilityMany(std::span<const LineId> ids,
                        double *out) const override
@@ -93,25 +90,12 @@ class RripRanking : public TreapRankingBase
             out[i] = RripRanking::schemeFutility(ids[i]);
     }
 
-    std::uint32_t rrpv(LineId id) const { return rrpv_[id]; }
+    std::uint32_t rrpv(LineId id) const { return rrpvMax_ - classOf(id); }
 
     std::string name() const override { return "rrip"; }
 
   private:
-    /**
-     * Usefulness key: low RRPV dominates, recency breaks ties, so
-     * the exact shadow order is "RRIP with LRU tie-break".
-     */
-    std::uint64_t
-    usefulness(LineId id)
-    {
-        std::uint64_t inv =
-            rrpvMax_ - rrpv_[id]; // larger = more useful
-        return (inv << 56) | (lastTouch_[id] & ((1ull << 56) - 1));
-    }
-
     std::uint32_t rrpvMax_;
-    std::vector<std::uint8_t> rrpv_;
     std::vector<std::uint64_t> lastTouch_;
     std::uint64_t clock_ = 0;
 };

@@ -302,7 +302,7 @@ PartitionedCache::pollSlowChecks()
       case FaultInjector::CorruptTarget::AddrIndex:
         array_->tags().corruptAddrIndexForFaultInjection();
         break;
-      case FaultInjector::CorruptTarget::RankTreap:
+      case FaultInjector::CorruptTarget::RankIndex:
         ranking_->corruptRankNodeForFaultInjection();
         break;
       case FaultInjector::CorruptTarget::Occupancy:

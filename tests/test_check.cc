@@ -1,7 +1,7 @@
 /**
  * @file
  * Self-checking subsystem tests (src/check): structural invariant
- * auditors against hand-corrupted FlatMap / treap / TagStore state,
+ * auditors against hand-corrupted FlatMap / TagStore state,
  * lockstep shadow-model divergence detection and its deterministic
  * first-divergence report, corruption-aware quarantine routing
  * through the cell guard (FS_FAULTS cell=N:corrupt end to end), and
@@ -23,7 +23,6 @@
 #include "common/errors.hh"
 #include "common/fault_injection.hh"
 #include "common/flat_map.hh"
-#include "common/order_stat_treap.hh"
 #include "runner/sweep_runner.hh"
 #include "sim/experiment.hh"
 
@@ -65,46 +64,6 @@ struct FlatMap<std::uint32_t>::TestAccess
     }
 };
 
-template <>
-struct OrderStatTreap<std::uint64_t>::TestAccess
-{
-    using Treap = OrderStatTreap<std::uint64_t>;
-
-    /** Give the root's first child a priority above its parent. */
-    static void
-    breakHeap(Treap &t)
-    {
-        Node &r = t.nodes_[t.root_];
-        std::uint32_t child = r.left != kNil ? r.left : r.right;
-        ASSERT_NE(child, kNil);
-        t.nodes_[child].prio = r.prio + 1;
-    }
-
-    static void
-    breakSubtreeSize(Treap &t)
-    {
-        ++t.nodes_[t.root_].size;
-    }
-
-    static void
-    breakKeyOrder(Treap &t)
-    {
-        // Make the cached-min (leftmost) node's key the largest.
-        t.nodes_[t.minNode_].key = ~0ull;
-    }
-
-    /** Point the cached min at the rightmost (largest-key) node,
-     *  which can never be the leftmost one for size >= 2. */
-    static void
-    breakCachedMin(Treap &t)
-    {
-        std::uint32_t n = t.root_;
-        while (t.nodes_[n].right != kNil)
-            n = t.nodes_[n].right;
-        t.minNode_ = n;
-    }
-};
-
 namespace
 {
 
@@ -122,7 +81,6 @@ class CheckFixture : public ::testing::Test
 };
 
 using FlatMapAudit = CheckFixture;
-using TreapAudit = CheckFixture;
 using TagStoreAudit = CheckFixture;
 using ShadowModel = CheckFixture;
 using CorruptionInjection = CheckFixture;
@@ -199,57 +157,6 @@ TEST_F(FlatMapAudit, DuplicateKeyDetected)
               std::string::npos);
 }
 
-TEST_F(TreapAudit, CleanTreapPassesThroughChurn)
-{
-    OrderStatTreap<std::uint64_t> t;
-    for (std::uint64_t k = 0; k < 200; ++k)
-        t.insert(k * 3 + 1);
-    for (std::uint64_t k = 0; k < 100; ++k)
-        t.erase(k * 6 + 1);
-    EXPECT_EQ(t.auditInvariants(), "");
-    EXPECT_EQ(OrderStatTreap<std::uint64_t>().auditInvariants(), "");
-}
-
-TEST_F(TreapAudit, HeapViolationDetected)
-{
-    OrderStatTreap<std::uint64_t> t;
-    for (std::uint64_t k = 1; k <= 64; ++k)
-        t.insert(k);
-    OrderStatTreap<std::uint64_t>::TestAccess::breakHeap(t);
-    EXPECT_NE(t.auditInvariants().find("heap violation"),
-              std::string::npos);
-}
-
-TEST_F(TreapAudit, SubtreeSizeDriftDetected)
-{
-    OrderStatTreap<std::uint64_t> t;
-    for (std::uint64_t k = 1; k <= 64; ++k)
-        t.insert(k);
-    OrderStatTreap<std::uint64_t>::TestAccess::breakSubtreeSize(t);
-    EXPECT_NE(t.auditInvariants().find("subtree size"),
-              std::string::npos);
-}
-
-TEST_F(TreapAudit, KeyOrderViolationDetected)
-{
-    OrderStatTreap<std::uint64_t> t;
-    for (std::uint64_t k = 1; k <= 64; ++k)
-        t.insert(k);
-    OrderStatTreap<std::uint64_t>::TestAccess::breakKeyOrder(t);
-    EXPECT_NE(t.auditInvariants().find("key order"),
-              std::string::npos);
-}
-
-TEST_F(TreapAudit, StaleCachedMinDetected)
-{
-    OrderStatTreap<std::uint64_t> t;
-    for (std::uint64_t k = 1; k <= 64; ++k)
-        t.insert(k);
-    OrderStatTreap<std::uint64_t>::TestAccess::breakCachedMin(t);
-    EXPECT_NE(t.auditInvariants().find("cached min"),
-              std::string::npos);
-}
-
 TEST_F(TagStoreAudit, IndexCorruptionCaughtByDeepAudit)
 {
     auto cache = buildCache(checkSpec());
@@ -321,7 +228,7 @@ TEST_F(ShadowModel, CleanRunStaysInLockstepForAllRankings)
 /** Regression: zcache relocations must carry the rankings' per-line
  *  metadata (LFU frequency, RRIP RRPV/last-touch, coarse timestamp)
  *  to the destination slot. The stranded-metadata bug this pins was
- *  found by this very shadow model: the treap key moved with the
+ *  found by this very shadow model: the order key moved with the
  *  line but freq_/rrpv_/ts_ stayed behind, so the next hit on a
  *  relocated line re-keyed from the old occupant's state. */
 TEST_F(ShadowModel, ZcacheRelocationsStayInLockstep)
@@ -452,28 +359,31 @@ TEST_F(CorruptionInjection, UnconsumedArmDoesNotLeakAcrossCells)
     EXPECT_TRUE(report.allOk()) << report.manifest();
 }
 
-/** The ranking-order arm: a silent size bump (the recency base's
- *  resident counter; for treap-backed rankings, the root's subtree
- *  size) is navigation-safe — descents and worstIn never read the
- *  damaged counter — so only the audits can see it. */
-TEST_F(CorruptionInjection, RankTreapCorruptionDetectedByAudits)
+/** The ranking-order arm: a silent bump of the order index's
+ *  resident counter is navigation-safe — descents and worstIn never
+ *  read the damaged counter — so only the audits can see it. Run on
+ *  a recency-stamp index (exact LRU) and a per-class one (LFU). */
+TEST_F(CorruptionInjection, RankIndexCorruptionDetectedByAudits)
 {
     check::setAuditLevelForTest(check::AuditLevel::Paranoid);
-    auto cache = buildCache(checkSpec());
-    cache->setTargets({128, 128});
-    driveCyclic(*cache, 1500, /*footprint=*/100);
-    ASSERT_TRUE(cache->ranking().corruptRankNodeForFaultInjection());
-    EXPECT_NE(check::auditOccupancySums(cache->array().tags(),
-                                        cache->ranking(),
-                                        cache->numPartitions()),
-              "");
-    // The damage sits in partition 0's counter (the first non-empty
-    // one). Touch the *other* partition so the cross-structure sum
-    // audit sees the drift before partition 0's own bookkeeping is
-    // exercised — exactly how the stride audits catch it in a live
-    // run.
-    EXPECT_THROW(cache->access(1, 2 * 100000 + 1),
-                 StateCorruptionError);
+    for (RankKind rk : {RankKind::ExactLru, RankKind::Lfu}) {
+        auto cache = buildCache(checkSpec(rk));
+        cache->setTargets({128, 128});
+        driveCyclic(*cache, 1500, /*footprint=*/100);
+        ASSERT_TRUE(
+            cache->ranking().corruptRankNodeForFaultInjection());
+        EXPECT_NE(check::auditOccupancySums(cache->array().tags(),
+                                            cache->ranking(),
+                                            cache->numPartitions()),
+                  "");
+        // The damage sits in partition 0's counter (the first
+        // non-empty one). Touch the *other* partition so the
+        // cross-structure sum audit sees the drift before partition
+        // 0's own bookkeeping is exercised — exactly how the stride
+        // audits catch it in a live run.
+        EXPECT_THROW(cache->access(1, 2 * 100000 + 1),
+                     StateCorruptionError);
+    }
 }
 
 /** The occupancy-counter arm: a drifted per-partition size feeds
@@ -494,7 +404,7 @@ TEST_F(CorruptionInjection, OccupancyCounterCorruptionDetectedByAudits)
 /** FS_FAULTS corrupt-treap / corrupt-occ end to end, mirroring the
  *  tag-index clause above: armed at the fault point, consumed on the
  *  watchdog stride, quarantined FAILED(corruption). */
-TEST_F(CorruptionInjection, TreapAndOccupancyCellsQuarantined)
+TEST_F(CorruptionInjection, RankIndexAndOccupancyCellsQuarantined)
 {
     for (const char *faults :
          {"cell=0:corrupt-treap", "cell=0:corrupt-occ"}) {

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "cache/skew_assoc_array.hh"
-#include "common/order_stat_treap.hh"
 #include "ranking/coarse_ts_lru_ranking.hh"
 #include "sim/experiment.hh"
 #include "stats/histogram.hh"
@@ -17,16 +16,6 @@ namespace fscache
 {
 namespace
 {
-
-TEST(EdgeCases, TreapDescendingInserts)
-{
-    OrderStatTreap<std::uint64_t> t;
-    for (std::uint64_t k = 1000; k-- > 0;)
-        t.insert(k);
-    EXPECT_EQ(t.size(), 1000u);
-    for (std::uint32_t k = 0; k < 1000; k += 111)
-        EXPECT_EQ(t.kth(k), k);
-}
 
 TEST(EdgeCases, HistogramQuantileExtremes)
 {

@@ -9,7 +9,6 @@
 #include "analytic/scaling_solver.hh"
 #include "cache/set_assoc_array.hh"
 #include "cache/tag_store.hh"
-#include "common/order_stat_treap.hh"
 #include "sim/experiment.hh"
 #include "stats/table_printer.hh"
 
@@ -19,26 +18,6 @@ namespace
 {
 
 using ErrorDeathTest = ::testing::Test;
-
-TEST(ErrorDeathTest, TreapEraseAbsentKey)
-{
-    OrderStatTreap<std::uint64_t> t;
-    t.insert(1);
-    EXPECT_DEATH(t.erase(2), "assertion");
-}
-
-TEST(ErrorDeathTest, TreapKthOutOfRange)
-{
-    OrderStatTreap<std::uint64_t> t;
-    t.insert(1);
-    EXPECT_DEATH(t.kth(1), "assertion");
-}
-
-TEST(ErrorDeathTest, TreapMinOfEmpty)
-{
-    OrderStatTreap<std::uint64_t> t;
-    EXPECT_DEATH(t.minKey(), "assertion");
-}
 
 TEST(ErrorDeathTest, TagStoreDoubleInstall)
 {

@@ -2,10 +2,10 @@
  * @file
  * Runtime witness for the no-alloc-on-hot-path contract that
  * tools/fscache_analyze.py checks statically: after a warmup replay
- * has grown every amortized buffer (treap node pools, candidate
- * buffers, eviction free lists) to its high-water mark, a
- * steady-state access() replay of the same stream must perform ZERO
- * heap allocations.
+ * has grown every amortized buffer (order-index bucket pools and
+ * class axes, candidate buffers, eviction free lists) to its
+ * high-water mark, a steady-state access() replay of the same stream
+ * (or of one with the same shape) must perform ZERO heap allocations.
  *
  * Every allow(hot-path-alloc) directive in src/ that cites amortized
  * or bounded growth names this test as its witness — if a push_back
@@ -123,13 +123,14 @@ namespace
 {
 
 CacheSpec
-hotSpec(std::uint32_t num_lines, std::uint32_t num_parts)
+hotSpec(std::uint32_t num_lines, std::uint32_t num_parts,
+        RankKind ranking)
 {
     CacheSpec spec;
     spec.array.kind = ArrayKind::SetAssoc;
     spec.array.numLines = num_lines;
     spec.array.ways = 16;
-    spec.ranking = RankKind::CoarseTsLru;
+    spec.ranking = ranking;
     spec.scheme.kind = SchemeKind::Fs;
     spec.numParts = num_parts;
     spec.seed = 11;
@@ -166,7 +167,8 @@ steadyStateAllocs(std::uint32_t num_lines, std::uint32_t num_parts,
                         rng.below(lines_per_part) * 64);
     }
 
-    auto cache = buildCache(hotSpec(num_lines, num_parts));
+    auto cache = buildCache(
+        hotSpec(num_lines, num_parts, RankKind::CoarseTsLru));
     cache->setTargets(
         std::vector<std::uint32_t>(num_parts, num_lines / num_parts));
 
@@ -222,6 +224,58 @@ TEST(HotPathAlloc, ManyPartitionCoarseCacheAllocatesNothing)
     EXPECT_EQ(allocs, 0u)
         << "33-partition access() replay hit operator new " << allocs
         << " time(s)";
+}
+
+/**
+ * LFU and RRIP draw a bucket from a shared pool for each nonempty
+ * (partition, class) pair and grow their class axis to the largest
+ * class seen. LFU frequencies climb without bound on a stream that
+ * re-references resident lines, so this stream touches each address
+ * in one burst of 1..20 accesses and never again: no frequency
+ * passes 20, both partitions soon hold lines of every class, and
+ * pass 1 takes the pool and the axes (doubled once, from 16 to 32
+ * classes) to their high water. Pass 2 bursts over fresh addresses
+ * with the same class mix and must reuse freed buckets, never grow
+ * an axis, and allocate nothing — the witness for those
+ * allow(hot-path-alloc) directives.
+ */
+TEST(HotPathAlloc, ClassRankingsSteadyStateAllocatesNothing)
+{
+    if (diagnosticsOn())
+        GTEST_SKIP() << "audit/shadow diagnostics may allocate";
+
+    constexpr std::uint32_t kParts = 2;
+    constexpr std::size_t kBursts = 6000;
+    for (const char *name : {"lfu", "rrip"}) {
+        Rng rng(991);
+        Addr fresh = 0;
+        auto burstyPass = [&]() {
+            std::vector<std::pair<PartId, Addr>> pass;
+            pass.reserve(20 * kBursts);
+            for (std::size_t b = 0; b < kBursts; ++b) {
+                auto part = static_cast<PartId>(rng.below(kParts));
+                Addr addr = (part + 1) * 100000000 + 64 * fresh++;
+                for (std::uint64_t n = rng.range(1, 20); n > 0; --n)
+                    pass.emplace_back(part, addr);
+            }
+            return pass;
+        };
+        auto cache =
+            buildCache(hotSpec(256, kParts, parseRankKind(name)));
+        cache->setTargets({128, 128});
+        for (auto [part, addr] : burstyPass())
+            cache->access(part, addr);
+
+        auto pass2 = burstyPass();
+        std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+        for (auto [part, addr] : pass2)
+            cache->access(part, addr);
+        std::uint64_t allocs =
+            g_allocs.load(std::memory_order_relaxed) - before;
+        EXPECT_EQ(allocs, 0u)
+            << name << " steady-state access() replay hit operator "
+            << "new " << allocs << " time(s)";
+    }
 }
 
 /**

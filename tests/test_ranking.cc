@@ -173,13 +173,10 @@ TEST(RandomRanking, FreshDrawPerQuery)
 
 TEST(RandomRanking, DeferredReKeysCollapseToSerialOrder)
 {
-    // Random is the treap base's monotone-clock client, so its hits
-    // defer re-keys into the pending ring
-    // (ranking/treap_ranking_base.hh) and flush before any rank
-    // query. A long hit run — with re-hits of the same lines and
-    // more entries than the ring's capacity, forcing mid-run
-    // flushes — must leave exactly the exact-LRU state of a twin
-    // that flushes after every hit (by interleaving a query).
+    // Random's exact order is recency (ranking/recency_ranking_base.hh).
+    // A long hit run — with re-hits of the same lines — must leave
+    // exactly the exact-LRU state of a twin that is queried after
+    // every hit.
     RandomRanking rank(128, Rng(5));
     RandomRanking twin(128, Rng(5));
     for (LineId i = 0; i < 100; ++i) {

@@ -1,8 +1,10 @@
 /**
  * @file
- * Fenwick indexes (common/fenwick.hh) and their three clients: the
- * recency ranking base (ranking/recency_ranking_base.hh), the OPT
- * ranking (ranking/opt_ranking.hh) and the stack-distance generator
+ * Fenwick indexes (common/fenwick.hh) and their four clients: the
+ * recency ranking base (ranking/recency_ranking_base.hh), the
+ * per-class ranking base behind LFU and RRIP
+ * (ranking/class_ranking_base.hh), the OPT ranking
+ * (ranking/opt_ranking.hh) and the stack-distance generator
  * (trace/stack_dist_generator.hh). FenwickTree is checked against a
  * naive count array and BitFenwick against FenwickTree; each client
  * against a naive reference through randomized op sequences long
@@ -13,13 +15,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <vector>
 
 #include "common/fenwick.hh"
 #include "common/random.hh"
 #include "ranking/exact_lru_ranking.hh"
+#include "ranking/lfu_ranking.hh"
 #include "ranking/opt_ranking.hh"
+#include "ranking/rrip_ranking.hh"
 #include "trace/instr_gap.hh"
 #include "trace/stack_dist_generator.hh"
 
@@ -446,6 +451,327 @@ TEST(RecencyBase, CorruptionHookIsDetectedByAudits)
     EXPECT_EQ(rank.worstIn(0), 0u);
     // ... and the deep self-audit pins the damage.
     EXPECT_NE(rank.auditInvariants(), "");
+}
+
+/**
+ * Naive (class, touch order) reference for LFU and RRIP: every
+ * line's partition, class and last-touch clock, ranked by the
+ * definition — more useful = higher class, then more recent touch —
+ * with O(n) scans.
+ */
+class NaiveClassOrder
+{
+  public:
+    void
+    install(LineId id, PartId part, std::uint32_t cls)
+    {
+        lines_[id] = {part, cls, ++clock_};
+    }
+
+    void
+    hit(LineId id, std::uint32_t cls)
+    {
+        lines_.at(id).cls = cls;
+        lines_.at(id).touch = ++clock_;
+    }
+
+    void evict(LineId id) { lines_.erase(id); }
+    void retag(LineId id, PartId part) { lines_.at(id).part = part; }
+
+    void
+    relocate(LineId from, LineId to)
+    {
+        lines_[to] = lines_.at(from);
+        lines_.erase(from);
+    }
+
+    bool contains(LineId id) const { return lines_.count(id) != 0; }
+    std::size_t lines() const { return lines_.size(); }
+
+    LineId
+    lineAt(std::size_t i) const
+    {
+        return std::next(lines_.begin(),
+                         static_cast<std::ptrdiff_t>(i))->first;
+    }
+
+    PartId partOf(LineId id) const { return lines_.at(id).part; }
+    std::uint32_t classOf(LineId id) const { return lines_.at(id).cls; }
+
+    std::uint32_t
+    partLines(PartId part) const
+    {
+        std::uint32_t n = 0;
+        for (const auto &[id, l] : lines_)
+            n += l.part == part;
+        return n;
+    }
+
+    double
+    exactFutility(LineId id) const
+    {
+        const Line &me = lines_.at(id);
+        std::uint32_t size = 0;
+        std::uint32_t rank = 1;
+        for (const auto &[other, l] : lines_) {
+            if (l.part != me.part)
+                continue;
+            ++size;
+            rank += l.cls > me.cls ||
+                    (l.cls == me.cls && l.touch > me.touch);
+        }
+        return static_cast<double>(rank) / static_cast<double>(size);
+    }
+
+    LineId
+    worstIn(PartId part) const
+    {
+        LineId worst = kInvalidLine;
+        const Line *w = nullptr;
+        for (const auto &[id, l] : lines_) {
+            if (l.part == part &&
+                (w == nullptr || l.cls < w->cls ||
+                 (l.cls == w->cls && l.touch < w->touch))) {
+                worst = id;
+                w = &l;
+            }
+        }
+        return worst;
+    }
+
+  private:
+    struct Line
+    {
+        PartId part;
+        std::uint32_t cls;
+        std::uint64_t touch;
+    };
+    std::map<LineId, Line> lines_;
+    std::uint64_t clock_ = 0;
+};
+
+/**
+ * Drives a ClassRankingBase client and NaiveClassOrder through the
+ * same seeded random install / hit / evict / retag / relocate
+ * sequence. 24 line slots put the stamp axis at 64 stamps, so
+ * thousands of touches compact it many times. A quarter of the ops
+ * hit one of the three highest-class lines, which evictions spare,
+ * so LFU's top frequencies climb into the hundreds and its class
+ * axis doubles repeatedly.
+ */
+template <class Ranking>
+struct ClassOrderDriver
+{
+    static constexpr LineId kLines = 24;
+    static constexpr PartId kParts = 3;
+
+    Ranking &rank;
+    std::uint32_t installClass;
+    std::function<std::uint32_t(std::uint32_t)> hitClass;
+    Rng rng;
+    NaiveClassOrder naive;
+
+    LineId
+    randomPresent()
+    {
+        return naive.lineAt(rng.below(naive.lines()));
+    }
+
+    LineId
+    randomAbsent()
+    {
+        LineId id;
+        do {
+            id = static_cast<LineId>(rng.below(kLines));
+        } while (naive.contains(id));
+        return id;
+    }
+
+    /** The three present lines of the highest classes. */
+    std::vector<LineId>
+    hotLines() const
+    {
+        std::vector<LineId> ids;
+        for (std::size_t i = 0; i < naive.lines(); ++i)
+            ids.push_back(naive.lineAt(i));
+        std::stable_sort(ids.begin(), ids.end(),
+                         [&](LineId a, LineId b) {
+                             return naive.classOf(a) >
+                                    naive.classOf(b);
+                         });
+        ids.resize(std::min<std::size_t>(3, ids.size()));
+        return ids;
+    }
+
+    void
+    hit(LineId id)
+    {
+        std::uint32_t cls = hitClass(naive.classOf(id));
+        rank.onHit(id, kNeverUsed);
+        naive.hit(id, cls);
+    }
+
+    /** Every query against the reference; the deep audit too when
+     *  `audit`. */
+    void
+    check(bool audit, int op) const
+    {
+        SCOPED_TRACE(testing::Message() << "op " << op);
+        if (audit) {
+            ASSERT_EQ(rank.auditInvariants(), "");
+        }
+        for (PartId p = 0; p < kParts + 1; ++p) {
+            ASSERT_EQ(rank.partLines(p), naive.partLines(p)) << int{p};
+            ASSERT_EQ(rank.worstIn(p), naive.worstIn(p)) << int{p};
+        }
+        std::vector<LineId> ids;
+        for (std::size_t i = 0; i < naive.lines(); ++i) {
+            LineId id = naive.lineAt(i);
+            ids.push_back(id);
+            ASSERT_EQ(rank.partOf(id), naive.partOf(id)) << id;
+            // Bit-exact: both sides divide the same integers.
+            ASSERT_EQ(rank.exactFutility(id), naive.exactFutility(id))
+                << id;
+        }
+        std::vector<double> many(ids.size());
+        rank.schemeFutilityMany(ids, many.data());
+        for (std::size_t i = 0; i < ids.size(); ++i)
+            ASSERT_EQ(many[i], rank.schemeFutility(ids[i])) << ids[i];
+    }
+
+    /** `ops` random ops, checking after each; auditing every
+     *  `auditEvery`-th. */
+    void
+    randomOps(int ops, int auditEvery)
+    {
+        for (int op = 0; op < ops; ++op) {
+            std::uint32_t kind = rng.below(20);
+            if (naive.lines() == 0 ||
+                (kind < 4 && naive.lines() < kLines)) {
+                LineId id = randomAbsent();
+                auto part = static_cast<PartId>(rng.below(kParts));
+                rank.onInstall(id, part, kNeverUsed);
+                naive.install(id, part, installClass);
+            } else if (kind < 8) {
+                hit(randomPresent());
+            } else if (kind < 13) {
+                std::vector<LineId> hot = hotLines();
+                hit(hot[rng.below(hot.size())]);
+            } else if (kind < 15) {
+                std::vector<LineId> hot = hotLines();
+                LineId id = randomPresent();
+                if (std::find(hot.begin(), hot.end(), id) ==
+                    hot.end()) {
+                    rank.onEvict(id);
+                    naive.evict(id);
+                }
+            } else if (kind < 17) {
+                LineId id = randomPresent();
+                auto part = static_cast<PartId>(rng.below(kParts));
+                rank.onRetag(id, part);
+                naive.retag(id, part);
+            } else if (naive.lines() < kLines) {
+                LineId from = randomPresent();
+                LineId to = randomAbsent();
+                rank.onRelocate(from, to);
+                naive.relocate(from, to);
+            }
+            check(op % auditEvery == 0, op);
+            if (testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+
+    std::uint32_t
+    topClass() const
+    {
+        std::uint32_t top = 0;
+        for (std::size_t i = 0; i < naive.lines(); ++i)
+            top = std::max(top, naive.classOf(naive.lineAt(i)));
+        return top;
+    }
+
+    /** The corruption hook damages the first non-empty partition's
+     *  counter silently: navigation is unchanged, only the deep
+     *  audit sees it. */
+    void
+    corruptAndAudit()
+    {
+        PartId first = 0;
+        while (naive.partLines(first) == 0)
+            ++first;
+        LineId worst = rank.worstIn(first);
+        ASSERT_TRUE(rank.corruptRankNodeForFaultInjection());
+        EXPECT_EQ(rank.partLines(first), naive.partLines(first) + 1);
+        EXPECT_EQ(rank.worstIn(first), worst)
+            << "navigation must stay safe";
+        EXPECT_NE(rank.auditInvariants(), "");
+    }
+};
+
+/**
+ * LFU against the naive reference through compactions and class-axis
+ * doublings; then one line is hit past kFreqCap (its partition's
+ * class axis grows to 2^19 and the frequency saturates) and the
+ * random sequence resumes on top of that, auditing on a stride since
+ * each audit now walks 2^19 classes.
+ */
+TEST(ClassIndex, LfuMatchesNaiveReference)
+{
+    LfuRanking rank(ClassOrderDriver<LfuRanking>::kLines);
+    ClassOrderDriver<LfuRanking> d{
+        rank, 1,
+        [](std::uint32_t freq) {
+            return freq < LfuRanking::kFreqCap ? freq + 1 : freq;
+        },
+        Rng(5151), {}};
+    d.randomOps(6000, 1);
+    ASSERT_FALSE(HasFatalFailure());
+    EXPECT_GT(d.topClass(), 256u)
+        << "the class axis should have doubled from 16 to 512";
+
+    LineId id = d.hotLines()[0];
+    while (d.naive.classOf(id) < LfuRanking::kFreqCap)
+        d.hit(id);
+    d.hit(id);
+    d.hit(id);
+    EXPECT_EQ(rank.frequency(id), LfuRanking::kFreqCap);
+    d.check(true, -1);
+    ASSERT_FALSE(HasFatalFailure());
+    d.randomOps(400, 100);
+    ASSERT_FALSE(HasFatalFailure());
+    d.corruptAndAudit();
+}
+
+/** RRIP: installs enter class 1 (RRPV rrpvMax - 1), hits promote to
+ *  class rrpvMax (RRPV 0). */
+TEST(ClassIndex, RripMatchesNaiveReference)
+{
+    for (std::uint32_t bits : {2u, 3u}) {
+        SCOPED_TRACE(testing::Message() << bits << "-bit RRPV");
+        RripRanking rank(ClassOrderDriver<RripRanking>::kLines, bits);
+        std::uint32_t top = (1u << bits) - 1;
+        ClassOrderDriver<RripRanking> d{
+            rank, 1, [top](std::uint32_t) { return top; },
+            Rng(6161 + bits), {}};
+        d.randomOps(4000, 1);
+        ASSERT_FALSE(HasFatalFailure());
+        for (std::size_t i = 0; i < d.naive.lines(); ++i) {
+            LineId line = d.naive.lineAt(i);
+            ASSERT_EQ(rank.rrpv(line), top - d.naive.classOf(line));
+        }
+        d.corruptAndAudit();
+    }
+}
+
+TEST(ClassIndex, EmptyRankingHasNothingToCorrupt)
+{
+    LfuRanking lfu(8);
+    RripRanking rrip(8);
+    EXPECT_FALSE(lfu.corruptRankNodeForFaultInjection());
+    EXPECT_FALSE(rrip.corruptRankNodeForFaultInjection());
+    EXPECT_EQ(lfu.worstIn(0), kInvalidLine);
+    EXPECT_EQ(lfu.auditInvariants(), "");
 }
 
 /**

@@ -104,8 +104,8 @@ ALLOC_CALLS = frozenset({
 # Methods that can grow an allocating container. "Strong" ones are
 # reported even when the receiver's type cannot be resolved; the
 # rest only fire when the receiver resolves to a std:: container
-# (so FlatMap::insert and OrderStatTreap::insert are followed into
-# their bodies instead of being misread as hash-map growth).
+# (so FlatMap::insert is followed into its body instead of being
+# misread as hash-map growth).
 STRONG_GROWTH_METHODS = frozenset({
     "push_back", "emplace_back", "push_front", "emplace_front",
     "resize", "reserve", "append",
