@@ -47,6 +47,29 @@ parseIndex(const std::string &spec, const std::string &tok,
     return v;
 }
 
+/**
+ * Plain decimal probability in [0, 1]: digits with at most one
+ * point. strtod alone would take "nan" (which passes every range
+ * test, since NaN compares false, and then fires on every cell),
+ * leading blanks and hex floats.
+ */
+double
+parseRate(const std::string &spec, const std::string &tok)
+{
+    std::size_t point = tok.find('.');
+    bool plain =
+        tok.find_first_not_of("0123456789.") == std::string::npos &&
+        tok.find_first_of("0123456789") != std::string::npos &&
+        (point == std::string::npos ||
+         tok.find('.', point + 1) == std::string::npos);
+    double rate = plain ? std::strtod(tok.c_str(), nullptr) : -1.0;
+    if (!(rate >= 0.0 && rate <= 1.0))
+        fatal("FS_FAULTS \"%s\": rate \"%s\" must be a plain "
+              "decimal probability in [0,1]", spec.c_str(),
+              tok.c_str());
+    return rate;
+}
+
 std::atomic<const FaultInjector *> g_active{nullptr};
 std::atomic<bool> g_initialized{false};
 
@@ -109,14 +132,7 @@ FaultInjector::parse(const std::string &spec)
                 std::numeric_limits<std::size_t>::max()));
         } else if (key == "rate") {
             c.byRate = true;
-            char *end = nullptr;
-            c.rate = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0' ||
-                c.rate < 0.0 || c.rate > 1.0) {
-                fatal("FS_FAULTS \"%s\": rate \"%s\" must be a "
-                      "probability in [0,1]", spec.c_str(),
-                      value.c_str());
-            }
+            c.rate = parseRate(spec, value);
         } else {
             fatal("FS_FAULTS \"%s\": unknown key \"%s\" (want cell "
                   "or rate)", spec.c_str(), key.c_str());

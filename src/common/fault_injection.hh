@@ -28,7 +28,9 @@
  *
  * <n> and <k> are plain decimal digits; a sign, trailing junk, or a
  * value out of range (k above UINT_MAX) is fatal, as is an unknown
- * action, so a typo never silently disarms a fault.
+ * action, so a typo never silently disarms a fault. <p> is a plain
+ * decimal in [0, 1] (digits and at most one point): "nan", blanks,
+ * exponents and hex floats are fatal too.
  *
  * The corrupt* clauses are two-phase: fire() only *arms* a thread-
  * local target (it must not throw — corruption is silent by

@@ -18,11 +18,11 @@
  *  - BitFenwick: for mark-once axes, one bit per position plus a
  *    FenwickTree over the popcounts of the 64-bit words: 1/8 B
  *    plus 1/16 B per position instead of 4 B, and a tree six
- *    levels shallower. Every other client is mark-once: the
- *    recency stamp axis behind RecencyRankingBase (marks are
- *    resident lines, prefix counts are exact LRU ranks), LFU's and
- *    RRIP's per-class buckets on the same axis
- *    (ClassRankingBase), OPT's never-used set over line ids, and
+ *    levels shallower. Every other client is mark-once:
+ *    ClassRankingBase's per-class buckets on the recency stamp
+ *    axis (marks are resident lines, prefix counts are touch-order
+ *    ranks; LRU, coarse LRU's shadow and Random have one class,
+ *    LFU and RRIP many), OPT's never-used set over line ids, and
  *    the StackDistGenerator's LRU stack (the k-th most recent
  *    entry is a select).
  */
@@ -121,6 +121,27 @@ class FenwickTree
                                  : 0;
         }
         total_ = n;
+    }
+
+    /**
+     * Set every position's count to count(pos), in O(capacity):
+     * each node passes its range's sum up to its parent, whose range
+     * contains it, once its own children have passed theirs.
+     */
+    template <class Count>
+    void
+    assign(Count count)
+    {
+        total_ = 0;
+        for (std::uint32_t i = 1; i <= cap_; ++i) {
+            tree_[i] = count(i - 1);
+            total_ += tree_[i];
+        }
+        for (std::uint32_t i = 1; i < cap_; ++i) {
+            std::uint32_t parent = i + (i & (0u - i));
+            if (parent <= cap_)
+                tree_[parent] += tree_[i];
+        }
     }
 
     /** Add one mark at `pos`. */
@@ -248,6 +269,29 @@ class BitFenwick
         if (n % 64 != 0)
             bits_[n / 64] = (1ull << (n % 64)) - 1;
         words_.fillPrefix(n, 64);
+    }
+
+    /**
+     * Set the (currently clear) bit of `pos` without counting it, for
+     * a bulk rebuild: set every bit, then recount() once, in
+     * O(capacity / 64) where a mark() per position walks the word
+     * tree each time. Counts, and so every query, are stale until
+     * recount().
+     */
+    void
+    setBit(std::uint32_t pos)
+    {
+        fs_assert(pos < capacity(), "fenwick position out of range");
+        bits_[pos >> 6] |= 1ull << (pos & 63);
+    }
+
+    /** Recompute the word counts from the bits (after setBit()). */
+    void
+    recount()
+    {
+        words_.assign([this](std::uint32_t w) {
+            return popcount64(bits_[w]);
+        });
     }
 
     /** Mark the (currently unmarked) position `pos`. */

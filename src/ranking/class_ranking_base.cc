@@ -25,8 +25,7 @@ classCapacity(std::uint32_t classes)
 ClassRankingBase::ClassRankingBase(LineId num_lines,
                                    std::uint32_t classes)
     : axis_(num_lines), initialClasses_(classCapacity(classes)),
-      classOf_(num_lines, 0), partOf_(num_lines, kInvalidPart),
-      present_(num_lines, 0)
+      lines_(num_lines)
 {
 }
 
@@ -67,9 +66,11 @@ ClassRankingBase::ensureClass(Part &p, std::uint32_t cls)
     p.bucketAt.resize(cap, kNoBucket);
 }
 
-void
-ClassRankingBase::enter(Part &p, std::uint32_t cls, std::uint32_t pos)
+std::uint32_t
+ClassRankingBase::enter(PartId part, std::uint32_t cls,
+                        std::uint32_t pos)
 {
+    Part &p = parts_[part];
     std::uint32_t b = p.bucketAt[cls];
     if (b == kNoBucket) {
         if (free_.empty()) {
@@ -77,7 +78,7 @@ ClassRankingBase::enter(Part &p, std::uint32_t cls, std::uint32_t pos)
             // fs-analyze: allow(hot-path-alloc) the pool grows to
             // the most buckets ever nonempty at once, bounded by
             // partitions x classes (witness: tests/test_hot_alloc.cc).
-            pool_.emplace_back(axis_.capacity());
+            pool_.push_back({BitFenwick(axis_.capacity())});
             // Every bucket can be free at once: reserving here keeps
             // leave()'s push_back from allocating.
             // fs-analyze: allow(hot-path-alloc) see above.
@@ -86,25 +87,29 @@ ClassRankingBase::enter(Part &p, std::uint32_t cls, std::uint32_t pos)
             b = free_.back();
             free_.pop_back();
         }
+        pool_[b].cls = cls;
+        pool_[b].part = part;
         p.bucketAt[cls] = b;
     }
-    pool_[b].mark(pos);
+    pool_[b].stamps.mark(pos);
     p.classes.mark(cls);
+    return b;
 }
 
 void
-ClassRankingBase::leave(Part &p, std::uint32_t cls, std::uint32_t pos)
+ClassRankingBase::leave(std::uint32_t b, std::uint32_t pos)
 {
-    std::uint32_t b = p.bucketAt[cls];
-    pool_[b].unmark(pos);
-    p.classes.unmark(cls);
-    if (pool_[b].total() == 0) {
+    Bucket &bucket = pool_[b];
+    Part &p = parts_[bucket.part];
+    bucket.stamps.unmark(pos);
+    p.classes.unmark(bucket.cls);
+    if (bucket.stamps.total() == 0) {
         // Every mark is gone, so every bit and count is zero: the
         // bucket is reused as is.
         // fs-analyze: allow(hot-path-alloc) enter() reserves room
         // for every pooled bucket (witness: tests/test_hot_alloc.cc).
         free_.push_back(b);
-        p.bucketAt[cls] = kNoBucket;
+        p.bucketAt[bucket.cls] = kNoBucket;
     }
 }
 
@@ -112,133 +117,126 @@ std::uint32_t
 ClassRankingBase::newStamp(LineId id)
 {
     if (axis_.full()) [[unlikely]] {
+        // Re-stamp every line and set its bit in its bucket, then
+        // count each bucket's words once: a mark() per line would
+        // walk a word tree per line.
         axis_.compact();
-        for (BitFenwick &bucket : pool_) {
-            if (bucket.total() != 0)
-                bucket.clear();
+        for (Bucket &bucket : pool_) {
+            if (bucket.stamps.total() != 0)
+                bucket.stamps.clear();
         }
         for (std::uint32_t pos = 0; pos < axis_.next(); ++pos) {
-            LineId line = axis_.lineAt(pos);
-            const Part &p = parts_[partOf_[line]];
-            pool_[p.bucketAt[classOf_[line]]].mark(pos);
+            Line &line = lines_[axis_.lineAt(pos)];
+            line.stamp = pos;
+            pool_[line.bucket].stamps.setBit(pos);
         }
+        for (Bucket &bucket : pool_)
+            bucket.stamps.recount();
     }
-    return axis_.assign(id);
+    std::uint32_t pos = axis_.assign(id);
+    lines_[id].stamp = pos;
+    return pos;
 }
 
 void
 ClassRankingBase::place(LineId id, PartId part, std::uint32_t cls)
 {
-    fs_assert(!present_[id], "placing an already-present line");
+    fs_assert(!present(id), "placing an already-present line");
     ensurePart(part);
     Part &p = parts_[part];
     ensureClass(p, cls);
-    partOf_[id] = part;
-    present_[id] = 1;
-    classOf_[id] = cls;
     ++p.size;
-    enter(p, cls, newStamp(id));
+    std::uint32_t pos = newStamp(id);
+    lines_[id].bucket = enter(part, cls, pos);
 }
 
 void
 ClassRankingBase::touch(LineId id, std::uint32_t cls)
 {
-    fs_assert(present_[id], "touching an absent line");
-    Part &p = parts_[partOf_[id]];
-    std::uint32_t old = classOf_[id];
-    if (cls == old) {
+    Line &line = lines_[id];
+    fs_assert(line.bucket != kNoBucket, "touching an absent line");
+    Bucket &bucket = pool_[line.bucket];
+    if (bucket.cls == cls) {
         // Same class: the line only moves to its bucket's newest
         // end, and the class counts stay as they are. A compaction
-        // in between re-marks buckets but never returns one to the
-        // pool, so the bucket stays this class's.
-        BitFenwick &bucket = pool_[p.bucketAt[cls]];
-        bucket.unmark(axis_.stampOf(id));
-        axis_.release(id);
-        bucket.mark(newStamp(id));
+        // in between re-marks buckets but never adds or frees one.
+        bucket.stamps.unmark(line.stamp);
+        axis_.release(line.stamp);
+        bucket.stamps.mark(newStamp(id));
         return;
     }
-    leave(p, old, axis_.stampOf(id));
-    axis_.release(id);
-    ensureClass(p, cls);
-    classOf_[id] = cls;
-    enter(p, cls, newStamp(id));
+    PartId part = bucket.part;
+    leave(line.bucket, line.stamp);
+    axis_.release(line.stamp);
+    ensureClass(parts_[part], cls);
+    std::uint32_t pos = newStamp(id);
+    line.bucket = enter(part, cls, pos);
 }
 
 void
 ClassRankingBase::onEvict(LineId id)
 {
-    fs_assert(present_[id], "removing an absent line");
-    Part &p = parts_[partOf_[id]];
-    leave(p, classOf_[id], axis_.stampOf(id));
-    axis_.release(id);
-    --p.size;
-    present_[id] = 0;
-    partOf_[id] = kInvalidPart;
-    classOf_[id] = 0;
+    Line &line = lines_[id];
+    fs_assert(line.bucket != kNoBucket, "removing an absent line");
+    --parts_[pool_[line.bucket].part].size;
+    leave(line.bucket, line.stamp);
+    axis_.release(line.stamp);
+    line = Line{};
 }
 
 void
 ClassRankingBase::onRelocate(LineId from, LineId to)
 {
-    fs_assert(present_[from] && !present_[to],
+    fs_assert(present(from) && !present(to),
               "bad relocation in ranking");
-    // Stamp and class are line metadata that follow the line: the
-    // order (and so every rank) is untouched, no index changes.
-    axis_.move(from, to);
-    classOf_[to] = classOf_[from];
-    partOf_[to] = partOf_[from];
-    present_[to] = 1;
-    present_[from] = 0;
-    partOf_[from] = kInvalidPart;
-    classOf_[from] = 0;
+    // The record is line metadata that follows the line: the order
+    // (and so every rank) is untouched, no index changes.
+    axis_.move(lines_[from].stamp, to);
+    lines_[to] = lines_[from];
+    lines_[from] = Line{};
 }
 
 void
 ClassRankingBase::onRetag(LineId id, PartId new_part)
 {
-    fs_assert(present_[id], "retag of an absent line");
+    Line &line = lines_[id];
+    fs_assert(line.bucket != kNoBucket, "retag of an absent line");
     // The line keeps its class and stamp, so its place in the order
     // is unchanged; only the partition it is counted under moves.
     ensurePart(new_part);
-    Part &from = parts_[partOf_[id]];
+    std::uint32_t cls = pool_[line.bucket].cls;
+    --parts_[pool_[line.bucket].part].size;
+    leave(line.bucket, line.stamp);
     Part &to = parts_[new_part];
-    std::uint32_t cls = classOf_[id];
-    std::uint32_t pos = axis_.stampOf(id);
-    leave(from, cls, pos);
-    --from.size;
     ensureClass(to, cls);
-    enter(to, cls, pos);
     ++to.size;
-    partOf_[id] = new_part;
+    line.bucket = enter(new_part, cls, line.stamp);
 }
 
-std::uint32_t
-ClassRankingBase::rankOf(LineId id) const
+double
+ClassRankingBase::futilityOf(LineId id) const
 {
-    const Part &p = parts_[partOf_[id]];
-    std::uint32_t cls = classOf_[id];
-    return p.size - p.classes.countBelow(cls) -
-           pool_[p.bucketAt[cls]].countBelow(axis_.stampOf(id));
+    const Line &line = lines_[id];
+    fs_assert(line.bucket != kNoBucket, "futility of an absent line");
+    const Bucket &bucket = pool_[line.bucket];
+    const Part &p = parts_[bucket.part];
+    std::uint32_t rank = p.size - p.classes.countBelow(bucket.cls) -
+                         bucket.stamps.countBelow(line.stamp);
+    return static_cast<double>(rank) / static_cast<double>(p.size);
 }
 
 double
 ClassRankingBase::exactFutility(LineId id) const
 {
-    fs_assert(present_[id], "futility of an absent line");
-    return static_cast<double>(rankOf(id)) /
-           static_cast<double>(parts_[partOf_[id]].size);
+    return futilityOf(id);
 }
 
 void
 ClassRankingBase::exactFutilityManyImpl(std::span<const LineId> ids,
                                         double *out) const
 {
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        LineId id = ids[i];
-        fs_assert(present_[id], "futility of an absent line");
-        out[i] = static_cast<double>(rankOf(id)) /
-                 static_cast<double>(parts_[partOf_[id]].size);
-    }
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        out[i] = futilityOf(ids[i]);
 }
 
 LineId
@@ -252,7 +250,7 @@ ClassRankingBase::worstIn(PartId part) const
         return kInvalidLine;
     const Part &p = parts_[part];
     std::uint32_t lowest = p.classes.select(0).pos;
-    return axis_.lineAt(pool_[p.bucketAt[lowest]].select(0));
+    return axis_.lineAt(pool_[p.bucketAt[lowest]].stamps.select(0));
 }
 
 std::uint32_t
@@ -280,51 +278,20 @@ ClassRankingBase::corruptRankNodeForFaultInjection()
 std::string
 ClassRankingBase::auditInvariants() const
 {
-    std::string err = axis_.audit(present_);
+    std::string err = axis_.audit(
+        static_cast<LineId>(lines_.size()), [this](LineId id) {
+            return present(id) ? lines_[id].stamp : StampAxis::kNoStamp;
+        });
     if (!err.empty())
         return err;
 
-    // Every present line is marked at its stamp in the bucket of its
-    // (partition, class); absent lines are mapped nowhere.
-    std::uint32_t presentLines = 0;
-    for (LineId id = 0; id < present_.size(); ++id) {
-        if (present_[id] == 0) {
-            if (partOf_[id] != kInvalidPart) {
-                return strprintf("absent line %u still mapped to "
-                                 "partition %u", id,
-                                 static_cast<unsigned>(partOf_[id]));
-            }
-            continue;
-        }
-        ++presentLines;
-        if (partOf_[id] >= parts_.size()) {
-            return strprintf("present line %u in untracked "
-                             "partition %u", id,
-                             static_cast<unsigned>(partOf_[id]));
-        }
-        std::uint32_t cls = classOf_[id];
-        const Part &p = parts_[partOf_[id]];
-        if (cls >= p.classes.capacity()) {
-            return strprintf("present line %u in class %u beyond "
-                             "its partition's class axis (%u)", id,
-                             cls, p.classes.capacity());
-        }
-        std::uint32_t b = p.bucketAt[cls];
-        std::uint32_t pos = axis_.stampOf(id);
-        if (b == kNoBucket || b >= pool_.size() ||
-            pool_[b].countBelow(pos + 1) - pool_[b].countBelow(pos) !=
-                1) {
-            return strprintf("present line %u unmarked in partition "
-                             "%u's class %u bucket", id,
-                             static_cast<unsigned>(partOf_[id]), cls);
-        }
-    }
-
     // Buckets against the class counts: a class holds a bucket iff
-    // it counts lines, the bucket holds exactly that many marks, and
-    // no bucket serves two classes. With every present line marked
-    // in its own bucket above, equal totals leave no stray marks.
-    std::vector<std::uint8_t> used(pool_.size(), 0);
+    // it counts lines, the bucket names that (partition, class) and
+    // holds exactly that many marks, and no bucket serves two
+    // classes.
+    constexpr std::uint8_t kInUse = 1;
+    constexpr std::uint8_t kFree = 2;
+    std::vector<std::uint8_t> state(pool_.size(), 0);
     std::uint32_t marks = 0;
     for (std::size_t pi = 0; pi < parts_.size(); ++pi) {
         const Part &p = parts_[pi];
@@ -347,15 +314,23 @@ ClassRankingBase::auditInvariants() const
                 }
                 continue;
             }
-            if (b >= pool_.size() || used[b] != 0) {
+            if (b >= pool_.size() || state[b] != 0) {
                 return strprintf("partition %zu class %u holds bad "
                                  "or shared bucket %u", pi, cls, b);
             }
-            used[b] = 1;
-            if (count == 0 || pool_[b].total() != count) {
+            state[b] = kInUse;
+            const Bucket &bucket = pool_[b];
+            if (bucket.part != pi || bucket.cls != cls) {
+                return strprintf("partition %zu class %u holds bucket "
+                                 "%u named for partition %u class %u",
+                                 pi, cls, b,
+                                 static_cast<unsigned>(bucket.part),
+                                 bucket.cls);
+            }
+            if (count == 0 || bucket.stamps.total() != count) {
                 return strprintf("partition %zu class %u counts %u "
                                  "lines but its bucket holds %u", pi,
-                                 cls, count, pool_[b].total());
+                                 cls, count, bucket.stamps.total());
             }
             marks += count;
         }
@@ -370,29 +345,49 @@ ClassRankingBase::auditInvariants() const
                              p.classes.total());
         }
     }
-    if (marks != presentLines) {
-        return strprintf("%u present lines but buckets hold %u marks",
-                         presentLines, marks);
-    }
 
     // Every other bucket is free, listed once, and all zero.
     for (std::uint32_t b : free_) {
-        if (b >= pool_.size() || used[b] != 0) {
+        if (b >= pool_.size() || state[b] != 0) {
             return strprintf("free bucket %u is in use or listed "
                              "twice", b);
         }
-        used[b] = 1;
-        if (pool_[b].countBelow(pool_[b].capacity()) != 0 ||
-            pool_[b].total() != 0) {
+        state[b] = kFree;
+        const BitFenwick &stamps = pool_[b].stamps;
+        if (stamps.countBelow(stamps.capacity()) != 0 ||
+            stamps.total() != 0) {
             return strprintf("free bucket %u holds marks", b);
         }
     }
-    std::uint32_t inUse = 0;
-    for (std::uint8_t u : used)
-        inUse += u;
-    if (inUse != pool_.size()) {
-        return strprintf("%zu buckets pooled but %u in use or free",
-                         pool_.size(), inUse);
+    for (std::size_t b = 0; b < pool_.size(); ++b) {
+        if (state[b] == 0)
+            return strprintf("bucket %zu neither in use nor free", b);
+    }
+
+    // Every present line is marked at its stamp in a bucket in use.
+    // With the bucket totals above, equal counts leave no stray
+    // marks.
+    std::uint32_t presentLines = 0;
+    for (LineId id = 0; id < lines_.size(); ++id) {
+        const Line &line = lines_[id];
+        if (line.bucket == kNoBucket)
+            continue;
+        ++presentLines;
+        if (line.bucket >= pool_.size() ||
+            state[line.bucket] != kInUse) {
+            return strprintf("present line %u in bad or free bucket "
+                             "%u", id, line.bucket);
+        }
+        const BitFenwick &stamps = pool_[line.bucket].stamps;
+        std::uint32_t pos = line.stamp;
+        if (stamps.countBelow(pos + 1) - stamps.countBelow(pos) != 1) {
+            return strprintf("present line %u unmarked at stamp %u in "
+                             "bucket %u", id, pos, line.bucket);
+        }
+    }
+    if (marks != presentLines) {
+        return strprintf("%u present lines but buckets hold %u marks",
+                         presentLines, marks);
     }
     return std::string();
 }

@@ -12,7 +12,7 @@ CoarseTsLruRanking::CoarseTsLruRanking(LineId num_lines,
                                        const TagStore *tags,
                                        std::uint32_t granularity_div,
                                        std::uint32_t ts_bits)
-    : RecencyRankingBase(num_lines), tags_(tags),
+    : ClassRankingBase(num_lines, 1), tags_(tags),
       granularityDiv_(granularity_div),
       tsMask_((1u << ts_bits) - 1), ts_(num_lines, 0)
 {
@@ -21,7 +21,8 @@ CoarseTsLruRanking::CoarseTsLruRanking(LineId num_lines,
     fs_assert(granularity_div >= 1, "bad granularity divisor");
     // The divisor is a runtime value (so / compiles to a real
     // divide) but in practice always the paper's 16; divide by
-    // shifting when it is a power of two — touch() runs per access.
+    // shifting when it is a power of two — tagTimestamp() runs per
+    // access.
     if ((granularityDiv_ & (granularityDiv_ - 1)) == 0) {
         granShift_ = 0;
         while ((1u << granShift_) < granularityDiv_)
@@ -41,7 +42,7 @@ CoarseTsLruRanking::partState(PartId part)
 }
 
 void
-CoarseTsLruRanking::touch(LineId id, PartId part)
+CoarseTsLruRanking::tagTimestamp(LineId id, PartId part)
 {
     PartState &st = partState(part);
     ts_[id] = static_cast<std::uint16_t>(st.currentTs);
@@ -63,21 +64,21 @@ CoarseTsLruRanking::touch(LineId id, PartId part)
 void
 CoarseTsLruRanking::onInstall(LineId id, PartId part, AccessTime)
 {
-    placeNewest(id, part);
-    touch(id, part);
+    place(id, part, 0);
+    tagTimestamp(id, part);
 }
 
 void
 CoarseTsLruRanking::onHit(LineId id, AccessTime)
 {
-    touchNewest(id);
-    touch(id, partOf(id));
+    touch(id, 0);
+    tagTimestamp(id, partOf(id));
 }
 
 void
 CoarseTsLruRanking::onRetag(LineId id, PartId new_part)
 {
-    RecencyRankingBase::onRetag(id, new_part);
+    ClassRankingBase::onRetag(id, new_part);
     // The raw timestamp is kept; distances are now measured against
     // the new partition's clock, as they would be in hardware.
 }
@@ -85,7 +86,7 @@ CoarseTsLruRanking::onRetag(LineId id, PartId new_part)
 void
 CoarseTsLruRanking::onRelocate(LineId from, LineId to)
 {
-    RecencyRankingBase::onRelocate(from, to);
+    ClassRankingBase::onRelocate(from, to);
     // The timestamp is line metadata and must follow the line, or a
     // zcache relocation leaves the moved line aged by whatever stale
     // stamp the destination slot last held.

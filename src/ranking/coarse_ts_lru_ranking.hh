@@ -9,10 +9,10 @@
  * every hit. The scheme-visible futility of a line is the unsigned
  * 8-bit distance (currentTS - lineTS) % 256, normalized to [0, 1].
  *
- * The exact LRU order is tracked alongside (the Fenwick-backed
- * recency base) so statistics report the true rank futility; the
- * scheme only ever sees the coarse estimate, exactly like the
- * paper's hardware.
+ * The exact LRU order is tracked alongside, as a one-class
+ * ClassRankingBase (ranking/class_ranking_base.hh), so statistics
+ * report the true rank futility; the scheme only ever sees the
+ * coarse estimate, exactly like the paper's hardware.
  */
 
 #ifndef FSCACHE_RANKING_COARSE_TS_LRU_RANKING_HH
@@ -21,7 +21,7 @@
 #include <span>
 #include <vector>
 
-#include "ranking/recency_ranking_base.hh"
+#include "ranking/class_ranking_base.hh"
 
 namespace fscache
 {
@@ -29,7 +29,7 @@ namespace fscache
 class TagStore;
 
 /** See file comment. */
-class CoarseTsLruRanking : public RecencyRankingBase
+class CoarseTsLruRanking : public ClassRankingBase
 {
   public:
     /**
@@ -80,7 +80,11 @@ class CoarseTsLruRanking : public RecencyRankingBase
     };
 
     PartState &partState(PartId part);
-    void touch(LineId id, PartId part);
+
+    /** Tag `id` with `part`'s current timestamp and advance that
+     *  partition's clock. Named apart from ClassRankingBase::touch,
+     *  which moves the line in the exact order. */
+    void tagTimestamp(LineId id, PartId part);
 
     const TagStore *tags_;
     std::uint32_t granularityDiv_;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Exact LRU futility ranking: lines ranked by last access time.
+ * Exact LRU futility ranking: lines ranked by last access time, as
+ * a one-class ClassRankingBase (ranking/class_ranking_base.hh).
  */
 
 #ifndef FSCACHE_RANKING_EXACT_LRU_RANKING_HH
@@ -8,30 +9,30 @@
 
 #include <span>
 
-#include "ranking/recency_ranking_base.hh"
+#include "ranking/class_ranking_base.hh"
 
 namespace fscache
 {
 
 /** Exact (full-precision) LRU. schemeFutility == exactFutility. */
-class ExactLruRanking : public RecencyRankingBase
+class ExactLruRanking : public ClassRankingBase
 {
   public:
     explicit ExactLruRanking(LineId num_lines)
-        : RecencyRankingBase(num_lines)
+        : ClassRankingBase(num_lines, 1)
     {
     }
 
     void
     onInstall(LineId id, PartId part, AccessTime) override
     {
-        placeNewest(id, part);
+        place(id, part, 0);
     }
 
     void
     onHit(LineId id, AccessTime) override
     {
-        touchNewest(id);
+        touch(id, 0);
     }
 
     double

@@ -253,7 +253,7 @@ OptRanking::partLines(PartId part) const
 bool
 OptRanking::corruptRankNodeForFaultInjection()
 {
-    // Same arm as RecencyRankingBase: silently inflate the first
+    // Same arm as ClassRankingBase: silently inflate the first
     // non-empty partition's resident-line counter. Navigation never
     // reads it (see worstIn), so only the occupancy-sum audit and
     // the deep self-audit below can see the damage.

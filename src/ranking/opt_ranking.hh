@@ -117,8 +117,9 @@ class OptRanking : public FutilityRanking
     std::vector<LineId> nextAt_;
     std::vector<std::uint32_t> posOf_;
     std::vector<PartId> partOf_;
-    /** Byte- (not bit-) backed presence flags, as in
-     *  RecencyRankingBase. */
+    /** Byte- (not bit-) backed presence flags: every hot operation
+     *  tests one per access, and vector<bool>'s masked bit loads
+     *  cost more than the 8x memory there. */
     std::vector<std::uint8_t> present_;
     std::vector<Part> parts_;
 };

@@ -10,35 +10,35 @@
  * diagonal: high-valued lines die young, so survivors skew low and
  * evictions skew toward young, useful lines.)
  *
- * Exact futility is still reported against true LRU order, kept by
- * RecencyRankingBase.
+ * Exact futility is still reported against true LRU order, kept as
+ * a one-class ClassRankingBase (ranking/class_ranking_base.hh).
  */
 
 #ifndef FSCACHE_RANKING_RANDOM_RANKING_HH
 #define FSCACHE_RANKING_RANDOM_RANKING_HH
 
 #include "common/random.hh"
-#include "ranking/recency_ranking_base.hh"
+#include "ranking/class_ranking_base.hh"
 
 namespace fscache
 {
 
 /** See file comment. */
-class RandomRanking : public RecencyRankingBase
+class RandomRanking : public ClassRankingBase
 {
   public:
     RandomRanking(LineId num_lines, Rng rng)
-        : RecencyRankingBase(num_lines), rng_(rng)
+        : ClassRankingBase(num_lines, 1), rng_(rng)
     {
     }
 
     void
     onInstall(LineId id, PartId part, AccessTime) override
     {
-        placeNewest(id, part);
+        place(id, part, 0);
     }
 
-    void onHit(LineId id, AccessTime) override { touchNewest(id); }
+    void onHit(LineId id, AccessTime) override { touch(id, 0); }
 
     double
     schemeFutility(LineId) const override

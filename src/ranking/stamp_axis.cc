@@ -27,7 +27,7 @@ stampCapacity(LineId num_lines)
 
 StampAxis::StampAxis(LineId num_lines)
     : capacity_(stampCapacity(num_lines)),
-      lineAt_(capacity_, kInvalidLine), stampOf_(num_lines, 0)
+      lineAt_(capacity_, kInvalidLine)
 {
 }
 
@@ -39,11 +39,8 @@ StampAxis::compact()
     std::uint32_t live = 0;
     for (std::uint32_t pos = 0; pos < next_; ++pos) {
         LineId id = lineAt_[pos];
-        if (id == kInvalidLine)
-            continue;
-        lineAt_[live] = id;
-        stampOf_[id] = live;
-        ++live;
+        if (id != kInvalidLine)
+            lineAt_[live++] = id;
     }
     std::fill(lineAt_.begin() + live, lineAt_.begin() + next_,
               kInvalidLine);
@@ -52,7 +49,9 @@ StampAxis::compact()
 }
 
 std::string
-StampAxis::audit(const std::vector<std::uint8_t> &present) const
+StampAxis::audit(LineId num_lines,
+                 const std::function<std::uint32_t(LineId)> &stampOf)
+    const
 {
     std::uint32_t live = 0;
     for (std::uint32_t pos = 0; pos < capacity_; ++pos) {
@@ -63,22 +62,23 @@ StampAxis::audit(const std::vector<std::uint8_t> &present) const
             return strprintf("line %u at unallocated stamp %u", id,
                              pos);
         }
-        if (id >= present.size() || present[id] == 0) {
+        if (id >= num_lines || stampOf(id) == kNoStamp) {
             return strprintf("absent line %u on the stamp axis",
                              id);
         }
-        if (stampOf_[id] != pos) {
+        if (stampOf(id) != pos) {
             return strprintf("line %u at stamp %u but mapped to %u",
-                             id, pos, stampOf_[id]);
+                             id, pos, stampOf(id));
         }
         ++live;
     }
     std::uint32_t presentLines = 0;
-    for (LineId id = 0; id < present.size(); ++id) {
-        if (present[id] == 0)
+    for (LineId id = 0; id < num_lines; ++id) {
+        std::uint32_t pos = stampOf(id);
+        if (pos == kNoStamp)
             continue;
         ++presentLines;
-        if (lineAt_[stampOf_[id]] != id) {
+        if (pos >= capacity_ || lineAt_[pos] != id) {
             return strprintf("present line %u missing from the "
                              "stamp axis", id);
         }

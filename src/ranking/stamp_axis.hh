@@ -1,27 +1,29 @@
 /**
  * @file
  * The recency stamp axis behind the rankings whose order is touch
- * order, wholly (RecencyRankingBase: exact LRU, the coarse-timestamp
- * LRU's shadow, Random) or within a class (ClassRankingBase: LFU,
- * RRIP).
+ * order, wholly (exact LRU, the coarse-timestamp LRU's shadow,
+ * Random: one class) or within a class (LFU, RRIP); all of them are
+ * ClassRankingBase clients (ranking/class_ranking_base.hh).
  *
  * Every install and every hit gives the line the next stamp of an
  * append-only axis, so a line's stamp orders it against every other
- * line by last touch. The rankings mark resident lines' stamps in
- * their own BitFenwick indexes (common/fenwick.hh); this class keeps
- * the axis itself: which line holds each stamp, and each line's
- * stamp. When the axis is full the owner compacts it — live lines
- * keep their relative order and move to stamps 0..live-1 — and
- * rebuilds its marks from lineAt(). The axis spans a power of two
- * >= 2x the line count, so at least half of every compaction
- * interval is fresh stamps and the O(capacity) compaction amortizes
- * to O(1) per touch; it allocates nothing.
+ * line by last touch. The ranking keeps each line's stamp in its own
+ * per-line record and marks resident lines' stamps in its BitFenwick
+ * buckets (common/fenwick.hh); this class keeps the axis itself:
+ * which line holds each stamp. When the axis is full the owner
+ * compacts it — live lines keep their relative order and move to
+ * stamps 0..live-1 — and re-stamps its lines and rebuilds its marks
+ * from lineAt(). The axis spans a power of two >= 2x the line count,
+ * so at least half of every compaction interval is fresh stamps and
+ * the O(capacity) compaction amortizes to O(1) per touch; it
+ * allocates nothing.
  */
 
 #ifndef FSCACHE_RANKING_STAMP_AXIS_HH
 #define FSCACHE_RANKING_STAMP_AXIS_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,50 +51,46 @@ class StampAxis
     /** Line holding `pos`, or kInvalidLine. */
     LineId lineAt(std::uint32_t pos) const { return lineAt_[pos]; }
 
-    /** Stamp of a line on the axis. */
-    std::uint32_t stampOf(LineId id) const { return stampOf_[id]; }
-
-    /** Give `id` the newest stamp; requires !full(). */
+    /** Give `id` the newest stamp and return it; requires
+     *  !full(). */
     std::uint32_t
     assign(LineId id)
     {
-        std::uint32_t pos = next_++;
-        stampOf_[id] = pos;
-        lineAt_[pos] = id;
-        return pos;
+        lineAt_[next_] = id;
+        return next_++;
     }
 
-    /** Free `id`'s stamp (it leaves the axis, or is re-stamped). */
-    void release(LineId id) { lineAt_[stampOf_[id]] = kInvalidLine; }
+    /** Free stamp `pos` (its line leaves the axis or is
+     *  re-stamped). */
+    void release(std::uint32_t pos) { lineAt_[pos] = kInvalidLine; }
 
-    /** Line `to` takes over line `from`'s stamp (a relocation: the
-     *  order is untouched). */
-    void
-    move(LineId from, LineId to)
-    {
-        std::uint32_t pos = stampOf_[from];
-        lineAt_[pos] = to;
-        stampOf_[to] = pos;
-    }
+    /** Line `to` takes over stamp `pos` (a relocation: the order is
+     *  untouched). */
+    void move(std::uint32_t pos, LineId to) { lineAt_[pos] = to; }
 
     /** Move the live stamps to 0..live-1 in order (see file
-     *  comment); the owner then re-marks its indexes. */
+     *  comment); the owner then re-stamps its lines from lineAt(). */
     void compact();
 
+    /** What audit() is told of a line the owner holds absent. */
+    static constexpr std::uint32_t kNoStamp = 0xffffffffu;
+
     /**
-     * The axis against the owner's presence flags: lineAt() and
-     * stampOf() are inverse over present lines, every present line
-     * and no absent one holds a stamp, and nothing sits at or past
-     * next(). "" when consistent, else the first violation.
+     * The axis against the owner's stamps of lines 0..num_lines-1
+     * (`stampOf` gives kNoStamp for an absent line): every present
+     * line holds its stamp, no absent or unknown line holds one, and
+     * nothing sits at or past next(). "" when consistent, else the
+     * first violation.
      */
-    std::string audit(const std::vector<std::uint8_t> &present) const;
+    std::string
+    audit(LineId num_lines,
+          const std::function<std::uint32_t(LineId)> &stampOf) const;
 
   private:
     std::uint32_t capacity_;
     std::uint32_t next_ = 0;
     /** Line at each stamp, kInvalidLine where empty. */
     std::vector<LineId> lineAt_;
-    std::vector<std::uint32_t> stampOf_;
 };
 
 } // namespace fscache

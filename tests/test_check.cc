@@ -443,6 +443,14 @@ TEST_F(CorruptionInjection, CorruptClauseParses)
     EXPECT_NO_THROW(FaultInjector::parse("cell=0:transient*4294967295"));
 }
 
+TEST(FaultSpec, PlainDecimalRatesParse)
+{
+    for (const char *spec :
+         {"rate=0:transient", "rate=1:transient", "rate=1.0:transient",
+          "rate=0.02:transient", "rate=.5:transient"})
+        EXPECT_NO_THROW(FaultInjector::parse(spec)) << spec;
+}
+
 /** Specs that used to parse into a fault that never fires (a wrapped
  *  "-1" cell, a truncated attempt count), and actions that no longer
  *  exist, must all be rejected up front. */
@@ -466,6 +474,13 @@ TEST(FaultSpecDeathTest, MalformedClausesAreFatal)
         // loudly, not run the cell unharmed.
         {"cell=1:segv", "unknown action \"segv\""},
         {"cell=0:spin", "unknown action \"spin\""},
+        // Rates strtod would take: NaN passes a [0,1] range test and
+        // then fires on every cell.
+        {"rate=nan:transient", "rate \"nan\" must be a plain decimal"},
+        {"rate= 0.5:transient", "rate \" 0.5\" must be a plain"},
+        {"rate=0x1p-1:transient", "rate \"0x1p-1\" must be a plain"},
+        {"rate=1.5:transient", "rate \"1.5\" must be a plain"},
+        {"rate=.:transient", "rate \".\" must be a plain"},
     };
     for (const auto &[spec, message] : cases)
         EXPECT_EXIT((void)FaultInjector::parse(spec),

@@ -227,9 +227,12 @@ TEST(HotPathAlloc, ManyPartitionCoarseCacheAllocatesNothing)
 }
 
 /**
- * LFU and RRIP draw a bucket from a shared pool for each nonempty
- * (partition, class) pair and grow their class axis to the largest
- * class seen. LFU frequencies climb without bound on a stream that
+ * Every ClassRankingBase client draws a bucket from a shared pool
+ * for each nonempty (partition, class) pair; LFU and RRIP also grow
+ * their class axis to the largest class seen, while exact LRU and
+ * Random keep one class, so their bucket returns to the pool only
+ * when a partition empties. LFU frequencies climb without bound on
+ * a stream that
  * re-references resident lines, so this stream touches each address
  * in one burst of 1..20 accesses and never again: no frequency
  * passes 20, both partitions soon hold lines of every class, and
@@ -246,7 +249,7 @@ TEST(HotPathAlloc, ClassRankingsSteadyStateAllocatesNothing)
 
     constexpr std::uint32_t kParts = 2;
     constexpr std::size_t kBursts = 6000;
-    for (const char *name : {"lfu", "rrip"}) {
+    for (const char *name : {"lfu", "rrip", "lru", "random"}) {
         Rng rng(991);
         Addr fresh = 0;
         auto burstyPass = [&]() {

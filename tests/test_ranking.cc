@@ -173,7 +173,8 @@ TEST(RandomRanking, FreshDrawPerQuery)
 
 TEST(RandomRanking, DeferredReKeysCollapseToSerialOrder)
 {
-    // Random's exact order is recency (ranking/recency_ranking_base.hh).
+    // Random's exact order is recency: one class of
+    // ranking/class_ranking_base.hh.
     // A long hit run — with re-hits of the same lines — must leave
     // exactly the exact-LRU state of a twin that is queried after
     // every hit.

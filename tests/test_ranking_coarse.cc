@@ -121,8 +121,8 @@ TEST_F(CoarseTsFixture, CoarseAgreesWithExactOnOldVsNew)
 TEST_F(CoarseTsFixture, HitRunsLeaveExactSerialOrder)
 {
     // A long hit run — with re-hits of the same lines, enough
-    // touches to renumber the recency base's stamp axis
-    // (ranking/recency_ranking_base.hh) mid-run — must leave
+    // touches to compact the exact order's stamp axis
+    // (ranking/stamp_axis.hh) mid-run — must leave
     // exactly the state of a twin whose order is observed after
     // every hit (queries interleaved with updates must never
     // perturb the order).

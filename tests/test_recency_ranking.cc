@@ -1,15 +1,15 @@
 /**
  * @file
- * Fenwick indexes (common/fenwick.hh) and their four clients: the
- * recency ranking base (ranking/recency_ranking_base.hh), the
- * per-class ranking base behind LFU and RRIP
- * (ranking/class_ranking_base.hh), the OPT ranking
- * (ranking/opt_ranking.hh) and the stack-distance generator
- * (trace/stack_dist_generator.hh). FenwickTree is checked against a
- * naive count array and BitFenwick against FenwickTree; each client
- * against a naive reference through randomized op sequences long
- * enough to force every axis renumbering and growth path; plus the
- * corruption fault hooks' detectability contract.
+ * Fenwick indexes (common/fenwick.hh) and their three clients: the
+ * touch-order ranking base (ranking/class_ranking_base.hh) behind
+ * exact LRU, Random and coarse LRU (one class) and LFU and RRIP
+ * (many), the OPT ranking (ranking/opt_ranking.hh) and the
+ * stack-distance generator (trace/stack_dist_generator.hh).
+ * FenwickTree is checked against a naive count array and BitFenwick
+ * against FenwickTree; each client against a naive reference through
+ * randomized op sequences long enough to force every axis
+ * renumbering and growth path; plus the corruption fault hooks'
+ * detectability contract.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "common/fenwick.hh"
@@ -24,6 +25,7 @@
 #include "ranking/exact_lru_ranking.hh"
 #include "ranking/lfu_ranking.hh"
 #include "ranking/opt_ranking.hh"
+#include "ranking/random_ranking.hh"
 #include "ranking/rrip_ranking.hh"
 #include "trace/instr_gap.hh"
 #include "trace/stack_dist_generator.hh"
@@ -164,8 +166,9 @@ expectSameIndex(const BitFenwick &bits, const FenwickTree &ref,
  * ones. Each run starts from a prefix fill at or around a word edge
  * (n = 0, 1, 63, 64, 65, capacity), then goes sparse (a few marks
  * per word), dense (whole words of ones, so in-word selects land on
- * every bit) and sparse again; clear() then empties the pair for a
- * last half-full run.
+ * every bit) and sparse again, and a setBit()/recount() rebuild of
+ * the marks must match; clear() then empties the pair for a last
+ * half-full run.
  */
 TEST(BitFenwick, MatchesFenwickTree)
 {
@@ -213,6 +216,16 @@ TEST(BitFenwick, MatchesFenwickTree)
             expectSameIndex(bits, ref, "dense");
             randomOps(0.02, static_cast<int>(4 * cap));
             expectSameIndex(bits, ref, "thinned");
+
+            // The bulk rebuild (compaction's path) lands on the same
+            // index as a mark() per position.
+            BitFenwick rebuilt(cap);
+            for (std::uint32_t pos = 0; pos < cap; ++pos) {
+                if (marked[pos])
+                    rebuilt.setBit(pos);
+            }
+            rebuilt.recount();
+            expectSameIndex(rebuilt, ref, "recount");
         }
         bits.clear();
         ref.clear();
@@ -235,229 +248,10 @@ TEST(BitFenwickDeathTest, RejectsDoubleMarksAndSmallCapacity)
 }
 
 /**
- * Naive reference for the recency order: a single oldest-to-newest
- * list plus a partition tag per line. Rank queries scan the list —
- * the definitionally-correct O(n) answers the Fenwick base must
- * reproduce exactly.
- */
-class NaiveRecency
-{
-  public:
-    void
-    install(LineId id, PartId part)
-    {
-        order_.push_back(id);
-        part_[id] = part;
-    }
-
-    void
-    hit(LineId id)
-    {
-        order_.erase(std::find(order_.begin(), order_.end(), id));
-        order_.push_back(id);
-    }
-
-    void
-    evict(LineId id)
-    {
-        order_.erase(std::find(order_.begin(), order_.end(), id));
-        part_.erase(part_.find(id));
-    }
-
-    void
-    relocate(LineId from, LineId to)
-    {
-        *std::find(order_.begin(), order_.end(), from) = to;
-        part_[to] = part_[from];
-        part_.erase(part_.find(from));
-    }
-
-    void retag(LineId id, PartId part) { part_[id] = part; }
-
-    bool contains(LineId id) const { return part_.count(id) != 0; }
-
-    std::size_t lines() const { return order_.size(); }
-
-    LineId
-    lineAt(std::size_t i) const
-    {
-        return order_[i];
-    }
-
-    PartId partOf(LineId id) const { return part_.at(id); }
-
-    std::uint32_t
-    partLines(PartId part) const
-    {
-        std::uint32_t n = 0;
-        for (LineId id : order_)
-            n += part_.at(id) == part;
-        return n;
-    }
-
-    double
-    exactFutility(LineId id) const
-    {
-        PartId part = part_.at(id);
-        std::uint32_t size = 0;
-        std::uint32_t older = 0;
-        for (LineId other : order_) {
-            if (part_.at(other) != part)
-                continue;
-            ++size;
-            if (other == id)
-                older = size - 1;
-        }
-        return static_cast<double>(size - older) /
-               static_cast<double>(size);
-    }
-
-    LineId
-    worstIn(PartId part) const
-    {
-        for (LineId id : order_)
-            if (part_.at(id) == part)
-                return id;
-        return kInvalidLine;
-    }
-
-  private:
-    std::vector<LineId> order_;
-    std::map<LineId, PartId> part_;
-};
-
-/**
- * Drive ExactLruRanking (the thinnest RecencyRankingBase client: its
- * futilities ARE the base's ranks) and the naive reference through
- * the same randomized install/hit/evict/retag/relocate sequence,
- * comparing every query after every op.
- */
-void
-matchNaiveRecency(LineId kLines, PartId kParts, int ops,
-                  std::uint64_t seed)
-{
-    ExactLruRanking rank(kLines);
-    NaiveRecency naive;
-    Rng rng(seed);
-
-    auto randomPresent = [&]() -> LineId {
-        std::size_t i = rng.below(naive.lines());
-        return naive.lineAt(i);
-    };
-
-    for (int op = 0; op < ops; ++op) {
-        std::uint32_t kind = rng.below(10);
-        if (naive.lines() == 0 || (kind < 3 && naive.lines() < kLines)) {
-            LineId id;
-            do {
-                id = rng.below(kLines);
-            } while (naive.contains(id));
-            auto part = static_cast<PartId>(rng.below(kParts));
-            rank.onInstall(id, part, kNeverUsed);
-            naive.install(id, part);
-        } else if (kind < 7) {
-            LineId id = randomPresent();
-            rank.onHit(id, kNeverUsed);
-            naive.hit(id);
-        } else if (kind < 8) {
-            LineId id = randomPresent();
-            rank.onEvict(id);
-            naive.evict(id);
-        } else if (kind < 9) {
-            LineId id = randomPresent();
-            auto part = static_cast<PartId>(rng.below(kParts));
-            rank.onRetag(id, part);
-            naive.retag(id, part);
-        } else if (naive.lines() < kLines) {
-            LineId from = randomPresent();
-            LineId to;
-            do {
-                to = rng.below(kLines);
-            } while (naive.contains(to));
-            rank.onRelocate(from, to);
-            naive.relocate(from, to);
-        }
-
-        ASSERT_EQ(rank.auditInvariants(), "") << "op " << op;
-        for (PartId p = 0; p < kParts; ++p) {
-            ASSERT_EQ(rank.partLines(p), naive.partLines(p))
-                << "op " << op << " part " << int{p};
-            ASSERT_EQ(rank.worstIn(p), naive.worstIn(p))
-                << "op " << op << " part " << int{p};
-        }
-        for (std::size_t i = 0; i < naive.lines(); ++i) {
-            LineId id = naive.lineAt(i);
-            ASSERT_EQ(rank.partOf(id), naive.partOf(id))
-                << "op " << op << " line " << id;
-            // Bit-exact, not approximate: both sides divide the
-            // identical integers, and byte-identity of the replay
-            // rests on exactly that.
-            ASSERT_EQ(rank.exactFutility(id),
-                      naive.exactFutility(id))
-                << "op " << op << " line " << id;
-        }
-    }
-}
-
-/**
- * 6000 ops over 24 line slots churn through the stamp axis
- * (capacity 64) dozens of times, so the renumbering path runs under
- * every op mix. The second run spreads 100 lines over 40
- * partitions, more than 32, so partitions first appear (and their
- * indexes are sized) mid-run, between renumbers.
- */
-TEST(RecencyBase, MatchesNaiveReferenceThroughRenumbering)
-{
-    {
-        SCOPED_TRACE("24 lines, 3 partitions");
-        matchNaiveRecency(24, 3, 6000, 4242);
-    }
-    {
-        SCOPED_TRACE("100 lines, 40 partitions");
-        matchNaiveRecency(100, 40, 3000, 4343);
-    }
-}
-
-TEST(RecencyBase, SingleLineSurvivesEndlessTouches)
-{
-    // One resident line, thousands of touches: the smallest stamp
-    // axis (64) renumbers dozens of times and the answers never
-    // move.
-    ExactLruRanking rank(1);
-    rank.onInstall(0, 0, kNeverUsed);
-    for (int i = 0; i < 5000; ++i) {
-        rank.onHit(0, kNeverUsed);
-        ASSERT_EQ(rank.worstIn(0), 0u);
-        ASSERT_DOUBLE_EQ(rank.exactFutility(0), 1.0);
-    }
-    EXPECT_EQ(rank.auditInvariants(), "");
-}
-
-TEST(RecencyBase, CorruptionHookIsDetectedByAudits)
-{
-    ExactLruRanking rank(8);
-    EXPECT_FALSE(rank.corruptRankNodeForFaultInjection())
-        << "nothing to corrupt in an empty ranking";
-    for (LineId i = 0; i < 4; ++i)
-        rank.onInstall(i, 0, kNeverUsed);
-    ASSERT_EQ(rank.auditInvariants(), "");
-
-    std::uint32_t before = rank.partLines(0);
-    ASSERT_TRUE(rank.corruptRankNodeForFaultInjection());
-    // Silent: the inflated counter changes what partLines reports
-    // (the occupancy-sum audit's input) ...
-    EXPECT_EQ(rank.partLines(0), before + 1);
-    // ... navigation stays safe ...
-    EXPECT_EQ(rank.worstIn(0), 0u);
-    // ... and the deep self-audit pins the damage.
-    EXPECT_NE(rank.auditInvariants(), "");
-}
-
-/**
- * Naive (class, touch order) reference for LFU and RRIP: every
- * line's partition, class and last-touch clock, ranked by the
- * definition — more useful = higher class, then more recent touch —
- * with O(n) scans.
+ * Naive (class, touch order) reference for every ClassRankingBase
+ * client: every line's partition, class and last-touch clock, ranked
+ * by the definition — more useful = higher class, then more recent
+ * touch — with O(n) scans. With one class it is plain recency.
  */
 class NaiveClassOrder
 {
@@ -550,22 +344,26 @@ class NaiveClassOrder
     std::uint64_t clock_ = 0;
 };
 
+/** Line slots and partitions of the usual driver run: 24 slots put
+ *  the stamp axis at 64 stamps, so thousands of touches compact it
+ *  many times. */
+constexpr LineId kDriverLines = 24;
+constexpr PartId kDriverParts = 3;
+
 /**
  * Drives a ClassRankingBase client and NaiveClassOrder through the
  * same seeded random install / hit / evict / retag / relocate
- * sequence. 24 line slots put the stamp axis at 64 stamps, so
- * thousands of touches compact it many times. A quarter of the ops
- * hit one of the three highest-class lines, which evictions spare,
- * so LFU's top frequencies climb into the hundreds and its class
- * axis doubles repeatedly.
+ * sequence over `lines` slots and `parts` partitions. A quarter of
+ * the ops hit one of the three highest-class lines, which evictions
+ * spare, so LFU's top frequencies climb into the hundreds and its
+ * class axis doubles repeatedly.
  */
 template <class Ranking>
 struct ClassOrderDriver
 {
-    static constexpr LineId kLines = 24;
-    static constexpr PartId kParts = 3;
-
     Ranking &rank;
+    LineId lines;
+    PartId parts;
     std::uint32_t installClass;
     std::function<std::uint32_t(std::uint32_t)> hitClass;
     Rng rng;
@@ -582,7 +380,7 @@ struct ClassOrderDriver
     {
         LineId id;
         do {
-            id = static_cast<LineId>(rng.below(kLines));
+            id = static_cast<LineId>(rng.below(lines));
         } while (naive.contains(id));
         return id;
     }
@@ -620,7 +418,7 @@ struct ClassOrderDriver
         if (audit) {
             ASSERT_EQ(rank.auditInvariants(), "");
         }
-        for (PartId p = 0; p < kParts + 1; ++p) {
+        for (PartId p = 0; p < parts + 1; ++p) {
             ASSERT_EQ(rank.partLines(p), naive.partLines(p)) << int{p};
             ASSERT_EQ(rank.worstIn(p), naive.worstIn(p)) << int{p};
         }
@@ -633,10 +431,15 @@ struct ClassOrderDriver
             ASSERT_EQ(rank.exactFutility(id), naive.exactFutility(id))
                 << id;
         }
-        std::vector<double> many(ids.size());
-        rank.schemeFutilityMany(ids, many.data());
-        for (std::size_t i = 0; i < ids.size(); ++i)
-            ASSERT_EQ(many[i], rank.schemeFutility(ids[i])) << ids[i];
+        // Random's scheme futility is a fresh draw per query, so
+        // only the deterministic rankings' batch is comparable.
+        if constexpr (!std::is_same_v<Ranking, RandomRanking>) {
+            std::vector<double> many(ids.size());
+            rank.schemeFutilityMany(ids, many.data());
+            for (std::size_t i = 0; i < ids.size(); ++i)
+                ASSERT_EQ(many[i], rank.schemeFutility(ids[i]))
+                    << ids[i];
+        }
     }
 
     /** `ops` random ops, checking after each; auditing every
@@ -647,9 +450,9 @@ struct ClassOrderDriver
         for (int op = 0; op < ops; ++op) {
             std::uint32_t kind = rng.below(20);
             if (naive.lines() == 0 ||
-                (kind < 4 && naive.lines() < kLines)) {
+                (kind < 4 && naive.lines() < lines)) {
                 LineId id = randomAbsent();
-                auto part = static_cast<PartId>(rng.below(kParts));
+                auto part = static_cast<PartId>(rng.below(parts));
                 rank.onInstall(id, part, kNeverUsed);
                 naive.install(id, part, installClass);
             } else if (kind < 8) {
@@ -667,10 +470,10 @@ struct ClassOrderDriver
                 }
             } else if (kind < 17) {
                 LineId id = randomPresent();
-                auto part = static_cast<PartId>(rng.below(kParts));
+                auto part = static_cast<PartId>(rng.below(parts));
                 rank.onRetag(id, part);
                 naive.retag(id, part);
-            } else if (naive.lines() < kLines) {
+            } else if (naive.lines() < lines) {
                 LineId from = randomPresent();
                 LineId to = randomAbsent();
                 rank.onRelocate(from, to);
@@ -718,9 +521,9 @@ struct ClassOrderDriver
  */
 TEST(ClassIndex, LfuMatchesNaiveReference)
 {
-    LfuRanking rank(ClassOrderDriver<LfuRanking>::kLines);
+    LfuRanking rank(kDriverLines);
     ClassOrderDriver<LfuRanking> d{
-        rank, 1,
+        rank, kDriverLines, kDriverParts, 1,
         [](std::uint32_t freq) {
             return freq < LfuRanking::kFreqCap ? freq + 1 : freq;
         },
@@ -749,10 +552,11 @@ TEST(ClassIndex, RripMatchesNaiveReference)
 {
     for (std::uint32_t bits : {2u, 3u}) {
         SCOPED_TRACE(testing::Message() << bits << "-bit RRPV");
-        RripRanking rank(ClassOrderDriver<RripRanking>::kLines, bits);
+        RripRanking rank(kDriverLines, bits);
         std::uint32_t top = (1u << bits) - 1;
         ClassOrderDriver<RripRanking> d{
-            rank, 1, [top](std::uint32_t) { return top; },
+            rank, kDriverLines, kDriverParts, 1,
+            [top](std::uint32_t) { return top; },
             Rng(6161 + bits), {}};
         d.randomOps(4000, 1);
         ASSERT_FALSE(HasFatalFailure());
@@ -764,14 +568,84 @@ TEST(ClassIndex, RripMatchesNaiveReference)
     }
 }
 
+/**
+ * A one-class client (exact LRU, Random's exact order) through the
+ * driver: every install and hit is class 0, so the reference is
+ * plain recency. The corruption hook is checked at the end.
+ */
+template <class Ranking>
+void
+matchOneClass(Ranking &rank, LineId lines, PartId parts, int ops,
+              std::uint64_t seed)
+{
+    ClassOrderDriver<Ranking> d{
+        rank, lines, parts, 0, [](std::uint32_t) { return 0u; },
+        Rng(seed), {}};
+    d.randomOps(ops, 1);
+    ASSERT_FALSE(testing::Test::HasFatalFailure());
+    d.corruptAndAudit();
+}
+
+/**
+ * Exact LRU and Random as one-class clients. 6000 ops over 24 slots
+ * churn the 64-stamp axis dozens of times, so compaction runs under
+ * every op mix. The second shape spreads 100 lines over 40
+ * partitions, more than 32, so partitions first appear (and their
+ * class axes are sized) mid-run, between compactions.
+ */
+TEST(ClassIndex, OneClassRankingsMatchNaiveReference)
+{
+    struct Shape
+    {
+        LineId lines;
+        PartId parts;
+        int ops;
+    };
+    for (Shape sh : {Shape{kDriverLines, kDriverParts, 6000},
+                     Shape{100, 40, 3000}}) {
+        SCOPED_TRACE(testing::Message()
+                     << sh.lines << " lines, " << int{sh.parts}
+                     << " partitions");
+        {
+            SCOPED_TRACE("lru");
+            ExactLruRanking lru(sh.lines);
+            matchOneClass(lru, sh.lines, sh.parts, sh.ops, 4242);
+        }
+        {
+            SCOPED_TRACE("random");
+            RandomRanking random(sh.lines, Rng(77));
+            matchOneClass(random, sh.lines, sh.parts, sh.ops, 4343);
+        }
+        ASSERT_FALSE(HasFatalFailure());
+    }
+}
+
+TEST(ClassIndex, SingleLineSurvivesEndlessTouches)
+{
+    // One resident line, thousands of touches: the smallest stamp
+    // axis (64) compacts dozens of times and the answers never move.
+    ExactLruRanking rank(1);
+    rank.onInstall(0, 0, kNeverUsed);
+    for (int i = 0; i < 5000; ++i) {
+        rank.onHit(0, kNeverUsed);
+        ASSERT_EQ(rank.worstIn(0), 0u);
+        ASSERT_DOUBLE_EQ(rank.exactFutility(0), 1.0);
+    }
+    EXPECT_EQ(rank.auditInvariants(), "");
+}
+
 TEST(ClassIndex, EmptyRankingHasNothingToCorrupt)
 {
     LfuRanking lfu(8);
     RripRanking rrip(8);
+    ExactLruRanking lru(8);
     EXPECT_FALSE(lfu.corruptRankNodeForFaultInjection());
     EXPECT_FALSE(rrip.corruptRankNodeForFaultInjection());
+    EXPECT_FALSE(lru.corruptRankNodeForFaultInjection());
     EXPECT_EQ(lfu.worstIn(0), kInvalidLine);
+    EXPECT_EQ(lru.worstIn(0), kInvalidLine);
     EXPECT_EQ(lfu.auditInvariants(), "");
+    EXPECT_EQ(lru.auditInvariants(), "");
 }
 
 /**
