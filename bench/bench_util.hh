@@ -71,23 +71,21 @@ section(const std::string &title)
 
 /**
  * Explicit table/JSON marker for a quarantined sweep cell, e.g.
- * "FAILED(timeout)" or "FAILED(corruption)". Built from the error
- * class only — reasons can contain wall-clock-dependent text, and
- * artifacts must stay deterministic.
+ * "FAILED(permanent)" or "FAILED(corruption)". Built from the error
+ * class only, so artifacts stay deterministic.
  */
 template <typename R>
 std::string
 failedMarker(const CellOutcome<R> &o)
 {
-    return std::string("FAILED(") + failureLabel(o) + ")";
+    return std::string("FAILED(") + errorClassName(o.errorClass) + ")";
 }
 
 /**
  * Print the quarantine manifest of a resilient sweep to stderr and
  * return true when any cell failed. Prints nothing on a clean sweep
- * so fault-free output stays byte-identical to the pre-guard
- * drivers. The manifest excludes wall times — it is deterministic
- * for deterministic faults.
+ * so fault-free output stays byte-identical to an unguarded
+ * driver's.
  */
 template <typename R>
 bool

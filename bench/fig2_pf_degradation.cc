@@ -99,43 +99,17 @@ main()
     // cell with hard-coded seeds, so the sharded runs below produce
     // exactly the serial values; rows 0..7 are the set-assoc runs
     // of `benches` and row 8 is mcf on the ideal array. The sweep
-    // is resilient (failing cells render as FAILED(class)) and
-    // checkpointed: with FS_CHECKPOINT_DIR set, a killed run
-    // resumes from the completed cells with byte-identical output.
+    // is resilient: failing cells render as FAILED(class).
     const std::size_t rows = benches.size() + 1;
     const std::size_t cols = kPartCounts.size();
     SweepRunner runner;
-    auto report = runner.mapResilientCheckpointed(
-        rows * cols,
-        [&](std::size_t i) {
-            std::size_t row = i / cols, col = i % cols;
-            if (row == benches.size())
-                return run("mcf", kPartCounts[col], accesses,
-                           ArrayKind::RandomCands);
-            return run(benches[row], kPartCounts[col], accesses);
-        },
-        "fig2",
-        strprintf("fig2;accesses=%llu;benches=%zu;seed=7",
-                  static_cast<unsigned long long>(accesses),
-                  benches.size()),
-        [](const RunResult &r) {
-            CellEncoder e;
-            e.f64(r.aef).u64(r.misses).f64(r.ipc).u64(r.cdf.size());
-            for (double v : r.cdf)
-                e.f64(v);
-            return e.result();
-        },
-        [](const std::string &payload) {
-            CellDecoder d(payload);
-            RunResult r;
-            r.aef = d.f64();
-            r.misses = d.u64();
-            r.ipc = d.f64();
-            r.cdf.resize(d.u64());
-            for (double &v : r.cdf)
-                v = d.f64();
-            return r;
-        });
+    auto report = runner.mapResilient(rows * cols, [&](std::size_t i) {
+        std::size_t row = i / cols, col = i % cols;
+        if (row == benches.size())
+            return run("mcf", kPartCounts[col], accesses,
+                       ArrayKind::RandomCands);
+        return run(benches[row], kPartCounts[col], accesses);
+    });
     bench::reportQuarantined(report, "fig2");
     if (report.okCount() == 0) {
         std::fprintf(stderr, "[fig2] every cell failed; no results "

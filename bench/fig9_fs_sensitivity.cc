@@ -93,31 +93,12 @@ main()
         cfg.changingRatio = ratio;
         cells.push_back(cfg);
     }
-    // Resilient + checkpointed: a failing parameter point renders
-    // as FAILED(class) instead of killing the study, and with
-    // FS_CHECKPOINT_DIR set a killed run resumes byte-identically.
+    // Resilient: a failing parameter point renders as FAILED(class)
+    // instead of killing the study.
     SweepRunner runner;
-    auto report = runner.mapResilientCheckpointed(
+    auto report = runner.mapResilient(
         cells.size(),
-        [&](std::size_t i) { return run(cells[i], accesses); },
-        "fig9",
-        strprintf("fig9;accesses=%llu;lengths=%zu;ratios=%zu;"
-                  "seed=31",
-                  static_cast<unsigned long long>(accesses),
-                  lengths.size(), ratios.size()),
-        [](const SensResult &r) {
-            CellEncoder e;
-            e.f64(r.occErr).f64(r.mad).f64(r.aef);
-            return e.result();
-        },
-        [](const std::string &payload) {
-            CellDecoder d(payload);
-            SensResult r;
-            r.occErr = d.f64();
-            r.mad = d.f64();
-            r.aef = d.f64();
-            return r;
-        });
+        [&](std::size_t i) { return run(cells[i], accesses); });
     bench::reportQuarantined(report, "fig9");
     if (report.okCount() == 0) {
         std::fprintf(stderr, "[fig9] every cell failed; no results "

@@ -3,7 +3,7 @@
 # results/.
 #
 # Usage:
-#   scripts/run_all_benches.sh [--preset NAME] [--jobs N] [--resume]
+#   scripts/run_all_benches.sh [--preset NAME] [--jobs N]
 #                              [build_dir] [out_dir]
 #
 #   --preset NAME   take binaries from build/NAME (the CMakePresets
@@ -13,12 +13,6 @@
 #   --jobs N        set FS_JOBS=N for the benches (sweep
 #                   parallelism); an FS_JOBS already in the
 #                   environment is honored unchanged
-#   --resume        crash-safe mode: exports FS_CHECKPOINT_DIR
-#                   (default out_dir/.checkpoints) so checkpointed
-#                   sweeps journal completed cells and a rerun after
-#                   a crash/kill recomputes only the missing ones
-#                   (see docs/ROBUSTNESS.md); an FS_CHECKPOINT_DIR
-#                   already in the environment is honored unchanged
 #
 # FS_BENCH_SCALE scales workload sizes (default 1).
 #
@@ -30,12 +24,11 @@
 set -eu
 
 usage() {
-    sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 preset=""
 jobs="${FS_JOBS:-}"
-resume=0
 while [ $# -gt 0 ]; do
     case "$1" in
         --preset)
@@ -48,8 +41,6 @@ while [ $# -gt 0 ]; do
             jobs="$2"; shift 2 ;;
         --jobs=*)
             jobs="${1#--jobs=}"; shift ;;
-        --resume)
-            resume=1; shift ;;
         -h|--help)
             usage; exit 0 ;;
         -*)
@@ -78,13 +69,6 @@ fi
 
 mkdir -p "$out_dir"
 
-if [ "$resume" -eq 1 ]; then
-    FS_CHECKPOINT_DIR="${FS_CHECKPOINT_DIR:-$out_dir/.checkpoints}"
-    export FS_CHECKPOINT_DIR
-    mkdir -p "$FS_CHECKPOINT_DIR"
-    echo "resume mode: checkpoints in $FS_CHECKPOINT_DIR"
-fi
-
 ran=0
 for b in "$build_dir"/bench/*; do
     # The build tree drops CMakeFiles/, Makefiles etc. next to the
@@ -98,7 +82,7 @@ for b in "$build_dir"/bench/*; do
     "$b" >"$out_dir/$name.txt" 2>"$out_dir/$name.err" || status=$?
     cat "$out_dir/$name.txt"
     # A bench that quarantined cells still exits 0 but leaves its
-    # failure manifest (FAILED(timeout), FAILED(corruption), ...)
+    # failure manifest (FAILED(permanent), FAILED(corruption))
     # on stderr; surface it instead of silently filing it away — a
     # sweep that lost cells must not read as a clean pass.
     if [ -s "$out_dir/$name.err" ]; then

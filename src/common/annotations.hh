@@ -21,7 +21,7 @@
  *
  * FS_GUARDED_BY(mutex)
  *     Declares which mutex protects a shared mutable field of a
- *     concurrency class (ThreadPool, CheckpointJournal, ...). The
+ *     concurrency class (e.g. ThreadPool). The
  *     lock-discipline pass requires every non-atomic, non-const
  *     field of a mutex-holding class to either carry this marker —
  *     after which each access must happen with that mutex held —

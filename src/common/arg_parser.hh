@@ -4,7 +4,9 @@
  *
  * Supports `--flag`, `--key value` and `--key=value` forms with
  * typed accessors and automatic `--help` text. Unknown options are
- * fatal so typos never silently fall back to defaults.
+ * fatal so typos never silently fall back to defaults. Every error
+ * is a fatal() exit 1 with a message, never a crash; a seeded
+ * mutation test (tests/test_arg_parser.cc) holds that.
  */
 
 #ifndef FSCACHE_COMMON_ARG_PARSER_HH
@@ -42,10 +44,10 @@ double parseDoubleArg(const std::string &flag,
                       const std::string &token);
 
 /**
- * Checked parser for an unsigned-integer environment knob (FS_JOBS,
- * FS_CELL_TIMEOUT_MS, ...). Returns `fallback` when `name` is unset or
- * empty. Otherwise the value must be plain decimal digits — no sign,
- * no whitespace, no trailing junk — naming a number in [min, max];
+ * Checked parser for an unsigned-integer environment knob (e.g.
+ * FS_JOBS). Returns `fallback` when `name` is unset or empty.
+ * Otherwise the value must be plain decimal digits — no sign, no
+ * whitespace, no trailing junk — naming a number in [min, max];
  * anything else exit(1)s with a message naming the variable and the
  * offending value. Nothing is ever silently wrapped or truncated.
  */

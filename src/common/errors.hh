@@ -9,15 +9,10 @@
  * cell guard (runner/cell_guard.hh) can quarantine the cell instead
  * of the whole process dying.
  *
- * The taxonomy drives the guard's retry policy:
- *
- *  - TransientError: worth retrying (bounded attempts, exponential
- *    backoff). Injected faults and genuinely racy environmental
- *    failures (e.g. a flaky filesystem read) belong here.
- *  - CellTimeoutError: the cooperative watchdog deadline expired;
- *    never retried (a wedged cell stays wedged).
- *  - every other FsError (and any std::exception): permanent; the
- *    cell is quarantined on the first failure.
+ * The cell guard sorts a failure into two classes:
+ * StateCorruptionError (a self-check proved the cell's state
+ * corrupt) and everything else (permanent). Nothing is retried:
+ * every cell is deterministic, so a rerun fails the same way.
  */
 
 #ifndef FSCACHE_COMMON_ERRORS_HH
@@ -35,40 +30,6 @@ class FsError : public std::runtime_error
   public:
     explicit FsError(const std::string &what)
         : std::runtime_error(what)
-    {
-    }
-};
-
-/** A failure worth retrying (see file comment). */
-class TransientError : public FsError
-{
-  public:
-    explicit TransientError(const std::string &what) : FsError(what)
-    {
-    }
-};
-
-/**
- * Thrown by pollCancellation() when the installed watchdog deadline
- * has expired. Maps to CellStatus::TimedOut; never retried.
- */
-class CellTimeoutError : public FsError
-{
-  public:
-    explicit CellTimeoutError(const std::string &what) : FsError(what)
-    {
-    }
-};
-
-/**
- * Thrown by pollCancellation() when the cell was cancelled
- * explicitly (not via a deadline).
- */
-class CellCancelledError : public FsError
-{
-  public:
-    explicit CellCancelledError(const std::string &what)
-        : FsError(what)
     {
     }
 };
@@ -91,8 +52,7 @@ class TraceFormatError : public FsError
  * FS_SHADOW lockstep model) found the simulator's own bookkeeping
  * inconsistent. The cell's state — and therefore any value it would
  * produce — cannot be trusted, so the cell guard quarantines it
- * immediately (ErrorClass::Corruption) and never retries: the same
- * deterministic run would corrupt the same way again.
+ * (ErrorClass::Corruption).
  *
  * report() carries the structured first-divergence / audit report
  * (multi-line) for the failure manifest; what() is the one-line

@@ -1,55 +1,35 @@
 /**
  * @file
- * Deterministic fault-injection framework for sweep cells.
+ * Deterministic corruption injection for sweep cells.
  *
- * FS_FAULTS describes faults to inject at the per-cell fault point
- * the cell guard fires before each attempt. The spec is a
- * semicolon-separated list of clauses:
+ * FS_FAULTS names cells whose simulator state is silently damaged
+ * mid-cell, so the self-checks (FS_AUDIT audits, the FS_SHADOW
+ * lockstep model) can be shown to catch each kind of damage end to
+ * end. The spec is a semicolon-separated list of clauses:
  *
- *     cell=<n>:throw          permanent error at cell n, every attempt
- *     cell=<n>:hang           cooperative hang at cell n (reaped by
- *                             the FS_CELL_TIMEOUT_MS watchdog)
- *     cell=<n>:transient      TransientError at cell n, first attempt
- *     cell=<n>:transient*<k>  ... first k attempts (retry-exhaustion)
- *     cell=<n>:corrupt        silently flip a tag-store index entry
- *                             mid-cell (detected only by FS_AUDIT /
- *                             FS_SHADOW; see docs/ROBUSTNESS.md)
- *     cell=<n>:corrupt-treap  silently damage the ranking's order
- *                             index mid-cell (inflate its resident
- *                             counter; the action keeps the name of
- *                             the structure it first targeted)
- *     cell=<n>:corrupt-occ    silently inflate a partition occupancy
- *                             counter mid-cell
- *     rate=<p>:transient      TransientError on a deterministic,
- *                             seed-derived fraction p of cells
- *                             (first attempt only)
+ *     cell=<n>:corrupt       flip a tag-store index entry
+ *     cell=<n>:corrupt-rank  inflate the ranking order index's
+ *                            resident counter
+ *     cell=<n>:corrupt-occ   inflate a partition occupancy counter
  *
- * Example: FS_FAULTS="cell=7:throw;cell=9:hang;rate=0.02:transient"
+ * Example: FS_FAULTS="cell=1:corrupt-rank;cell=4:corrupt-occ"
  *
- * <n> and <k> are plain decimal digits; a sign, trailing junk, or a
- * value out of range (k above UINT_MAX) is fatal, as is an unknown
- * action, so a typo never silently disarms a fault. <p> is a plain
- * decimal in [0, 1] (digits and at most one point): "nan", blanks,
- * exponents and hex floats are fatal too.
+ * <n> is plain decimal digits; a sign, trailing junk, a value out of
+ * range, an unknown key or an unknown action is fatal, so a typo
+ * never silently disarms a fault.
  *
- * The corrupt* clauses are two-phase: fire() only *arms* a thread-
- * local target (it must not throw — corruption is silent by
- * definition); PartitionedCache consumes the target at its next
- * watchdog stride and desynchronizes the matching structure (tag
- * index, ranking order index, or occupancy counter — together covering
- * every FS_AUDIT arm end to end). Arming is per-thread and fire()
- * re-disarms at the top of every cell attempt, so a target armed
- * for a short cell that never consumed it cannot leak into the next
- * cell on that worker.
- *
- * Determinism: the rate clause hashes the cell index through mix64
- * with a fixed salt — the same cells fail in every run and under
- * any FS_JOBS. Nothing here reads a clock or an unseeded RNG.
+ * Injection is two-phase: fire() only *arms* a thread-local target
+ * (it must not throw — corruption is silent by definition);
+ * PartitionedCache consumes the target on its 8192-access stride
+ * and desynchronizes the matching structure (tag index, ranking
+ * order index, or occupancy counter — together covering every
+ * FS_AUDIT arm end to end). fire() re-disarms at the top of every
+ * cell, so a target armed for a short cell that never consumed it
+ * cannot leak into the next cell on that worker.
  *
  * Zero cost when unset: faultPoint() loads one pointer that is null
  * unless FS_FAULTS was present at first use (or a test installed a
- * spec). The framework exists so the tests can prove every failure
- * path in the resilience layer; it must never perturb a clean run.
+ * spec). Nothing here reads a clock or an RNG.
  */
 
 #ifndef FSCACHE_COMMON_FAULT_INJECTION_HH
@@ -68,10 +48,9 @@ class FaultInjector
 {
   public:
     /**
-     * Which structure an armed corrupt* clause targets. Each value
-     * maps one grammar action onto one audited structure:
-     * corrupt -> AddrIndex, corrupt-treap -> RankIndex,
-     * corrupt-occ -> Occupancy.
+     * Which structure an armed clause targets: corrupt ->
+     * AddrIndex, corrupt-rank -> RankIndex, corrupt-occ ->
+     * Occupancy.
      */
     enum class CorruptTarget : std::uint8_t
     {
@@ -97,18 +76,13 @@ class FaultInjector
      */
     static void installForTest(const std::string &spec);
 
-    /**
-     * Fire the fault point for (cell, attempt): may throw
-     * TransientError / FsError or hang cooperatively until the
-     * current cancellation scope cancels it.
-     */
-    void fire(std::size_t cell, unsigned attempt) const;
+    /** Arm the calling thread's target for `cell` (or disarm it). */
+    void fire(std::size_t cell) const;
 
     /**
-     * Test-and-clear the calling thread's armed corruption target
-     * (set by a `cell=N:corrupt*` clause at that cell's fault
-     * point). Called by PartitionedCache on its watchdog stride;
-     * CorruptTarget::None when nothing is armed.
+     * Test-and-clear the calling thread's armed corruption target.
+     * Called by PartitionedCache on its stride; CorruptTarget::None
+     * when nothing is armed.
      */
     static CorruptTarget consumeArmedCorruption();
 
@@ -119,38 +93,25 @@ class FaultInjector
     }
 
   private:
-    enum class Kind
-    {
-        Throw,
-        Hang,
-        Transient,
-        Corrupt,
-        CorruptRankIndex,
-        CorruptOcc,
-    };
-
     struct Clause
     {
-        Kind kind = Kind::Throw;
-        bool byRate = false;   ///< rate=p instead of cell=n
-        std::size_t cell = 0;  ///< when !byRate
-        double rate = 0.0;     ///< when byRate
-        unsigned attempts = 1; ///< transient: fail attempts [0, k)
+        std::size_t cell = 0;
+        CorruptTarget target = CorruptTarget::None;
     };
 
     std::vector<Clause> clauses_;
 };
 
 /**
- * Per-cell fault point, called by the cell guard before each
- * attempt. No-op unless an injector is active.
+ * Per-cell fault point, called by the cell guard before the cell
+ * runs. No-op unless an injector is active.
  */
 inline void
-faultPoint(std::size_t cell, unsigned attempt)
+faultPoint(std::size_t cell)
 {
     const FaultInjector *fi = FaultInjector::active();
     if (fi != nullptr)
-        fi->fire(cell, attempt);
+        fi->fire(cell);
 }
 
 } // namespace fscache

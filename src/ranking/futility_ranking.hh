@@ -107,7 +107,7 @@ class FutilityRanking
 
     /**
      * Deliberately damage the ranking's order index (FS_FAULTS
-     * `cell=N:corrupt-treap`; see docs/ROBUSTNESS.md). The damage
+     * `cell=N:corrupt-rank`; see docs/ROBUSTNESS.md). The damage
      * must be silent and navigation-safe — detectable only by the
      * audits / shadow model, never a crash. Returns false when the
      * ranking keeps no such index (nothing was corrupted).

@@ -1,26 +1,9 @@
 #include "runner/cell_guard.hh"
 
-#include <chrono>
-#include <thread>
-
 #include "common/log.hh"
 
 namespace fscache
 {
-
-const char *
-cellStatusName(CellStatus status)
-{
-    switch (status) {
-      case CellStatus::Ok:
-        return "ok";
-      case CellStatus::Failed:
-        return "failed";
-      case CellStatus::TimedOut:
-        return "timed-out";
-    }
-    return "?";
-}
 
 const char *
 errorClassName(ErrorClass cls)
@@ -28,53 +11,12 @@ errorClassName(ErrorClass cls)
     switch (cls) {
       case ErrorClass::None:
         return "none";
-      case ErrorClass::Transient:
-        return "transient";
       case ErrorClass::Permanent:
         return "permanent";
-      case ErrorClass::Timeout:
-        return "timeout";
       case ErrorClass::Corruption:
         return "corruption";
     }
     return "?";
-}
-
-std::string
-failureLabel(ErrorClass cls)
-{
-    return errorClassName(cls);
-}
-
-namespace detail
-{
-
-std::uint64_t
-guardNowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-void
-backoffBeforeRetry(std::uint64_t base_ms, unsigned attempt)
-{
-    if (base_ms == 0)
-        return;
-    std::uint64_t ms = base_ms << (attempt - 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
-} // namespace detail
-
-CellGuardConfig
-CellGuardConfig::fromEnv()
-{
-    CellGuardConfig cfg;
-    cfg.timeoutMs = cellTimeoutMsFromEnv();
-    return cfg;
 }
 
 std::string
@@ -83,11 +25,8 @@ renderManifest(const std::vector<ManifestEntry> &entries)
     std::string out;
     out += strprintf("quarantined cells: %zu\n", entries.size());
     for (const ManifestEntry &e : entries) {
-        std::string cls = failureLabel(e.errorClass);
-        out += strprintf("  cell %zu: %s [%s, %u attempt%s] %s\n",
-                         e.cell, cellStatusName(e.status),
-                         cls.c_str(), e.attempts,
-                         e.attempts == 1 ? "" : "s",
+        out += strprintf("  cell %zu: failed [%s] %s\n", e.cell,
+                         errorClassName(e.errorClass),
                          e.error.c_str());
         if (e.detail.empty())
             continue;

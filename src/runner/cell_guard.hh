@@ -2,211 +2,106 @@
  * @file
  * CellGuard: run one sweep cell under a structured outcome contract.
  *
- * runGuarded(cell, fn, cfg) executes fn(cell) and always returns a
- * CellOutcome instead of letting an exception (or a wedged loop)
- * escape into the pool:
+ * runGuarded(cell, fn) executes fn(cell) and always returns a
+ * CellOutcome instead of letting an exception escape into the pool:
  *
- *  - Ok: fn returned a value.
- *  - Failed: a permanent error (any std::exception that is not one
- *    of the types below). Recorded on the first failure — permanent
- *    errors are never retried.
- *  - Failed after retries: a TransientError is retried up to
- *    cfg.maxAttempts times with exponential backoff
- *    (cfg.backoffBaseMs * 2^attempt); if every attempt fails the
- *    last error is recorded with the attempt count.
- *  - TimedOut: the cooperative watchdog (FS_CELL_TIMEOUT_MS)
- *    expired — pollCancellation() threw CellTimeoutError somewhere
- *    inside the cell. Never retried.
- *  - Failed (corruption): a self-check (FS_AUDIT / FS_SHADOW)
- *    threw StateCorruptionError. Never retried.
+ *  - ok: fn returned a value (ErrorClass::None).
+ *  - Corruption: a self-check (FS_AUDIT / FS_SHADOW) threw
+ *    StateCorruptionError; its structured report rides along.
+ *  - Permanent: any other exception.
  *
- * The guard contains only failures that unwind: an exception or a
- * watchdog poll. A hard crash (SIGSEGV, a sanitizer abort, an OOM
- * kill) ends the process; the crash breadcrumbs name the cell, and
- * a checkpointed sweep (runner/checkpoint.hh) rerun with the same
- * FS_CHECKPOINT_DIR recomputes only the cells it had not finished.
+ * Nothing is retried: every cell is deterministic, so a rerun would
+ * fail the same way. Only failures that unwind are contained; a hard
+ * crash (SIGSEGV, a sanitizer abort) ends the process.
  *
- * Each attempt runs inside a fresh CancelScope whose deadline is
- * cfg.timeoutMs, and fires the fault-injection point
- * (common/fault_injection.hh) first, so injected faults exercise
- * exactly the paths real failures would take.
+ * The fault-injection point (common/fault_injection.hh) fires before
+ * fn, so an FS_FAULTS corruption clause arms its target for exactly
+ * this cell.
  *
  * Determinism contract: the guard adds no randomness and the
  * outcome's value is whatever fn returned — a guarded sweep with no
- * failures is value-identical to an unguarded one. wallNs is
- * measured wall time and therefore varies run to run; drivers must
- * never print it into result artifacts (it exists for logs/tests).
+ * failures is value-identical to an unguarded one.
  */
 
 #ifndef FSCACHE_RUNNER_CELL_GUARD_HH
 #define FSCACHE_RUNNER_CELL_GUARD_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <exception>
-#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "check/breadcrumb.hh"
-#include "common/cancellation.hh"
 #include "common/errors.hh"
 #include "common/fault_injection.hh"
 
 namespace fscache
 {
 
-/** Terminal state of one guarded cell. */
-enum class CellStatus
-{
-    Ok,
-    Failed,   ///< permanent error, or transient retries exhausted
-    TimedOut, ///< watchdog deadline expired
-};
-
-/** Error classification driving the retry policy. */
+/** Why a cell failed; None for a cell that returned a value. */
 enum class ErrorClass
 {
     None,
-    Transient,
     Permanent,
-    Timeout,
     /** A self-check (FS_AUDIT / FS_SHADOW) proved the cell's state
-     *  corrupt; never retried — the deterministic rerun would
-     *  corrupt identically. */
+     *  corrupt. */
     Corruption,
 };
 
-const char *cellStatusName(CellStatus status);
-
-/** "transient" / "permanent" / "timeout" / "corruption" / "none". */
+/**
+ * "permanent" / "corruption" / "none": the FAILED(...) marker text
+ * in artifacts, so it never depends on reason strings.
+ */
 const char *errorClassName(ErrorClass cls);
 
-/**
- * FAILED(...) marker text for artifacts: the error class name —
- * "permanent", "timeout", ... Built from the class only
- * (deterministic for deterministic faults), never from reason
- * strings, which may mention timing.
- */
-std::string failureLabel(ErrorClass cls);
-
-/** Guard knobs; fromEnv() fills the watchdog from the environment. */
+/** Empty; kept only for perfbench's mapResilient call until ROADMAP
+ *  item 5 step A deletes it. */
 struct CellGuardConfig
 {
-    /** Max attempts for transient errors (>= 1). */
-    unsigned maxAttempts = 3;
-
-    /** Watchdog deadline per attempt in ms; 0 disables it. */
-    std::uint64_t timeoutMs = 0;
-
-    /** Backoff before retry k is base * 2^(k-1) ms; 0 disables. */
-    std::uint64_t backoffBaseMs = 5;
-
-    /** timeoutMs from FS_CELL_TIMEOUT_MS, defaults elsewhere. */
-    static CellGuardConfig fromEnv();
 };
 
 /** Structured result of one guarded cell (see file comment). */
 template <typename R>
 struct CellOutcome
 {
-    std::optional<R> value;     ///< engaged iff status == Ok
-    CellStatus status = CellStatus::Ok;
+    std::optional<R> value;     ///< engaged iff ok()
     ErrorClass errorClass = ErrorClass::None;
-    std::string error;          ///< what() of the final failure
+    std::string error;          ///< what() of the failure
     /** Structured multi-line report (audit violation / shadow
      *  first-divergence repro); empty for other failures. */
     std::string detail;
-    unsigned attempts = 0;      ///< attempts actually made
-    std::uint64_t wallNs = 0;   ///< wall time across all attempts
-    bool restored = false;      ///< satisfied from a checkpoint
 
-    bool ok() const { return status == CellStatus::Ok; }
+    bool ok() const { return errorClass == ErrorClass::None; }
 };
-
-/** failureLabel() from an outcome's class. */
-template <typename R>
-std::string
-failureLabel(const CellOutcome<R> &o)
-{
-    return failureLabel(o.errorClass);
-}
-
-namespace detail
-{
-
-/** steady-clock ns (runner-side; not for simulation results). */
-std::uint64_t guardNowNs();
-
-/** Sleep base * 2^(attempt-1) ms before retry `attempt`. */
-void backoffBeforeRetry(std::uint64_t base_ms, unsigned attempt);
-
-} // namespace detail
 
 /**
  * Run fn(cell) under the guard; never throws (see file comment).
  */
 template <typename Fn>
 auto
-runGuarded(std::size_t cell, Fn &&fn,
-           const CellGuardConfig &cfg = CellGuardConfig::fromEnv())
+runGuarded(std::size_t cell, Fn &&fn)
     -> CellOutcome<std::invoke_result_t<Fn &, std::size_t>>
 {
     using R = std::invoke_result_t<Fn &, std::size_t>;
     static_assert(!std::is_void_v<R>,
                   "guarded cells must return a value");
     CellOutcome<R> out;
-    const unsigned max_attempts =
-        cfg.maxAttempts > 0 ? cfg.maxAttempts : 1;
-    const std::uint64_t t0 = detail::guardNowNs();
-    check::breadcrumbSetCell(cell);
-    for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-        if (attempt > 0)
-            detail::backoffBeforeRetry(cfg.backoffBaseMs, attempt);
-        ++out.attempts;
-        auto state = std::make_shared<CancelState>(
-            cfg.timeoutMs * 1000000ull);
-        try {
-            CancelScope scope(state);
-            faultPoint(cell, attempt);
-            out.value.emplace(fn(cell));
-            out.status = CellStatus::Ok;
-            out.errorClass = ErrorClass::None;
-            out.error.clear();
-            break;
-        } catch (const CellTimeoutError &e) {
-            out.status = CellStatus::TimedOut;
-            out.errorClass = ErrorClass::Timeout;
-            out.error = e.what();
-            break; // a wedged cell stays wedged; never retry
-        } catch (const StateCorruptionError &e) {
-            out.status = CellStatus::Failed;
-            out.errorClass = ErrorClass::Corruption;
-            out.error = e.what();
-            out.detail = e.report();
-            break; // deterministic rerun corrupts again; no retry
-        } catch (const TransientError &e) {
-            out.status = CellStatus::Failed;
-            out.errorClass = ErrorClass::Transient;
-            out.error = e.what();
-            continue; // retry with backoff
-        } catch (const std::exception &e) {
-            out.status = CellStatus::Failed;
-            out.errorClass = ErrorClass::Permanent;
-            out.error = e.what();
-            break;
-        } catch (...) {
-            out.status = CellStatus::Failed;
-            out.errorClass = ErrorClass::Permanent;
-            out.error = "unknown exception";
-            break;
-        }
+    try {
+        faultPoint(cell);
+        out.value.emplace(fn(cell));
+        return out;
+    } catch (const StateCorruptionError &e) {
+        out.errorClass = ErrorClass::Corruption;
+        out.error = e.what();
+        out.detail = e.report();
+    } catch (const std::exception &e) {
+        out.errorClass = ErrorClass::Permanent;
+        out.error = e.what();
+    } catch (...) {
+        out.errorClass = ErrorClass::Permanent;
+        out.error = "unknown exception";
     }
-    check::breadcrumbClearCell();
-    out.wallNs = detail::guardNowNs() - t0;
     return out;
 }
 
@@ -214,12 +109,10 @@ runGuarded(std::size_t cell, Fn &&fn,
 struct ManifestEntry
 {
     std::size_t cell = 0;
-    CellStatus status = CellStatus::Failed;
     ErrorClass errorClass = ErrorClass::Permanent;
     std::string error;
     /** Structured report (audit / shadow divergence), or empty. */
     std::string detail;
-    unsigned attempts = 0;
 };
 
 /** Human-readable manifest, one line per quarantined cell. */
@@ -261,8 +154,7 @@ struct SweepReport
             const CellOutcome<R> &c = cells[i];
             if (c.ok())
                 continue;
-            out.push_back({i, c.status, c.errorClass, c.error,
-                           c.detail, c.attempts});
+            out.push_back({i, c.errorClass, c.error, c.detail});
         }
         return out;
     }

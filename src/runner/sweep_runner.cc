@@ -2,7 +2,6 @@
 
 #include <thread>
 
-#include "check/breadcrumb.hh"
 #include "common/arg_parser.hh"
 
 namespace fscache
@@ -23,11 +22,6 @@ SweepRunner::defaultJobs()
 SweepRunner::SweepRunner(unsigned jobs)
     : jobs_(jobs > 0 ? jobs : defaultJobs())
 {
-    // Hard-crash diagnostics (SIGSEGV & friends): idempotent, so
-    // every runner construction may call it. Installed here — not in
-    // main() — because any driver that sweeps benefits and none of
-    // them should have to remember.
-    check::installCrashBreadcrumbs();
 }
 
 } // namespace fscache

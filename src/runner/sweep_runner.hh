@@ -21,10 +21,8 @@
  * serial path.
  *
  * map() is fail-fast: the first cell exception aborts the sweep.
- * mapResilient() / mapResilientCheckpointed() instead quarantine
- * failing cells behind the cell guard (typed CellOutcome, transient
- * retry, FS_CELL_TIMEOUT_MS watchdog) and optionally journal
- * completed cells for crash-safe resume (FS_CHECKPOINT_DIR); see
+ * mapResilient() instead quarantines failing cells behind the cell
+ * guard (typed CellOutcome, runner/cell_guard.hh); see
  * docs/ROBUSTNESS.md.
  */
 
@@ -33,16 +31,12 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <optional>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/log.hh"
 #include "runner/cell_guard.hh"
-#include "runner/checkpoint.hh"
 #include "runner/thread_pool.hh"
 
 namespace fscache
@@ -116,10 +110,9 @@ class SweepRunner
 
     /**
      * Resilient map(): every cell runs under the cell guard
-     * (runner/cell_guard.hh) — typed outcomes, transient retry with
-     * backoff, cooperative watchdog — and a failing cell is
-     * *quarantined* instead of aborting the sweep. Never throws;
-     * returns all outcomes in cell order plus manifest helpers.
+     * (runner/cell_guard.hh), and a failing cell is *quarantined*
+     * instead of aborting the sweep. Never throws; returns all
+     * outcomes in cell order plus manifest helpers.
      *
      * With no failures the outcome values are identical to map()'s
      * results (the guard adds no randomness), so a fault-free
@@ -128,90 +121,20 @@ class SweepRunner
     template <typename Fn>
     auto
     mapResilient(std::size_t cells, Fn &&fn,
-                 const CellGuardConfig &cfg = CellGuardConfig::fromEnv())
+                 const CellGuardConfig & = CellGuardConfig{})
         -> SweepReport<std::invoke_result_t<Fn &, std::size_t>>
     {
         using R = std::invoke_result_t<Fn &, std::size_t>;
         SweepReport<R> report;
         report.cells.resize(cells);
-        auto guarded = [&fn, &cfg, &report](std::size_t i) {
-            report.cells[i] = runGuarded(i, fn, cfg);
+        auto guarded = [&fn, &report](std::size_t i) {
+            report.cells[i] = runGuarded(i, fn);
         };
         if (jobs_ <= 1 || cells <= 1) {
             for (std::size_t i = 0; i < cells; ++i)
                 guarded(i);
         } else {
             runPooled(cells, guarded);
-        }
-        return report;
-    }
-
-    /**
-     * mapResilient() with crash-safe checkpoint/resume. When
-     * FS_CHECKPOINT_DIR is set, completed cells are journaled
-     * (runner/checkpoint.hh) and a rerun with the same sweep_name +
-     * config_key recomputes only the missing cells — failed cells
-     * are never journaled, so a resume retries them. The config key
-     * is automatically extended with the cell count. The codec is
-     * bit-exact, so a resumed sweep renders byte-identical output
-     * to an uninterrupted one.
-     *
-     * @param encode R -> payload string (use CellEncoder for exact
-     *        round-trips)
-     * @param decode payload string -> R (CellDecoder; may throw —
-     *        an undecodable record recomputes that cell)
-     */
-    template <typename Fn, typename Enc, typename Dec>
-    auto
-    mapResilientCheckpointed(
-        std::size_t cells, Fn &&fn, const std::string &sweep_name,
-        const std::string &config_key, Enc &&encode, Dec &&decode,
-        const CellGuardConfig &cfg = CellGuardConfig::fromEnv())
-        -> SweepReport<std::invoke_result_t<Fn &, std::size_t>>
-    {
-        using R = std::invoke_result_t<Fn &, std::size_t>;
-        std::unique_ptr<CheckpointJournal> journal =
-            CheckpointJournal::openFromEnv(
-                sweep_name,
-                config_key + strprintf(";cells=%zu", cells));
-        if (journal == nullptr)
-            return mapResilient(cells, std::forward<Fn>(fn), cfg);
-
-        SweepReport<R> report;
-        report.cells.resize(cells);
-        std::vector<std::size_t> missing;
-        for (std::size_t i = 0; i < cells; ++i) {
-            auto it = journal->restored().find(i);
-            if (it == journal->restored().end()) {
-                missing.push_back(i);
-                continue;
-            }
-            try {
-                CellOutcome<R> &o = report.cells[i];
-                o.value.emplace(decode(it->second));
-                o.status = CellStatus::Ok;
-                o.restored = true;
-            } catch (const std::exception &e) {
-                warn("checkpoint %s: cell %zu undecodable (%s); "
-                     "recomputing", journal->path().c_str(), i,
-                     e.what());
-                report.cells[i] = CellOutcome<R>{};
-                missing.push_back(i);
-            }
-        }
-
-        auto guarded = [&](std::size_t k) {
-            std::size_t i = missing[k];
-            CellOutcome<R> o = runGuarded(i, fn, cfg);
-            if (o.ok())
-                journal->record(i, encode(*o.value));
-            report.cells[i] = std::move(o);
-        };
-        if (jobs_ <= 1 || missing.size() <= 1) {
-            for (std::size_t k = 0; k < missing.size(); ++k)
-                guarded(k);
-        } else {
-            runPooled(missing.size(), guarded);
         }
         return report;
     }

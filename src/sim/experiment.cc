@@ -1,6 +1,5 @@
 #include "sim/experiment.hh"
 
-#include "common/cancellation.hh"
 #include "common/log.hh"
 #include "runner/sweep_runner.hh"
 #include "trace/benchmark_profiles.hh"
@@ -46,7 +45,6 @@ runUntimed(PartitionedCache &cache, const Workload &workload,
     // One access per non-exhausted thread in thread order, round
     // after round; stats reset after exactly `warmup` issued
     // accesses.
-    constexpr std::uint64_t kPollMask = 4096 - 1;
     std::vector<std::uint64_t> pos(n, 0);
     std::uint32_t turn = 0;
     for (std::uint64_t issued = 1; issued <= total; ++issued) {
@@ -57,8 +55,6 @@ runUntimed(PartitionedCache &cache, const Workload &workload,
         turn = (turn + 1 == n) ? 0 : turn + 1;
         if (issued == warmup)
             cache.resetStats();
-        if ((issued & kPollMask) == 0)
-            pollCancellation();
     }
 }
 
@@ -144,13 +140,8 @@ driveByInsertionRate(PartitionedCache &cache,
     };
 
     // Feed the chosen partition until it inserts (misses) once.
-    // The inner loop can spin for a long time on a hit-heavy
-    // source, so it polls the watchdog itself.
-    std::uint64_t polls = 0;
     auto insert_once = [&](std::size_t pick) {
         while (true) {
-            if ((++polls & 0xfff) == 0)
-                pollCancellation();
             const Access &a = pull(pick);
             AccessOutcome out = cache.access(
                 static_cast<PartId>(pick), a.addr, a.nextUse);

@@ -3,10 +3,8 @@
 #include <span>
 
 #include "check/audit.hh"
-#include "check/breadcrumb.hh"
 #include "check/invariants.hh"
 #include "check/shadow_cache.hh"
-#include "common/cancellation.hh"
 #include "common/errors.hh"
 #include "common/fault_injection.hh"
 #include "common/log.hh"
@@ -52,14 +50,6 @@ PartitionedCache::PartitionedCache(
             ranking_->name(), array_->numLines(), numParts_);
     }
     selfCheck_ = auditLevel_ != 0 || shadow_ != nullptr;
-
-    // Crash-breadcrumb fingerprint: identifies the config a worker
-    // thread was simulating if the process dies hard. Most-recent-
-    // cache-wins per thread, which is exactly the one that crashed.
-    check::breadcrumbSetContext(
-        "scheme=%s ranking=%s array=%s lines=%u parts=%u",
-        scheme_->name().c_str(), ranking_->name().c_str(),
-        array_->name().c_str(), array_->numLines(), numParts_);
 }
 
 PartitionedCache::~PartitionedCache() = default;
@@ -172,13 +162,10 @@ AccessOutcome
 PartitionedCache::access(PartId part, Addr addr, AccessTime next_use)
 {
     fs_assert(part < numParts_, "access for unknown partition");
-    // Watchdog check point for drivers that loop on access()
-    // directly; free unless a cancellation scope is installed.
-    // Crash breadcrumbs and the fault injector's armed corruption
-    // ride the same stride — all three are progress markers that
-    // only need coarse granularity.
+    // The fault injector's armed corruption (FS_FAULTS) lands on a
+    // coarse stride, mid-cell.
     if ((++accessTick_ & 0x1fff) == 0)
-        pollSlowChecks();
+        applyArmedCorruption();
     TagStore &tags = array_->tags();
 
     LineId id = tags.lookup(addr);
@@ -286,10 +273,8 @@ PartitionedCache::accessMiss(PartId part, Addr addr,
 }
 
 void
-PartitionedCache::pollSlowChecks()
+PartitionedCache::applyArmedCorruption()
 {
-    pollCancellation();
-    check::breadcrumbSetAccess(accessTick_);
     // FS_FAULTS `cell=N:corrupt*`: the guard's fault point armed a
     // thread-local target; consume it here, mid-cell, by silently
     // damaging the matching structure — exactly the corruption
@@ -412,8 +397,8 @@ PartitionedCache::resetStats()
     // deviation sample land early by however far warmup had already
     // advanced it, skewing sparse-sampled occupancy statistics.
     evictionsSinceSample_ = 0;
-    // accessTick_ deliberately keeps running: it paces watchdog
-    // polls, breadcrumbs and audit strides — progress markers, not
+    // accessTick_ deliberately keeps running: it paces the injected
+    // corruption and the audit strides — progress markers, not
     // statistics — and resetting it would shift every subsequent
     // FS_AUDIT/FS_SHADOW stride relative to a run without a reset.
 }

@@ -175,7 +175,7 @@ class PartitionedCache : public PartitionOps
     FS_COLD void selfCheckInstall(LineId slot, PartId part,
                                   Addr addr, AccessTime next_use);
     FS_COLD void runAudits();
-    void pollSlowChecks();
+    void applyArmedCorruption();
 
     std::unique_ptr<CacheArray> array_;
     std::unique_ptr<FutilityRanking> ranking_;
@@ -200,7 +200,7 @@ class PartitionedCache : public PartitionOps
     bool schemeFutilityExact_ = false;
     std::uint32_t devSampleInterval_ = 1;
     std::uint32_t evictionsSinceSample_ = 0;
-    std::uint64_t accessTick_ = 0; ///< throttles watchdog polls
+    std::uint64_t accessTick_ = 0; ///< paces injection and audits
 
     /** Lockstep reference model (FS_SHADOW=1), else null. */
     std::unique_ptr<check::ShadowCache> shadow_;

@@ -2,7 +2,6 @@
 
 #include <queue>
 
-#include "common/cancellation.hh"
 #include "common/log.hh"
 #include "sim/partitioned_cache.hh"
 
@@ -58,12 +57,7 @@ TimingSim::run()
     }
     bool statsReset = (warm == n);
 
-    std::uint64_t events = 0;
     while (!ready.empty()) {
-        // Watchdog check point; free unless a cell guard installed
-        // a cancellation scope (see common/cancellation.hh).
-        if ((++events & 0x1fff) == 0)
-            pollCancellation();
         Event ev = ready.top();
         ready.pop();
         std::uint32_t t = ev.thread;

@@ -1,16 +1,27 @@
 /**
  * @file
  * ArgParser tests: option forms, typed accessors, defaults, help,
- * error handling, and the checked environment-knob parser.
+ * error handling, the checked environment-knob parser, and seeded
+ * mutation tests of the two fatal()-on-error decoders (the CLI and
+ * the FS_FAULTS grammar).
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/arg_parser.hh"
+#include "common/fault_injection.hh"
+#include "common/random.hh"
 
 namespace fscache
 {
@@ -206,6 +217,238 @@ TEST(ArgParserDeathTest, FlagWithValueIsFatal)
     const char *argv[] = {"tool", "--verbose=1"};
     EXPECT_EXIT(p.parse(2, argv), ::testing::ExitedWithCode(1),
                 "takes no value");
+}
+
+/** fscache_sim's option table, enough to parse its argv shape. */
+ArgParser
+makeSimParser()
+{
+    ArgParser p("fscache_sim", "mutation target");
+    p.addString("scheme", "fs", "");
+    p.addString("array", "setassoc", "");
+    p.addString("ranking", "coarse", "");
+    p.addString("hash", "h3", "");
+    p.addString("lines", "131072", "");
+    p.addInt("ways", 16, "");
+    p.addInt("candidates", 16, "");
+    p.addString("threads", "mcf", "");
+    p.addString("traces", "", "");
+    p.addString("targets", "", "");
+    p.addInt("accesses", 200000, "");
+    p.addDouble("warmup", 0.1, "");
+    p.addInt("seed", 1, "");
+    p.addFlag("untimed", "");
+    p.addFlag("nuca", "");
+    p.addFlag("json", "");
+    return p;
+}
+
+std::vector<std::string>
+splitCommas(const std::string &s)
+{
+    std::vector<std::string> out;
+    std::size_t pos = 0;
+    while (pos <= s.size()) {
+        std::size_t comma = s.find(',', pos);
+        if (comma == std::string::npos)
+            comma = s.size();
+        out.push_back(s.substr(pos, comma - pos));
+        pos = comma + 1;
+    }
+    return out;
+}
+
+/** Bytes a mutation may insert: printable ASCII, so a fatal message
+ *  stays on one line. */
+char
+randomByte(Rng &rng, const std::string &bias)
+{
+    if (rng.below(2) == 0)
+        return bias[rng.below(bias.size())];
+    return static_cast<char>(' ' + rng.below(95));
+}
+
+/** One random edit of one token: delete, insert, replace, truncate,
+ *  swap in a hostile number, or duplicate. */
+void
+mutateToken(Rng &rng, std::string &tok, const std::string &bias)
+{
+    static const char *const kHostile[] = {
+        "", "-1", "+1", "0", "nan", "inf", "-inf", "1e400", "0x10",
+        "99999999999999999999", "18446744073709551616", "--", "-",
+        "=", ".", "1.5.2", " 7", "7 "};
+    std::size_t at = tok.empty() ? 0 : rng.below(tok.size() + 1);
+    switch (rng.below(6)) {
+      case 0:
+        if (!tok.empty())
+            tok.erase(std::min(at, tok.size() - 1), 1);
+        break;
+      case 1:
+        tok.insert(at, 1, randomByte(rng, bias));
+        break;
+      case 2:
+        if (!tok.empty())
+            tok[std::min(at, tok.size() - 1)] = randomByte(rng, bias);
+        break;
+      case 3:
+        tok.resize(at);
+        break;
+      case 4:
+        tok = kHostile[rng.below(std::size(kHostile))];
+        break;
+      default:
+        tok += tok.substr(at);
+        break;
+    }
+}
+
+/**
+ * Death-test predicate that accepts only a clean exit 0 (parsed) or
+ * exit 1 (fatal with a message) and counts each. A signal, an abort
+ * or any other status fails the mutant.
+ */
+struct CleanExit
+{
+    int *counts;
+
+    bool
+    operator()(int status) const
+    {
+        if (!WIFEXITED(status))
+            return false;
+        int code = WEXITSTATUS(status);
+        if (code != 0 && code != 1)
+            return false;
+        ++counts[code];
+        return true;
+    }
+};
+
+/** The child's whole stderr: one "parsed" line or one fatal line. A
+ *  sanitizer report (which also exits 1) never matches. */
+const char *const kCleanStderr = "parsed\n|fatal: [^\n]*\n";
+
+[[noreturn]] void
+exitParsed()
+{
+    std::fprintf(stderr, "parsed\n");
+    std::exit(0);
+}
+
+TEST(ArgParserMutationDeathTest, MutatedSimArgvParsesOrFailsCleanly)
+{
+    const std::vector<std::string> seed = {
+        "fscache_sim", "--scheme", "vantage", "--array=zcache",
+        "--ranking", "lfu", "--lines", "8192,16384", "--ways", "16",
+        "--threads", "mcf,lbm", "--targets", "40,60", "--accesses",
+        "60000", "--warmup=0.25", "--seed", "-7", "--untimed",
+        "--json"};
+    const std::string bias = "-=,.0123456789e";
+    Rng rng(0xa59f11e5ull);
+    int counts[2] = {0, 0};
+    for (int m = 0; m < 200; ++m) {
+        std::vector<std::string> argv = seed;
+        for (std::uint64_t k = 1 + rng.below(2); k > 0; --k) {
+            std::size_t i = 1 + rng.below(argv.size() - 1);
+            switch (rng.below(5)) {
+              case 0:
+                argv.erase(argv.begin() + static_cast<long>(i));
+                break;
+              case 1:
+                argv.insert(argv.begin() + static_cast<long>(i),
+                            argv[1 + rng.below(argv.size() - 1)]);
+                break;
+              case 2:
+                argv[i] = std::to_string(rng.below(1u << 20));
+                break;
+              default:
+                mutateToken(rng, argv[i], bias);
+                break;
+            }
+            if (argv.size() < 2)
+                argv.push_back("--json");
+        }
+        std::string shown;
+        for (const std::string &a : argv)
+            shown += " [" + a + "]";
+        EXPECT_EXIT(
+            {
+                std::vector<const char *> raw;
+                for (const std::string &a : argv)
+                    raw.push_back(a.c_str());
+                ArgParser p = makeSimParser();
+                if (p.parse(static_cast<int>(raw.size()), raw.data())) {
+                    // The decoders fscache_sim runs on the values.
+                    for (const std::string &l :
+                         splitCommas(p.getString("lines")))
+                        (void)parseU64Arg("--lines", l);
+                    for (const std::string &t :
+                         splitCommas(p.getString("targets")))
+                        (void)parseDoubleArg("--targets", t);
+                    // parse() already ran parseInt64Arg and
+                    // parseDoubleArg on every typed value.
+                    (void)p.getInt("seed");
+                    (void)p.getDouble("warmup");
+                    (void)p.getFlag("json");
+                }
+                exitParsed();
+            },
+            CleanExit{counts}, ::testing::MatchesRegex(kCleanStderr))
+            << "mutant " << m << ":" << shown;
+    }
+    EXPECT_GT(counts[0], 10) << "too few mutants parsed";
+    EXPECT_GT(counts[1], 10) << "too few mutants were rejected";
+}
+
+TEST(ArgParserMutationDeathTest, MutatedFaultSpecsParseOrFailCleanly)
+{
+    const std::string bias = "cell=:;-0123456789corruptankoc";
+    Rng rng(0xfa017u);
+    int counts[2] = {0, 0};
+    for (int m = 0; m < 200; ++m) {
+        std::vector<std::string> clauses = {
+            "cell=1:corrupt", "cell=23:corrupt-rank",
+            "cell=4:corrupt-occ"};
+        for (std::uint64_t k = 1 + rng.below(3); k > 0; --k) {
+            std::size_t i = rng.below(clauses.size());
+            switch (rng.below(5)) {
+              case 0:
+                clauses.erase(clauses.begin() + static_cast<long>(i));
+                break;
+              case 1:
+                clauses.push_back(clauses[i]);
+                break;
+              case 2: {
+                // A new cell index of 1 to 21 digits (21 overflows).
+                std::string value = std::to_string(rng()) + "9";
+                value.resize(1 + rng.below(value.size()));
+                std::size_t colon = clauses[i].find(':');
+                clauses[i] = "cell=" + value +
+                             (colon == std::string::npos
+                                  ? std::string()
+                                  : clauses[i].substr(colon));
+                break;
+              }
+              default:
+                mutateToken(rng, clauses[i], bias);
+                break;
+            }
+            if (clauses.empty())
+                clauses.push_back("cell=0:corrupt");
+        }
+        std::string spec;
+        for (const std::string &c : clauses)
+            spec += (spec.empty() ? "" : ";") + c;
+        EXPECT_EXIT(
+            {
+                (void)FaultInjector::parse(spec);
+                exitParsed();
+            },
+            CleanExit{counts}, ::testing::MatchesRegex(kCleanStderr))
+            << "mutant " << m << ": [" << spec << "]";
+    }
+    EXPECT_GT(counts[0], 10) << "too few mutants parsed";
+    EXPECT_GT(counts[1], 10) << "too few mutants were rejected";
 }
 
 } // namespace

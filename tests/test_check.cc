@@ -3,9 +3,8 @@
  * Self-checking subsystem tests (src/check): structural invariant
  * auditors against hand-corrupted FlatMap / TagStore state,
  * lockstep shadow-model divergence detection and its deterministic
- * first-divergence report, corruption-aware quarantine routing
- * through the cell guard (FS_FAULTS cell=N:corrupt end to end), and
- * the crash-breadcrumb renderer.
+ * first-divergence report, and corruption-aware quarantine routing
+ * through the cell guard (FS_FAULTS cell=N:corrupt* end to end).
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 
 #include "cache/tag_store.hh"
 #include "check/audit.hh"
-#include "check/breadcrumb.hh"
 #include "check/invariants.hh"
 #include "check/shadow_cache.hh"
 #include "common/errors.hh"
@@ -302,28 +300,18 @@ TEST_F(CorruptionInjection, InjectedCellQuarantinedSweepContinues)
     FaultInjector::installForTest("cell=0:corrupt");
     check::setAuditLevelForTest(check::AuditLevel::Paranoid);
     check::setShadowModeForTest(true);
-    CellGuardConfig cfg;
-    cfg.maxAttempts = 3;
-    cfg.backoffBaseMs = 0;
     SweepRunner runner(1);
-    auto report = runner.mapResilient(
-        2,
-        [](std::size_t cell) {
-            auto cache = buildCache(checkSpec());
-            cache->setTargets({128, 128});
-            // > 8192 accesses: the armed corruption is consumed on
-            // the cache's 8192-access watchdog stride. Resident-set
-            // footprint: no eviction can heal it undetected.
-            return driveCyclic(*cache, 20000 + cell,
-                               /*footprint=*/100);
-        },
-        cfg);
+    auto report = runner.mapResilient(2, [](std::size_t cell) {
+        auto cache = buildCache(checkSpec());
+        cache->setTargets({128, 128});
+        // > 8192 accesses: the armed corruption is consumed on the
+        // cache's 8192-access stride. Resident-set footprint: no
+        // eviction can heal it undetected.
+        return driveCyclic(*cache, 20000 + cell, /*footprint=*/100);
+    });
 
     ASSERT_FALSE(report.cells[0].ok());
-    EXPECT_EQ(report.cells[0].status, CellStatus::Failed);
     EXPECT_EQ(report.cells[0].errorClass, ErrorClass::Corruption);
-    // Corruption is deterministic; retrying would be wasted work.
-    EXPECT_EQ(report.cells[0].attempts, 1u);
     EXPECT_FALSE(report.cells[0].detail.empty());
 
     ASSERT_TRUE(report.cells[1].ok());
@@ -341,21 +329,15 @@ TEST_F(CorruptionInjection, UnconsumedArmDoesNotLeakAcrossCells)
 {
     FaultInjector::installForTest("cell=0:corrupt");
     check::setAuditLevelForTest(check::AuditLevel::Paranoid);
-    CellGuardConfig cfg;
-    cfg.maxAttempts = 1;
-    cfg.backoffBaseMs = 0;
     SweepRunner runner(1);
     // Cell 0 runs too few accesses to reach the consuming stride;
     // the armed flag must be discarded at cell 1's fault point, not
     // corrupt cell 1.
-    auto report = runner.mapResilient(
-        2,
-        [](std::size_t) {
-            auto cache = buildCache(checkSpec());
-            cache->setTargets({128, 128});
-            return driveCyclic(*cache, 4000);
-        },
-        cfg);
+    auto report = runner.mapResilient(2, [](std::size_t) {
+        auto cache = buildCache(checkSpec());
+        cache->setTargets({128, 128});
+        return driveCyclic(*cache, 4000);
+    });
     EXPECT_TRUE(report.allOk()) << report.manifest();
 }
 
@@ -401,32 +383,25 @@ TEST_F(CorruptionInjection, OccupancyCounterCorruptionDetectedByAudits)
                  StateCorruptionError);
 }
 
-/** FS_FAULTS corrupt-treap / corrupt-occ end to end, mirroring the
+/** FS_FAULTS corrupt-rank / corrupt-occ end to end, mirroring the
  *  tag-index clause above: armed at the fault point, consumed on the
- *  watchdog stride, quarantined FAILED(corruption). */
+ *  cache's stride, quarantined FAILED(corruption). */
 TEST_F(CorruptionInjection, RankIndexAndOccupancyCellsQuarantined)
 {
     for (const char *faults :
-         {"cell=0:corrupt-treap", "cell=0:corrupt-occ"}) {
+         {"cell=0:corrupt-rank", "cell=0:corrupt-occ"}) {
         FaultInjector::installForTest(faults);
         check::setAuditLevelForTest(check::AuditLevel::Paranoid);
-        CellGuardConfig cfg;
-        cfg.maxAttempts = 3;
-        cfg.backoffBaseMs = 0;
         SweepRunner runner(1);
-        auto report = runner.mapResilient(
-            2,
-            [](std::size_t cell) {
-                auto cache = buildCache(checkSpec());
-                cache->setTargets({128, 128});
-                return driveCyclic(*cache, 20000 + cell,
-                                   /*footprint=*/100);
-            },
-            cfg);
+        auto report = runner.mapResilient(2, [](std::size_t cell) {
+            auto cache = buildCache(checkSpec());
+            cache->setTargets({128, 128});
+            return driveCyclic(*cache, 20000 + cell,
+                               /*footprint=*/100);
+        });
         ASSERT_FALSE(report.cells[0].ok()) << faults;
         EXPECT_EQ(report.cells[0].errorClass, ErrorClass::Corruption)
             << faults;
-        EXPECT_EQ(report.cells[0].attempts, 1u) << faults;
         EXPECT_TRUE(report.cells[1].ok()) << faults;
     }
 }
@@ -434,53 +409,42 @@ TEST_F(CorruptionInjection, RankIndexAndOccupancyCellsQuarantined)
 TEST_F(CorruptionInjection, CorruptClauseParses)
 {
     EXPECT_NO_THROW(FaultInjector::parse("cell=3:corrupt"));
-    EXPECT_NO_THROW(
-        FaultInjector::parse("cell=1:corrupt;cell=2:throw"));
-    EXPECT_NO_THROW(FaultInjector::parse("cell=4:corrupt-treap"));
+    EXPECT_NO_THROW(FaultInjector::parse("cell=4:corrupt-rank"));
     EXPECT_NO_THROW(FaultInjector::parse("cell=5:corrupt-occ"));
     EXPECT_NO_THROW(FaultInjector::parse(
-        "cell=0:corrupt-treap;cell=1:corrupt-occ;cell=2:corrupt"));
-    EXPECT_NO_THROW(FaultInjector::parse("cell=0:transient*4294967295"));
-}
-
-TEST(FaultSpec, PlainDecimalRatesParse)
-{
-    for (const char *spec :
-         {"rate=0:transient", "rate=1:transient", "rate=1.0:transient",
-          "rate=0.02:transient", "rate=.5:transient"})
-        EXPECT_NO_THROW(FaultInjector::parse(spec)) << spec;
+        "cell=0:corrupt-rank;cell=1:corrupt-occ;;cell=2:corrupt"));
+    EXPECT_NO_THROW(FaultInjector::parse(""));
 }
 
 /** Specs that used to parse into a fault that never fires (a wrapped
- *  "-1" cell, a truncated attempt count), and actions that no longer
- *  exist, must all be rejected up front. */
+ *  "-1" cell), and actions and keys that no longer exist, must all be
+ *  rejected up front: a stale spec fails loudly rather than running
+ *  the cells unharmed. */
 TEST(FaultSpecDeathTest, MalformedClausesAreFatal)
 {
     const std::pair<const char *, const char *> cases[] = {
-        {"cell=-1:throw", "bad cell index \"-1\""},
-        {"cell=+1:throw", "bad cell index \"\\+1\""},
-        {"cell=:throw", "bad cell index \"\""},
-        {"cell=99999999999999999999:throw",
+        {"cell=-1:corrupt", "bad cell index \"-1\""},
+        {"cell=+1:corrupt", "bad cell index \"\\+1\""},
+        {"cell=:corrupt", "bad cell index \"\""},
+        {"cell=99999999999999999999:corrupt",
          "cell index \"99999999999999999999\" is out of range"},
-        {"cell=0:transient*4294967296",
-         "attempt count \"4294967296\" is out of range"},
-        {"cell=0:transient*-1", "bad attempt count \"-1\""},
-        {"cell=0:transient*0", "transient\\*0 never fires"},
+        {"cell=1", "is not key=value:action"},
+        {"core=1:corrupt", "unknown key \"core\""},
+        {"cell=1:corrupt-rank*2", "unknown action \"corrupt-rank\\*2\""},
+        // The order index's former name.
+        {"cell=1:corrupt-treap", "unknown action \"corrupt-treap\""},
         // The two retired network arms, split so their names stay
         // greppable as gone from the tree.
         {"cell=1:net" "drop", "unknown action \"net" "drop\""},
         {"cell=1:stall", "unknown action \"stall\""},
-        // The retired worker-fatal arms: a leftover spec must fail
-        // loudly, not run the cell unharmed.
+        // The retired worker-fatal arms.
         {"cell=1:segv", "unknown action \"segv\""},
         {"cell=0:spin", "unknown action \"spin\""},
-        // Rates strtod would take: NaN passes a [0,1] range test and
-        // then fires on every cell.
-        {"rate=nan:transient", "rate \"nan\" must be a plain decimal"},
-        {"rate= 0.5:transient", "rate \" 0.5\" must be a plain"},
-        {"rate=0x1p-1:transient", "rate \"0x1p-1\" must be a plain"},
-        {"rate=1.5:transient", "rate \"1.5\" must be a plain"},
-        {"rate=.:transient", "rate \".\" must be a plain"},
+        // The retired retry and watchdog arms, and the rate key.
+        {"cell=1:throw", "unknown action \"throw\""},
+        {"cell=1:hang", "unknown action \"hang\""},
+        {"cell=0:transient", "unknown action \"transient\""},
+        {"rate=0.5:transient", "unknown key \"rate\""},
     };
     for (const auto &[spec, message] : cases)
         EXPECT_EXIT((void)FaultInjector::parse(spec),
@@ -493,23 +457,6 @@ TEST(ErrorClassNames, CorruptionIsStable)
     // Printed into FAILED(...) markers; renaming changes artifacts.
     EXPECT_STREQ(errorClassName(ErrorClass::Corruption),
                  "corruption");
-}
-
-TEST(Breadcrumbs, RenderCarriesCellAccessAndContext)
-{
-    check::installCrashBreadcrumbs();
-    check::installCrashBreadcrumbs(); // idempotent
-    check::breadcrumbSetCell(42);
-    check::breadcrumbSetAccess(81920);
-    check::breadcrumbSetContext("scheme=%s lines=%u", "fs", 4096u);
-    std::string dump = check::renderBreadcrumbsForTest();
-    EXPECT_NE(dump.find("cell=42"), std::string::npos) << dump;
-    EXPECT_NE(dump.find("access=81920"), std::string::npos) << dump;
-    EXPECT_NE(dump.find("scheme=fs lines=4096"), std::string::npos)
-        << dump;
-    check::breadcrumbClearCell();
-    EXPECT_EQ(check::renderBreadcrumbsForTest().find("cell=42"),
-              std::string::npos);
 }
 
 TEST(AuditLevelKnob, TestOverridesApply)

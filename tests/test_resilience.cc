@@ -1,22 +1,16 @@
 /**
  * @file
- * Resilience-layer tests: cell guard outcomes under deterministic
- * fault injection (throw / hang / transient), retry accounting,
- * the cooperative watchdog, cancellation primitives, and the
+ * Resilience-layer tests: cell guard outcomes (ok, permanent,
+ * corruption), quarantine manifests, stable class names, and the
  * regression pin that an injector-free resilient sweep produces
  * exactly the values of a plain map().
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <set>
-#include <thread>
 #include <vector>
 
-#include "common/cancellation.hh"
 #include "common/errors.hh"
 #include "common/fault_injection.hh"
 #include "common/random.hh"
@@ -28,13 +22,6 @@ namespace fscache
 namespace
 {
 
-/** Installs an FS_FAULTS spec for one test and always removes it. */
-class FaultFixture : public ::testing::Test
-{
-  protected:
-    void TearDown() override { FaultInjector::installForTest(""); }
-};
-
 /** Deterministic cell function: no faults means no failures. */
 std::uint64_t
 cellValue(std::size_t i)
@@ -42,110 +29,49 @@ cellValue(std::size_t i)
     return mix64(static_cast<std::uint64_t>(i) + 17);
 }
 
-CellGuardConfig
-quickConfig(unsigned attempts = 3, std::uint64_t timeout_ms = 0)
+TEST(CellGuard, OkCellCarriesValue)
 {
-    CellGuardConfig cfg;
-    cfg.maxAttempts = attempts;
-    cfg.timeoutMs = timeout_ms;
-    cfg.backoffBaseMs = 0; // keep the suite fast
-    return cfg;
-}
-
-using ResilienceFaults = FaultFixture;
-
-TEST(Cancellation, PollOutsideAnyScopeIsNoop)
-{
-    EXPECT_NO_THROW(pollCancellation());
-}
-
-TEST(Cancellation, ExplicitCancelThrowsTyped)
-{
-    auto state = std::make_shared<CancelState>(0);
-    CancelScope scope(state);
-    EXPECT_NO_THROW(pollCancellation());
-    state->cancel();
-    EXPECT_THROW(pollCancellation(), CellCancelledError);
-}
-
-TEST(Cancellation, DeadlineExpiryThrowsTimeout)
-{
-    auto state = std::make_shared<CancelState>(1); // 1ns budget
-    CancelScope scope(state);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    EXPECT_THROW(pollCancellation(), CellTimeoutError);
-}
-
-TEST(Cancellation, ScopesNestAndRestore)
-{
-    auto outer = std::make_shared<CancelState>(0);
-    auto inner = std::make_shared<CancelState>(0);
-    CancelScope outer_scope(outer);
-    inner->cancel();
-    {
-        CancelScope inner_scope(inner);
-        EXPECT_THROW(pollCancellation(), CellCancelledError);
-    }
-    // Back in the (uncancelled) outer scope.
-    EXPECT_NO_THROW(pollCancellation());
-}
-
-TEST(CellGuard, OkCellCarriesValueAndOneAttempt)
-{
-    auto out = runGuarded(
-        3, [](std::size_t i) { return cellValue(i); }, quickConfig());
+    auto out = runGuarded(3, [](std::size_t i) { return cellValue(i); });
     ASSERT_TRUE(out.ok());
     EXPECT_EQ(*out.value, cellValue(3));
-    EXPECT_EQ(out.attempts, 1u);
     EXPECT_EQ(out.errorClass, ErrorClass::None);
     EXPECT_TRUE(out.error.empty());
 }
 
-TEST(CellGuard, PermanentErrorNeverRetried)
+TEST(CellGuard, PermanentErrorRunsOnce)
 {
     unsigned calls = 0;
-    auto out = runGuarded(
-        0,
-        [&calls](std::size_t) -> int {
-            ++calls;
-            throw FsError("bad geometry");
-        },
-        quickConfig(5));
+    auto out = runGuarded(0, [&calls](std::size_t) -> int {
+        ++calls;
+        throw FsError("bad geometry");
+    });
     EXPECT_FALSE(out.ok());
-    EXPECT_EQ(out.status, CellStatus::Failed);
+    EXPECT_FALSE(out.value.has_value());
     EXPECT_EQ(out.errorClass, ErrorClass::Permanent);
-    EXPECT_EQ(out.attempts, 1u);
     EXPECT_EQ(calls, 1u);
     EXPECT_NE(out.error.find("bad geometry"), std::string::npos);
+    EXPECT_TRUE(out.detail.empty());
 }
 
-TEST(CellGuard, TransientErrorRetriedUntilSuccess)
+TEST(CellGuard, NonStandardExceptionIsPermanent)
+{
+    auto out = runGuarded(0, [](std::size_t) -> int { throw 7; });
+    EXPECT_EQ(out.errorClass, ErrorClass::Permanent);
+    EXPECT_EQ(out.error, "unknown exception");
+}
+
+TEST(CellGuard, CorruptionCarriesItsReport)
 {
     unsigned calls = 0;
-    auto out = runGuarded(
-        0,
-        [&calls](std::size_t) -> int {
-            if (++calls < 3)
-                throw TransientError("flaky");
-            return 42;
-        },
-        quickConfig(4));
-    ASSERT_TRUE(out.ok());
-    EXPECT_EQ(*out.value, 42);
-    EXPECT_EQ(out.attempts, 3u);
-}
-
-TEST(CellGuard, TransientRetriesExhaustedRecordsLastError)
-{
-    auto out = runGuarded(
-        0,
-        [](std::size_t) -> int { throw TransientError("still down"); },
-        quickConfig(3));
+    auto out = runGuarded(0, [&calls](std::size_t) -> int {
+        ++calls;
+        throw StateCorruptionError("audit failed", "line 1\nline 2");
+    });
     EXPECT_FALSE(out.ok());
-    EXPECT_EQ(out.status, CellStatus::Failed);
-    EXPECT_EQ(out.errorClass, ErrorClass::Transient);
-    EXPECT_EQ(out.attempts, 3u);
-    EXPECT_NE(out.error.find("still down"), std::string::npos);
+    EXPECT_EQ(out.errorClass, ErrorClass::Corruption);
+    EXPECT_EQ(calls, 1u);
+    EXPECT_EQ(out.error, "audit failed");
+    EXPECT_EQ(out.detail, "line 1\nline 2");
 }
 
 TEST(CellGuard, ErrorClassNamesAreStable)
@@ -153,17 +79,18 @@ TEST(CellGuard, ErrorClassNamesAreStable)
     // These strings are printed into FAILED(...) markers in bench
     // tables; renaming them changes artifacts.
     EXPECT_STREQ(errorClassName(ErrorClass::None), "none");
-    EXPECT_STREQ(errorClassName(ErrorClass::Transient), "transient");
     EXPECT_STREQ(errorClassName(ErrorClass::Permanent), "permanent");
-    EXPECT_STREQ(errorClassName(ErrorClass::Timeout), "timeout");
+    EXPECT_STREQ(errorClassName(ErrorClass::Corruption), "corruption");
 }
 
-TEST_F(ResilienceFaults, ThrowFaultQuarantinesOneCell)
+TEST(CellGuard, FailingCellIsQuarantinedSweepContinues)
 {
-    FaultInjector::installForTest("cell=2:throw");
     SweepRunner runner(1);
-    auto report = runner.mapResilient(
-        5, [](std::size_t i) { return cellValue(i); }, quickConfig());
+    auto report = runner.mapResilient(5, [](std::size_t i) {
+        if (i == 2)
+            throw FsError("cell two is bad");
+        return cellValue(i);
+    });
     EXPECT_EQ(report.okCount(), 4u);
     EXPECT_FALSE(report.allOk());
     EXPECT_FALSE(report.cells[2].ok());
@@ -174,93 +101,12 @@ TEST_F(ResilienceFaults, ThrowFaultQuarantinesOneCell)
     auto failures = report.failures();
     ASSERT_EQ(failures.size(), 1u);
     EXPECT_EQ(failures[0].cell, 2u);
-    std::string manifest = report.manifest();
-    EXPECT_NE(manifest.find("cell 2"), std::string::npos);
-    EXPECT_NE(manifest.find("permanent"), std::string::npos);
+    EXPECT_EQ(report.manifest(),
+              "quarantined cells: 1\n"
+              "  cell 2: failed [permanent] cell two is bad\n");
 }
 
-TEST_F(ResilienceFaults, TransientFaultRetriesThenSucceeds)
-{
-    // Fails the first two attempts of cell 1 only; the guard's
-    // third attempt succeeds and the sweep is clean.
-    FaultInjector::installForTest("cell=1:transient*2");
-    SweepRunner runner(1);
-    auto report = runner.mapResilient(
-        3, [](std::size_t i) { return cellValue(i); }, quickConfig());
-    EXPECT_TRUE(report.allOk());
-    EXPECT_EQ(report.cells[1].attempts, 3u);
-    EXPECT_EQ(report.cells[0].attempts, 1u);
-    EXPECT_EQ(*report.cells[1].value, cellValue(1));
-}
-
-TEST_F(ResilienceFaults, TransientExhaustionQuarantines)
-{
-    FaultInjector::installForTest("cell=0:transient*9");
-    SweepRunner runner(1);
-    auto report = runner.mapResilient(
-        2, [](std::size_t i) { return cellValue(i); },
-        quickConfig(3));
-    EXPECT_FALSE(report.cells[0].ok());
-    EXPECT_EQ(report.cells[0].errorClass, ErrorClass::Transient);
-    EXPECT_EQ(report.cells[0].attempts, 3u);
-    EXPECT_TRUE(report.cells[1].ok());
-}
-
-TEST_F(ResilienceFaults, HangFaultReapedByWatchdog)
-{
-    FaultInjector::installForTest("cell=1:hang");
-    SweepRunner runner(2);
-    auto report = runner.mapResilient(
-        4, [](std::size_t i) { return cellValue(i); },
-        quickConfig(3, /*timeout_ms=*/50));
-    EXPECT_FALSE(report.cells[1].ok());
-    EXPECT_EQ(report.cells[1].status, CellStatus::TimedOut);
-    EXPECT_EQ(report.cells[1].errorClass, ErrorClass::Timeout);
-    // Timeouts are never retried: a wedged cell stays wedged.
-    EXPECT_EQ(report.cells[1].attempts, 1u);
-    EXPECT_EQ(report.okCount(), 3u);
-    for (std::size_t i : {0u, 2u, 3u})
-        EXPECT_EQ(*report.cells[i].value, cellValue(i)) << i;
-}
-
-TEST_F(ResilienceFaults, RateFaultsAreDeterministicAcrossJobs)
-{
-    // The rate clause hashes the cell index with a fixed salt, so
-    // the same cells fail no matter the worker count.
-    FaultInjector::installForTest("rate=0.5:transient");
-    auto failedSet = [](unsigned jobs) {
-        SweepRunner runner(jobs);
-        auto report = runner.mapResilient(
-            64, [](std::size_t i) { return cellValue(i); },
-            quickConfig(/*attempts=*/1));
-        std::set<std::size_t> failed;
-        for (const ManifestEntry &e : report.failures())
-            failed.insert(e.cell);
-        return failed;
-    };
-    std::set<std::size_t> serial = failedSet(1);
-    std::set<std::size_t> pooled = failedSet(4);
-    EXPECT_FALSE(serial.empty());
-    EXPECT_LT(serial.size(), 64u);
-    EXPECT_EQ(serial, pooled);
-}
-
-TEST_F(ResilienceFaults, MixedSpecHitsEveryFailureClass)
-{
-    FaultInjector::installForTest("cell=0:throw;cell=1:hang;"
-                                  "cell=2:transient*9");
-    SweepRunner runner(1);
-    auto report = runner.mapResilient(
-        4, [](std::size_t i) { return cellValue(i); },
-        quickConfig(2, /*timeout_ms=*/50));
-    EXPECT_EQ(report.cells[0].errorClass, ErrorClass::Permanent);
-    EXPECT_EQ(report.cells[1].errorClass, ErrorClass::Timeout);
-    EXPECT_EQ(report.cells[2].errorClass, ErrorClass::Transient);
-    EXPECT_TRUE(report.cells[3].ok());
-    EXPECT_EQ(report.failures().size(), 3u);
-}
-
-TEST_F(ResilienceFaults, NoFaultsMatchesPlainMapExactly)
+TEST(CellGuard, NoFaultsMatchesPlainMapExactly)
 {
     // Regression pin for the determinism contract: with no injector
     // the resilient path must return exactly map()'s values.
@@ -270,14 +116,11 @@ TEST_F(ResilienceFaults, NoFaultsMatchesPlainMapExactly)
         runner.map(32, [](std::size_t i) { return cellValue(i); });
     auto report = runner.mapResilient(
         32, [](std::size_t i) { return cellValue(i); },
-        quickConfig());
+        CellGuardConfig{});
     ASSERT_TRUE(report.allOk());
     EXPECT_TRUE(report.manifest().empty());
-    for (std::size_t i = 0; i < plain.size(); ++i) {
+    for (std::size_t i = 0; i < plain.size(); ++i)
         EXPECT_EQ(*report.cells[i].value, plain[i]) << i;
-        EXPECT_EQ(report.cells[i].attempts, 1u);
-        EXPECT_FALSE(report.cells[i].restored);
-    }
 }
 
 } // namespace

@@ -19,10 +19,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "common/fault_injection.hh"
+#include "common/errors.hh"
 #include "common/random.hh"
 #include "runner/sweep_runner.hh"
 #include "runner/thread_pool.hh"
@@ -267,55 +268,52 @@ TEST(SweepRunnerStress, ForEachWritesVisibleAfterReturn)
 
 TEST(SweepRunnerStress, ResilientSweepUnderFaultStorm)
 {
-    // Guard + pool under TSan: quarantined cells, transient retries
-    // and clean cells interleave across workers; the outcome slots
-    // are per-cell, so the only shared state is the pool's own.
-    FaultInjector::installForTest(
-        "rate=0.25:transient;cell=5:throw;cell=17:throw");
-    CellGuardConfig cfg;
-    cfg.maxAttempts = 2;
-    cfg.backoffBaseMs = 0;
-    SweepRunner serial(1);
-    SweepRunner wide(hwJobs());
+    // Guard + pool under TSan: permanent failures, corruption
+    // quarantines and clean cells interleave across workers; the
+    // outcome slots are per-cell, so the only shared state is the
+    // pool's own. Failing cells are a pure function of the index,
+    // so the serial and FS_JOBS=8 sweeps must agree cell for cell.
     constexpr std::size_t kCells = 256;
-    auto cell = [](std::size_t i) { return cellHash(i, 16); };
-    auto s = serial.mapResilient(kCells, cell, cfg);
-    auto p = wide.mapResilient(kCells, cell, cfg);
-    FaultInjector::installForTest("");
+    auto cell = [](std::size_t i) {
+        std::uint64_t v = cellHash(i, 16);
+        if (i == 5 || i == 17)
+            throw StateCorruptionError("injected corruption",
+                                       "report line");
+        if (v % 4 == 0)
+            throw FsError("injected failure");
+        return v;
+    };
+    const char *prev = std::getenv("FS_JOBS");
+    std::string saved = prev != nullptr ? prev : "";
+    setenv("FS_JOBS", "8", 1);
+    SweepRunner wide;
+    if (prev != nullptr)
+        setenv("FS_JOBS", saved.c_str(), 1);
+    else
+        unsetenv("FS_JOBS");
+    ASSERT_EQ(wide.jobs(), 8u);
+    SweepRunner serial(1);
+    auto s = serial.mapResilient(kCells, cell);
+    auto p = wide.mapResilient(kCells, cell);
     ASSERT_EQ(s.cells.size(), p.cells.size());
     for (std::size_t i = 0; i < kCells; ++i) {
-        ASSERT_EQ(s.cells[i].ok(), p.cells[i].ok()) << "cell " << i;
-        ASSERT_EQ(s.cells[i].attempts, p.cells[i].attempts)
+        ASSERT_EQ(s.cells[i].errorClass, p.cells[i].errorClass)
             << "cell " << i;
+        ASSERT_EQ(s.cells[i].error, p.cells[i].error) << "cell " << i;
         if (s.cells[i].ok()) {
             ASSERT_EQ(*s.cells[i].value, *p.cells[i].value)
                 << "cell " << i;
         }
     }
     EXPECT_EQ(s.manifest(), p.manifest());
-    EXPECT_FALSE(s.cells[5].ok());
-    EXPECT_FALSE(s.cells[17].ok());
-}
-
-TEST(SweepRunnerStress, WatchdogReapsHangsAcrossWorkers)
-{
-    // Several wedged cells spread over a wide pool: every hang must
-    // be reaped by its own deadline without wedging waitIdle().
-    FaultInjector::installForTest("cell=3:hang;cell=9:hang;"
-                                  "cell=15:hang");
-    CellGuardConfig cfg;
-    cfg.maxAttempts = 1;
-    cfg.timeoutMs = 50;
-    cfg.backoffBaseMs = 0;
-    SweepRunner wide(hwJobs());
-    auto report = wide.mapResilient(
-        24, [](std::size_t i) { return cellHash(i, 16); }, cfg);
-    FaultInjector::installForTest("");
-    EXPECT_EQ(report.okCount(), 21u);
-    for (std::size_t i : {3u, 9u, 15u}) {
-        EXPECT_EQ(report.cells[i].status, CellStatus::TimedOut) << i;
-        EXPECT_EQ(report.cells[i].attempts, 1u) << i;
-    }
+    EXPECT_EQ(s.cells[5].errorClass, ErrorClass::Corruption);
+    EXPECT_EQ(s.cells[17].errorClass, ErrorClass::Corruption);
+    // Both classes occur, and most cells still succeed.
+    std::size_t permanent = 0;
+    for (const auto &c : s.cells)
+        permanent += c.errorClass == ErrorClass::Permanent ? 1 : 0;
+    EXPECT_GT(permanent, 16u);
+    EXPECT_GT(s.okCount(), kCells / 2);
 }
 
 TEST(RngDeterminism, StreamsInvariantAcrossFsJobs)

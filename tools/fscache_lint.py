@@ -72,8 +72,8 @@ signal-handler-safety
     inside the handler deadlocks or corrupts state exactly when the
     crash report matters most. The check is lexical over the
     handler's own body (helpers it calls are not followed — keep
-    handlers self-contained, like src/check/breadcrumb.cc's
-    sink()/sinkU64() pattern, so the body stays auditable).
+    handlers self-contained: format into a stack buffer and hand it
+    to write(2), so the body stays auditable).
 
 Suppressions / policies
 -----------------------
@@ -426,9 +426,8 @@ def check_file(root: Path, path: Path, findings: list):
             report(no, "signal-handler-safety",
                    f"{what} inside signal handler '{name}' is not "
                    "async-signal-safe (a signal can arrive "
-                   "mid-malloc/mid-lock); use write(2) and "
-                   "preformatted buffers like "
-                   "src/check/breadcrumb.cc, or _exit")
+                   "mid-malloc/mid-lock); use write(2) on a "
+                   "preformatted stack buffer, or _exit")
 
     if scoped_swallow:
         for no in swallowed_catch_lines(text):

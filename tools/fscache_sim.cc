@@ -20,10 +20,8 @@
  *   # worker count; FS_JOBS=1 is the serial path, same output):
  *   fscache_sim --lines 16384,32768,65536,131072 --untimed
  *
- * Each sweep cell reduces to a serializable SimCellRecord (every
- * number the reports print, doubles stored by bit pattern), so the
- * sweep is checkpointable (FS_CHECKPOINT_DIR): a killed run resumes
- * with byte-identical output; see docs/ROBUSTNESS.md.
+ * Each sweep cell reduces to a SimCellRecord (every number the
+ * reports print), so no live cache outlives its cell.
  */
 
 #include <cstdio>
@@ -95,8 +93,7 @@ struct ThreadReport
 
 /**
  * One finished (size) cell, reduced to the numbers the reports
- * print — plain data, so a cell result can cross a checkpoint
- * journal bit-exactly instead of keeping a live PartitionedCache
+ * print — plain data, instead of keeping a live PartitionedCache
  * alive until rendering.
  */
 struct SimCellRecord
@@ -110,83 +107,6 @@ struct SimCellRecord
     double avgQueueing = 0.0;  ///< timed only
     std::vector<ThreadReport> threads;
 };
-
-/** Codec version; bump on any SimCellRecord layout change so stale
- *  journals recompute instead of misdecoding. */
-constexpr std::uint64_t kSimCellCodecVersion = 1;
-
-std::string
-encodeSimCell(const SimCellRecord &r)
-{
-    CellEncoder enc;
-    enc.u64(kSimCellCodecVersion)
-        .str(r.scheme)
-        .str(r.array)
-        .str(r.ranking)
-        .u64(r.cacheLines)
-        .u64(r.timed ? 1 : 0)
-        .f64(r.throughput)
-        .f64(r.avgQueueing)
-        .u64(r.threads.size());
-    for (const ThreadReport &t : r.threads) {
-        enc.u64(t.target)
-            .f64(t.occupancy)
-            .u64(t.hits)
-            .u64(t.misses)
-            .f64(t.missRatio)
-            .f64(t.aef)
-            .f64(t.mad)
-            .f64(t.ipc)
-            .u64(t.devHist.size());
-        for (const auto &[bin, count] : t.devHist)
-            enc.u64(bin).u64(count);
-    }
-    return enc.result();
-}
-
-SimCellRecord
-decodeSimCell(const std::string &payload)
-{
-    CellDecoder dec(payload);
-    std::uint64_t version = dec.u64();
-    if (version != kSimCellCodecVersion)
-        throw FsError(strprintf(
-            "sim cell codec version mismatch: got %llu, want %llu",
-            static_cast<unsigned long long>(version),
-            static_cast<unsigned long long>(kSimCellCodecVersion)));
-    SimCellRecord r;
-    r.scheme = dec.str();
-    r.array = dec.str();
-    r.ranking = dec.str();
-    r.cacheLines = static_cast<std::uint32_t>(dec.u64());
-    r.timed = dec.u64() != 0;
-    r.throughput = dec.f64();
-    r.avgQueueing = dec.f64();
-    std::uint64_t threads = dec.u64();
-    r.threads.reserve(threads);
-    for (std::uint64_t p = 0; p < threads; ++p) {
-        ThreadReport t;
-        t.target = dec.u64();
-        t.occupancy = dec.f64();
-        t.hits = dec.u64();
-        t.misses = dec.u64();
-        t.missRatio = dec.f64();
-        t.aef = dec.f64();
-        t.mad = dec.f64();
-        t.ipc = dec.f64();
-        std::uint64_t bins = dec.u64();
-        t.devHist.reserve(bins);
-        for (std::uint64_t b = 0; b < bins; ++b) {
-            std::uint32_t bin = static_cast<std::uint32_t>(dec.u64());
-            std::uint64_t count = dec.u64();
-            t.devHist.emplace_back(bin, count);
-        }
-        r.threads.push_back(std::move(t));
-    }
-    if (!dec.done())
-        throw FsError("sim cell payload has trailing tokens");
-    return r;
-}
 
 void
 reportJson(JsonWriter &json, const SimCellRecord &cell,
@@ -352,34 +272,12 @@ main(int argc, char **argv)
     bool nuca = args.getFlag("nuca");
     std::string targets = args.getString("targets");
 
-    // Everything that changes a cell's numbers goes into the
-    // checkpoint identity key: a journal can only ever be matched
-    // with the sweep that produced it.
-    std::string config_key = strprintf(
-        "fscache_sim;scheme=%s;array=%s;ranking=%s;hash=%s;"
-        "lines=%s;ways=%lld;cands=%lld;threads=%s;traces=%s;"
-        "targets=%s;accesses=%llu;warmup=%g;seed=%lld;untimed=%d;"
-        "nuca=%d",
-        args.getString("scheme").c_str(),
-        args.getString("array").c_str(),
-        args.getString("ranking").c_str(),
-        args.getString("hash").c_str(),
-        args.getString("lines").c_str(),
-        static_cast<long long>(args.getInt("ways")),
-        static_cast<long long>(args.getInt("candidates")),
-        args.getString("threads").c_str(), traces.c_str(),
-        targets.c_str(),
-        static_cast<unsigned long long>(accesses), warmup,
-        static_cast<long long>(args.getInt("seed")),
-        untimed ? 1 : 0, nuca ? 1 : 0);
-
     // Run: one cell per cache size, each with a private cache (all
     // randomness re-seeded from --seed) driving the shared traces.
     // Resilient: a failing size renders as an explicit FAILED entry
-    // and the other sizes still report; with FS_CHECKPOINT_DIR set
-    // the sweep is resumable (docs/ROBUSTNESS.md).
+    // and the other sizes still report (docs/ROBUSTNESS.md).
     SweepRunner runner;
-    auto report = runner.mapResilientCheckpointed(
+    auto report = runner.mapResilient(
         sizes.size(),
         [&](std::size_t i) {
             CacheSpec cspec = spec;
@@ -433,8 +331,7 @@ main(int argc, char **argv)
                 rec.threads.push_back(std::move(t));
             }
             return rec;
-        },
-        "fscache_sim", config_key, encodeSimCell, decodeSimCell);
+        });
 
     // Quarantine manifest to stderr; printed only when cells
     // failed, so fault-free runs stay byte-identical.
@@ -474,7 +371,7 @@ main(int argc, char **argv)
                     reportJson(json, *o.value, wl, threads);
                 } else {
                     json.field("failed", true);
-                    json.field("error_class", failureLabel(o));
+                    json.field("error_class", errorClassName(o.errorClass));
                 }
                 json.endObject();
             }
@@ -489,7 +386,7 @@ main(int argc, char **argv)
         const CellOutcome<SimCellRecord> &o = report.cells[i];
         if (!o.ok()) {
             std::printf("FAILED(%s) | %u lines, %u threads\n",
-                        failureLabel(o).c_str(), sizes[i],
+                        errorClassName(o.errorClass), sizes[i],
                         threads);
             continue;
         }
