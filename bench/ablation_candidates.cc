@@ -91,34 +91,42 @@ main()
                   "FS vs PF associativity and sizing across R "
                   "(75/25 split, equal insertion rates)");
 
+    // Cells 2k and 2k+1 are FS and PF at rs[k]; an infeasible R's
+    // cells run nothing.
+    const std::vector<std::uint32_t> rs{2, 4, 8, 16, 32, 64};
+    auto report = bench::runCells("ablation_candidates", 2 * rs.size(),
+                                  [&](std::size_t i) {
+        std::uint32_t r = rs[i / 2];
+        if (!analytic::feasible(0.75, 0.5, r))
+            return Result{};
+        return run(i % 2 == 0 ? SchemeKind::FsAnalytic : SchemeKind::PF,
+                   r);
+    });
+
     TablePrinter table({"R", "x^R AEF", "FS AEF p1", "FS AEF p2",
                         "FS occ p1", "PF AEF p1", "PF AEF p2",
                         "PF occ p1"});
-    for (std::uint32_t r : {2u, 4u, 8u, 16u, 32u, 64u}) {
+    for (std::size_t k = 0; k < rs.size(); ++k) {
+        std::uint32_t r = rs[k];
+        std::vector<std::string> row{
+            TablePrinter::num(std::uint64_t{r}),
+            TablePrinter::num(analytic::uniformCacheAef(r), 3)};
         if (!analytic::feasible(0.75, 0.5, r)) {
-            table.addRow({TablePrinter::num(std::uint64_t{r}),
-                          TablePrinter::num(
-                              analytic::uniformCacheAef(r), 3),
-                          "infeasible", "-", "-", "-", "-", "-"});
-            continue;
+            row.insert(row.end(),
+                       {"infeasible", "-", "-", "-", "-", "-"});
+        } else {
+            for (std::size_t i : {2 * k, 2 * k + 1})
+                for (double Result::*f :
+                     {&Result::aef1, &Result::aef2, &Result::occ1})
+                    row.push_back(bench::cellText(report.cells[i], f, 3));
         }
-        Result fs = run(SchemeKind::FsAnalytic, r);
-        Result pf = run(SchemeKind::PF, r);
-        table.addRow({TablePrinter::num(std::uint64_t{r}),
-                      TablePrinter::num(
-                          analytic::uniformCacheAef(r), 3),
-                      TablePrinter::num(fs.aef1, 3),
-                      TablePrinter::num(fs.aef2, 3),
-                      TablePrinter::num(fs.occ1, 3),
-                      TablePrinter::num(pf.aef1, 3),
-                      TablePrinter::num(pf.aef2, 3),
-                      TablePrinter::num(pf.occ1, 3)});
+        table.addRow(std::move(row));
     }
     table.print(std::cout);
 
     bench::section("feasibility bound S1_max = I1^(1/R), I1 = 0.5");
     TablePrinter bound({"R", "max S1"});
-    for (std::uint32_t r : {2u, 4u, 8u, 16u, 32u, 64u})
+    for (std::uint32_t r : rs)
         bound.addRow({TablePrinter::num(std::uint64_t{r}),
                       TablePrinter::num(std::pow(0.5, 1.0 / r), 3)});
     bound.print(std::cout);

@@ -96,19 +96,25 @@ main()
         SchemeKind scheme;
         RankKind rank;
     };
-    const Variant variants[] = {
+    const std::vector<Variant> variants{
         {"analytic + exact futility", SchemeKind::FsAnalytic,
          RankKind::ExactLru},
         {"feedback + exact LRU", SchemeKind::Fs, RankKind::ExactLru},
         {"feedback + coarse 8-bit TS", SchemeKind::Fs,
          RankKind::CoarseTsLru},
     };
-    for (const Variant &v : variants) {
-        Result r = run(v.scheme, v.rank);
-        table.addRow({v.name, TablePrinter::num(r.occErr, 4),
-                      TablePrinter::num(r.mad, 1),
-                      TablePrinter::num(r.aef1, 3),
-                      TablePrinter::num(r.aef2, 3)});
+    auto report = bench::runCells(
+        "ablation_feedback_vs_analytic", variants.size(),
+        [&](std::size_t i) {
+            return run(variants[i].scheme, variants[i].rank);
+        });
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        const CellOutcome<Result> &c = report.cells[i];
+        table.addRow({variants[i].name,
+                      bench::cellText(c, &Result::occErr, 4),
+                      bench::cellText(c, &Result::mad, 1),
+                      bench::cellText(c, &Result::aef1, 3),
+                      bench::cellText(c, &Result::aef2, 3)});
     }
     table.print(std::cout);
     return 0;

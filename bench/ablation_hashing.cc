@@ -108,16 +108,21 @@ main()
         ArrayKind array;
         HashKind hash;
     };
-    const Config configs[] = {
+    const std::vector<Config> configs{
         {"setassoc/modulo", ArrayKind::SetAssoc, HashKind::Modulo},
         {"setassoc/xorfold", ArrayKind::SetAssoc, HashKind::XorFold},
         {"setassoc/h3", ArrayKind::SetAssoc, HashKind::H3},
         {"random (ideal)", ArrayKind::RandomCands, HashKind::H3},
     };
-    for (const Config &cfg : configs) {
-        Result r = run(cfg.array, cfg.hash);
-        table.addRow({cfg.name, TablePrinter::num(r.aefUnpart, 3),
-                      TablePrinter::num(r.fsOccErr, 4)});
+    auto report = bench::runCells("ablation_hashing", configs.size(),
+                                  [&](std::size_t i) {
+        return run(configs[i].array, configs[i].hash);
+    });
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const CellOutcome<Result> &c = report.cells[i];
+        table.addRow({configs[i].name,
+                      bench::cellText(c, &Result::aefUnpart, 3),
+                      bench::cellText(c, &Result::fsOccErr, 4)});
     }
     table.print(std::cout);
     std::printf("\nIdeal reference: AEF = R/(R+1) = %.3f for "

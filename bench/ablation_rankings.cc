@@ -74,9 +74,10 @@ main()
                   "OPT on a heterogeneous mix (4MB, equal targets)");
 
     const std::uint64_t accesses = bench::scaled(200000);
+    // One workload, shared read-only by every cell. Only OPT reads
+    // the next-use annotation; the other rankings ignore it.
     Workload wl = Workload::mix(kMix, accesses, 4242);
-    Workload wl_opt = Workload::mix(kMix, accesses, 4242);
-    wl_opt.annotateNextUse();
+    wl.annotateNextUse();
 
     TablePrinter table({"ranking", "occ err", "mcf IPC",
                         "gromacs IPC", "cactusadm IPC", "lbm IPC",
@@ -85,23 +86,27 @@ main()
     {
         const char *name;
         RankKind rank;
-        bool needsOpt;
     };
-    const Entry entries[] = {
-        {"coarse-ts-lru", RankKind::CoarseTsLru, false},
-        {"exact lru", RankKind::ExactLru, false},
-        {"lfu", RankKind::Lfu, false},
-        {"rrip", RankKind::Rrip, false},
-        {"opt (ideal)", RankKind::Opt, true},
+    const std::vector<Entry> entries{
+        {"coarse-ts-lru", RankKind::CoarseTsLru},
+        {"exact lru", RankKind::ExactLru},
+        {"lfu", RankKind::Lfu},
+        {"rrip", RankKind::Rrip},
+        {"opt (ideal)", RankKind::Opt},
     };
-    for (const Entry &e : entries) {
-        Result r = run(e.rank, e.needsOpt ? wl_opt : wl);
-        table.addRow({e.name, TablePrinter::num(r.occErr, 4),
-                      TablePrinter::num(r.ipc[0], 3),
-                      TablePrinter::num(r.ipc[1], 3),
-                      TablePrinter::num(r.ipc[2], 3),
-                      TablePrinter::num(r.ipc[3], 3),
-                      TablePrinter::num(r.missRatio[2], 3)});
+    auto report = bench::runCells(
+        "ablation_rankings", entries.size(),
+        [&](std::size_t i) { return run(entries[i].rank, wl); });
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const CellOutcome<Result> &c = report.cells[i];
+        std::vector<std::string> row{
+            entries[i].name, bench::cellText(c, &Result::occErr, 4)};
+        for (PartId p = 0; p < 4; ++p)
+            row.push_back(bench::cellText(
+                c, [p](const Result &r) { return r.ipc[p]; }, 3));
+        row.push_back(bench::cellText(
+            c, [](const Result &r) { return r.missRatio[2]; }, 3));
+        table.addRow(std::move(row));
     }
     table.print(std::cout);
     std::printf("\nSizing is ranking-independent; the ranking only "

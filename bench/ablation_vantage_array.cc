@@ -31,11 +31,11 @@ struct Result
     std::uint32_t nominalR = 0;
 };
 
+constexpr std::uint32_t kSubjects = 13;
+
 Result
-run(ArrayKind array, std::uint32_t walk_levels,
-    std::uint64_t accesses)
+run(ArrayKind array, std::uint32_t walk_levels, const Workload &wl)
 {
-    constexpr std::uint32_t kSubjects = 13;
     CacheSpec spec;
     spec.array.kind = array;
     spec.array.numLines = kL2Lines;
@@ -53,7 +53,6 @@ run(ArrayKind array, std::uint32_t walk_levels,
         static_cast<LineId>(kL2Lines * managed), kThreads,
         kSubjects, kSubjectLines));
 
-    Workload wl = Workload::mix(qosMix(kSubjects), accesses, 777);
     runUntimed(*cache, wl, 0.3);
 
     auto &vantage = dynamic_cast<VantageScheme &>(cache->scheme());
@@ -80,7 +79,9 @@ main()
                   "Forced-eviction rate and subject occupancy, "
                   "16-way set-assoc vs zcache walks (13 subjects)");
 
-    const std::uint64_t accesses = bench::scaled(60000);
+    // One workload, shared read-only by every cell.
+    const Workload wl =
+        Workload::mix(qosMix(kSubjects), bench::scaled(60000), 777);
 
     TablePrinter table({"array", "nominal R", "(1-u)^R theory",
                         "forced-eviction rate",
@@ -91,19 +92,25 @@ main()
         ArrayKind array;
         std::uint32_t levels;
     };
-    const Config configs[] = {
+    const std::vector<Config> configs{
         {"setassoc 16-way", ArrayKind::SetAssoc, 1},
         {"zcache 4-bank 1-level", ArrayKind::ZCache, 1},
         {"zcache 4-bank 2-level", ArrayKind::ZCache, 2},
         {"zcache 4-bank 3-level", ArrayKind::ZCache, 3},
     };
-    for (const Config &cfg : configs) {
-        Result r = run(cfg.array, cfg.levels, accesses);
+    auto report = bench::runCells("ablation_vantage_array", configs.size(),
+                                  [&](std::size_t i) {
+        return run(configs[i].array, configs[i].levels, wl);
+    });
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const CellOutcome<Result> &c = report.cells[i];
         table.addRow(
-            {cfg.name, TablePrinter::num(std::uint64_t{r.nominalR}),
-             TablePrinter::num(std::pow(0.9, r.nominalR), 4),
-             TablePrinter::num(r.forcedRate, 4),
-             TablePrinter::num(r.occupancyFrac, 3)});
+            {configs[i].name, bench::cellText(c, &Result::nominalR, 0),
+             bench::cellText(c, [](const Result &r) {
+                 return std::pow(0.9, r.nominalR);
+             }, 4),
+             bench::cellText(c, &Result::forcedRate, 4),
+             bench::cellText(c, &Result::occupancyFrac, 3)});
     }
     table.print(std::cout);
     std::printf("\nMore candidates => fewer forced evictions => "

@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers for the figure-reproduction benches: a standard
- * header banner, workload-scale control, and common builders.
+ * header banner, workload-scale control, and the one sweep helper
+ * every simulating bench runs its cells through.
  *
  * Every bench prints the paper artifact it regenerates, the system
  * configuration, and its trace scale. Set FS_BENCH_SCALE to scale
@@ -12,21 +13,28 @@
 #ifndef FSCACHE_BENCH_BENCH_UTIL_HH
 #define FSCACHE_BENCH_BENCH_UTIL_HH
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <string>
-#include <vector>
 
+#include "common/arg_parser.hh"
+#include "common/log.hh"
 #include "core/fscache.hh"
-#include "runner/cell_guard.hh"
+#include "runner/sweep_runner.hh"
 
 namespace fscache
 {
 namespace bench
 {
 
-/** Workload-scale multiplier from FS_BENCH_SCALE (default 1). */
+/**
+ * Workload-scale multiplier from FS_BENCH_SCALE (default 1). A value
+ * that is not a finite number > 0 is fatal, so a typo never runs a
+ * bench silently at the wrong scale.
+ */
 inline double
 scale()
 {
@@ -34,8 +42,10 @@ scale()
         const char *env = std::getenv("FS_BENCH_SCALE");
         if (env == nullptr)
             return 1.0;
-        double v = std::atof(env);
-        return v > 0.0 ? v : 1.0;
+        double v = parseDoubleArg("FS_BENCH_SCALE", env);
+        if (!std::isfinite(v) || v <= 0.0)
+            fatal("FS_BENCH_SCALE=%s must be a finite number > 0", env);
+        return v;
     }();
     return s;
 }
@@ -70,33 +80,43 @@ section(const std::string &title)
 }
 
 /**
- * Explicit table/JSON marker for a quarantined sweep cell, e.g.
- * "FAILED(permanent)" or "FAILED(corruption)". Built from the error
+ * A sweep cell's table entry: get(value) printed to `precision`
+ * decimals (`get` is a data member pointer or any callable on the
+ * value), or, for a quarantined cell, its marker FAILED(class) —
+ * e.g. "FAILED(corruption)". The marker is built from the error
  * class only, so artifacts stay deterministic.
  */
-template <typename R>
+template <typename R, typename Get>
 std::string
-failedMarker(const CellOutcome<R> &o)
+cellText(const CellOutcome<R> &o, Get &&get, int precision)
 {
-    return std::string("FAILED(") + errorClassName(o.errorClass) + ")";
+    if (!o.ok())
+        return std::string("FAILED(") + errorClassName(o.errorClass) + ")";
+    return TablePrinter::num(
+        static_cast<double>(std::invoke(get, *o.value)), precision);
 }
 
 /**
- * Print the quarantine manifest of a resilient sweep to stderr and
- * return true when any cell failed. Prints nothing on a clean sweep
- * so fault-free output stays byte-identical to an unguarded
- * driver's.
+ * Run a bench's cells 0..n-1 on SweepRunner::mapResilient (FS_JOBS
+ * workers) and return their outcomes in cell order. A clean sweep
+ * prints nothing; otherwise the quarantine manifest goes to stderr
+ * and the bench renders each failed cell as FAILED(class). Exits 1
+ * when every cell failed, since there is nothing to report.
  */
-template <typename R>
-bool
-reportQuarantined(const SweepReport<R> &report, const char *sweep)
+template <typename Fn>
+auto
+runCells(const char *bench, std::size_t n, Fn &&fn)
 {
-    std::vector<ManifestEntry> f = report.failures();
-    if (f.empty())
-        return false;
-    std::fprintf(stderr, "[%s] %s", sweep,
-                 renderManifest(f).c_str());
-    return true;
+    auto report = SweepRunner().mapResilient(n, fn);
+    if (!report.allOk())
+        std::fprintf(stderr, "[%s] %s", bench,
+                     report.manifest().c_str());
+    if (report.okCount() == 0) {
+        std::fprintf(stderr, "[%s] every cell failed; no results "
+                             "to report\n", bench);
+        std::exit(1);
+    }
+    return report;
 }
 
 } // namespace bench

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "runner/sweep_runner.hh"
 
 using namespace fscache;
 
@@ -43,8 +42,6 @@ run(const std::string &benchmark, std::uint32_t n,
     std::uint64_t accesses_per_thread,
     ArrayKind array = ArrayKind::SetAssoc)
 {
-    std::fprintf(stderr, "[fig2] %s N=%u %s...\n", benchmark.c_str(),
-                 n, array == ArrayKind::SetAssoc ? "sa" : "rand");
     CacheSpec spec;
     spec.array.kind = array;
     spec.array.numLines = kLinesPerPart * n;
@@ -95,31 +92,19 @@ main()
         "mcf",   "omnetpp",    "gromacs", "h264ref",
         "astar", "cactusadm", "libquantum", "lbm"};
 
-    // Every (benchmark x N x array) run is one independent sweep
-    // cell with hard-coded seeds, so the sharded runs below produce
-    // exactly the serial values; rows 0..7 are the set-assoc runs
-    // of `benches` and row 8 is mcf on the ideal array. The sweep
-    // is resilient: failing cells render as FAILED(class).
+    // One cell per (benchmark x N x array) run: rows 0..7 are the
+    // set-assoc runs of `benches` and row 8 is mcf on the ideal
+    // array.
     const std::size_t rows = benches.size() + 1;
     const std::size_t cols = kPartCounts.size();
-    SweepRunner runner;
-    auto report = runner.mapResilient(rows * cols, [&](std::size_t i) {
+    auto report = bench::runCells("fig2", rows * cols,
+                                  [&](std::size_t i) {
         std::size_t row = i / cols, col = i % cols;
         if (row == benches.size())
             return run("mcf", kPartCounts[col], accesses,
                        ArrayKind::RandomCands);
         return run(benches[row], kPartCounts[col], accesses);
     });
-    bench::reportQuarantined(report, "fig2");
-    if (report.okCount() == 0) {
-        std::fprintf(stderr, "[fig2] every cell failed; no results "
-                             "to report\n");
-        return 1;
-    }
-    auto cellAt = [&](std::size_t row, std::size_t col)
-        -> const CellOutcome<RunResult> & {
-        return report.cells[row * cols + col];
-    };
 
     bench::section("(a) mcf: associativity of the 1st partition");
     // Two arrays: the paper's 16-way set-assoc L2, and the ideal
@@ -131,26 +116,22 @@ main()
                             "SA CDF@0.4", "SA CDF@0.6",
                             "SA CDF@0.8"});
     for (std::size_t i = 0; i < kPartCounts.size(); ++i) {
-        const CellOutcome<RunResult> &sa = cellAt(0, i);
+        const CellOutcome<RunResult> &sa = report.cells[i];
         const CellOutcome<RunResult> &ideal =
-            cellAt(benches.size(), i);
-        std::string sa_mark = bench::failedMarker(sa);
+            report.cells[benches.size() * cols + i];
+        auto sa_cdf = [&sa](std::size_t x) {
+            return bench::cellText(
+                sa, [x](const RunResult &r) { return r.cdf[x]; }, 3);
+        };
         aef_table.addRow(
             {TablePrinter::num(std::uint64_t{kPartCounts[i]}),
-             sa.ok() ? TablePrinter::num(sa.value->aef, 3) : sa_mark,
-             ideal.ok() ? TablePrinter::num(ideal.value->aef, 3)
-                        : bench::failedMarker(ideal),
-             sa.ok() ? TablePrinter::num(sa.value->cdf[3], 3)
-                     : sa_mark,
-             sa.ok() ? TablePrinter::num(sa.value->cdf[5], 3)
-                     : sa_mark,
-             sa.ok() ? TablePrinter::num(sa.value->cdf[7], 3)
-                     : sa_mark});
+             bench::cellText(sa, &RunResult::aef, 3),
+             bench::cellText(ideal, &RunResult::aef, 3), sa_cdf(3),
+             sa_cdf(5), sa_cdf(7)});
     }
     aef_table.print(std::cout);
     std::printf("(worst case is the diagonal CDF: AEF = 0.5; paper "
                 "AEFs: 0.95, 0.82, 0.74, 0.66, 0.60, 0.56)\n");
-    std::fflush(stdout);
 
     TablePrinter miss_table({"benchmark", "N=1", "N=2", "N=4", "N=8",
                              "N=16", "N=32"});
@@ -159,26 +140,23 @@ main()
     for (std::size_t b = 0; b < benches.size(); ++b) {
         std::vector<std::string> miss_row{benches[b]};
         std::vector<std::string> ipc_row{benches[b]};
-        const CellOutcome<RunResult> &base = cellAt(b, 0);
+        const CellOutcome<RunResult> &base = report.cells[b * cols];
         double base_misses =
             base.ok() ? static_cast<double>(base.value->misses) : 0.0;
         double base_ipc = base.ok() ? base.value->ipc : 0.0;
         for (std::size_t i = 0; i < kPartCounts.size(); ++i) {
-            const CellOutcome<RunResult> &c = cellAt(b, i);
-            if (!c.ok() || !base.ok()) {
-                // A failed cell (or a failed N = 1 baseline) has no
-                // normalized value; mark it explicitly.
-                std::string mark =
-                    bench::failedMarker(c.ok() ? base : c);
-                miss_row.push_back(mark);
-                ipc_row.push_back(mark);
-                continue;
-            }
-            const RunResult &r = *c.value;
-            miss_row.push_back(TablePrinter::num(
-                base_misses > 0 ? r.misses / base_misses : 0.0, 3));
-            ipc_row.push_back(TablePrinter::num(
-                base_ipc > 0 ? r.ipc / base_ipc : 0.0, 3));
+            // A failed N = 1 baseline marks its whole row.
+            const CellOutcome<RunResult> &c =
+                base.ok() ? report.cells[b * cols + i] : base;
+            miss_row.push_back(bench::cellText(
+                c, [&](const RunResult &r) {
+                    return base_misses > 0 ? r.misses / base_misses
+                                           : 0.0;
+                }, 3));
+            ipc_row.push_back(bench::cellText(
+                c, [&](const RunResult &r) {
+                    return base_ipc > 0 ? r.ipc / base_ipc : 0.0;
+                }, 3));
         }
         miss_table.addRow(std::move(miss_row));
         ipc_table.addRow(std::move(ipc_row));

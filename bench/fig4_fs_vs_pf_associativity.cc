@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "runner/sweep_runner.hh"
 #include "trace/benchmark_profiles.hh"
 
 using namespace fscache;
@@ -87,15 +86,13 @@ main()
                   "2MB random-candidates cache, R = 16, I1/I2 = 1");
 
     // 2 splits x 2 schemes = 4 independent cells (fixed seeds per
-    // cell), sharded by SweepRunner; grid[i] = {FS, PF} at splits[i].
+    // cell); cells 2i and 2i+1 are FS and PF at splits[i].
     const std::vector<double> splits{0.9, 0.6};
-    SweepRunner runner;
-    auto grid = runner.mapGrid(
-        splits.size(), 2, [&](std::size_t i, std::size_t scheme) {
-            return run(scheme == 0 ? SchemeKind::FsAnalytic
-                                   : SchemeKind::PF,
-                       splits[i]);
-        });
+    auto report = bench::runCells("fig4", 2 * splits.size(),
+                                  [&](std::size_t i) {
+        return run(i % 2 == 0 ? SchemeKind::FsAnalytic : SchemeKind::PF,
+                   splits[i / 2]);
+    });
 
     TablePrinter table({"scheme", "S1/S2", "AEF part1", "AEF part2",
                         "analytic AEF part2"});
@@ -109,26 +106,21 @@ main()
             1.0, analytic::scalingFactorTwoPart(s1, 0.5, kR)};
         double model_aef2 = analytic::fsAef(parts, alphas, kR, 1);
 
-        const Result &fs = grid[i][0];
-        const Result &pf = grid[i][1];
         std::string split = strprintf("%.0f/%.0f", s1 * 10,
                                       (1.0 - s1) * 10);
-        table.addRow({"FS", split, TablePrinter::num(fs.aef1, 3),
-                      TablePrinter::num(fs.aef2, 3),
-                      TablePrinter::num(model_aef2, 3)});
-        table.addRow({"PF", split, TablePrinter::num(pf.aef1, 3),
-                      TablePrinter::num(pf.aef2, 3), "-"});
-
-        for (const auto &[name, r] :
-             {std::pair<const char *, const Result &>{"FS", fs},
-              {"PF", pf}}) {
-            cdf.addRow({name, TablePrinter::num(1.0 - s1, 1),
-                        TablePrinter::num(r.cdf2[1], 3),
-                        TablePrinter::num(r.cdf2[3], 3),
-                        TablePrinter::num(r.cdf2[5], 3),
-                        TablePrinter::num(r.cdf2[7], 3),
-                        TablePrinter::num(r.cdf2[8], 3),
-                        TablePrinter::num(r.cdf2[9], 3)});
+        for (std::size_t k = 0; k < 2; ++k) {
+            const CellOutcome<Result> &c = report.cells[2 * i + k];
+            const char *name = k == 0 ? "FS" : "PF";
+            table.addRow({name, split, bench::cellText(c, &Result::aef1, 3),
+                          bench::cellText(c, &Result::aef2, 3),
+                          k == 0 ? TablePrinter::num(model_aef2, 3)
+                                 : "-"});
+            std::vector<std::string> row{name,
+                                         TablePrinter::num(1.0 - s1, 1)};
+            for (std::size_t x : {1, 3, 5, 7, 8, 9})
+                row.push_back(bench::cellText(
+                    c, [x](const Result &r) { return r.cdf2[x]; }, 3));
+            cdf.addRow(std::move(row));
         }
     }
     table.print(std::cout);

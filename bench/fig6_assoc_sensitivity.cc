@@ -65,25 +65,34 @@ main()
     // both array types equally.
     const std::uint64_t accesses = bench::scaled(1000000);
 
+    // One workload per benchmark, shared read-only by its cells under
+    // both rankings (LRU ignores OPT's next-use annotation).
+    std::vector<Workload> workloads;
+    for (const auto &name : benches) {
+        workloads.push_back(Workload::duplicate(name, 1, accesses, 4242));
+        workloads.back().annotateNextUse();
+    }
     for (RankKind rank : {RankKind::Opt, RankKind::ExactLru}) {
+        // Cell (benchmark b, size s) is b * sizes + s.
+        auto report = bench::runCells(
+            "fig6", benches.size() * sizes.size(), [&](std::size_t i) {
+                const Workload &wl = workloads[i / sizes.size()];
+                LineId lines = sizes[i % sizes.size()];
+                return runIpc(wl, ArrayKind::FullyAssoc, rank, lines) /
+                       runIpc(wl, ArrayKind::DirectMapped, rank, lines);
+            });
+
         bench::section(rank == RankKind::Opt
                            ? "(a) OPT ranking — speedup FA / DM"
                            : "(b) LRU ranking — speedup FA / DM");
         TablePrinter table({"benchmark", "128KB", "512KB", "1MB",
                             "2MB", "8MB"});
-        for (const auto &name : benches) {
-            Workload wl = Workload::duplicate(name, 1, accesses,
-                                              4242);
-            if (rank == RankKind::Opt)
-                wl.annotateNextUse();
-            std::vector<std::string> row{name};
-            for (LineId lines : sizes) {
-                double fa = runIpc(wl, ArrayKind::FullyAssoc, rank,
-                                   lines);
-                double dm = runIpc(wl, ArrayKind::DirectMapped, rank,
-                                   lines);
-                row.push_back(TablePrinter::num(fa / dm, 3));
-            }
+        for (std::size_t b = 0; b < benches.size(); ++b) {
+            std::vector<std::string> row{benches[b]};
+            for (std::size_t s = 0; s < sizes.size(); ++s)
+                row.push_back(bench::cellText(
+                    report.cells[b * sizes.size() + s],
+                    [](double ratio) { return ratio; }, 3));
             table.addRow(std::move(row));
         }
         table.print(std::cout);

@@ -75,6 +75,14 @@ main()
     const std::vector<std::uint32_t> subject_counts{1, 13, 25, 31};
     const std::uint64_t accesses = bench::scaled(60000);
 
+    // One workload per mix, shared read-only by every cell under both
+    // rankings (LRU ignores OPT's next-use annotation).
+    std::vector<Workload> workloads;
+    for (std::uint32_t n : subject_counts) {
+        workloads.push_back(Workload::mix(qosMix(n), accesses, 555));
+        workloads.back().annotateNextUse();
+    }
+
     for (RankKind rank : {RankKind::CoarseTsLru, RankKind::Opt}) {
         const char *rank_name =
             rank == RankKind::CoarseTsLru ? "LRU" : "OPT";
@@ -86,36 +94,29 @@ main()
         double prism_abnormality = 0.0;
         int prism_samples = 0;
 
-        // One workload per mix, shared by every scheme.
-        std::vector<std::vector<QosResult>> results(
-            qosSchemes().size());
-        for (std::uint32_t n : subject_counts) {
-            Workload wl = Workload::mix(qosMix(n), accesses, 555);
-            if (rank == RankKind::Opt)
-                wl.annotateNextUse();
-            for (std::size_t s = 0; s < qosSchemes().size(); ++s) {
-                std::fprintf(stderr, "[fig7] %s Nsub=%u %s...\n",
-                             rank_name, n,
-                             qosSchemes()[s].name.c_str());
-                results[s].push_back(
-                    run(qosSchemes()[s], n, rank, wl));
-            }
-        }
+        // Cell (mix m, scheme s) is m * schemes + s.
+        const std::size_t schemes = qosSchemes().size();
+        auto report = bench::runCells(
+            "fig7", subject_counts.size() * schemes,
+            [&](std::size_t i) {
+                return run(qosSchemes()[i % schemes],
+                           subject_counts[i / schemes], rank,
+                           workloads[i / schemes]);
+            });
 
-        for (std::size_t s = 0; s < qosSchemes().size(); ++s) {
+        for (std::size_t s = 0; s < schemes; ++s) {
             std::vector<std::string> occ_row{qosSchemes()[s].name};
             std::vector<std::string> aef_row{qosSchemes()[s].name};
-            for (const QosResult &r : results[s]) {
-                if (!r.valid) {
-                    occ_row.push_back("n/a");
-                    aef_row.push_back("n/a");
-                    continue;
-                }
-                occ_row.push_back(
-                    TablePrinter::num(r.occupancyFrac, 3));
-                aef_row.push_back(TablePrinter::num(r.aef, 3));
-                if (r.abnormality >= 0.0) {
-                    prism_abnormality += r.abnormality;
+            for (std::size_t m = 0; m < subject_counts.size(); ++m) {
+                const CellOutcome<QosResult> &c =
+                    report.cells[m * schemes + s];
+                bool na = c.ok() && !c.value->valid;
+                occ_row.push_back(na ? "n/a" : bench::cellText(
+                    c, &QosResult::occupancyFrac, 3));
+                aef_row.push_back(
+                    na ? "n/a" : bench::cellText(c, &QosResult::aef, 3));
+                if (c.ok() && c.value->abnormality >= 0.0) {
+                    prism_abnormality += c.value->abnormality;
                     ++prism_samples;
                 }
             }

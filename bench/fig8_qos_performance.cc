@@ -10,6 +10,7 @@
  */
 
 #include <iostream>
+#include <map>
 #include <vector>
 
 #include "qos_common.hh"
@@ -37,8 +38,6 @@ run(const QosScheme &scheme, std::uint32_t subjects,
     if (!cache)
         return {};
 
-    std::fprintf(stderr, "[fig8] Nsub=%u %s...\n", subjects,
-                 scheme.name.c_str());
     TimingConfig cfg;
     cfg.warmupFraction = 0.3;
     TimingSim sim(*cache, wl, cfg);
@@ -71,46 +70,53 @@ main()
     const std::vector<std::uint32_t> subject_counts{1, 13, 25};
     const std::uint64_t accesses = bench::scaled(100000);
 
-    for (std::uint32_t n : subject_counts) {
-        bench::section(strprintf("%u subject threads", n));
-        Workload wl = Workload::mix(qosMix(n), accesses, 888);
-        PerfResult base;
+    // One workload per mix, shared read-only by every scheme's cell;
+    // cell (mix m, scheme s) is m * schemes + s.
+    std::vector<Workload> workloads;
+    for (std::uint32_t n : subject_counts)
+        workloads.push_back(Workload::mix(qosMix(n), accesses, 888));
+    const std::size_t schemes = qosSchemes().size();
+    auto report = bench::runCells(
+        "fig8", subject_counts.size() * schemes, [&](std::size_t i) {
+            return run(qosSchemes()[i % schemes],
+                       subject_counts[i / schemes],
+                       workloads[i / schemes]);
+        });
+
+    for (std::size_t m = 0; m < subject_counts.size(); ++m) {
+        bench::section(strprintf("%u subject threads",
+                                 subject_counts[m]));
         TablePrinter table({"scheme", "subject IPC", "vs FullAssoc",
                             "subject MPKI", "throughput (sum IPC)"});
-        double fs_ipc = 0.0, vantage_ipc = 0.0, prism_ipc = 0.0;
-        for (const auto &scheme : qosSchemes()) {
-            PerfResult r = run(scheme, n, wl);
-            if (!r.valid) {
-                table.addRow({scheme.name, "n/a", "n/a", "n/a",
-                              "n/a"});
+        // Subject IPC per scheme; a failed or n/a cell reads as 0.
+        std::map<std::string, double> ipc;
+        for (std::size_t s = 0; s < schemes; ++s) {
+            const std::string &name = qosSchemes()[s].name;
+            const CellOutcome<PerfResult> &c =
+                report.cells[m * schemes + s];
+            if (c.ok() && !c.value->valid) {
+                table.addRow({name, "n/a", "n/a", "n/a", "n/a"});
                 continue;
             }
-            if (scheme.name == "FullAssoc")
-                base = r;
-            if (scheme.name == "FS")
-                fs_ipc = r.subjectIpc;
-            if (scheme.name == "Vantage")
-                vantage_ipc = r.subjectIpc;
-            if (scheme.name == "PriSM")
-                prism_ipc = r.subjectIpc;
+            ipc[name] = c.ok() ? c.value->subjectIpc : 0.0;
+            double base = ipc["FullAssoc"];
             table.addRow(
-                {scheme.name, TablePrinter::num(r.subjectIpc, 4),
-                 TablePrinter::num(
-                     base.subjectIpc > 0
-                         ? r.subjectIpc / base.subjectIpc
-                         : 0.0,
-                     3),
-                 TablePrinter::num(r.subjectMpki, 2),
-                 TablePrinter::num(r.throughput, 2)});
+                {name, bench::cellText(c, &PerfResult::subjectIpc, 4),
+                 bench::cellText(c, [base](const PerfResult &r) {
+                     return base > 0 ? r.subjectIpc / base : 0.0;
+                 }, 3),
+                 bench::cellText(c, &PerfResult::subjectMpki, 2),
+                 bench::cellText(c, &PerfResult::throughput, 2)});
         }
         table.print(std::cout);
-        if (vantage_ipc > 0.0 && prism_ipc > 0.0 && fs_ipc > 0.0) {
+        double fs = ipc["FS"], vantage = ipc["Vantage"],
+               prism = ipc["PriSM"];
+        if (vantage > 0.0 && prism > 0.0 && fs > 0.0) {
             std::printf("FS vs Vantage: %+.1f%%   FS vs PriSM: "
                         "%+.1f%%\n",
-                        100.0 * (fs_ipc / vantage_ipc - 1.0),
-                        100.0 * (fs_ipc / prism_ipc - 1.0));
+                        100.0 * (fs / vantage - 1.0),
+                        100.0 * (fs / prism - 1.0));
         }
-        std::fflush(stdout);
     }
     std::printf("\nPaper headline: FS improves subject performance "
                 "over Vantage by up to 6.0%% and over PriSM by up "

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "qos_common.hh"
-#include "runner/sweep_runner.hh"
 
 using namespace fscache;
 using namespace fscache::bench;
@@ -29,26 +28,15 @@ struct SensResult
     double aef = 0.0;    ///< mean subject AEF
 };
 
-SensResult
-run(const FsFeedbackConfig &fs_cfg, std::uint64_t accesses)
-{
-    constexpr std::uint32_t kSubjects = 16;
-    CacheSpec spec;
-    spec.array.kind = ArrayKind::SetAssoc;
-    spec.array.numLines = kL2Lines;
-    spec.array.ways = 16;
-    spec.array.hash = HashKind::XorFold;
-    spec.ranking = RankKind::CoarseTsLru;
-    spec.scheme.kind = SchemeKind::Fs;
-    spec.scheme.fs = fs_cfg;
-    spec.numParts = kThreads;
-    spec.seed = 31;
-    auto cache = buildCache(spec);
-    cache->setTargets(qosAllocation(kL2Lines, kThreads, kSubjects,
-                                    kSubjectLines));
-    cache->setDeviationSampleInterval(13);
+constexpr std::uint32_t kSubjects = 16;
 
-    Workload wl = Workload::mix(qosMix(kSubjects), accesses, 321);
+SensResult
+run(const FsFeedbackConfig &fs_cfg, const Workload &wl)
+{
+    QosScheme fs{"FS", {}, ArrayKind::SetAssoc};
+    fs.scheme.kind = SchemeKind::Fs;
+    fs.scheme.fs = fs_cfg;
+    auto cache = buildQosCache(fs, kSubjects, RankKind::CoarseTsLru, 31);
     runUntimed(*cache, wl, 0.3);
 
     SensResult res;
@@ -74,12 +62,12 @@ main()
                   "FS feedback parameters: interval length l and "
                   "changing ratio, 16-subject QoS mix");
 
-    const std::uint64_t accesses = bench::scaled(80000);
+    // One workload, shared read-only by every cell.
+    const Workload wl =
+        Workload::mix(qosMix(kSubjects), bench::scaled(80000), 321);
 
     // One cell per parameter point: cells 0..5 sweep the interval
-    // length, cells 6..8 sweep the changing ratio. Every cell
-    // builds its own cache/workload from fixed seeds, so the
-    // parallel sweep matches the serial values exactly.
+    // length, cells 6..8 sweep the changing ratio.
     const std::vector<std::uint32_t> lengths{4, 8, 16, 32, 64, 128};
     const std::vector<double> ratios{1.41421356, 2.0, 4.0};
     std::vector<FsFeedbackConfig> cells;
@@ -93,29 +81,15 @@ main()
         cfg.changingRatio = ratio;
         cells.push_back(cfg);
     }
-    // Resilient: a failing parameter point renders as FAILED(class)
-    // instead of killing the study.
-    SweepRunner runner;
-    auto report = runner.mapResilient(
-        cells.size(),
-        [&](std::size_t i) { return run(cells[i], accesses); });
-    bench::reportQuarantined(report, "fig9");
-    if (report.okCount() == 0) {
-        std::fprintf(stderr, "[fig9] every cell failed; no results "
-                             "to report\n");
-        return 1;
-    }
+    auto report = bench::runCells(
+        "fig9", cells.size(),
+        [&](std::size_t i) { return run(cells[i], wl); });
     auto addRow = [&](TablePrinter &table, std::string label,
                       const CellOutcome<SensResult> &c) {
-        if (!c.ok()) {
-            std::string mark = bench::failedMarker(c);
-            table.addRow({std::move(label), mark, mark, mark});
-            return;
-        }
         table.addRow({std::move(label),
-                      TablePrinter::num(c.value->occErr, 4),
-                      TablePrinter::num(c.value->mad, 1),
-                      TablePrinter::num(c.value->aef, 3)});
+                      bench::cellText(c, &SensResult::occErr, 4),
+                      bench::cellText(c, &SensResult::mad, 1),
+                      bench::cellText(c, &SensResult::aef, 3)});
     };
 
     bench::section("interval length l (changing ratio = 2)");

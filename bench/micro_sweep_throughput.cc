@@ -133,13 +133,19 @@ timeReplay(std::uint64_t &issued_out)
     return best;
 }
 
+/** Time one sweep of every cell; any failed cell is fatal. */
 double
 timeSweep(unsigned jobs, std::vector<CellCounts> &counts)
 {
     SweepRunner runner(jobs);
     auto t0 = std::chrono::steady_clock::now();
-    counts = runner.map(kCells, runCell);
+    auto report = runner.mapResilient(kCells, runCell);
     auto t1 = std::chrono::steady_clock::now();
+    if (!report.allOk()) {
+        std::fprintf(stderr, "%s", report.manifest().c_str());
+        std::exit(1);
+    }
+    counts = report.values();
     return std::chrono::duration<double>(t1 - t0).count();
 }
 

@@ -81,10 +81,12 @@ for b in "$build_dir"/bench/*; do
     status=0
     "$b" >"$out_dir/$name.txt" 2>"$out_dir/$name.err" || status=$?
     cat "$out_dir/$name.txt"
-    # A bench that quarantined cells still exits 0 but leaves its
+    # A clean fig/ablation bench run writes nothing to stderr (the
+    # google-benchmark micro benches print their context there). A
+    # bench that quarantined cells still exits 0 but leaves its
     # failure manifest (FAILED(permanent), FAILED(corruption))
-    # on stderr; surface it instead of silently filing it away — a
-    # sweep that lost cells must not read as a clean pass.
+    # there, so non-empty stderr from a fig/ablation bench means a
+    # cell was lost: surface it instead of silently filing it away.
     if [ -s "$out_dir/$name.err" ]; then
         echo "-- $name stderr ($out_dir/$name.err) --" >&2
         cat "$out_dir/$name.err" >&2

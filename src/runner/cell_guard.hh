@@ -145,6 +145,18 @@ struct SweepReport
         return n;
     }
 
+    /** Every cell's value in cell order; throws
+     *  std::bad_optional_access unless allOk(). */
+    std::vector<R>
+    values() const
+    {
+        std::vector<R> out;
+        out.reserve(cells.size());
+        for (const CellOutcome<R> &c : cells)
+            out.push_back(c.value.value());
+        return out;
+    }
+
     /** Quarantined cells, in cell order. */
     std::vector<ManifestEntry>
     failures() const

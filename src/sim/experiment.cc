@@ -190,7 +190,8 @@ measureMissCurve(const std::string &benchmark,
     // state seeded from `seed`) driven by the shared read-only
     // workload, so the parallel sweep is bit-identical to FS_JOBS=1.
     SweepRunner runner;
-    return runner.map(sizes_lines.size(), [&](std::size_t i) {
+    auto report = runner.mapResilient(sizes_lines.size(),
+                                      [&](std::size_t i) {
         CacheSpec spec;
         spec.array.kind = ArrayKind::SetAssoc;
         spec.array.numLines = sizes_lines[i];
@@ -205,6 +206,10 @@ measureMissCurve(const std::string &benchmark,
         runUntimed(*cache, wl, 0.2);
         return cache->stats(0).misses;
     });
+    if (!report.allOk())
+        throw FsError("measureMissCurve(" + benchmark + "): " +
+                      report.manifest());
+    return report.values();
 }
 
 } // namespace fscache

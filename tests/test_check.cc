@@ -406,6 +406,29 @@ TEST_F(CorruptionInjection, RankIndexAndOccupancyCellsQuarantined)
     }
 }
 
+/** measureMissCurve has no table to mark a failed size in: a
+ *  quarantined cell surfaces as an FsError carrying the manifest. */
+TEST_F(CorruptionInjection, MeasureMissCurveFailedCellThrowsFsError)
+{
+    FaultInjector::installForTest("cell=1:corrupt-rank");
+    check::setAuditLevelForTest(check::AuditLevel::Paranoid);
+    try {
+        (void)measureMissCurve("omnetpp", {256, 512}, 20000,
+                               RankKind::CoarseTsLru, 3);
+        FAIL() << "expected FsError";
+    } catch (const StateCorruptionError &) {
+        FAIL() << "the cell's corruption must not escape the guard";
+    } catch (const FsError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("measureMissCurve(omnetpp)"),
+                  std::string::npos) << what;
+        EXPECT_NE(what.find("cell 1: failed [corruption]"),
+                  std::string::npos) << what;
+        EXPECT_NE(what.find("quarantined cells: 1\n"),
+                  std::string::npos) << what;
+    }
+}
+
 TEST_F(CorruptionInjection, CorruptClauseParses)
 {
     EXPECT_NO_THROW(FaultInjector::parse("cell=3:corrupt"));

@@ -35,13 +35,29 @@ namespace
 
 std::atomic<std::uint64_t> g_allocs{0};
 
-void *
-countedAlloc(std::size_t n)
+// Every replacement operator below goes through this out-of-line
+// pair. Were the malloc and the free inlined into the operators, gcc
+// would see the free applied, in a caller, to a pointer returned by
+// operator new and reject the pairing (-Wmismatched-new-delete).
+[[gnu::noinline]] void *
+countedAlloc(std::size_t n, std::size_t align = 0)
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
+    if (n == 0)
+        n = 1;
+    void *p = align == 0
+                  ? std::malloc(n)
+                  : std::aligned_alloc(align,
+                                       (n + align - 1) & ~(align - 1));
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return p;
+}
+
+[[gnu::noinline]] void
+countedFree(void *p) noexcept
+{
+    std::free(p);
 }
 
 } // namespace
@@ -61,60 +77,55 @@ operator new[](std::size_t n)
 void *
 operator new(std::size_t n, std::align_val_t al)
 {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::aligned_alloc(static_cast<std::size_t>(al),
-                                     (n + static_cast<std::size_t>(al) - 1) &
-                                         ~(static_cast<std::size_t>(al) - 1)))
-        return p;
-    throw std::bad_alloc();
+    return countedAlloc(n, static_cast<std::size_t>(al));
 }
 
 void *
 operator new[](std::size_t n, std::align_val_t al)
 {
-    return operator new(n, al);
+    return countedAlloc(n, static_cast<std::size_t>(al));
 }
 
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete(void *p, std::align_val_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p, std::align_val_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete(void *p, std::size_t, std::align_val_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 namespace fscache

@@ -3,7 +3,7 @@
  * Runner-subsystem tests: ThreadPool task execution, stealing under
  * uneven load, exception propagation without deadlock, and
  * SweepRunner's ordered, jobs-invariant results on real simulation
- * cells.
+ * cells, with throwing cells quarantined serially and pooled.
  */
 
 #include <gtest/gtest.h>
@@ -83,49 +83,30 @@ TEST(ThreadPool, ExceptionPropagatesWithoutDeadlock)
     EXPECT_EQ(ran.load(), 20);
 }
 
-TEST(SweepRunner, MapPreservesCellOrder)
+TEST(SweepRunner, PreservesCellOrder)
 {
     SweepRunner runner(4);
-    auto out = runner.map(64, [](std::size_t i) { return i * i; });
+    auto square = [](std::size_t i) { return i * i; };
+    auto out = runner.mapResilient(64, square).values();
     ASSERT_EQ(out.size(), 64u);
     for (std::size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], i * i);
 }
 
-TEST(SweepRunner, MapGridRowColIndexing)
+TEST(SweepRunner, ThrowingCellIsQuarantinedSerialAndPooled)
 {
-    SweepRunner runner(2);
-    auto grid = runner.mapGrid(3, 5, [](std::size_t r,
-                                        std::size_t c) {
-        return 10 * r + c;
-    });
-    ASSERT_EQ(grid.size(), 3u);
-    for (std::size_t r = 0; r < 3; ++r) {
-        ASSERT_EQ(grid[r].size(), 5u);
-        for (std::size_t c = 0; c < 5; ++c)
-            EXPECT_EQ(grid[r][c], 10 * r + c);
+    for (unsigned jobs : {1u, 4u}) {
+        SweepRunner runner(jobs);
+        auto report = runner.mapResilient(16, [](std::size_t i) {
+            if (i == 3)
+                throw std::runtime_error("boom");
+            return i;
+        });
+        EXPECT_EQ(report.okCount(), 15u) << "jobs=" << jobs;
+        EXPECT_EQ(report.cells[3].errorClass, ErrorClass::Permanent);
+        EXPECT_EQ(report.cells[3].error, "boom");
+        EXPECT_EQ(*report.cells[4].value, 4u) << "jobs=" << jobs;
     }
-}
-
-TEST(SweepRunner, ExceptionInCellPropagates)
-{
-    SweepRunner runner(4);
-    EXPECT_THROW(runner.map(16,
-                            [](std::size_t i) {
-                                if (i == 3)
-                                    throw std::runtime_error("boom");
-                                return i;
-                            }),
-                 std::runtime_error);
-    // Serial path throws too.
-    SweepRunner serial(1);
-    EXPECT_THROW(serial.forEach(4,
-                                [](std::size_t i) {
-                                    if (i == 2)
-                                        throw std::runtime_error(
-                                            "boom");
-                                }),
-                 std::runtime_error);
 }
 
 /** A real simulation cell: private cache, per-cell seeds. */
@@ -170,8 +151,8 @@ TEST(SweepRunner, ParallelMatchesSerialOnSimCells)
 {
     SweepRunner serial(1);
     SweepRunner parallel(4);
-    auto s = serial.map(12, simulateCell);
-    auto p = parallel.map(12, simulateCell);
+    auto s = serial.mapResilient(12, simulateCell).values();
+    auto p = parallel.mapResilient(12, simulateCell).values();
     ASSERT_EQ(s.size(), p.size());
     for (std::size_t i = 0; i < s.size(); ++i) {
         EXPECT_EQ(s[i], p[i]) << "cell " << i;

@@ -159,10 +159,9 @@ TEST(SweepRunnerStress, ManyCellSweepMatchesSerial)
     SweepRunner serial(1);
     SweepRunner wide(hwJobs());
     constexpr std::size_t kCells = 2048;
-    auto s = serial.map(kCells,
-                        [](std::size_t i) { return cellHash(i); });
-    auto p = wide.map(kCells,
-                      [](std::size_t i) { return cellHash(i); });
+    auto hash = [](std::size_t i) { return cellHash(i); };
+    auto s = serial.mapResilient(kCells, hash).values();
+    auto p = wide.mapResilient(kCells, hash).values();
     ASSERT_EQ(s.size(), p.size());
     for (std::size_t i = 0; i < kCells; ++i)
         ASSERT_EQ(s[i], p[i]) << "cell " << i;
@@ -175,10 +174,10 @@ TEST(SweepRunnerStress, CrossJobsIdentical)
     const std::vector<unsigned> jobSet{1, 2, hwJobs()};
     std::vector<std::vector<std::uint64_t>> results;
     results.reserve(jobSet.size());
+    auto hash = [](std::size_t i) { return cellHash(i, 64); };
     for (unsigned jobs : jobSet) {
         SweepRunner runner(jobs);
-        results.push_back(runner.map(
-            512, [](std::size_t i) { return cellHash(i, 64); }));
+        results.push_back(runner.mapResilient(512, hash).values());
     }
     for (std::size_t k = 1; k < results.size(); ++k)
         EXPECT_EQ(results[0], results[k])
@@ -191,8 +190,8 @@ TEST(SweepRunnerStress, CrossJobsIdenticalViaEnv)
     // use. setenv is safe here: no pool is alive between sweeps.
     auto sweep = [] {
         SweepRunner runner; // reads FS_JOBS
-        return runner.map(
-            256, [](std::size_t i) { return cellHash(i, 64); });
+        auto hash = [](std::size_t i) { return cellHash(i, 64); };
+        return runner.mapResilient(256, hash).values();
     };
     setenv("FS_JOBS", "1", 1);
     auto serial = sweep();
@@ -211,16 +210,17 @@ TEST(SweepRunnerStress, NestedSweepInsideCells)
     // a bench sharding workloads that each shard sizes internally.
     auto nested = [](unsigned outerJobs, unsigned innerJobs) {
         SweepRunner outer(outerJobs);
-        return outer.map(8, [innerJobs](std::size_t o) {
+        auto cell = [innerJobs](std::size_t o) {
             SweepRunner inner(innerJobs);
-            auto leaf = inner.map(16, [o](std::size_t c) {
+            auto leaf = inner.mapResilient(16, [o](std::size_t c) {
                 return cellHash(o * 16 + c, 32);
             });
             std::uint64_t acc = 0;
-            for (std::uint64_t v : leaf)
+            for (std::uint64_t v : leaf.values())
                 acc = mix64(acc ^ v);
             return acc;
-        });
+        };
+        return outer.mapResilient(8, cell).values();
     };
     auto serial = nested(1, 1);
     auto par = nested(2, 2);
@@ -229,29 +229,31 @@ TEST(SweepRunnerStress, NestedSweepInsideCells)
     EXPECT_EQ(serial, mixed);
 }
 
-TEST(SweepRunnerStress, ThrowingCellsUnderLoad)
+TEST(SweepRunnerStress, ThrowingCellsQuarantinedRunnerReusable)
 {
     SweepRunner runner(hwJobs());
     for (int round = 0; round < 5; ++round) {
-        EXPECT_THROW(
-            runner.map(256,
-                       [](std::size_t i) {
-                           if (i % 31 == 5)
-                               throw std::runtime_error("cell");
-                           return cellHash(i, 16);
-                       }),
-            std::runtime_error);
+        auto report = runner.mapResilient(256, [](std::size_t i) {
+            if (i % 31 == 5)
+                throw std::runtime_error("cell");
+            return cellHash(i, 16);
+        });
+        ASSERT_EQ(report.okCount(), 256u - 9u) << "round " << round;
+        for (std::size_t i = 0; i < 256; ++i) {
+            if (i % 31 == 5)
+                ASSERT_EQ(report.cells[i].error, "cell") << i;
+            else
+                ASSERT_EQ(*report.cells[i].value, cellHash(i, 16)) << i;
+        }
     }
     // Runner unharmed: a clean sweep still matches serial.
-    auto after = runner.map(
-        64, [](std::size_t i) { return cellHash(i, 16); });
+    auto hash = [](std::size_t i) { return cellHash(i, 16); };
     SweepRunner serial(1);
-    EXPECT_EQ(after, serial.map(64, [](std::size_t i) {
-        return cellHash(i, 16);
-    }));
+    EXPECT_EQ(runner.mapResilient(64, hash).values(),
+              serial.mapResilient(64, hash).values());
 }
 
-TEST(SweepRunnerStress, ForEachWritesVisibleAfterReturn)
+TEST(SweepRunnerStress, CellWritesVisibleAfterReturn)
 {
     // waitIdle() must publish every cell's writes to the caller
     // (happens-before edge); under TSan a missing edge is a report,
@@ -259,9 +261,11 @@ TEST(SweepRunnerStress, ForEachWritesVisibleAfterReturn)
     constexpr std::size_t kCells = 1024;
     std::vector<std::uint64_t> slots(kCells, 0);
     SweepRunner runner(hwJobs());
-    runner.forEach(kCells, [&slots](std::size_t i) {
+    auto report = runner.mapResilient(kCells, [&slots](std::size_t i) {
         slots[i] = cellHash(i, 16);
+        return true;
     });
+    ASSERT_TRUE(report.allOk());
     for (std::size_t i = 0; i < kCells; ++i)
         ASSERT_EQ(slots[i], cellHash(i, 16)) << "cell " << i;
 }
@@ -327,13 +331,14 @@ TEST(RngDeterminism, StreamsInvariantAcrossFsJobs)
     streams.reserve(jobSet.size());
     for (unsigned jobs : jobSet) {
         SweepRunner runner(jobs);
-        streams.push_back(runner.map(128, [](std::size_t cell) {
+        auto report = runner.mapResilient(128, [](std::size_t cell) {
             Rng rng(1000 + cell);
             std::uint64_t acc = 0;
             for (int i = 0; i < 512; ++i)
                 acc = mix64(acc ^ rng());
             return acc;
-        }));
+        });
+        streams.push_back(report.values());
     }
     for (std::size_t k = 1; k < streams.size(); ++k)
         EXPECT_EQ(streams[0], streams[k]);
