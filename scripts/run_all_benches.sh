@@ -81,16 +81,20 @@ for b in "$build_dir"/bench/*; do
     status=0
     "$b" >"$out_dir/$name.txt" 2>"$out_dir/$name.err" || status=$?
     cat "$out_dir/$name.txt"
-    # A clean fig/ablation bench run writes nothing to stderr (the
-    # google-benchmark micro benches print their context there). A
+    # A clean fig/ablation bench run writes nothing to stderr. A
     # bench that quarantined cells still exits 0 but leaves its
     # failure manifest (FAILED(permanent), FAILED(corruption))
     # there, so non-empty stderr from a fig/ablation bench means a
     # cell was lost: surface it instead of silently filing it away.
-    if [ -s "$out_dir/$name.err" ]; then
-        echo "-- $name stderr ($out_dir/$name.err) --" >&2
-        cat "$out_dir/$name.err" >&2
-    fi
+    # The google-benchmark micro benches print their run context
+    # there on every run, so theirs stays in the file.
+    case "$name" in
+        fig*|ablation_*)
+            if [ -s "$out_dir/$name.err" ]; then
+                echo "-- $name stderr ($out_dir/$name.err) --" >&2
+                cat "$out_dir/$name.err" >&2
+            fi ;;
+    esac
     if [ "$status" -ne 0 ]; then
         echo "FAILED: $name exited with status $status" \
              "(stderr in $out_dir/$name.err)" >&2

@@ -12,6 +12,11 @@
  *  4. makeRoom(addr, victim) performs any internal relocations
  *     (zcache walks) and returns the slot the incoming line must be
  *     installed into (the victim slot itself for simple arrays).
+ *
+ * Every access first asks lookup(addr) for the slot holding the
+ * address. By default the tag store's address index answers; a
+ * set-associative array scans the address's set instead and keeps
+ * no index.
  */
 
 #ifndef FSCACHE_CACHE_CACHE_ARRAY_HH
@@ -35,7 +40,15 @@ class CacheArray
     /** Relocation callback: a valid line moved from -> to. */
     using MoveFn = std::function<void(LineId from, LineId to)>;
 
-    explicit CacheArray(LineId num_lines);
+    /** Slots [first, first + count); empty when count is 0. */
+    struct SlotRange
+    {
+        LineId first = 0;
+        std::uint32_t count = 0;
+    };
+
+    /** @param indexed build the tag store with its address index */
+    explicit CacheArray(LineId num_lines, bool indexed = true);
     virtual ~CacheArray() = default;
 
     CacheArray(const CacheArray &) = delete;
@@ -45,6 +58,25 @@ class CacheArray
     const TagStore &tags() const { return tags_; }
 
     LineId numLines() const { return tags_.numLines(); }
+
+    /** Slot holding addr, or kInvalidLine. Default: the tag store's
+     *  address index. */
+    virtual LineId lookup(Addr addr) const { return tags_.lookup(addr); }
+
+    /**
+     * Hint that addr is accessed soon: prefetch the slots lookup()
+     * reads for it, and return them when they are contiguous so the
+     * owner can prefetch their ranking records too. Never changes
+     * state. Default: nothing (prefetching the address index's home
+     * slot measured within noise on the fully-associative qos-32
+     * cell).
+     */
+    virtual SlotRange
+    prefetch(Addr addr) const
+    {
+        (void)addr;
+        return {};
+    }
 
     /** Nominal number of replacement candidates R. */
     virtual std::uint32_t candidateCount() const = 0;
@@ -80,6 +112,23 @@ class CacheArray
     }
 
     virtual std::string name() const = 0;
+
+    /**
+     * Structural self-audit (FS_AUDIT=paranoid): the tag store's own
+     * audit, then every valid line is found by lookup() at its own
+     * slot. O(lines).
+     *
+     * @return "" when consistent, else the first violation found.
+     */
+    std::string auditInvariants() const;
+
+    /**
+     * Deliberately break lookup() for one valid line (FS_FAULTS
+     * `cell=N:corrupt`), leaving it valid and counted. Default: drop
+     * the line's address-index entry. Returns the damaged line, or
+     * kInvalidLine if nothing could be damaged.
+     */
+    virtual LineId corruptLookupForFaultInjection();
 
   protected:
     TagStore tags_;

@@ -1,13 +1,14 @@
 #include "cache/set_assoc_array.hh"
 
 #include "common/log.hh"
+#include "common/prefetch.hh"
 
 namespace fscache
 {
 
 SetAssocArray::SetAssocArray(LineId num_lines, std::uint32_t ways,
                              HashKind hash, std::uint64_t seed)
-    : CacheArray(num_lines), ways_(ways)
+    : CacheArray(num_lines, /*indexed=*/false), ways_(ways)
 {
     fs_assert(ways >= 1, "need at least one way");
     fs_assert(num_lines % ways == 0,
@@ -19,13 +20,42 @@ void
 SetAssocArray::collectCandidates(Addr addr, std::vector<LineId> &out)
 {
     out.clear();
-    auto set = static_cast<LineId>(hash_->index(addr));
-    LineId base = set * ways_;
+    LineId base = setBase(addr);
     for (std::uint32_t w = 0; w < ways_; ++w)
         // fs-analyze: allow(hot-path-alloc) `out` is the caller's
         // reused candidate buffer; capacity tops out at ways_ on
         // the first miss (witness: tests/test_hot_alloc.cc).
         out.push_back(base + w);
+}
+
+CacheArray::SlotRange
+SetAssocArray::prefetch(Addr addr) const
+{
+    LineId base = setBase(addr);
+    prefetchBytes(&tags_.line(base), ways_ * sizeof(Line));
+    return {base, ways_};
+}
+
+LineId
+SetAssocArray::corruptLookupForFaultInjection()
+{
+    if (sets() < 2)
+        return kInvalidLine;
+    for (LineId id = 0; id < numLines(); ++id) {
+        const Line &l = tags_.line(id);
+        if (!l.valid)
+            continue;
+        // The next address up that maps to another set and is not
+        // the invalid sentinel.
+        Addr moved = l.addr;
+        do
+            ++moved;
+        while (moved == kInvalidAddr ||
+               setBase(moved) == setBase(l.addr));
+        tags_.rewriteAddrForFaultInjection(id, moved);
+        return id;
+    }
+    return kInvalidLine;
 }
 
 std::string

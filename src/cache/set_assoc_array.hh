@@ -5,6 +5,11 @@
  * ways == 1 gives the direct-mapped array used by the paper's
  * Figure 6 sensitivity study; 16 ways with XOR indexing is the
  * paper's main L2 configuration (Table II).
+ *
+ * A line can only sit in its address's set, so lookup() scans that
+ * set's ways, as the hardware compares its tags, and the tag store
+ * keeps no address index. A set's ways are consecutive slots, so
+ * prefetch() hands the whole set on to the ranking's records.
  */
 
 #ifndef FSCACHE_CACHE_SET_ASSOC_ARRAY_HH
@@ -33,6 +38,26 @@ class SetAssocArray : public CacheArray
 
     std::uint32_t candidateCount() const override { return ways_; }
 
+    LineId
+    lookup(Addr addr) const override
+    {
+        LineId base = setBase(addr);
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            const Line &l = tags_.line(base + w);
+            // Invalid ways carry kInvalidAddr, so the address test
+            // alone rejects them unless addr is that sentinel.
+            if (l.addr == addr && l.valid)
+                return base + w;
+        }
+        return kInvalidLine;
+    }
+
+    SlotRange prefetch(Addr addr) const override;
+
+    /** Rewrite the first valid line's address to one outside its
+     *  set (see CacheArray); kInvalidLine with a single set. */
+    LineId corruptLookupForFaultInjection() override;
+
     void collectCandidates(Addr addr,
                            std::vector<LineId> &out) override;
 
@@ -44,6 +69,13 @@ class SetAssocArray : public CacheArray
     std::uint64_t setOf(Addr addr) const { return hash_->index(addr); }
 
   private:
+    /** First slot of addr's set. */
+    LineId
+    setBase(Addr addr) const
+    {
+        return static_cast<LineId>(hash_->index(addr)) * ways_;
+    }
+
     std::uint32_t ways_;
     std::unique_ptr<IndexHash> hash_;
 };

@@ -5,10 +5,12 @@
 namespace fscache
 {
 
-TagStore::TagStore(LineId num_lines)
-    : numLines_(num_lines), lines_(num_lines), byAddr_(num_lines)
+TagStore::TagStore(LineId num_lines, bool indexed)
+    : numLines_(num_lines), lines_(num_lines)
 {
     fs_assert(num_lines > 0, "tag store needs at least one line");
+    if (indexed)
+        byAddr_.emplace(num_lines);
     freeList_.reserve(num_lines);
     inFreeList_.assign(num_lines, 1);
     // Pop order is highest slot first; immaterial, but deterministic.
@@ -35,7 +37,8 @@ TagStore::install(LineId id, Addr addr, PartId part)
     l.part = part;
     l.valid = true;
     // insert() asserts the address was absent.
-    byAddr_.insert(addr, id);
+    if (byAddr_)
+        byAddr_->insert(addr, id);
     growPart(part);
     ++partSize_[part];
     ++validCount_;
@@ -46,7 +49,8 @@ TagStore::evict(LineId id)
 {
     Line &l = lines_[id];
     fs_assert(l.valid, "evicting an invalid slot");
-    byAddr_.erase(l.addr);
+    if (byAddr_)
+        byAddr_->erase(l.addr);
     --partSize_[l.part];
     --validCount_;
     l.valid = false;
@@ -74,9 +78,11 @@ TagStore::move(LineId from, LineId to)
     Line &dst = lines_[to];
     fs_assert(src.valid && !dst.valid, "bad relocation");
     dst = src;
-    LineId *slot = byAddr_.find(dst.addr);
-    fs_assert(slot != nullptr, "relocating an untracked address");
-    *slot = to;
+    if (byAddr_) {
+        LineId *slot = byAddr_->find(dst.addr);
+        fs_assert(slot != nullptr, "relocating an untracked address");
+        *slot = to;
+    }
     src.valid = false;
     src.addr = kInvalidAddr;
     src.part = kInvalidPart;
@@ -99,9 +105,11 @@ TagStore::retag(LineId id, PartId part)
 std::string
 TagStore::auditInvariants() const
 {
-    std::string err = byAddr_.auditInvariants();
-    if (!err.empty())
-        return "byAddr index: " + err;
+    if (byAddr_) {
+        std::string err = byAddr_->auditInvariants();
+        if (!err.empty())
+            return "byAddr index: " + err;
+    }
 
     std::vector<std::uint32_t> perPart(partSize_.size(), 0);
     LineId valid = 0;
@@ -114,14 +122,15 @@ TagStore::auditInvariants() const
             return strprintf("valid line %u carries the invalid "
                              "address sentinel", id);
         }
-        const LineId *slot = byAddr_.find(l.addr);
-        if (slot == nullptr) {
+        const LineId *slot =
+            byAddr_ ? byAddr_->find(l.addr) : nullptr;
+        if (byAddr_ && slot == nullptr) {
             return strprintf(
                 "valid line %u (addr %llu) missing from the "
                 "address index", id,
                 static_cast<unsigned long long>(l.addr));
         }
-        if (*slot != id) {
+        if (slot != nullptr && *slot != id) {
             return strprintf(
                 "address %llu resolves to line %u but line %u "
                 "carries it",
@@ -138,9 +147,9 @@ TagStore::auditInvariants() const
         return strprintf("validCount %u but %u lines are valid",
                          validCount_, valid);
     }
-    if (byAddr_.size() != valid) {
+    if (byAddr_ && byAddr_->size() != valid) {
         return strprintf("address index holds %zu entries for %u "
-                         "valid lines", byAddr_.size(), valid);
+                         "valid lines", byAddr_->size(), valid);
     }
     for (std::size_t p = 0; p < perPart.size(); ++p) {
         if (perPart[p] != partSize_[p]) {
@@ -155,13 +164,21 @@ TagStore::auditInvariants() const
 LineId
 TagStore::corruptAddrIndexForFaultInjection()
 {
+    fs_assert(byAddr_, "no address index to corrupt");
     for (LineId id = 0; id < numLines_; ++id) {
         if (lines_[id].valid) {
-            byAddr_.erase(lines_[id].addr);
+            byAddr_->erase(lines_[id].addr);
             return id;
         }
     }
     return kInvalidLine;
+}
+
+void
+TagStore::rewriteAddrForFaultInjection(LineId id, Addr addr)
+{
+    fs_assert(lines_[id].valid, "rewriting an invalid slot");
+    lines_[id].addr = addr;
 }
 
 PartId

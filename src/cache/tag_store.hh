@@ -1,10 +1,13 @@
 /**
  * @file
- * Tag store: line-slot metadata, address lookup, per-partition
- * occupancy accounting, and a free-slot list.
+ * Tag store: line-slot metadata, an optional address index,
+ * per-partition occupancy accounting, and a free-slot list.
  *
  * Every cache array shares this implementation; arrays only decide
- * *which* slots are replacement candidates for an address.
+ * *which* slots are replacement candidates for an address, and how
+ * an address is found. A set-associative array finds a line by
+ * scanning its set, as the hardware does, and builds its store
+ * without the index; every other array looks addresses up in it.
  * Partition retagging (Vantage demotions) and slot-to-slot moves
  * (zcache relocation) are first-class so occupancy accounting stays
  * centralized.
@@ -14,11 +17,13 @@
 #define FSCACHE_CACHE_TAG_STORE_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cache/line.hh"
 #include "common/flat_map.hh"
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace fscache
@@ -28,22 +33,26 @@ namespace fscache
 class TagStore
 {
   public:
-    explicit TagStore(LineId num_lines);
+    /** @param indexed keep the address index behind lookup() */
+    explicit TagStore(LineId num_lines, bool indexed = true);
 
     LineId numLines() const { return numLines_; }
 
     const Line &line(LineId id) const { return lines_[id]; }
 
+    bool indexed() const { return byAddr_.has_value(); }
+
     /**
-     * Slot holding addr, or kInvalidLine. Runs once per simulated
-     * access — the byAddr_ index is a flat open-addressing table
-     * (common/flat_map.hh) precisely to keep this probe allocation-
-     * free and pointer-chase-free.
+     * Slot holding addr, or kInvalidLine; indexed stores only. Runs
+     * once per simulated access — the byAddr_ index is a flat
+     * open-addressing table (common/flat_map.hh) precisely to keep
+     * this probe allocation-free and pointer-chase-free.
      */
     LineId
     lookup(Addr addr) const
     {
-        const LineId *slot = byAddr_.find(addr);
+        fs_assert(byAddr_, "lookup in a tag store without an index");
+        const LineId *slot = byAddr_->find(addr);
         return slot == nullptr ? kInvalidLine : *slot;
     }
 
@@ -83,12 +92,13 @@ class TagStore
     std::size_t partCount() const { return partSize_.size(); }
 
     /**
-     * Structural self-audit (FS_AUDIT=paranoid; see src/check):
-     * byAddr_ internals, the line<->index bijection (every valid
-     * line's address resolves back to its slot, every index entry
-     * points at a valid line carrying that address), and the
-     * per-partition / total occupancy counters recomputed from the
-     * lines. O(lines); not for hot paths.
+     * Structural self-audit (FS_AUDIT=paranoid; see src/check): in
+     * an indexed store, byAddr_ internals and the line<->index
+     * bijection (every valid line's address resolves back to its
+     * slot, every index entry points at a valid line carrying that
+     * address); in every store, the per-partition / total occupancy
+     * counters recomputed from the lines. O(lines); not for hot
+     * paths.
      *
      * @return "" when consistent, else the first violation found.
      */
@@ -102,8 +112,17 @@ class TagStore
      * exactly the class of silent corruption the audits and the
      * shadow model exist to catch. Returns the line whose index
      * entry was dropped, or kInvalidLine if the store is empty.
+     * Indexed stores only.
      */
     LineId corruptAddrIndexForFaultInjection();
+
+    /**
+     * Deliberately rewrite valid line `id`'s stored address to
+     * `addr` without touching the index or the counters: the
+     * set-resident form of the FS_FAULTS `cell=N:corrupt` clause
+     * (SetAssocArray picks an address outside the line's set).
+     */
+    void rewriteAddrForFaultInjection(LineId id, Addr addr);
 
     /**
      * Deliberately inflate the first non-empty partition's occupancy
@@ -121,7 +140,8 @@ class TagStore
 
     LineId numLines_;
     std::vector<Line> lines_;
-    FlatMap<LineId> byAddr_;
+    /** Address -> slot; absent in a store built without an index. */
+    std::optional<FlatMap<LineId>> byAddr_;
     std::vector<std::uint32_t> partSize_;
     std::vector<LineId> freeList_;
     // Membership bitmap for freeList_: each id is listed at most

@@ -1,6 +1,6 @@
 #include "check/invariants.hh"
 
-#include "cache/tag_store.hh"
+#include "cache/cache_array.hh"
 #include "common/log.hh"
 #include "ranking/futility_ranking.hh"
 
@@ -41,13 +41,14 @@ auditOccupancySums(const TagStore &tags,
 }
 
 std::string
-auditDeepConsistency(const TagStore &tags,
+auditDeepConsistency(const CacheArray &array,
                      const FutilityRanking &ranking,
                      std::uint32_t num_parts)
 {
-    std::string err = tags.auditInvariants();
+    const TagStore &tags = array.tags();
+    std::string err = array.auditInvariants();
     if (!err.empty())
-        return "tag store: " + err;
+        return err;
     err = ranking.auditInvariants();
     if (!err.empty())
         return "ranking: " + err;

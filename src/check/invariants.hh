@@ -2,11 +2,11 @@
  * @file
  * Cross-structure invariant audits (FS_AUDIT; see check/audit.hh).
  *
- * The per-structure audits (FlatMap / TagStore / the rankings'
- * order indexes ::auditInvariants()) verify each structure against
- * itself; the functions here verify the structures against
- * *each other* — the facade-level bookkeeping PartitionedCache is
- * responsible for keeping consistent:
+ * The per-structure audits (FlatMap / TagStore / CacheArray / the
+ * rankings' order indexes ::auditInvariants()) verify each
+ * structure against itself; the functions here verify the
+ * structures against *each other* — the facade-level bookkeeping
+ * PartitionedCache is responsible for keeping consistent:
  *
  *  - occupancy sums: per-partition sizes vs. the tag store's total
  *    valid count vs. the ranking's per-partition line counts;
@@ -28,6 +28,7 @@
 namespace fscache
 {
 
+class CacheArray;
 class TagStore;
 class FutilityRanking;
 
@@ -47,11 +48,12 @@ std::string auditOccupancySums(const TagStore &tags,
                                std::uint32_t num_parts);
 
 /**
- * Deep O(lines log lines) audit: per-structure audits on the tag
- * store and the ranking, plus line-by-line residency
- * cross-consistency (see file comment).
+ * Deep O(lines log lines) audit: per-structure audits on the array
+ * (its tag store, and every valid line found by lookup at its slot)
+ * and the ranking, plus line-by-line residency cross-consistency
+ * (see file comment).
  */
-std::string auditDeepConsistency(const TagStore &tags,
+std::string auditDeepConsistency(const CacheArray &array,
                                  const FutilityRanking &ranking,
                                  std::uint32_t num_parts);
 

@@ -97,7 +97,7 @@ FaultInjector::parse(const std::string &spec)
         Clause c;
         c.cell = parseCell(spec, value);
         if (action == "corrupt") {
-            c.target = CorruptTarget::AddrIndex;
+            c.target = CorruptTarget::Lookup;
         } else if (action == "corrupt-rank") {
             c.target = CorruptTarget::RankIndex;
         } else if (action == "corrupt-occ") {
@@ -155,6 +155,12 @@ FaultInjector::consumeArmedCorruption()
     CorruptTarget armed = t_corruptArmed;
     t_corruptArmed = CorruptTarget::None;
     return armed;
+}
+
+void
+FaultInjector::rearm(CorruptTarget target)
+{
+    t_corruptArmed = target;
 }
 
 void

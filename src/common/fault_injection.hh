@@ -7,7 +7,10 @@
  * lockstep model) can be shown to catch each kind of damage end to
  * end. The spec is a semicolon-separated list of clauses:
  *
- *     cell=<n>:corrupt       flip a tag-store index entry
+ *     cell=<n>:corrupt       break one line's lookup (drop its
+ *                            address-index entry, or move a
+ *                            set-resident line's address out of
+ *                            its set)
  *     cell=<n>:corrupt-rank  inflate the ranking order index's
  *                            resident counter
  *     cell=<n>:corrupt-occ   inflate a partition occupancy counter
@@ -21,11 +24,13 @@
  * Injection is two-phase: fire() only *arms* a thread-local target
  * (it must not throw — corruption is silent by definition);
  * PartitionedCache consumes the target on its 8192-access stride
- * and desynchronizes the matching structure (tag index, ranking
- * order index, or occupancy counter — together covering every
- * FS_AUDIT arm end to end). fire() re-disarms at the top of every
- * cell, so a target armed for a short cell that never consumed it
- * cannot leak into the next cell on that worker.
+ * and desynchronizes the matching structure (the array's lookup,
+ * the ranking order index, or an occupancy counter — together
+ * covering every FS_AUDIT arm end to end). fire() re-disarms at the
+ * top of every cell, so a target armed for a short cell that never
+ * consumed it cannot leak into the next cell on that worker. Only
+ * top-level sweeps fire (runner/sweep_runner.hh): `cell=<n>` names
+ * cell n of every top-level sweep a process runs.
  *
  * Zero cost when unset: faultPoint() loads one pointer that is null
  * unless FS_FAULTS was present at first use (or a test installed a
@@ -48,14 +53,13 @@ class FaultInjector
 {
   public:
     /**
-     * Which structure an armed clause targets: corrupt ->
-     * AddrIndex, corrupt-rank -> RankIndex, corrupt-occ ->
-     * Occupancy.
+     * Which structure an armed clause targets: corrupt -> Lookup,
+     * corrupt-rank -> RankIndex, corrupt-occ -> Occupancy.
      */
     enum class CorruptTarget : std::uint8_t
     {
         None,
-        AddrIndex,
+        Lookup,
         RankIndex,
         Occupancy,
     };
@@ -85,6 +89,11 @@ class FaultInjector
      * when nothing is armed.
      */
     static CorruptTarget consumeArmedCorruption();
+
+    /** Arm the calling thread's target again with one taken by
+     *  consumeArmedCorruption() (a nested sweep sets the enclosing
+     *  cell's target aside; runner/sweep_runner.hh). */
+    static void rearm(CorruptTarget target);
 
     bool
     empty() const

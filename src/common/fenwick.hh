@@ -224,7 +224,9 @@ class FenwickTree
  * A mark-once FenwickTree: one bit per position and a FenwickTree
  * over the popcounts of the 64-bit words (see file comment). Same
  * interface and answers as a FenwickTree whose positions each hold
- * at most one mark; mark() and unmark() assert that.
+ * at most one mark; mark() and unmark() assert that. It also keeps
+ * the index of its first nonzero word, so select(0) — the lowest
+ * mark, which every worstIn() asks for — is one word read.
  */
 class BitFenwick
 {
@@ -249,6 +251,7 @@ class BitFenwick
         // no branch.
         bits_.assign(capacity / 64 + 1, 0);
         words_.reset(capacity / 64);
+        first_ = capacity / 64;
     }
 
     /** Empty every position; capacity is kept. */
@@ -257,6 +260,7 @@ class BitFenwick
     {
         std::fill(bits_.begin(), bits_.end(), 0);
         words_.clear();
+        first_ = words_.capacity();
     }
 
     /** Make exactly positions [0, n) marked, in O(capacity / 64). */
@@ -269,14 +273,15 @@ class BitFenwick
         if (n % 64 != 0)
             bits_[n / 64] = (1ull << (n % 64)) - 1;
         words_.fillPrefix(n, 64);
+        first_ = n > 0 ? 0 : words_.capacity();
     }
 
     /**
      * Set the (currently clear) bit of `pos` without counting it, for
      * a bulk rebuild: set every bit, then recount() once, in
      * O(capacity / 64) where a mark() per position walks the word
-     * tree each time. Counts, and so every query, are stale until
-     * recount().
+     * tree each time. Counts, the first-word index, and so every
+     * query, are stale until recount().
      */
     void
     setBit(std::uint32_t pos)
@@ -292,6 +297,9 @@ class BitFenwick
         words_.assign([this](std::uint32_t w) {
             return popcount64(bits_[w]);
         });
+        first_ = 0;
+        while (first_ < words_.capacity() && bits_[first_] == 0)
+            ++first_;
     }
 
     /** Mark the (currently unmarked) position `pos`. */
@@ -304,6 +312,7 @@ class BitFenwick
         fs_assert((word & bit) == 0, "fenwick position already marked");
         word |= bit;
         words_.mark(pos >> 6);
+        first_ = std::min(first_, pos >> 6);
     }
 
     /** Unmark the (currently marked) position `pos`. */
@@ -316,6 +325,12 @@ class BitFenwick
         fs_assert((word & bit) != 0, "fenwick position not marked");
         word &= ~bit;
         words_.unmark(pos >> 6);
+        if (word == 0 && pos >> 6 == first_) {
+            // Stops at the word count when the tree empties.
+            do
+                ++first_;
+            while (first_ < words_.capacity() && bits_[first_] == 0);
+        }
     }
 
     /** Number of marked positions strictly below `pos`
@@ -339,6 +354,12 @@ class BitFenwick
     std::uint32_t
     select(std::uint32_t k) const
     {
+        if (k == 0) {
+            // The lowest mark, every worstIn(): no descent.
+            fs_assert(total() > 0, "fenwick select out of range");
+            return first_ * 64 + static_cast<std::uint32_t>(
+                                     std::countr_zero(bits_[first_]));
+        }
         FenwickTree::Slot slot = words_.select(k);
         return slot.pos * 64 + selectInWord(bits_[slot.pos], slot.within);
     }
@@ -370,7 +391,7 @@ class BitFenwick
     static constexpr std::uint32_t
     selectInWord(std::uint64_t w, std::uint32_t r)
     {
-        if (r == 0) // the lowest set bit: select(0), every worstIn()
+        if (r == 0)
             return static_cast<std::uint32_t>(std::countr_zero(w));
         constexpr std::uint64_t kHigh = 0x8080808080808080ull;
         // Byte i of sums = set bits in bytes 0..i (at most 64, so no
@@ -395,6 +416,10 @@ class BitFenwick
     std::vector<std::uint64_t> bits_;
     /** Marks per word of bits_. */
     FenwickTree words_;
+    /** Index of the first nonzero word of bits_, or the word count
+     *  when empty: mark() lowers it, unmark() advances it past a
+     *  word it empties, and select(0) reads the lowest mark there. */
+    std::uint32_t first_ = 0;
 };
 
 } // namespace fscache

@@ -1,6 +1,7 @@
 #include "ranking/class_ranking_base.hh"
 
 #include "common/log.hh"
+#include "common/prefetch.hh"
 
 namespace fscache
 {
@@ -237,6 +238,12 @@ ClassRankingBase::exactFutilityManyImpl(std::span<const LineId> ids,
 {
     for (std::size_t i = 0; i < ids.size(); ++i)
         out[i] = futilityOf(ids[i]);
+}
+
+void
+ClassRankingBase::prefetch(LineId first, std::uint32_t count) const
+{
+    prefetchBytes(&lines_[first], count * sizeof(Line));
 }
 
 LineId

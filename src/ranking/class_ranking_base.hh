@@ -74,6 +74,7 @@ class ClassRankingBase : public FutilityRanking
     void onRetag(LineId id, PartId new_part) override;
 
     double exactFutility(LineId id) const override;
+    void prefetch(LineId first, std::uint32_t count) const override;
     LineId worstIn(PartId part) const override;
     std::uint32_t partLines(PartId part) const override;
 

@@ -4,6 +4,7 @@
 
 #include "cache/tag_store.hh"
 #include "common/log.hh"
+#include "common/prefetch.hh"
 
 namespace fscache
 {
@@ -92,6 +93,13 @@ CoarseTsLruRanking::onRelocate(LineId from, LineId to)
     // stamp the destination slot last held.
     ts_[to] = ts_[from];
     ts_[from] = 0;
+}
+
+void
+CoarseTsLruRanking::prefetch(LineId first, std::uint32_t count) const
+{
+    ClassRankingBase::prefetch(first, count);
+    prefetchBytes(&ts_[first], count * sizeof(ts_[0]));
 }
 
 double

@@ -49,6 +49,9 @@ class CoarseTsLruRanking : public ClassRankingBase
 
     double schemeFutility(LineId id) const override;
 
+    /** The exact order's records and the timestamps. */
+    void prefetch(LineId first, std::uint32_t count) const override;
+
     /**
      * Batched estimate straight off the ts_/parts_ arrays: the
      * coarse estimate never reads the exact-order structure, so

@@ -85,6 +85,18 @@ class FutilityRanking
      */
     virtual bool schemeFutilityIsExact() const { return false; }
 
+    /**
+     * Hint that lines [first, first + count) are touched soon
+     * (PartitionedCache::prefetch): prefetch their per-line records.
+     * Never changes state. Default: nothing.
+     */
+    virtual void
+    prefetch(LineId first, std::uint32_t count) const
+    {
+        (void)first;
+        (void)count;
+    }
+
     /** Least useful resident line of a partition, or kInvalidLine. */
     virtual LineId worstIn(PartId part) const = 0;
 

@@ -5,6 +5,30 @@
 namespace fscache
 {
 
+namespace
+{
+
+thread_local bool t_inGuardedCell = false;
+
+} // namespace
+
+bool
+inGuardedCell()
+{
+    return t_inGuardedCell;
+}
+
+detail::GuardedCellScope::GuardedCellScope()
+    : outer_(t_inGuardedCell)
+{
+    t_inGuardedCell = true;
+}
+
+detail::GuardedCellScope::~GuardedCellScope()
+{
+    t_inGuardedCell = outer_;
+}
+
 const char *
 errorClassName(ErrorClass cls)
 {

@@ -16,7 +16,9 @@
  *
  * The fault-injection point (common/fault_injection.hh) fires before
  * fn, so an FS_FAULTS corruption clause arms its target for exactly
- * this cell.
+ * this cell. It fires only for the cells of a top-level sweep: a
+ * sweep started inside a guarded cell (nested) skips it, so its cell
+ * indices never re-arm or disarm the enclosing cell's target.
  *
  * Determinism contract: the guard adds no randomness and the
  * outcome's value is whatever fn returned — a guarded sweep with no
@@ -61,6 +63,28 @@ struct CellGuardConfig
 {
 };
 
+/** True while the calling thread runs a guarded cell's body. */
+bool inGuardedCell();
+
+namespace detail
+{
+
+/** Marks the calling thread as inside a guarded cell while alive. */
+class GuardedCellScope
+{
+  public:
+    GuardedCellScope();
+    ~GuardedCellScope();
+
+    GuardedCellScope(const GuardedCellScope &) = delete;
+    GuardedCellScope &operator=(const GuardedCellScope &) = delete;
+
+  private:
+    bool outer_;
+};
+
+} // namespace detail
+
 /** Structured result of one guarded cell (see file comment). */
 template <typename R>
 struct CellOutcome
@@ -77,10 +101,12 @@ struct CellOutcome
 
 /**
  * Run fn(cell) under the guard; never throws (see file comment).
+ * @param nested the cell belongs to a sweep started inside a guarded
+ *        cell: no fault point fires for it
  */
 template <typename Fn>
 auto
-runGuarded(std::size_t cell, Fn &&fn)
+runGuarded(std::size_t cell, Fn &&fn, bool nested = false)
     -> CellOutcome<std::invoke_result_t<Fn &, std::size_t>>
 {
     using R = std::invoke_result_t<Fn &, std::size_t>;
@@ -88,7 +114,9 @@ runGuarded(std::size_t cell, Fn &&fn)
                   "guarded cells must return a value");
     CellOutcome<R> out;
     try {
-        faultPoint(cell);
+        if (!nested)
+            faultPoint(cell);
+        detail::GuardedCellScope scope;
         out.value.emplace(fn(cell));
         return out;
     } catch (const StateCorruptionError &e) {

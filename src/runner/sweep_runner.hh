@@ -23,6 +23,12 @@
  *
  * A failing cell becomes a typed CellOutcome behind the cell guard
  * instead of aborting the sweep; see docs/ROBUSTNESS.md.
+ *
+ * A sweep may run inside another sweep's cell (a cell calling
+ * measureMissCurve). Such a nested sweep fires no FS_FAULTS fault
+ * point, and the enclosing cell's armed corruption is set aside
+ * while it runs, so `cell=N` names cell N of each top-level sweep
+ * and lands in that cell's own caches at every FS_JOBS.
  */
 
 #ifndef FSCACHE_RUNNER_SWEEP_RUNNER_HH
@@ -33,6 +39,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/fault_injection.hh"
 #include "runner/cell_guard.hh"
 #include "runner/thread_pool.hh"
 
@@ -69,15 +76,26 @@ class SweepRunner
         using R = std::invoke_result_t<Fn &, std::size_t>;
         SweepReport<R> report;
         report.cells.resize(cells);
-        auto guarded = [&fn, &report](std::size_t i) {
-            report.cells[i] = runGuarded(i, fn);
+        // Captured here, on the starting thread: pool workers are
+        // never inside a cell when they pick a task up.
+        const bool nested = inGuardedCell();
+        auto guarded = [&fn, &report, nested](std::size_t i) {
+            report.cells[i] = runGuarded(i, fn, nested);
         };
+        // The enclosing cell's armed target is set aside: inline
+        // nested cells would otherwise consume it, and pooled ones
+        // run on workers that never had it.
+        FaultInjector::CorruptTarget outer =
+            nested ? FaultInjector::consumeArmedCorruption()
+                   : FaultInjector::CorruptTarget::None;
         if (jobs_ <= 1 || cells <= 1) {
             for (std::size_t i = 0; i < cells; ++i)
                 guarded(i);
         } else {
             runPooled(cells, guarded);
         }
+        if (nested)
+            FaultInjector::rearm(outer);
         return report;
     }
 

@@ -44,14 +44,18 @@ runUntimed(PartitionedCache &cache, const Workload &workload,
 
     // One access per non-exhausted thread in thread order, round
     // after round; stats reset after exactly `warmup` issued
-    // accesses.
+    // accesses. After each access the thread's next record, due
+    // about a round later, has its cache state prefetched.
     std::vector<std::uint64_t> pos(n, 0);
     std::uint32_t turn = 0;
     for (std::uint64_t issued = 1; issued <= total; ++issued) {
         while (pos[turn] >= workload.thread(turn).trace.size())
             turn = (turn + 1 == n) ? 0 : turn + 1;
-        const Access &acc = workload.thread(turn).trace[pos[turn]++];
+        const TraceBuffer &trace = workload.thread(turn).trace;
+        const Access &acc = trace[pos[turn]++];
         cache.access(static_cast<PartId>(turn), acc.addr, acc.nextUse);
+        if (pos[turn] < trace.size())
+            cache.prefetch(trace[pos[turn]].addr);
         turn = (turn + 1 == n) ? 0 : turn + 1;
         if (issued == warmup)
             cache.resetStats();

@@ -166,9 +166,7 @@ PartitionedCache::access(PartId part, Addr addr, AccessTime next_use)
     // coarse stride, mid-cell.
     if ((++accessTick_ & 0x1fff) == 0)
         applyArmedCorruption();
-    TagStore &tags = array_->tags();
-
-    LineId id = tags.lookup(addr);
+    LineId id = array_->lookup(addr);
     if (id != kInvalidLine) [[likely]] {
         // Hits dominate every workload worth simulating; keep this
         // the fall-through arm.
@@ -284,8 +282,8 @@ PartitionedCache::applyArmedCorruption()
     switch (FaultInjector::consumeArmedCorruption()) {
       case FaultInjector::CorruptTarget::None:
         break;
-      case FaultInjector::CorruptTarget::AddrIndex:
-        array_->tags().corruptAddrIndexForFaultInjection();
+      case FaultInjector::CorruptTarget::Lookup:
+        array_->corruptLookupForFaultInjection();
         break;
       case FaultInjector::CorruptTarget::RankIndex:
         ranking_->corruptRankNodeForFaultInjection();
@@ -310,7 +308,7 @@ PartitionedCache::runAudits()
     }
     if (auditLevel_ >= 2 && onStride) {
         std::string err = check::auditDeepConsistency(
-            array_->tags(), *ranking_, numParts_);
+            *array_, *ranking_, numParts_);
         if (!err.empty()) [[unlikely]]
             check::auditFail("deep consistency", err);
     }

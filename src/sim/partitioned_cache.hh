@@ -97,6 +97,20 @@ class PartitionedCache : public PartitionOps
     AccessOutcome access(PartId part, Addr addr,
                          AccessTime next_use = kNeverUsed);
 
+    /**
+     * Hint that addr is accessed soon: the array prefetches the
+     * slots lookup() reads for it and the ranking their per-line
+     * records. Changes no state, so no result depends on it;
+     * runUntimed calls it for each thread's next record.
+     */
+    void
+    prefetch(Addr addr) const
+    {
+        CacheArray::SlotRange slots = array_->prefetch(addr);
+        if (slots.count != 0)
+            ranking_->prefetch(slots.first, slots.count);
+    }
+
     std::uint32_t numPartitions() const { return numParts_; }
 
     const CachePartStats &stats(PartId part) const

@@ -1,12 +1,15 @@
 /**
  * @file
  * Cache array tests: tag store invariants, candidate discipline per
- * organization, zcache walk relocation, candidate uniformity of the
- * random-candidates array.
+ * organization, set-resident lookup against a map reference, zcache
+ * walk relocation, candidate uniformity of the random-candidates
+ * array.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <unordered_set>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "cache/tag_store.hh"
 #include "cache/zcache_array.hh"
 #include "common/random.hh"
+#include "sim/experiment.hh"
 
 namespace fscache
 {
@@ -195,6 +199,133 @@ TEST(SetAssoc, DirectMappedSingleCandidate)
     std::vector<LineId> cands;
     arr.collectCandidates(123, cands);
     EXPECT_EQ(cands.size(), 1u);
+}
+
+/**
+ * SetAssocArray::lookup, a scan of the address's set, against a
+ * std::map of every resident address, at 16 ways and at 1 way
+ * (direct-mapped). First on the bare array: random installs into
+ * the address's set (evicting a random way of a full set),
+ * evictions, and the retags Vantage demotes with, which change a
+ * line's partition but never its slot; after every step the step's
+ * address, a random one and a random resident one are looked up,
+ * and every 500 steps the whole address range and the invalid-
+ * address sentinel. Then through a Vantage cache, whose demotions
+ * retag lines on the way, with the reference rebuilt from the line
+ * records.
+ */
+TEST(SetAssoc, LookupMatchesMapReference)
+{
+    constexpr Addr kRange = 4096; // 8x the cache
+    for (std::uint32_t ways : {16u, 1u}) {
+        SCOPED_TRACE(testing::Message() << ways << " ways");
+        SetAssocArray arr(512, ways, HashKind::XorFold, 7);
+        TagStore &tags = arr.tags();
+        EXPECT_FALSE(tags.indexed());
+        std::map<Addr, LineId> ref;
+        Rng rng(ways);
+        std::vector<LineId> set;
+        auto check = [&](Addr a) {
+            auto it = ref.find(a);
+            ASSERT_EQ(arr.lookup(a),
+                      it == ref.end() ? kInvalidLine : it->second)
+                << "addr " << a;
+        };
+        auto anyResident = [&] {
+            auto it = ref.begin();
+            std::advance(it, rng.below(ref.size()));
+            return it;
+        };
+        std::uint64_t retags = 0;
+        for (int step = 0; step < 20000; ++step) {
+            Addr a = rng.below(kRange);
+            std::uint64_t op = rng.below(10);
+            if (op < 6) {
+                if (ref.count(a) == 0) {
+                    arr.collectCandidates(a, set);
+                    LineId slot = kInvalidLine;
+                    for (LineId c : set) {
+                        if (!tags.line(c).valid) {
+                            slot = c;
+                            break;
+                        }
+                    }
+                    if (slot == kInvalidLine) {
+                        slot = set[rng.below(set.size())];
+                        ref.erase(tags.line(slot).addr);
+                        tags.evict(slot);
+                    }
+                    tags.install(slot, a,
+                                 static_cast<PartId>(rng.below(4)));
+                    ref[a] = slot;
+                }
+            } else if (op < 8) {
+                if (!ref.empty()) {
+                    auto it = anyResident();
+                    a = it->first;
+                    tags.evict(it->second);
+                    ref.erase(it);
+                }
+            } else if (!ref.empty()) {
+                // Partition 4 stands for Vantage's unmanaged region.
+                auto it = anyResident();
+                a = it->first;
+                tags.retag(it->second,
+                           static_cast<PartId>(rng.below(5)));
+                ++retags;
+            }
+            check(a);
+            check(rng.below(kRange));
+            if (!ref.empty())
+                check(anyResident()->first);
+            if (step % 500 == 0) {
+                for (Addr b = 0; b < kRange; ++b)
+                    check(b);
+                // Invalid ways hold the sentinel; it is never found.
+                check(kInvalidAddr);
+            }
+        }
+        EXPECT_GT(retags, 1000u);
+
+        CacheSpec spec;
+        spec.array.kind = ArrayKind::SetAssoc;
+        spec.array.numLines = 512;
+        spec.array.ways = ways;
+        spec.ranking = RankKind::ExactLru;
+        spec.scheme.kind = SchemeKind::Vantage;
+        spec.numParts = 4;
+        spec.seed = 11;
+        auto cache = buildCache(spec);
+        cache->setTargets({64, 64, 128, 160});
+        const TagStore &ctags = cache->array().tags();
+        std::uint32_t demotedSeen = 0;
+        for (int step = 0; step < 20000; ++step) {
+            auto part = static_cast<PartId>(rng.below(4));
+            cache->access(part, (Addr{part} << 20) + rng.below(300));
+            if (step % 256 != 255)
+                continue;
+            ref.clear();
+            for (LineId id = 0; id < ctags.numLines(); ++id) {
+                if (ctags.line(id).valid)
+                    ref[ctags.line(id).addr] = id;
+            }
+            demotedSeen += ctags.partSize(4);
+            for (PartId p = 0; p < 4; ++p) {
+                for (Addr b = 0; b < 300; ++b) {
+                    Addr addr = (Addr{p} << 20) + b;
+                    auto it = ref.find(addr);
+                    ASSERT_EQ(cache->array().lookup(addr),
+                              it == ref.end() ? kInvalidLine
+                                              : it->second)
+                        << "addr " << addr;
+                }
+            }
+        }
+        // A lone candidate is evicted outright, never demoted.
+        if (ways > 1) {
+            EXPECT_GT(demotedSeen, 0u);
+        }
+    }
 }
 
 TEST(SkewAssoc, CandidatesSpanBanks)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Self-checking subsystem tests (src/check): structural invariant
- * auditors against hand-corrupted FlatMap / TagStore state,
+ * auditors against hand-corrupted FlatMap / TagStore / lookup state,
  * lockstep shadow-model divergence detection and its deterministic
  * first-divergence report, and corruption-aware quarantine routing
  * through the cell guard (FS_FAULTS cell=N:corrupt* end to end).
@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cache/array_factory.hh"
 #include "cache/tag_store.hh"
 #include "check/audit.hh"
 #include "check/invariants.hh"
@@ -21,6 +23,7 @@
 #include "common/errors.hh"
 #include "common/fault_injection.hh"
 #include "common/flat_map.hh"
+#include "common/log.hh"
 #include "runner/sweep_runner.hh"
 #include "sim/experiment.hh"
 
@@ -85,10 +88,11 @@ using CorruptionInjection = CheckFixture;
 
 CacheSpec
 checkSpec(RankKind ranking = RankKind::ExactLru,
-          std::uint32_t lines = 256)
+          std::uint32_t lines = 256,
+          ArrayKind array = ArrayKind::SetAssoc)
 {
     CacheSpec spec;
-    spec.array.kind = ArrayKind::SetAssoc;
+    spec.array.kind = array;
     spec.array.numLines = lines;
     spec.array.ways = 16;
     spec.ranking = ranking;
@@ -98,8 +102,27 @@ checkSpec(RankKind ranking = RankKind::ExactLru,
     return spec;
 }
 
+/** The two lookup structures the `corrupt` arm damages: a
+ *  set-associative array finds lines in their set, a
+ *  random-candidates one through the tag store's address index. */
+constexpr ArrayKind kLookupArrays[] = {ArrayKind::SetAssoc,
+                                       ArrayKind::RandomCands};
+
+const char *
+lookupName(ArrayKind kind)
+{
+    return kind == ArrayKind::SetAssoc ? "set-resident" : "indexed";
+}
+
+/** Spec of one lookup structure (above). */
+CacheSpec
+lookupSpec(ArrayKind array)
+{
+    return checkSpec(RankKind::ExactLru, 256, array);
+}
+
 /** Cyclic two-partition workload: every address is re-accessed, so
- *  the shadow model is guaranteed to see a corrupted index entry. */
+ *  the shadow model is guaranteed to see a corrupted lookup. */
 std::uint64_t
 driveCyclic(PartitionedCache &cache, std::uint64_t accesses,
             std::uint32_t footprint = 400)
@@ -157,24 +180,35 @@ TEST_F(FlatMapAudit, DuplicateKeyDetected)
 
 TEST_F(TagStoreAudit, IndexCorruptionCaughtByDeepAudit)
 {
-    auto cache = buildCache(checkSpec());
-    cache->setTargets({128, 128});
-    driveCyclic(*cache, 2000);
-    TagStore &tags = cache->array().tags();
-    EXPECT_EQ(tags.auditInvariants(), "");
-    EXPECT_EQ(check::auditDeepConsistency(tags, cache->ranking(),
-                                          cache->numPartitions()),
-              "");
+    for (ArrayKind kind : kLookupArrays) {
+        SCOPED_TRACE(lookupName(kind));
+        auto cache = buildCache(lookupSpec(kind));
+        cache->setTargets({128, 128});
+        driveCyclic(*cache, 2000);
+        CacheArray &array = cache->array();
+        EXPECT_EQ(array.auditInvariants(), "");
+        EXPECT_EQ(check::auditDeepConsistency(
+                      array, cache->ranking(), cache->numPartitions()),
+                  "");
 
-    LineId victim = tags.corruptAddrIndexForFaultInjection();
-    ASSERT_NE(victim, kInvalidLine);
-    std::string err = tags.auditInvariants();
-    EXPECT_NE(err.find("missing from the address index"),
-              std::string::npos)
-        << err;
-    EXPECT_NE(check::auditDeepConsistency(tags, cache->ranking(),
-                                          cache->numPartitions()),
-              "");
+        LineId victim = array.corruptLookupForFaultInjection();
+        ASSERT_NE(victim, kInvalidLine);
+        std::string want =
+            kind == ArrayKind::SetAssoc
+                ? strprintf("lookup: valid line %u (addr ", victim)
+                : strprintf("tag store: valid line %u (addr ", victim);
+        std::string err = array.auditInvariants();
+        EXPECT_EQ(err.rfind(want, 0), 0u) << err;
+        EXPECT_NE(err.find(kind == ArrayKind::SetAssoc
+                               ? ") is not found at its slot (lookup "
+                                 "gives no line)"
+                               : ") missing from the address index"),
+                  std::string::npos)
+            << err;
+        EXPECT_EQ(check::auditDeepConsistency(
+                      array, cache->ranking(), cache->numPartitions()),
+                  err);
+    }
 }
 
 TEST_F(TagStoreAudit, OccupancySumsHoldOnLiveCache)
@@ -253,40 +287,65 @@ TEST_F(ShadowModel, ZcacheRelocationsStayInLockstep)
 TEST_F(ShadowModel, DivergenceIsDeterministic)
 {
     check::setShadowModeForTest(true);
-    auto corruptedRun = [] {
-        auto cache = buildCache(checkSpec());
-        cache->setTargets({128, 128});
-        // Footprint below capacity: the whole working set stays
-        // resident, so no eviction can silently "heal" the broken
-        // index entry before its address is re-accessed.
-        driveCyclic(*cache, 1000, /*footprint=*/100);
-        cache->array().tags().corruptAddrIndexForFaultInjection();
-        try {
-            driveCyclic(*cache, 2000, /*footprint=*/100);
-        } catch (const StateCorruptionError &e) {
-            return std::string(e.report());
-        }
-        return std::string();
-    };
-    std::string first = corruptedRun();
-    std::string second = corruptedRun();
-    ASSERT_NE(first, "") << "shadow model missed the corruption";
-    EXPECT_EQ(first, second);
-    EXPECT_NE(first.find("access index"), std::string::npos);
+    for (ArrayKind kind : kLookupArrays) {
+        SCOPED_TRACE(lookupName(kind));
+        auto corruptedRun = [kind] {
+            auto cache = buildCache(lookupSpec(kind));
+            cache->setTargets({128, 128});
+            // Footprint below capacity: the whole working set stays
+            // resident, so no eviction can silently "heal" the
+            // broken lookup before its address is re-accessed.
+            driveCyclic(*cache, 1000, /*footprint=*/100);
+            cache->array().corruptLookupForFaultInjection();
+            try {
+                driveCyclic(*cache, 2000, /*footprint=*/100);
+            } catch (const StateCorruptionError &e) {
+                return std::string(e.report());
+            }
+            return std::string();
+        };
+        std::string first = corruptedRun();
+        std::string second = corruptedRun();
+        ASSERT_NE(first, "") << "shadow model missed the corruption";
+        EXPECT_EQ(first, second);
+        EXPECT_NE(first.find("access index"), std::string::npos);
+    }
 }
 
 TEST_F(CorruptionInjection, ParanoidAuditCatchesCorruptionOnStride)
 {
     check::setAuditLevelForTest(check::AuditLevel::Paranoid);
-    auto cache = buildCache(checkSpec());
-    cache->setTargets({128, 128});
-    driveCyclic(*cache, 1500, /*footprint=*/100);
-    cache->array().tags().corruptAddrIndexForFaultInjection();
-    // The deep audit runs on a 1024-access stride; driving one full
-    // stride's worth of accesses must trip it (the resident-set
-    // footprint rules out an eviction healing the damage first).
-    EXPECT_THROW(driveCyclic(*cache, 2048, /*footprint=*/100),
-                 StateCorruptionError);
+    for (ArrayKind kind : kLookupArrays) {
+        SCOPED_TRACE(lookupName(kind));
+        auto cache = buildCache(lookupSpec(kind));
+        cache->setTargets({128, 128});
+        driveCyclic(*cache, 1500, /*footprint=*/100);
+        cache->array().corruptLookupForFaultInjection();
+        // The deep audit runs on a 1024-access stride; driving one
+        // full stride's worth of accesses must trip it (the
+        // resident-set footprint rules out an eviction healing the
+        // damage first). By then the damaged address has missed and
+        // been installed again: the set-resident line is still
+        // tagged outside its set, while the index now names the new
+        // copy instead of the line that also carries the address.
+        try {
+            driveCyclic(*cache, 2048, /*footprint=*/100);
+            ADD_FAILURE() << "expected StateCorruptionError";
+        } catch (const StateCorruptionError &e) {
+            std::string report = e.report();
+            bool setResident = kind == ArrayKind::SetAssoc;
+            EXPECT_NE(report.find(setResident
+                                      ? "\n  lookup: valid line "
+                                      : "\n  tag store: address "),
+                      std::string::npos)
+                << report;
+            EXPECT_NE(report.find(setResident
+                                      ? ") is not found at its slot"
+                                      : " carries it"),
+                      std::string::npos)
+                << report;
+        }
+    }
 }
 
 /**
@@ -300,45 +359,52 @@ TEST_F(CorruptionInjection, InjectedCellQuarantinedSweepContinues)
     FaultInjector::installForTest("cell=0:corrupt");
     check::setAuditLevelForTest(check::AuditLevel::Paranoid);
     check::setShadowModeForTest(true);
-    SweepRunner runner(1);
-    auto report = runner.mapResilient(2, [](std::size_t cell) {
-        auto cache = buildCache(checkSpec());
-        cache->setTargets({128, 128});
-        // > 8192 accesses: the armed corruption is consumed on the
-        // cache's 8192-access stride. Resident-set footprint: no
-        // eviction can heal it undetected.
-        return driveCyclic(*cache, 20000 + cell, /*footprint=*/100);
-    });
+    for (ArrayKind kind : kLookupArrays) {
+        SCOPED_TRACE(lookupName(kind));
+        SweepRunner runner(1);
+        auto report = runner.mapResilient(2, [kind](std::size_t cell) {
+            auto cache = buildCache(lookupSpec(kind));
+            cache->setTargets({128, 128});
+            // > 8192 accesses: the armed corruption is consumed on
+            // the cache's 8192-access stride. Resident-set
+            // footprint: no eviction can heal it undetected.
+            return driveCyclic(*cache, 20000 + cell,
+                               /*footprint=*/100);
+        });
 
-    ASSERT_FALSE(report.cells[0].ok());
-    EXPECT_EQ(report.cells[0].errorClass, ErrorClass::Corruption);
-    EXPECT_FALSE(report.cells[0].detail.empty());
+        ASSERT_FALSE(report.cells[0].ok());
+        EXPECT_EQ(report.cells[0].errorClass, ErrorClass::Corruption);
+        EXPECT_FALSE(report.cells[0].detail.empty());
 
-    ASSERT_TRUE(report.cells[1].ok());
-    EXPECT_EQ(report.okCount(), 1u);
+        ASSERT_TRUE(report.cells[1].ok());
+        EXPECT_EQ(report.okCount(), 1u);
 
-    std::string manifest = report.manifest();
-    EXPECT_NE(manifest.find("corruption"), std::string::npos);
-    // The structured report rides into the manifest, indented.
-    EXPECT_NE(manifest.find(report.cells[0].detail.substr(
-                  0, report.cells[0].detail.find('\n'))),
-              std::string::npos);
+        std::string manifest = report.manifest();
+        EXPECT_NE(manifest.find("corruption"), std::string::npos);
+        // The structured report rides into the manifest, indented.
+        EXPECT_NE(manifest.find(report.cells[0].detail.substr(
+                      0, report.cells[0].detail.find('\n'))),
+                  std::string::npos);
+    }
 }
 
 TEST_F(CorruptionInjection, UnconsumedArmDoesNotLeakAcrossCells)
 {
     FaultInjector::installForTest("cell=0:corrupt");
     check::setAuditLevelForTest(check::AuditLevel::Paranoid);
-    SweepRunner runner(1);
-    // Cell 0 runs too few accesses to reach the consuming stride;
-    // the armed flag must be discarded at cell 1's fault point, not
-    // corrupt cell 1.
-    auto report = runner.mapResilient(2, [](std::size_t) {
-        auto cache = buildCache(checkSpec());
-        cache->setTargets({128, 128});
-        return driveCyclic(*cache, 4000);
-    });
-    EXPECT_TRUE(report.allOk()) << report.manifest();
+    for (ArrayKind kind : kLookupArrays) {
+        SCOPED_TRACE(lookupName(kind));
+        SweepRunner runner(1);
+        // Cell 0 runs too few accesses to reach the consuming
+        // stride; the armed flag must be discarded at cell 1's
+        // fault point, not corrupt cell 1.
+        auto report = runner.mapResilient(2, [kind](std::size_t) {
+            auto cache = buildCache(lookupSpec(kind));
+            cache->setTargets({128, 128});
+            return driveCyclic(*cache, 4000);
+        });
+        EXPECT_TRUE(report.allOk()) << report.manifest();
+    }
 }
 
 /** The ranking-order arm: a silent bump of the order index's
@@ -426,6 +492,44 @@ TEST_F(CorruptionInjection, MeasureMissCurveFailedCellThrowsFsError)
                   std::string::npos) << what;
         EXPECT_NE(what.find("quarantined cells: 1\n"),
                   std::string::npos) << what;
+    }
+}
+
+/** A sweep nested in a guarded cell fires no fault point of its
+ *  own: under cell=1:corrupt-rank, the measureMissCurve each cell
+ *  runs (whose own cell 1 would otherwise be re-armed, and whose
+ *  cell 0 would disarm the enclosing cell) stays clean, and only
+ *  the enclosing cell 1's own cache is corrupted — with the nested
+ *  sweep inline or pooled, and the outer one either way too. */
+TEST_F(CorruptionInjection, NestedSweepLeavesOuterCellArmed)
+{
+    FaultInjector::installForTest("cell=1:corrupt-rank");
+    check::setAuditLevelForTest(check::AuditLevel::Paranoid);
+    for (const char *innerJobs : {"1", "2"}) {
+        for (unsigned outerJobs : {1u, 2u}) {
+            SCOPED_TRACE(strprintf("inner FS_JOBS=%s, outer jobs %u",
+                                   innerJobs, outerJobs));
+            // setenv is safe here: no pool is alive between sweeps.
+            setenv("FS_JOBS", innerJobs, 1);
+            SweepRunner runner(outerJobs);
+            auto report = runner.mapResilient(3, [](std::size_t) {
+                std::vector<std::uint64_t> curve = measureMissCurve(
+                    "omnetpp", {256, 512}, 20000,
+                    RankKind::CoarseTsLru, 3);
+                auto cache = buildCache(checkSpec());
+                cache->setTargets({128, 128});
+                return curve[0] + curve[1] +
+                       driveCyclic(*cache, 20000, /*footprint=*/100);
+            });
+            unsetenv("FS_JOBS");
+            ASSERT_TRUE(report.cells[0].ok()) << report.manifest();
+            ASSERT_TRUE(report.cells[2].ok()) << report.manifest();
+            EXPECT_EQ(*report.cells[0].value, *report.cells[2].value);
+            ASSERT_FALSE(report.cells[1].ok());
+            EXPECT_EQ(report.cells[1].errorClass,
+                      ErrorClass::Corruption)
+                << report.manifest();
+        }
     }
 }
 

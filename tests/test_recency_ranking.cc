@@ -168,7 +168,9 @@ expectSameIndex(const BitFenwick &bits, const FenwickTree &ref,
  * per word), dense (whole words of ones, so in-word selects land on
  * every bit) and sparse again, and a setBit()/recount() rebuild of
  * the marks must match; clear() then empties the pair for a last
- * half-full run.
+ * half-full run. Last, a random mix of mark, unmark (mostly of the
+ * lowest mark), clear, fillPrefix and setBit + recount checks
+ * select(0) against a naive scan after every step.
  */
 TEST(BitFenwick, MatchesFenwickTree)
 {
@@ -234,6 +236,70 @@ TEST(BitFenwick, MatchesFenwickTree)
         EXPECT_EQ(bits.capacity(), cap);
         randomOps(0.5, static_cast<int>(cap));
         expectSameIndex(bits, ref, "after clear");
+
+        // select(0) reads a kept first-word index: after every step
+        // of a random mix of every operation that moves it, it must
+        // name the lowest marked position a naive scan finds.
+        auto lowest = [&] {
+            std::uint32_t pos = 0;
+            while (!marked[pos])
+                ++pos;
+            return pos;
+        };
+        std::uint32_t count = bits.total();
+        for (int step = 0; step < 4000; ++step) {
+            SCOPED_TRACE(testing::Message() << "step " << step);
+            std::uint32_t op = rng.below(100);
+            if (op < 40) {
+                std::uint32_t pos = rng.below(cap);
+                if (!marked[pos]) {
+                    bits.mark(pos);
+                    marked[pos] = 1;
+                    ++count;
+                }
+            } else if (op < 85) {
+                if (count != 0) {
+                    // Mostly the lowest mark, so the index advances
+                    // across emptied words; sometimes any mark.
+                    std::uint32_t pos = lowest();
+                    if (rng.chance(0.3)) {
+                        do
+                            pos = rng.below(cap);
+                        while (!marked[pos]);
+                    }
+                    bits.unmark(pos);
+                    marked[pos] = 0;
+                    --count;
+                }
+            } else if (op < 88) {
+                bits.clear();
+                std::fill(marked.begin(), marked.end(), 0);
+                count = 0;
+            } else if (op < 94) {
+                count = rng.below(cap + 1);
+                bits.fillPrefix(count);
+                for (std::uint32_t pos = 0; pos < cap; ++pos)
+                    marked[pos] = pos < count;
+            } else {
+                // The bulk rebuild: a sparse high-lying set of bits.
+                bits.clear();
+                std::fill(marked.begin(), marked.end(), 0);
+                count = 0;
+                std::uint32_t from = rng.below(cap);
+                for (std::uint32_t pos = from; pos < cap; ++pos) {
+                    if (rng.chance(0.02)) {
+                        bits.setBit(pos);
+                        marked[pos] = 1;
+                        ++count;
+                    }
+                }
+                bits.recount();
+            }
+            ASSERT_EQ(bits.total(), count);
+            if (count != 0) {
+                ASSERT_EQ(bits.select(0), lowest());
+            }
+        }
     }
 }
 

@@ -221,8 +221,7 @@ differentialRun(SchemeKind scheme, ReferenceCache::Policy policy,
         ASSERT_EQ(real.evicted, expect.evicted) << "access " << i;
         if (expect.evicted) {
             // The evicted address must be gone from the real cache.
-            ASSERT_EQ(cache->array().tags().lookup(
-                          expect.victimAddr),
+            ASSERT_EQ(cache->array().lookup(expect.victimAddr),
                       kInvalidLine)
                 << "access " << i;
         }
