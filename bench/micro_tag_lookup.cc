@@ -2,63 +2,80 @@
  * @file
  * Microbenchmark: the tag-lookup path (google-benchmark).
  *
- * TagStore::lookup() runs once per simulated access — it is the
- * single hottest operation in the codebase, and the reason the tag
- * store keeps its address index in a flat open-addressing table
- * (see docs/PERF.md). The benches measure steady-state lookups that
- * hit, lookups that miss, and the install/evict churn a full cache
- * sustains, over footprints from cache-resident to DRAM-resident.
+ * CacheArray::lookup() runs once per simulated access. How it finds
+ * a line follows from where the array may place one: a 16-way
+ * set-associative array (the paper's main L2) scans the address's
+ * set, a zcache probes its H level-1 slots, and a fully-associative
+ * array asks the tag store's flat address index (docs/PERF.md). The
+ * benches fill each array through PartitionedCache::access, so every
+ * line sits where its array put it, then measure lookups that hit
+ * and lookups that miss, over footprints from cache-resident to
+ * DRAM-resident.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
-#include "cache/tag_store.hh"
 #include "common/random.hh"
+#include "sim/experiment.hh"
 
 using namespace fscache;
 
 namespace
 {
 
-/** Addresses resident in a store of `lines` slots, all installed. */
-std::vector<Addr>
-fillStore(TagStore &tags, LineId lines, Rng &rng)
+/**
+ * The array of a cache of `lines` slots on `kind`, after 4 * lines
+ * accesses to random addresses. Built once per (kind, lines):
+ * google-benchmark calls a bench function several times while it
+ * sizes the run, and a zcache fill of 256K lines takes seconds.
+ */
+const CacheArray &
+filledArray(ArrayKind kind, LineId lines)
 {
-    std::vector<Addr> addrs;
-    addrs.reserve(lines);
-    while (addrs.size() < lines) {
-        Addr a = rng() >> 8; // spread over 56 bits of address space
-        if (tags.lookup(a) != kInvalidLine)
-            continue;
-        LineId slot = tags.popFree();
-        tags.install(slot, a, 0);
-        addrs.push_back(a);
+    static std::map<std::pair<ArrayKind, LineId>,
+                    std::unique_ptr<PartitionedCache>>
+        caches;
+    std::unique_ptr<PartitionedCache> &cache = caches[{kind, lines}];
+    if (!cache) {
+        CacheSpec spec;
+        spec.array.kind = kind;
+        spec.array.numLines = lines;
+        spec.ranking = RankKind::ExactLru;
+        spec.scheme.kind = SchemeKind::None;
+        cache = buildCache(spec);
+        cache->setTargets({lines});
+        Rng rng(42);
+        for (LineId i = 0; i < 4 * lines; ++i)
+            cache->access(0, rng() >> 8); // 56 bits of address space
     }
-    return addrs;
+    return cache->array();
 }
 
 void
-benchLookupHit(benchmark::State &state)
+benchLookupHit(benchmark::State &state, ArrayKind kind)
 {
     auto lines = static_cast<LineId>(state.range(0));
-    TagStore tags(lines);
-    Rng rng(42);
-    std::vector<Addr> addrs = fillStore(tags, lines, rng);
+    const CacheArray &array = filledArray(kind, lines);
+    Rng rng(43);
 
     // Visit resident addresses in a shuffled order so the probe
     // sequence, not one cached slot, is measured.
-    std::vector<std::uint32_t> order(addrs.size());
-    for (std::uint32_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    for (std::uint32_t i = order.size(); i > 1; --i)
-        std::swap(order[i - 1], order[rng.below(i)]);
+    std::vector<Addr> addrs;
+    for (LineId id = 0; id < lines; ++id)
+        if (array.tags().line(id).valid)
+            addrs.push_back(array.tags().line(id).addr);
+    for (std::size_t i = addrs.size(); i > 1; --i)
+        std::swap(addrs[i - 1], addrs[rng.below(i)]);
 
     std::size_t cursor = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(tags.lookup(addrs[order[cursor]]));
-        if (++cursor == order.size())
+        benchmark::DoNotOptimize(array.lookup(addrs[cursor]));
+        if (++cursor == addrs.size())
             cursor = 0;
     }
     state.SetItemsProcessed(
@@ -66,52 +83,39 @@ benchLookupHit(benchmark::State &state)
 }
 
 void
-benchLookupMiss(benchmark::State &state)
+benchLookupMiss(benchmark::State &state, ArrayKind kind)
 {
     auto lines = static_cast<LineId>(state.range(0));
-    TagStore tags(lines);
-    Rng rng(43);
-    fillStore(tags, lines, rng);
+    const CacheArray &array = filledArray(kind, lines);
 
     // Fresh random addresses virtually never collide with the 56-bit
-    // resident set, so every lookup is a miss probing a full table.
+    // resident set, so every lookup misses a full cache.
     Rng probe(44);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(tags.lookup(probe() >> 8));
-    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(array.lookup(probe() >> 8));
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()));
 }
 
 void
-benchInstallEvictChurn(benchmark::State &state)
+lookupSizes(benchmark::internal::Benchmark *b)
 {
-    auto lines = static_cast<LineId>(state.range(0));
-    TagStore tags(lines);
-    Rng rng(45);
-    std::vector<Addr> addrs = fillStore(tags, lines, rng);
-
-    // Steady state of a full cache: evict a pseudo-random resident
-    // line, install a fresh address in its place.
-    LineId victim = 0;
-    for (auto _ : state) {
-        Addr old_addr = tags.line(victim).addr;
-        tags.evict(victim);
-        Addr fresh = rng() >> 8;
-        if (tags.lookup(fresh) != kInvalidLine)
-            fresh = old_addr; // vanishing collision odds; reuse
-        LineId slot = tags.popFree();
-        tags.install(slot, fresh, 0);
-        victim = static_cast<LineId>((victim + 0x9e37u) % lines);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()));
+    b->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 18);
 }
 
 } // namespace
 
-BENCHMARK(benchLookupHit)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 18);
-BENCHMARK(benchLookupMiss)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 18);
-BENCHMARK(benchInstallEvictChurn)->Arg(1 << 15);
+BENCHMARK_CAPTURE(benchLookupHit, setassoc_16w, ArrayKind::SetAssoc)
+    ->Apply(lookupSizes);
+BENCHMARK_CAPTURE(benchLookupHit, zcache_4b, ArrayKind::ZCache)
+    ->Apply(lookupSizes);
+BENCHMARK_CAPTURE(benchLookupHit, fullyassoc, ArrayKind::FullyAssoc)
+    ->Apply(lookupSizes);
+BENCHMARK_CAPTURE(benchLookupMiss, setassoc_16w, ArrayKind::SetAssoc)
+    ->Apply(lookupSizes);
+BENCHMARK_CAPTURE(benchLookupMiss, zcache_4b, ArrayKind::ZCache)
+    ->Apply(lookupSizes);
+BENCHMARK_CAPTURE(benchLookupMiss, fullyassoc, ArrayKind::FullyAssoc)
+    ->Apply(lookupSizes);
 
 BENCHMARK_MAIN();

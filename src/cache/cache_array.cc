@@ -5,8 +5,8 @@
 namespace fscache
 {
 
-CacheArray::CacheArray(LineId num_lines, bool indexed)
-    : tags_(num_lines, indexed)
+CacheArray::CacheArray(LineId num_lines, bool unrestricted)
+    : tags_(num_lines, unrestricted)
 {
 }
 
@@ -37,7 +37,30 @@ CacheArray::auditInvariants() const
 LineId
 CacheArray::corruptLookupForFaultInjection()
 {
-    return tags_.corruptAddrIndexForFaultInjection();
+    // An index never finds a rewritten address, so an unrestricted
+    // array takes the first non-resident one. A restricted array
+    // finds it at `id` only if `id` is one of its home slots: a
+    // chance of at most 1/2 per address with two sets or more, and
+    // a certainty with one set, where the search gives up.
+    constexpr int kTries = 64;
+    for (LineId id = 0; id < numLines(); ++id) {
+        if (!tags_.line(id).valid)
+            continue;
+        const Addr original = tags_.line(id).addr;
+        Addr moved = original;
+        for (int tries = 0; tries < kTries;) {
+            ++moved;
+            if (moved == kInvalidAddr || lookup(moved) != kInvalidLine)
+                continue;
+            ++tries;
+            tags_.rewriteAddrForFaultInjection(id, moved);
+            if (lookup(moved) != id)
+                return id;
+        }
+        tags_.rewriteAddrForFaultInjection(id, original);
+        return kInvalidLine;
+    }
+    return kInvalidLine;
 }
 
 } // namespace fscache

@@ -7,16 +7,19 @@
  * The replacement protocol between PartitionedCache and an array is:
  *
  *  1. collectCandidates(addr) lists candidate slots (valid or not);
- *  2. the partitioning scheme picks a victim among the valid ones;
- *  3. the caller evicts the victim from the tag store;
- *  4. makeRoom(addr, victim) performs any internal relocations
+ *  2. the owner takes a free candidate if there is one, else the
+ *     partitioning scheme picks a victim among the candidates and
+ *     the owner evicts it from the tag store;
+ *  3. makeRoom(addr, slot) performs any internal relocations
  *     (zcache walks) and returns the slot the incoming line must be
- *     installed into (the victim slot itself for simple arrays).
+ *     installed into (the freed slot itself for simple arrays).
  *
- * Every access first asks lookup(addr) for the slot holding the
- * address. By default the tag store's address index answers; a
- * set-associative array scans the address's set instead and keeps
- * no index.
+ * An unrestricted array (random-candidates, fully-associative) may
+ * place a line in any slot: the owner fills it highest slot first
+ * before it evicts anything, and lookup(addr) asks the tag store's
+ * address index. Every other array may place a line only in the
+ * slots its address hashes to, keeps no index, and overrides
+ * lookup() to scan those slots, as the hardware compares its tags.
  */
 
 #ifndef FSCACHE_CACHE_CACHE_ARRAY_HH
@@ -47,8 +50,9 @@ class CacheArray
         std::uint32_t count = 0;
     };
 
-    /** @param indexed build the tag store with its address index */
-    explicit CacheArray(LineId num_lines, bool indexed = true);
+    /** @param unrestricted a line may be placed in any slot; only
+     *  then does the tag store keep its address index */
+    CacheArray(LineId num_lines, bool unrestricted);
     virtual ~CacheArray() = default;
 
     CacheArray(const CacheArray &) = delete;
@@ -60,7 +64,7 @@ class CacheArray
     LineId numLines() const { return tags_.numLines(); }
 
     /** Slot holding addr, or kInvalidLine. Default: the tag store's
-     *  address index. */
+     *  address index (unrestricted arrays). */
     virtual LineId lookup(Addr addr) const { return tags_.lookup(addr); }
 
     /**
@@ -83,10 +87,12 @@ class CacheArray
 
     /**
      * True if an incoming line may be placed in any slot (random-
-     * candidates and fully-associative models); lets the owner fill
-     * the cache from the global free list before evicting anything.
+     * candidates and fully-associative models). The owner then fills
+     * slot numLines() - 1 - validCount() while the cache has room:
+     * such an array only frees a slot inside the miss that refills
+     * it, so the valid slots are always the highest ones.
      */
-    virtual bool unrestrictedPlacement() const { return false; }
+    bool unrestrictedPlacement() const { return tags_.indexed(); }
 
     /**
      * True if the owner should synthesize candidates from the
@@ -100,15 +106,17 @@ class CacheArray
                                    std::vector<LineId> &out) = 0;
 
     /**
-     * Free the slot for the incoming address after the (already
-     * evicted) victim. Default: the victim slot itself.
+     * Free a home slot for the incoming address, given an invalid
+     * slot `freed`: a free candidate or the evicted victim from the
+     * last collectCandidates, or an unrestricted array's fill slot.
+     * Default: `freed` itself.
      */
     virtual LineId
-    makeRoom(Addr incoming, LineId victim, const MoveFn &on_move)
+    makeRoom(Addr incoming, LineId freed, const MoveFn &on_move)
     {
         (void)incoming;
         (void)on_move;
-        return victim;
+        return freed;
     }
 
     virtual std::string name() const = 0;
@@ -124,11 +132,13 @@ class CacheArray
 
     /**
      * Deliberately break lookup() for one valid line (FS_FAULTS
-     * `cell=N:corrupt`), leaving it valid and counted. Default: drop
-     * the line's address-index entry. Returns the damaged line, or
-     * kInvalidLine if nothing could be damaged.
+     * `cell=N:corrupt`), leaving it valid and counted: rewrite the
+     * first valid line's address to the next non-resident address
+     * up that lookup() does not find at that slot. Returns the
+     * damaged line, or kInvalidLine (nothing changed) if the cache
+     * is empty or no such address exists, as in a one-set array.
      */
-    virtual LineId corruptLookupForFaultInjection();
+    LineId corruptLookupForFaultInjection();
 
   protected:
     TagStore tags_;

@@ -6,7 +6,7 @@ namespace fscache
 {
 
 FullyAssocArray::FullyAssocArray(LineId num_lines)
-    : CacheArray(num_lines)
+    : CacheArray(num_lines, /*unrestricted=*/true)
 {
 }
 

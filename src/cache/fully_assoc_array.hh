@@ -28,7 +28,6 @@ class FullyAssocArray : public CacheArray
     std::uint32_t candidateCount() const override
     { return numLines(); }
 
-    bool unrestrictedPlacement() const override { return true; }
     bool fullyAssociative() const override { return true; }
 
     void collectCandidates(Addr addr,

@@ -7,7 +7,8 @@ namespace fscache
 
 RandomCandsArray::RandomCandsArray(LineId num_lines,
                                    std::uint32_t candidates, Rng rng)
-    : CacheArray(num_lines), candidates_(candidates), rng_(rng)
+    : CacheArray(num_lines, /*unrestricted=*/true),
+      candidates_(candidates), rng_(rng)
 {
     fs_assert(candidates >= 1, "need at least one candidate");
     fs_assert(num_lines >= candidates * 2,

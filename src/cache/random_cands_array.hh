@@ -32,8 +32,6 @@ class RandomCandsArray : public CacheArray
     std::uint32_t candidateCount() const override
     { return candidates_; }
 
-    bool unrestrictedPlacement() const override { return true; }
-
     void collectCandidates(Addr addr,
                            std::vector<LineId> &out) override;
 

@@ -8,7 +8,7 @@ namespace fscache
 
 SetAssocArray::SetAssocArray(LineId num_lines, std::uint32_t ways,
                              HashKind hash, std::uint64_t seed)
-    : CacheArray(num_lines, /*indexed=*/false), ways_(ways)
+    : CacheArray(num_lines, /*unrestricted=*/false), ways_(ways)
 {
     fs_assert(ways >= 1, "need at least one way");
     fs_assert(num_lines % ways == 0,
@@ -34,28 +34,6 @@ SetAssocArray::prefetch(Addr addr) const
     LineId base = setBase(addr);
     prefetchBytes(&tags_.line(base), ways_ * sizeof(Line));
     return {base, ways_};
-}
-
-LineId
-SetAssocArray::corruptLookupForFaultInjection()
-{
-    if (sets() < 2)
-        return kInvalidLine;
-    for (LineId id = 0; id < numLines(); ++id) {
-        const Line &l = tags_.line(id);
-        if (!l.valid)
-            continue;
-        // The next address up that maps to another set and is not
-        // the invalid sentinel.
-        Addr moved = l.addr;
-        do
-            ++moved;
-        while (moved == kInvalidAddr ||
-               setBase(moved) == setBase(l.addr));
-        tags_.rewriteAddrForFaultInjection(id, moved);
-        return id;
-    }
-    return kInvalidLine;
 }
 
 std::string

@@ -7,8 +7,7 @@
  * paper's main L2 configuration (Table II).
  *
  * A line can only sit in its address's set, so lookup() scans that
- * set's ways, as the hardware compares its tags, and the tag store
- * keeps no address index. A set's ways are consecutive slots, so
+ * set's ways, as the hardware compares its tags (see CacheArray). A set's ways are consecutive slots, so
  * prefetch() hands the whole set on to the ranking's records.
  */
 
@@ -53,10 +52,6 @@ class SetAssocArray : public CacheArray
     }
 
     SlotRange prefetch(Addr addr) const override;
-
-    /** Rewrite the first valid line's address to one outside its
-     *  set (see CacheArray); kInvalidLine with a single set. */
-    LineId corruptLookupForFaultInjection() override;
 
     void collectCandidates(Addr addr,
                            std::vector<LineId> &out) override;

@@ -8,8 +8,8 @@ namespace fscache
 
 SkewAssocArray::SkewAssocArray(LineId num_lines, std::uint32_t banks,
                                std::uint32_t ways, std::uint64_t seed)
-    : CacheArray(num_lines), banks_(banks), ways_(ways),
-      bankLines_(num_lines / banks)
+    : CacheArray(num_lines, /*unrestricted=*/false), banks_(banks),
+      ways_(ways), bankLines_(num_lines / banks)
 {
     fs_assert(banks >= 1 && ways >= 1, "need banks/ways >= 1");
     fs_assert(num_lines % (banks * ways) == 0,
@@ -20,14 +20,6 @@ SkewAssocArray::SkewAssocArray(LineId num_lines, std::uint32_t banks,
         hashes_.push_back(makeIndexHash(HashKind::H3, sets_per_bank,
                                         mix64(seed) + b));
     }
-}
-
-LineId
-SkewAssocArray::slotFor(Addr addr, std::uint32_t bank,
-                        std::uint32_t way) const
-{
-    auto set = static_cast<LineId>(hashes_[bank]->index(addr));
-    return bank * bankLines_ + set * ways_ + way;
 }
 
 void

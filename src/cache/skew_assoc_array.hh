@@ -5,7 +5,8 @@
  *
  * Good skewing hashes spread replacement candidates near-uniformly,
  * which is what brings a real array close to the paper's Uniformity
- * Assumption.
+ * Assumption. A line sits in one of its address's H sets, so
+ * lookup() scans those H * W slots (see CacheArray).
  */
 
 #ifndef FSCACHE_CACHE_SKEW_ASSOC_ARRAY_HH
@@ -36,14 +37,32 @@ class SkewAssocArray : public CacheArray
     std::uint32_t candidateCount() const override
     { return banks_ * ways_; }
 
+    LineId
+    lookup(Addr addr) const override
+    {
+        for (std::uint32_t b = 0; b < banks_; ++b) {
+            LineId base = slotFor(addr, b, 0);
+            for (std::uint32_t w = 0; w < ways_; ++w) {
+                const Line &l = tags_.line(base + w);
+                if (l.addr == addr && l.valid)
+                    return base + w;
+            }
+        }
+        return kInvalidLine;
+    }
+
     void collectCandidates(Addr addr,
                            std::vector<LineId> &out) override;
 
     std::string name() const override;
 
-    /** Slot of way w of the set addr maps to in a bank (for tests). */
-    LineId slotFor(Addr addr, std::uint32_t bank,
-                   std::uint32_t way) const;
+    /** Slot of way w of the set addr maps to in a bank. */
+    LineId
+    slotFor(Addr addr, std::uint32_t bank, std::uint32_t way) const
+    {
+        auto set = static_cast<LineId>(hashes_[bank]->index(addr));
+        return bank * bankLines_ + set * ways_ + way;
+    }
 
   private:
     std::uint32_t banks_;

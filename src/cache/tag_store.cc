@@ -11,11 +11,6 @@ TagStore::TagStore(LineId num_lines, bool indexed)
     fs_assert(num_lines > 0, "tag store needs at least one line");
     if (indexed)
         byAddr_.emplace(num_lines);
-    freeList_.reserve(num_lines);
-    inFreeList_.assign(num_lines, 1);
-    // Pop order is highest slot first; immaterial, but deterministic.
-    for (LineId id = 0; id < num_lines; ++id)
-        freeList_.push_back(id);
 }
 
 void
@@ -56,19 +51,6 @@ TagStore::evict(LineId id)
     l.valid = false;
     l.addr = kInvalidAddr;
     l.part = kInvalidPart;
-    // The membership bitmap keeps each id listed at most once: a
-    // stale entry (the slot was reused while listed) simply becomes
-    // live again now that the line is invalid. Restricted-placement
-    // arrays never pop, so without the bitmap the list would grow by
-    // one entry per eviction without bound.
-    if (!inFreeList_[id]) {
-        inFreeList_[id] = 1;
-        // fs-analyze: allow(hot-path-alloc) at most numLines() ids
-        // are listed (bitmap above) and capacity was reserved at
-        // construction, so this push never reallocates (witness:
-        // tests/test_hot_alloc.cc).
-        freeList_.push_back(id);
-    }
 }
 
 void
@@ -77,18 +59,11 @@ TagStore::move(LineId from, LineId to)
     Line &src = lines_[from];
     Line &dst = lines_[to];
     fs_assert(src.valid && !dst.valid, "bad relocation");
+    fs_assert(!byAddr_, "relocation in an indexed tag store");
     dst = src;
-    if (byAddr_) {
-        LineId *slot = byAddr_->find(dst.addr);
-        fs_assert(slot != nullptr, "relocating an untracked address");
-        *slot = to;
-    }
     src.valid = false;
     src.addr = kInvalidAddr;
     src.part = kInvalidPart;
-    // Slot `from` is now free but deliberately NOT on the free list:
-    // relocation chains immediately refill it (zcache), and the
-    // caller installs into it in the same replacement.
 }
 
 void
@@ -161,23 +136,12 @@ TagStore::auditInvariants() const
     return std::string();
 }
 
-LineId
-TagStore::corruptAddrIndexForFaultInjection()
-{
-    fs_assert(byAddr_, "no address index to corrupt");
-    for (LineId id = 0; id < numLines_; ++id) {
-        if (lines_[id].valid) {
-            byAddr_->erase(lines_[id].addr);
-            return id;
-        }
-    }
-    return kInvalidLine;
-}
-
 void
 TagStore::rewriteAddrForFaultInjection(LineId id, Addr addr)
 {
     fs_assert(lines_[id].valid, "rewriting an invalid slot");
+    if (byAddr_)
+        byAddr_->erase(lines_[id].addr);
     lines_[id].addr = addr;
 }
 
@@ -191,20 +155,6 @@ TagStore::corruptOccupancyForFaultInjection()
         }
     }
     return kInvalidPart;
-}
-
-LineId
-TagStore::popFree()
-{
-    while (!freeList_.empty()) {
-        LineId id = freeList_.back();
-        freeList_.pop_back();
-        inFreeList_[id] = 0;
-        // Entries can be stale if a relocation reused the slot.
-        if (!lines_[id].valid)
-            return id;
-    }
-    return kInvalidLine;
 }
 
 } // namespace fscache

@@ -1,13 +1,15 @@
 /**
  * @file
- * Tag store: line-slot metadata, an optional address index,
- * per-partition occupancy accounting, and a free-slot list.
+ * Tag store: line-slot metadata, an optional address index, and
+ * per-partition occupancy accounting.
  *
  * Every cache array shares this implementation; arrays only decide
  * *which* slots are replacement candidates for an address, and how
- * an address is found. A set-associative array finds a line by
- * scanning its set, as the hardware does, and builds its store
- * without the index; every other array looks addresses up in it.
+ * an address is found. An array whose placement is restricted (set-
+ * associative, direct-mapped, skew, zcache) finds a line by scanning
+ * the slots its address hashes to, as the hardware does, and builds
+ * its store without the index; only the two unrestricted arrays
+ * (random-candidates, fully-associative) look addresses up in it.
  * Partition retagging (Vantage demotions) and slot-to-slot moves
  * (zcache relocation) are first-class so occupancy accounting stays
  * centralized.
@@ -63,7 +65,7 @@ class TagStore
     void evict(LineId id);
 
     /** Move a valid line's contents from slot `from` to invalid slot
-     *  `to` (zcache relocation). */
+     *  `to` (zcache relocation; unindexed stores only). */
     void move(LineId from, LineId to);
 
     /** Change a valid line's partition (Vantage demotion). */
@@ -80,12 +82,6 @@ class TagStore
     {
         return part < partSize_.size() ? partSize_[part] : 0;
     }
-
-    /**
-     * Pop an arbitrary invalid slot (unrestricted-placement arrays
-     * use this while filling). kInvalidLine when full.
-     */
-    LineId popFree();
 
     /** Partition-size vector length (for occupancy audits; includes
      *  pseudo-partitions schemes retag into, e.g. Vantage's). */
@@ -105,22 +101,11 @@ class TagStore
     std::string auditInvariants() const;
 
     /**
-     * Deliberately desynchronize the address index from the line
-     * array by erasing the byAddr_ entry of the first valid line
-     * (the line itself stays valid and counted). Models a flipped
-     * tag-store entry for the FS_FAULTS `cell=N:corrupt` clause —
-     * exactly the class of silent corruption the audits and the
-     * shadow model exist to catch. Returns the line whose index
-     * entry was dropped, or kInvalidLine if the store is empty.
-     * Indexed stores only.
-     */
-    LineId corruptAddrIndexForFaultInjection();
-
-    /**
      * Deliberately rewrite valid line `id`'s stored address to
-     * `addr` without touching the index or the counters: the
-     * set-resident form of the FS_FAULTS `cell=N:corrupt` clause
-     * (SetAssocArray picks an address outside the line's set).
+     * `addr`, as a flipped tag would (FS_FAULTS `cell=N:corrupt`;
+     * CacheArray picks the address). The counters stay as they are;
+     * an index forgets the old address and does not learn the new
+     * one, so neither is found at `id` through it.
      */
     void rewriteAddrForFaultInjection(LineId id, Addr addr);
 
@@ -143,14 +128,6 @@ class TagStore
     /** Address -> slot; absent in a store built without an index. */
     std::optional<FlatMap<LineId>> byAddr_;
     std::vector<std::uint32_t> partSize_;
-    std::vector<LineId> freeList_;
-    // Membership bitmap for freeList_: each id is listed at most
-    // once, so the list's size (and reserved capacity) is bounded by
-    // numLines_ — evict() never reallocates. Without it, restricted-
-    // placement arrays (which install straight into the victim slot
-    // and never call popFree) would push one entry per eviction,
-    // growing the list without bound.
-    std::vector<char> inFreeList_;
     LineId validCount_ = 0;
 };
 

@@ -10,8 +10,8 @@ namespace fscache
 
 ZCacheArray::ZCacheArray(LineId num_lines, std::uint32_t banks,
                          std::uint32_t levels, std::uint64_t seed)
-    : CacheArray(num_lines), banks_(banks), levels_(levels),
-      bankLines_(num_lines / banks)
+    : CacheArray(num_lines, /*unrestricted=*/false), banks_(banks),
+      levels_(levels), bankLines_(num_lines / banks)
 {
     fs_assert(banks >= 2, "zcache needs >= 2 banks");
     fs_assert(levels >= 1, "zcache needs >= 1 walk level");
@@ -44,13 +44,6 @@ ZCacheArray::visit(LineId slot, LineId parent)
     walkGen_[slot] = curGen_;
     parent_[slot] = parent;
     return true;
-}
-
-LineId
-ZCacheArray::slotFor(Addr addr, std::uint32_t bank) const
-{
-    auto set = static_cast<LineId>(hashes_[bank]->index(addr));
-    return bank * bankLines_ + set;
 }
 
 void
@@ -104,16 +97,17 @@ ZCacheArray::collectCandidates(Addr addr, std::vector<LineId> &out)
 }
 
 LineId
-ZCacheArray::makeRoom(Addr incoming, LineId victim,
+ZCacheArray::makeRoom(Addr incoming, LineId freed,
                       const MoveFn &on_move)
 {
     (void)incoming;
-    fs_assert(walkGen_[victim] == curGen_,
-              "makeRoom victim %u not in last candidate walk", victim);
+    fs_assert(walkGen_[freed] == curGen_,
+              "makeRoom slot %u not in last candidate walk", freed);
 
-    // Shift each ancestor one step toward the victim slot. Every
-    // move lands the ancestor's address in a slot it hashes to.
-    LineId hole = victim;
+    // Shift each ancestor one step toward the freed slot. Every
+    // move lands the ancestor's address in a slot it hashes to, and
+    // the hole ends in one of the incoming address's level-1 slots.
+    LineId hole = freed;
     while (parent_[hole] != kInvalidLine) {
         LineId parent_slot = parent_[hole];
         tags_.move(parent_slot, hole);

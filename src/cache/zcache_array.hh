@@ -10,7 +10,8 @@
  * (every move is to a slot the moved address legitimately hashes to),
  * so a Z(H)/levels array provides far more candidates than its
  * lookup ways — the paper notes Vantage needs a Z4/52-like array for
- * strong isolation.
+ * strong isolation. A line always sits in one of its level-1 slots,
+ * so lookup() probes those H slots (see CacheArray).
  */
 
 #ifndef FSCACHE_CACHE_ZCACHE_ARRAY_HH
@@ -41,10 +42,22 @@ class ZCacheArray : public CacheArray
     std::uint32_t candidateCount() const override
     { return nominalCandidates_; }
 
+    LineId
+    lookup(Addr addr) const override
+    {
+        for (std::uint32_t b = 0; b < banks_; ++b) {
+            LineId slot = slotFor(addr, b);
+            const Line &l = tags_.line(slot);
+            if (l.addr == addr && l.valid)
+                return slot;
+        }
+        return kInvalidLine;
+    }
+
     void collectCandidates(Addr addr,
                            std::vector<LineId> &out) override;
 
-    LineId makeRoom(Addr incoming, LineId victim,
+    LineId makeRoom(Addr incoming, LineId freed,
                     const MoveFn &on_move) override;
 
     std::string name() const override;
@@ -52,7 +65,12 @@ class ZCacheArray : public CacheArray
     std::uint32_t banks() const { return banks_; }
 
   private:
-    LineId slotFor(Addr addr, std::uint32_t bank) const;
+    LineId
+    slotFor(Addr addr, std::uint32_t bank) const
+    {
+        auto set = static_cast<LineId>(hashes_[bank]->index(addr));
+        return bank * bankLines_ + set;
+    }
 
     /** Mark a slot visited by the current walk; false if already. */
     bool visit(LineId slot, LineId parent);

@@ -10,25 +10,10 @@ namespace fscache
 {
 
 CoarseTsLruRanking::CoarseTsLruRanking(LineId num_lines,
-                                       const TagStore *tags,
-                                       std::uint32_t granularity_div,
-                                       std::uint32_t ts_bits)
-    : ClassRankingBase(num_lines, 1), tags_(tags),
-      granularityDiv_(granularity_div),
-      tsMask_((1u << ts_bits) - 1), ts_(num_lines, 0)
+                                       const TagStore *tags)
+    : ClassRankingBase(num_lines, 1), tags_(tags), ts_(num_lines, 0)
 {
     fs_assert(tags != nullptr, "coarse LRU needs a tag store");
-    fs_assert(ts_bits >= 1 && ts_bits <= 16, "bad timestamp width");
-    fs_assert(granularity_div >= 1, "bad granularity divisor");
-    // The divisor is a runtime value (so / compiles to a real
-    // divide) but in practice always the paper's 16; divide by
-    // shifting when it is a power of two — tagTimestamp() runs per
-    // access.
-    if ((granularityDiv_ & (granularityDiv_ - 1)) == 0) {
-        granShift_ = 0;
-        while ((1u << granShift_) < granularityDiv_)
-            ++granShift_;
-    }
 }
 
 CoarseTsLruRanking::PartState &
@@ -46,18 +31,16 @@ void
 CoarseTsLruRanking::tagTimestamp(LineId id, PartId part)
 {
     PartState &st = partState(part);
-    ts_[id] = static_cast<std::uint16_t>(st.currentTs);
+    ts_[id] = static_cast<std::uint8_t>(st.currentTs);
 
     // Advance the partition clock every K accesses, K tracking the
     // partition's *current* size so the 8-bit range always spans
-    // roughly granularityDiv_ "generations" of the partition.
+    // roughly 16 "generations" of the partition.
     ++st.accessesSinceBump;
-    std::uint32_t size = tags_->partSize(part);
     std::uint32_t k = std::max<std::uint32_t>(
-        1, granShift_ >= 0 ? size >> granShift_
-                           : size / granularityDiv_);
+        1, tags_->partSize(part) >> kGranShift);
     if (st.accessesSinceBump >= k) {
-        st.currentTs = (st.currentTs + 1) & tsMask_;
+        st.currentTs = (st.currentTs + 1) & kTsMask;
         st.accessesSinceBump = 0;
     }
 }
@@ -106,7 +89,7 @@ double
 CoarseTsLruRanking::schemeFutility(LineId id) const
 {
     return static_cast<double>(tsDistance(id)) /
-           static_cast<double>(tsMask_);
+           static_cast<double>(kTsMask);
 }
 
 void
@@ -117,7 +100,7 @@ CoarseTsLruRanking::schemeFutilityMany(std::span<const LineId> ids,
         // Same expression as schemeFutility(): a plain array read
         // per id, devirtualized and flush-free.
         out[i] = static_cast<double>(tsDistance(ids[i])) /
-                 static_cast<double>(tsMask_);
+                 static_cast<double>(kTsMask);
     }
 }
 
@@ -128,7 +111,7 @@ CoarseTsLruRanking::tsDistance(LineId id) const
     PartId part = partOf(id);
     std::uint32_t cur =
         part < parts_.size() ? parts_[part].currentTs : 0;
-    return (cur - ts_[id]) & tsMask_;
+    return (cur - ts_[id]) & kTsMask;
 }
 
 } // namespace fscache

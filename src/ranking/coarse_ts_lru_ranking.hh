@@ -35,12 +35,8 @@ class CoarseTsLruRanking : public ClassRankingBase
     /**
      * @param num_lines line slots
      * @param tags tag store (for partition sizes; not owned)
-     * @param granularity_div K = partSize / granularity_div
-     * @param ts_bits timestamp width (<= 16)
      */
-    CoarseTsLruRanking(LineId num_lines, const TagStore *tags,
-                       std::uint32_t granularity_div = 16,
-                       std::uint32_t ts_bits = 8);
+    CoarseTsLruRanking(LineId num_lines, const TagStore *tags);
 
     void onInstall(LineId id, PartId part, AccessTime) override;
     void onHit(LineId id, AccessTime) override;
@@ -62,11 +58,11 @@ class CoarseTsLruRanking : public ClassRankingBase
 
     std::string name() const override { return "coarse-ts-lru"; }
 
-    /** Raw timestamp distance (0 .. 2^tsBits - 1), for the schemes
-     *  that scale integer futility by bit shifts. */
+    /** Raw timestamp distance (0 .. tsMax()), for the schemes that
+     *  scale integer futility by bit shifts. */
     std::uint32_t tsDistance(LineId id) const;
 
-    std::uint32_t tsMax() const { return tsMask_; }
+    static constexpr std::uint32_t tsMax() { return kTsMask; }
 
     /** Current timestamp of a partition (for tests). */
     std::uint32_t
@@ -76,6 +72,11 @@ class CoarseTsLruRanking : public ClassRankingBase
     }
 
   private:
+    /** 8-bit timestamps. */
+    static constexpr std::uint32_t kTsMask = 0xff;
+    /** K = partition size >> kGranShift, i.e. size / 16. */
+    static constexpr std::uint32_t kGranShift = 4;
+
     struct PartState
     {
         std::uint32_t currentTs = 0;
@@ -90,11 +91,7 @@ class CoarseTsLruRanking : public ClassRankingBase
     void tagTimestamp(LineId id, PartId part);
 
     const TagStore *tags_;
-    std::uint32_t granularityDiv_;
-    /** log2(granularityDiv_) when it is a power of two, else -1. */
-    std::int32_t granShift_ = -1;
-    std::uint32_t tsMask_;
-    std::vector<std::uint16_t> ts_;
+    std::vector<std::uint8_t> ts_;
     std::vector<PartState> parts_;
 };
 

@@ -191,14 +191,18 @@ PartitionedCache::accessMiss(PartId part, Addr addr,
     if (selfCheck_) [[unlikely]]
         selfCheckMiss(part, addr);
 
-    // Placement without eviction while there is room.
+    // Placement without eviction while there is room. An
+    // unrestricted array fills its slots highest first (see
+    // CacheArray::unrestrictedPlacement).
     LineId slot = kInvalidLine;
     if (array_->unrestrictedPlacement()) {
-        slot = tags.popFree();
-        // slotBuf_ was not filled by a free-slot probe; collect
-        // now if the eviction path will need candidates.
-        if (slot == kInvalidLine && !array_->fullyAssociative())
+        if (!tags.full()) {
+            slot = tags.numLines() - 1 - tags.validCount();
+            fs_assert(!tags.line(slot).valid,
+                      "fill slot %u is valid", slot);
+        } else if (!array_->fullyAssociative()) {
             array_->collectCandidates(addr, slotBuf_);
+        }
     } else {
         array_->collectCandidates(addr, slotBuf_);
         slot = scheme_->pickFreeSlot(slotBuf_, tags, part);
@@ -240,16 +244,16 @@ PartitionedCache::accessMiss(PartId part, Addr addr,
         ranking_->onEvict(victim);
         tags.evict(victim);
         scheme_->onEviction(tag_part);
-
-        slot = array_->makeRoom(addr, victim,
-                                [this](LineId from, LineId to) {
-                                    ranking_->onRelocate(from, to);
-                                    if (shadow_ != nullptr)
-                                        [[unlikely]]
-                                        shadow_->onRelocate(from,
-                                                            to);
-                                });
+        slot = victim;
     }
+
+    // A free candidate deep in a zcache walk is relocated toward the
+    // address's home slots just as an evicted victim is.
+    slot = array_->makeRoom(addr, slot, [this](LineId from, LineId to) {
+        ranking_->onRelocate(from, to);
+        if (shadow_ != nullptr) [[unlikely]]
+            shadow_->onRelocate(from, to);
+    });
 
     tags.install(slot, addr, part);
     ranking_->onInstall(slot, part, next_use);

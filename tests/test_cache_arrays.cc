@@ -1,13 +1,15 @@
 /**
  * @file
  * Cache array tests: tag store invariants, candidate discipline per
- * organization, set-resident lookup against a map reference, zcache
- * walk relocation, candidate uniformity of the random-candidates
- * array.
+ * organization, the unrestricted arrays' fill order, restricted-
+ * placement lookup against a map reference, zcache walk relocation
+ * and home-slot placement, candidate uniformity of the random-
+ * candidates array.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <map>
 #include <unordered_set>
@@ -22,6 +24,7 @@
 #include "cache/zcache_array.hh"
 #include "common/random.hh"
 #include "sim/experiment.hh"
+#include "trace/workload.hh"
 
 namespace fscache
 {
@@ -55,57 +58,68 @@ TEST(TagStore, RetagMovesOccupancy)
     EXPECT_EQ(tags.lookup(2), 1u); // address mapping unchanged
 }
 
-TEST(TagStore, MoveRelocatesAddress)
+TEST(TagStore, MoveRelocatesLine)
 {
-    TagStore tags(8);
+    TagStore tags(8, /*indexed=*/false);
     tags.install(2, 0x10, 3);
     tags.move(2, 6);
-    EXPECT_EQ(tags.lookup(0x10), 6u);
+    EXPECT_EQ(tags.line(6).addr, 0x10u);
     EXPECT_FALSE(tags.line(2).valid);
+    EXPECT_EQ(tags.line(2).addr, kInvalidAddr);
     EXPECT_TRUE(tags.line(6).valid);
     EXPECT_EQ(tags.line(6).part, 3);
     EXPECT_EQ(tags.partSize(3), 1u);
     EXPECT_EQ(tags.validCount(), 1u);
 }
 
-TEST(TagStore, PopFreeFillsWholeCache)
+/**
+ * An unrestricted array fills slot numLines - 1 - validCount: the
+ * i-th distinct miss lands in slot numLines - 1 - i. Once full,
+ * every miss evicts and refills one slot, so all slots stay valid
+ * and each resident address is found where its line sits.
+ */
+TEST(UnrestrictedFill, HighestSlotFirst)
 {
-    TagStore tags(32);
-    std::unordered_set<LineId> slots;
-    for (Addr a = 0; a < 32; ++a) {
-        LineId slot = tags.popFree();
-        ASSERT_NE(slot, kInvalidLine);
-        EXPECT_TRUE(slots.insert(slot).second);
-        tags.install(slot, a, 0);
+    for (ArrayKind kind : {ArrayKind::RandomCands, ArrayKind::FullyAssoc}) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        CacheSpec spec;
+        spec.array.kind = kind;
+        spec.array.numLines = 64;
+        spec.ranking = RankKind::ExactLru;
+        spec.scheme.kind = SchemeKind::Fs;
+        spec.numParts = 2;
+        spec.seed = 5;
+        auto cache = buildCache(spec);
+        cache->setTargets({32, 32});
+        const CacheArray &arr = cache->array();
+        EXPECT_TRUE(arr.unrestrictedPlacement());
+        EXPECT_TRUE(arr.tags().indexed());
+        for (Addr a = 0; a < 64; ++a) {
+            ASSERT_FALSE(cache->access(a & 1, 0x700 + a).hit);
+            EXPECT_EQ(arr.lookup(0x700 + a), 63 - a);
+        }
+        EXPECT_TRUE(arr.tags().full());
+        for (Addr a = 0; a < 200; ++a) {
+            AccessOutcome out = cache->access(a & 1, 0x900 + a);
+            EXPECT_TRUE(out.evicted);
+            LineId slot = arr.lookup(0x900 + a);
+            ASSERT_NE(slot, kInvalidLine);
+            EXPECT_EQ(arr.tags().line(slot).addr, 0x900 + a);
+        }
+        EXPECT_TRUE(arr.tags().full());
     }
-    EXPECT_TRUE(tags.full());
-    EXPECT_EQ(tags.popFree(), kInvalidLine);
 }
 
-TEST(TagStore, PopFreeSkipsStaleEntries)
+TEST(TagStore, ChainedMovesCarryTheLine)
 {
-    TagStore tags(4);
-    // Install into free-list slots directly (as set-assoc does),
-    // leaving stale free-list entries behind.
-    tags.install(0, 10, 0);
-    tags.install(1, 11, 0);
-    tags.install(2, 12, 0);
-    tags.install(3, 13, 0);
-    tags.evict(2);
-    LineId slot = tags.popFree();
-    EXPECT_EQ(slot, 2u);
-}
-
-TEST(TagStore, ChainedMovesKeepLookupConsistent)
-{
-    // zcache makeRoom relocates whole ancestor chains; the address
-    // index must track a line through several hops.
-    TagStore tags(8);
+    // zcache makeRoom relocates whole ancestor chains; the line
+    // record must follow through several hops.
+    TagStore tags(8, /*indexed=*/false);
     tags.install(1, 0x42, 0);
     tags.move(1, 3);
     tags.move(3, 5);
     tags.move(5, 0);
-    EXPECT_EQ(tags.lookup(0x42), 0u);
+    EXPECT_EQ(tags.line(0).addr, 0x42u);
     EXPECT_TRUE(tags.line(0).valid);
     EXPECT_FALSE(tags.line(1).valid);
     EXPECT_FALSE(tags.line(3).valid);
@@ -115,15 +129,15 @@ TEST(TagStore, ChainedMovesKeepLookupConsistent)
 
 TEST(TagStore, MoveThenRetagThenEvict)
 {
-    TagStore tags(8);
+    TagStore tags(8, /*indexed=*/false);
     tags.install(2, 0x99, 1);
     tags.move(2, 7);
     tags.retag(7, 4);
-    EXPECT_EQ(tags.lookup(0x99), 7u);
+    EXPECT_EQ(tags.line(7).addr, 0x99u);
     EXPECT_EQ(tags.partSize(1), 0u);
     EXPECT_EQ(tags.partSize(4), 1u);
     tags.evict(7);
-    EXPECT_EQ(tags.lookup(0x99), kInvalidLine);
+    EXPECT_FALSE(tags.line(7).valid);
     EXPECT_EQ(tags.partSize(4), 0u);
     EXPECT_EQ(tags.validCount(), 0u);
 }
@@ -202,29 +216,42 @@ TEST(SetAssoc, DirectMappedSingleCandidate)
 }
 
 /**
- * SetAssocArray::lookup, a scan of the address's set, against a
- * std::map of every resident address, at 16 ways and at 1 way
- * (direct-mapped). First on the bare array: random installs into
- * the address's set (evicting a random way of a full set),
- * evictions, and the retags Vantage demotes with, which change a
- * line's partition but never its slot; after every step the step's
- * address, a random one and a random resident one are looked up,
- * and every 500 steps the whole address range and the invalid-
- * address sentinel. Then through a Vantage cache, whose demotions
- * retag lines on the way, with the reference rebuilt from the line
- * records.
+ * Each restricted array's lookup, a scan of the slots the address
+ * hashes to, against a std::map of every resident address: 16-way
+ * set-associative, direct-mapped, skew and a 2-level zcache. First
+ * on the bare array: random installs into the address's candidates
+ * (a free one, else a random evicted one), each placed through
+ * makeRoom so the zcache relocates its walk chain; evictions; and
+ * the retags Vantage demotes with, which change a line's partition
+ * but never its slot. After every step the step's address, a random
+ * one and a random resident one are looked up, and every 500 steps
+ * the whole address range and the invalid-address sentinel. Then
+ * through a Vantage cache, whose demotions retag lines on the way,
+ * with the reference rebuilt from the line records.
  */
 TEST(SetAssoc, LookupMatchesMapReference)
 {
     constexpr Addr kRange = 4096; // 8x the cache
-    for (std::uint32_t ways : {16u, 1u}) {
-        SCOPED_TRACE(testing::Message() << ways << " ways");
-        SetAssocArray arr(512, ways, HashKind::XorFold, 7);
+    for (ArrayKind kind :
+         {ArrayKind::SetAssoc, ArrayKind::DirectMapped,
+          ArrayKind::SkewAssoc, ArrayKind::ZCache}) {
+        ArrayConfig cfg;
+        cfg.kind = kind;
+        cfg.numLines = 512;
+        cfg.seed = 7;
+        std::unique_ptr<CacheArray> array = makeArray(cfg);
+        CacheArray &arr = *array;
+        SCOPED_TRACE(arr.name());
         TagStore &tags = arr.tags();
         EXPECT_FALSE(tags.indexed());
         std::map<Addr, LineId> ref;
-        Rng rng(ways);
+        Rng rng(static_cast<std::uint64_t>(kind) + 1);
         std::vector<LineId> set;
+        std::uint64_t moves = 0;
+        auto onMove = [&](LineId, LineId to) {
+            ref[tags.line(to).addr] = to;
+            ++moves;
+        };
         auto check = [&](Addr a) {
             auto it = ref.find(a);
             ASSERT_EQ(arr.lookup(a),
@@ -255,6 +282,7 @@ TEST(SetAssoc, LookupMatchesMapReference)
                         ref.erase(tags.line(slot).addr);
                         tags.evict(slot);
                     }
+                    slot = arr.makeRoom(a, slot, onMove);
                     tags.install(slot, a,
                                  static_cast<PartId>(rng.below(4)));
                     ref[a] = slot;
@@ -286,11 +314,12 @@ TEST(SetAssoc, LookupMatchesMapReference)
             }
         }
         EXPECT_GT(retags, 1000u);
+        if (kind == ArrayKind::ZCache) {
+            EXPECT_GT(moves, 1000u);
+        }
 
         CacheSpec spec;
-        spec.array.kind = ArrayKind::SetAssoc;
-        spec.array.numLines = 512;
-        spec.array.ways = ways;
+        spec.array = cfg;
         spec.ranking = RankKind::ExactLru;
         spec.scheme.kind = SchemeKind::Vantage;
         spec.numParts = 4;
@@ -322,7 +351,7 @@ TEST(SetAssoc, LookupMatchesMapReference)
             }
         }
         // A lone candidate is evicted outright, never demoted.
-        if (ways > 1) {
+        if (arr.candidateCount() > 1) {
             EXPECT_GT(demotedSeen, 0u);
         }
     }
@@ -409,12 +438,19 @@ TEST(ZCache, MakeRoomRelocatesChainCorrectly)
     TagStore &tags = arr.tags();
     std::vector<LineId> l1;
     arr.collectCandidates(0x1234, l1);
+    // Fill each level-1 slot with an address that hashes to it,
+    // found through a one-level twin with the same hashes (level-1
+    // candidates come one per bank, in bank order).
+    ZCacheArray twin(256, 4, 1, 5);
+    std::vector<LineId> home;
     Addr filler = 0x9000;
     std::vector<Addr> installed;
-    for (LineId slot : l1) {
-        tags.install(slot, filler, 0);
+    for (std::size_t b = 0; b < l1.size(); ++b) {
+        do {
+            twin.collectCandidates(++filler, home);
+        } while (home[b] != l1[b]);
+        tags.install(l1[b], filler, 0);
         installed.push_back(filler);
-        ++filler;
     }
 
     std::vector<LineId> cands;
@@ -445,7 +481,51 @@ TEST(ZCache, MakeRoomRelocatesChainCorrectly)
     EXPECT_FALSE(tags.line(hole).valid);
     // All originally installed addresses are still findable.
     for (Addr a : installed)
-        EXPECT_NE(tags.lookup(a), kInvalidLine);
+        EXPECT_NE(arr.lookup(a), kInvalidLine);
+}
+
+/**
+ * A zcache finds a line only in its level-1 slots, so every fill and
+ * every relocation must leave it in one. FS on mcf,gromacs (the
+ * fs_zcache_lfu golden's configuration) at walk depths 2 and 3: each
+ * valid line's slot is one of the H slots that a one-level twin with
+ * the same hashes lists for its address. A fill into a free slot
+ * deep in the walk, without relocating the chain, breaks this.
+ */
+TEST(ZCache, EveryLineSitsInAHomeSlot)
+{
+    constexpr LineId kLines = 8192;
+    Workload wl = Workload::mix({"mcf", "gromacs"}, 40000, 29);
+    for (std::uint32_t levels : {2u, 3u}) {
+        SCOPED_TRACE(testing::Message() << levels << " levels");
+        CacheSpec spec;
+        spec.array.kind = ArrayKind::ZCache;
+        spec.array.numLines = kLines;
+        spec.array.walkLevels = levels;
+        spec.ranking = RankKind::Lfu;
+        spec.scheme.kind = SchemeKind::Fs;
+        spec.numParts = 2;
+        spec.seed = 29;
+        auto cache = buildCache(spec);
+        cache->setTargets({kLines / 2, kLines / 2});
+        runUntimed(*cache, wl);
+
+        ZCacheArray twin(kLines, spec.array.banks, 1, spec.seed);
+        const TagStore &tags = cache->array().tags();
+        std::vector<LineId> home;
+        LineId resident = 0;
+        LineId misplaced = 0;
+        for (LineId id = 0; id < kLines; ++id) {
+            if (!tags.line(id).valid)
+                continue;
+            ++resident;
+            twin.collectCandidates(tags.line(id).addr, home);
+            if (std::find(home.begin(), home.end(), id) == home.end())
+                ++misplaced;
+        }
+        EXPECT_GT(resident, kLines - kLines / 64);
+        EXPECT_EQ(misplaced, 0u) << "of " << resident << " resident";
+    }
 }
 
 TEST(ArrayFactory, BuildsEveryKind)

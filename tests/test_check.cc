@@ -102,16 +102,31 @@ checkSpec(RankKind ranking = RankKind::ExactLru,
     return spec;
 }
 
-/** The two lookup structures the `corrupt` arm damages: a
- *  set-associative array finds lines in their set, a
+/** The lookups the `corrupt` arm damages: a set-associative array
+ *  finds lines in their set, a zcache in their H level-1 slots, a
  *  random-candidates one through the tag store's address index. */
 constexpr ArrayKind kLookupArrays[] = {ArrayKind::SetAssoc,
+                                       ArrayKind::ZCache,
                                        ArrayKind::RandomCands};
+
+/** True for the arrays that scan their slots (no address index). */
+bool
+scansSlots(ArrayKind kind)
+{
+    return kind != ArrayKind::RandomCands;
+}
 
 const char *
 lookupName(ArrayKind kind)
 {
-    return kind == ArrayKind::SetAssoc ? "set-resident" : "indexed";
+    switch (kind) {
+      case ArrayKind::SetAssoc:
+        return "set-resident";
+      case ArrayKind::ZCache:
+        return "home-slot";
+      default:
+        return "indexed";
+    }
 }
 
 /** Spec of one lookup structure (above). */
@@ -194,12 +209,12 @@ TEST_F(TagStoreAudit, IndexCorruptionCaughtByDeepAudit)
         LineId victim = array.corruptLookupForFaultInjection();
         ASSERT_NE(victim, kInvalidLine);
         std::string want =
-            kind == ArrayKind::SetAssoc
+            scansSlots(kind)
                 ? strprintf("lookup: valid line %u (addr ", victim)
                 : strprintf("tag store: valid line %u (addr ", victim);
         std::string err = array.auditInvariants();
         EXPECT_EQ(err.rfind(want, 0), 0u) << err;
-        EXPECT_NE(err.find(kind == ArrayKind::SetAssoc
+        EXPECT_NE(err.find(scansSlots(kind)
                                ? ") is not found at its slot (lookup "
                                  "gives no line)"
                                : ") missing from the address index"),
@@ -324,24 +339,23 @@ TEST_F(CorruptionInjection, ParanoidAuditCatchesCorruptionOnStride)
         // The deep audit runs on a 1024-access stride; driving one
         // full stride's worth of accesses must trip it (the
         // resident-set footprint rules out an eviction healing the
-        // damage first). By then the damaged address has missed and
-        // been installed again: the set-resident line is still
-        // tagged outside its set, while the index now names the new
-        // copy instead of the line that also carries the address.
+        // damage first). By then the original address has missed and
+        // been installed again elsewhere, while the damaged line
+        // still carries an address its lookup cannot find there.
         try {
             driveCyclic(*cache, 2048, /*footprint=*/100);
             ADD_FAILURE() << "expected StateCorruptionError";
         } catch (const StateCorruptionError &e) {
             std::string report = e.report();
-            bool setResident = kind == ArrayKind::SetAssoc;
-            EXPECT_NE(report.find(setResident
-                                      ? "\n  lookup: valid line "
-                                      : "\n  tag store: address "),
+            bool scans = scansSlots(kind);
+            EXPECT_NE(report.find(scans ? "\n  lookup: valid line "
+                                        : "\n  tag store: valid line "),
                       std::string::npos)
                 << report;
-            EXPECT_NE(report.find(setResident
+            EXPECT_NE(report.find(scans
                                       ? ") is not found at its slot"
-                                      : " carries it"),
+                                      : ") missing from the address "
+                                        "index"),
                       std::string::npos)
                 << report;
         }

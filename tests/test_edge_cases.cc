@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "cache/skew_assoc_array.hh"
-#include "ranking/coarse_ts_lru_ranking.hh"
 #include "sim/experiment.hh"
 #include "stats/histogram.hh"
 #include "trace/next_use_annotator.hh"
@@ -122,16 +121,6 @@ TEST(EdgeCases, FsIntervalOne)
         cache->access(part, (part + 1) * 1000 + rng.below(400));
     }
     EXPECT_NEAR(cache->actualSize(0), 192.0, 40.0);
-}
-
-TEST(EdgeCases, CoarseTsWideTimestamps)
-{
-    TagStore tags(64);
-    CoarseTsLruRanking rank(64, &tags, 16, 16);
-    EXPECT_EQ(rank.tsMax(), 0xffffu);
-    tags.install(0, 1, 0);
-    rank.onInstall(0, 0, kNeverUsed);
-    EXPECT_LE(rank.schemeFutility(0), 1.0);
 }
 
 TEST(EdgeCases, SkewSingleBankDegeneratesGracefully)

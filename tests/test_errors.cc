@@ -41,7 +41,7 @@ TEST(ErrorDeathTest, TagStoreEvictInvalid)
 
 TEST(ErrorDeathTest, TagStoreBadMove)
 {
-    TagStore tags(4);
+    TagStore tags(4, /*indexed=*/false);
     tags.install(0, 100, 0);
     tags.install(1, 101, 0);
     EXPECT_DEATH(tags.move(0, 1), "assertion"); // dst valid

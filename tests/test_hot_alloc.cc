@@ -3,8 +3,8 @@
  * Runtime witness for the no-alloc-on-hot-path contract that
  * tools/fscache_analyze.py checks statically: after a warmup replay
  * has grown every amortized buffer (order-index bucket pools and
- * class axes, candidate buffers, eviction free lists) to its
- * high-water mark, a steady-state access() replay of the same stream
+ * class axes, candidate buffers) to its high-water mark, a
+ * steady-state access() replay of the same stream
  * (or of one with the same shape) must perform ZERO heap allocations.
  *
  * Every allow(hot-path-alloc) directive in src/ that cites amortized
