@@ -82,13 +82,11 @@ class CandidateSoA
     void
     push(LineId l, PartId p, double f)
     {
-        // fs-analyze: allow(hot-path-alloc) capacity saturates at
-        // the array's max candidate count after the first few
-        // misses (owner reuses one buffer; clear() keeps capacity).
+        // Capacity saturates at the array's max candidate count after
+        // the first few misses (owner reuses one buffer; clear() keeps
+        // capacity).
         line.push_back(l);
-        // fs-analyze: allow(hot-path-alloc) see above.
         part.push_back(p);
-        // fs-analyze: allow(hot-path-alloc) see above.
         futility.push_back(f);
     }
 

@@ -31,10 +31,9 @@ RandomCandsArray::collectCandidates(Addr addr, std::vector<LineId> &out)
             }
         }
         if (!dup)
-            // fs-analyze: allow(hot-path-alloc) `out` is the
-            // caller's reused candidate buffer; capacity reaches
-            // its high-water mark (= candidates_) after the first
-            // few misses (witness: tests/test_hot_alloc.cc).
+            // `out` is the caller's reused candidate buffer; capacity
+            // reaches its high-water mark (= candidates_) after the
+            // first few misses (witness: tests/test_hot_alloc.cc).
             out.push_back(slot);
     }
 }

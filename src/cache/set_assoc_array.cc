@@ -22,9 +22,9 @@ SetAssocArray::collectCandidates(Addr addr, std::vector<LineId> &out)
     out.clear();
     LineId base = setBase(addr);
     for (std::uint32_t w = 0; w < ways_; ++w)
-        // fs-analyze: allow(hot-path-alloc) `out` is the caller's
-        // reused candidate buffer; capacity tops out at ways_ on
-        // the first miss (witness: tests/test_hot_alloc.cc).
+        // `out` is the caller's reused candidate buffer; capacity tops
+        // out at ways_ on the first miss (witness:
+        // tests/test_hot_alloc.cc).
         out.push_back(base + w);
 }
 

@@ -28,8 +28,8 @@ SkewAssocArray::collectCandidates(Addr addr, std::vector<LineId> &out)
     out.clear();
     for (std::uint32_t b = 0; b < banks_; ++b)
         for (std::uint32_t w = 0; w < ways_; ++w)
-            // fs-analyze: allow(hot-path-alloc) caller's reused
-            // candidate buffer; high-water = banks_ * ways_.
+            // Caller's reused candidate buffer; high-water = banks_ *
+            // ways_.
             out.push_back(slotFor(addr, b, w));
 }
 

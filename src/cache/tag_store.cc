@@ -17,9 +17,6 @@ void
 TagStore::growPart(PartId part)
 {
     if (part >= partSize_.size())
-        // fs-analyze: allow(hot-path-alloc) grows once per
-        // newly-seen partition id, bounded by the partition count;
-        // zero growth in steady state (tests/test_hot_alloc.cc).
         partSize_.resize(part + 1, 0);
 }
 

@@ -71,6 +71,10 @@ class TagStore
     /** Change a valid line's partition (Vantage demotion). */
     void retag(LineId id, PartId part);
 
+    /** Size the occupancy counters to cover `part`, so no later
+     *  install or retag into partitions up to it allocates. */
+    void growPart(PartId part);
+
     /** Number of valid lines. */
     LineId validCount() const { return validCount_; }
 
@@ -121,8 +125,6 @@ class TagStore
     PartId corruptOccupancyForFaultInjection();
 
   private:
-    void growPart(PartId part);
-
     LineId numLines_;
     std::vector<Line> lines_;
     /** Address -> slot; absent in a store built without an index. */

@@ -63,11 +63,10 @@ ZCacheArray::collectCandidates(Addr addr, std::vector<LineId> &out)
     for (std::uint32_t b = 0; b < banks_; ++b) {
         LineId slot = slotFor(addr, b);
         if (visit(slot, kInvalidLine)) {
-            // fs-analyze: allow(hot-path-alloc) `out` and the
-            // frontier are reused buffers whose capacity saturates
-            // at the walk size (witness: tests/test_hot_alloc.cc).
+            // `out` and the frontier are reused buffers whose capacity
+            // saturates at the walk size (witness:
+            // tests/test_hot_alloc.cc).
             out.push_back(slot);
-            // fs-analyze: allow(hot-path-alloc) see above.
             frontier_.push_back(slot);
         }
     }
@@ -84,10 +83,9 @@ ZCacheArray::collectCandidates(Addr addr, std::vector<LineId> &out)
                     continue;
                 LineId slot = slotFor(l.addr, b);
                 if (visit(slot, parent_slot)) {
-                    // fs-analyze: allow(hot-path-alloc) reused
-                    // walk buffers, capacity-bounded (see above).
+                    // Reused walk buffers, capacity-bounded (see
+                    // above).
                     out.push_back(slot);
-                    // fs-analyze: allow(hot-path-alloc) see above.
                     nextFrontier_.push_back(slot);
                 }
             }

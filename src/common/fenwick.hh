@@ -65,10 +65,9 @@ class FenwickTree
                   "fenwick capacity must be a power of two");
         cap_ = capacity;
         total_ = 0;
-        // fs-analyze: allow(hot-path-alloc) reset runs once per
-        // tree, from BitFenwick::reset or OptRanking's ensurePart;
-        // both are bounded (see BitFenwick::reset; witness:
-        // tests/test_hot_alloc.cc).
+        // Reset runs once per tree, from BitFenwick::reset or
+        // OptRanking's ensurePart; both are bounded (see
+        // BitFenwick::reset; witness: tests/test_hot_alloc.cc).
         tree_.assign(cap_ + 1, 0);
     }
 
@@ -92,9 +91,9 @@ class FenwickTree
     {
         fs_assert(capacity >= cap_ && (capacity & (capacity - 1)) == 0,
                   "fenwick growth must be to a larger power of two");
-        // fs-analyze: allow(hot-path-alloc) callers grow by doubling
-        // to cover a bounded axis (OptRanking: the largest next use,
-        // so at most log2(trace length) growths per run).
+        // Callers grow by doubling to cover a bounded axis
+        // (OptRanking: the largest next use, so at most log2(trace
+        // length) growths per run).
         tree_.resize(capacity + 1, 0);
         for (std::uint32_t c = cap_; c < capacity; c <<= 1)
             tree_[2 * c] = total_;
@@ -242,13 +241,12 @@ class BitFenwick
     {
         fs_assert(capacity >= 64 && (capacity & (capacity - 1)) == 0,
                   "bit fenwick capacity must be a power of two >= 64");
-        // fs-analyze: allow(hot-path-alloc) reset runs once per
-        // index — construction, or first sight of a partition id in
-        // a ranking's ensurePart, bounded by the partition count —
-        // or when StackDistGenerator doubles its axis, bounded by
-        // log2(maxResident) (witness: tests/test_hot_alloc.cc). The
-        // extra last word stays zero, so countBelow(capacity) needs
-        // no branch.
+        // Reset runs once per index — construction, or first sight of
+        // a partition id in a ranking's ensurePart, bounded by the
+        // partition count — or when StackDistGenerator doubles its
+        // axis, bounded by log2(maxResident) (witness:
+        // tests/test_hot_alloc.cc). The extra last word stays zero, so
+        // countBelow(capacity) needs no branch.
         bits_.assign(capacity / 64 + 1, 0);
         words_.reset(capacity / 64);
         first_ = capacity / 64;

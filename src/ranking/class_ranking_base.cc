@@ -35,16 +35,13 @@ ClassRankingBase::ensurePart(PartId part)
 {
     if (part < parts_.size())
         return;
-    // fs-analyze: allow(hot-path-alloc) one-time growth per
-    // newly-seen partition id, bounded by the partition count
-    // (witness: tests/test_hot_alloc.cc).
+    // One-time growth per newly-seen partition id, bounded by the
+    // partition count (witness: tests/test_hot_alloc.cc).
     parts_.resize(part + 1);
     for (Part &p : parts_) {
         if (p.classes.capacity() != 0)
             continue;
-        // fs-analyze: allow(hot-path-alloc) see above.
         p.classes.reset(initialClasses_);
-        // fs-analyze: allow(hot-path-alloc) see above.
         p.bucketAt.assign(initialClasses_, kNoBucket);
     }
 }
@@ -62,8 +59,8 @@ ClassRankingBase::ensureClass(Part &p, std::uint32_t cls)
     // largest frequency, so at most log2(kFreqCap) growths per
     // partition and run.
     p.classes.grow(cap);
-    // fs-analyze: allow(hot-path-alloc) doubling growth bounded by
-    // the largest class (see above; witness: tests/test_hot_alloc.cc).
+    // Doubling growth bounded by the largest class (see above;
+    // witness: tests/test_hot_alloc.cc).
     p.bucketAt.resize(cap, kNoBucket);
 }
 
@@ -76,13 +73,12 @@ ClassRankingBase::enter(PartId part, std::uint32_t cls,
     if (b == kNoBucket) {
         if (free_.empty()) {
             b = static_cast<std::uint32_t>(pool_.size());
-            // fs-analyze: allow(hot-path-alloc) the pool grows to
-            // the most buckets ever nonempty at once, bounded by
-            // partitions x classes (witness: tests/test_hot_alloc.cc).
+            // The pool grows to the most buckets ever nonempty at
+            // once, bounded by partitions x classes (witness:
+            // tests/test_hot_alloc.cc).
             pool_.push_back({BitFenwick(axis_.capacity())});
             // Every bucket can be free at once: reserving here keeps
             // leave()'s push_back from allocating.
-            // fs-analyze: allow(hot-path-alloc) see above.
             free_.reserve(pool_.size());
         } else {
             b = free_.back();
@@ -107,8 +103,8 @@ ClassRankingBase::leave(std::uint32_t b, std::uint32_t pos)
     if (bucket.stamps.total() == 0) {
         // Every mark is gone, so every bit and count is zero: the
         // bucket is reused as is.
-        // fs-analyze: allow(hot-path-alloc) enter() reserves room
-        // for every pooled bucket (witness: tests/test_hot_alloc.cc).
+        // enter() reserves room for every pooled bucket (witness:
+        // tests/test_hot_alloc.cc).
         free_.push_back(b);
         p.bucketAt[bucket.cls] = kNoBucket;
     }

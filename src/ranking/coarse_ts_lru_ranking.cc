@@ -20,9 +20,8 @@ CoarseTsLruRanking::PartState &
 CoarseTsLruRanking::partState(PartId part)
 {
     if (part >= parts_.size())
-        // fs-analyze: allow(hot-path-alloc) grows once per
-        // newly-seen partition id, bounded by the partition
-        // count; zero growth in steady state.
+        // Grows once per newly-seen partition id, bounded by the
+        // partition count; zero growth in steady state.
         parts_.resize(part + 1);
     return parts_[part];
 }

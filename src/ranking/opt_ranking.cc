@@ -59,8 +59,7 @@ OptRanking::growAxis(std::uint32_t pos)
     // run, each O(partitions x axis).
     for (Part &p : parts_) {
         p.byNextUse.grow(cap);
-        // fs-analyze: allow(hot-path-alloc) doubling growth bounded
-        // by the largest next use (see above).
+        // Doubling growth bounded by the largest next use (see above).
         p.headAt.resize(cap, kInvalidLine);
     }
     axisCap_ = cap;
@@ -71,18 +70,14 @@ OptRanking::ensurePart(PartId part)
 {
     if (part < parts_.size())
         return;
-    // fs-analyze: allow(hot-path-alloc) one-time growth per
-    // newly-seen partition id, bounded by the partition count
-    // (witness: tests/test_hot_alloc.cc).
+    // One-time growth per newly-seen partition id, bounded by the
+    // partition count (witness: tests/test_hot_alloc.cc).
     parts_.resize(part + 1);
     for (Part &p : parts_) {
         if (p.byNextUse.capacity() != 0)
             continue;
-        // fs-analyze: allow(hot-path-alloc) see above.
         p.byNextUse.reset(axisCap_);
-        // fs-analyze: allow(hot-path-alloc) see above.
         p.headAt.assign(axisCap_, kInvalidLine);
-        // fs-analyze: allow(hot-path-alloc) see above.
         p.never.reset(neverCapacity(numLines_));
     }
 }

@@ -27,8 +27,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/annotations.hh"
-
 namespace fscache
 {
 
@@ -63,7 +61,8 @@ class ThreadPool
     struct Queue
     {
         std::mutex mu;
-        std::deque<std::function<void()>> tasks FS_GUARDED_BY(mu);
+        // guarded by mu
+        std::deque<std::function<void()>> tasks;
     };
 
     bool popLocal(unsigned self, std::function<void()> &out);
@@ -71,20 +70,19 @@ class ThreadPool
     void workerLoop(unsigned self);
     void finishTask();
 
-    // fs-analyze: allow(lock-discipline) const after construction:
-    // both vectors are sized in the constructor and never resized;
-    // workers synchronize on each Queue::mu / mu_, not on the spine.
+    // Const after construction: both vectors are sized in the
+    // constructor and never resized; workers synchronize on each
+    // Queue::mu / mu_, not on the spine.
     std::vector<std::unique_ptr<Queue>> queues_;
-    // fs-analyze: allow(lock-discipline) const after construction
-    // (only read post-ctor; joined by the destructor).
+    // Only read after the constructor; joined by the destructor.
     std::vector<std::thread> workers_;
 
     std::mutex mu_; ///< guards wake_/idle_/signals_/firstError_
     std::condition_variable wake_;
     std::condition_variable idle_;
     /// Bumped per submit (missed-wakeup guard).
-    std::uint64_t signals_ FS_GUARDED_BY(mu_) = 0;
-    std::exception_ptr firstError_ FS_GUARDED_BY(mu_);
+    std::uint64_t signals_ = 0; // guarded by mu_
+    std::exception_ptr firstError_; // guarded by mu_
 
     std::atomic<std::uint64_t> pending_{0}; ///< submitted, not finished
     std::atomic<unsigned> nextQueue_{0};

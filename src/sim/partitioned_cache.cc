@@ -42,6 +42,10 @@ PartitionedCache::PartitionedCache(
     for (std::uint32_t p = 0; p < numParts_; ++p)
         deviation_.emplace_back(0.0, kDevSpan, kDevBins);
     scheme_->bind(this, numParts_);
+    // Counters for every owner and for the pseudo-partition schemes
+    // retag into (Vantage's unmanaged region, id numParts_), so the
+    // first demotion does not allocate.
+    array_->tags().growPart(static_cast<PartId>(numParts_));
     schemeFutilityExact_ = ranking_->schemeFutilityIsExact();
 
     auditLevel_ = static_cast<std::uint8_t>(check::auditLevel());
@@ -84,9 +88,8 @@ PartitionedCache::demote(LineId line, PartId to_part)
 }
 
 void
-PartitionedCache::buildCandidates(Addr addr)
+PartitionedCache::buildCandidates()
 {
-    (void)addr;
     TagStore &tags = array_->tags();
     candBuf_.clear();
 
@@ -100,9 +103,9 @@ PartitionedCache::buildCandidates(Addr addr)
             LineId worst = ranking_->worstIn(static_cast<PartId>(p));
             if (worst == kInvalidLine)
                 continue;
-            // fs-analyze: allow(hot-path-alloc) candBuf_ is the
-            // reused candidate buffer; capacity saturates at the
-            // associativity (witness: tests/test_hot_alloc.cc).
+            // candBuf_ is the reused candidate buffer; capacity
+            // saturates at the associativity (witness:
+            // tests/test_hot_alloc.cc).
             candBuf_.push(worst, tags.line(worst).part, 0.0);
         }
         ranking_->schemeFutilityMany(
@@ -122,11 +125,9 @@ PartitionedCache::buildCandidates(Addr addr)
     for (LineId slot : slotBuf_) {
         const Line &l = tags.line(slot);
         if (l.valid) {
-            // fs-analyze: allow(hot-path-alloc) reused candidate
-            // buffer, capacity-bounded (see above).
+            // Reused candidate buffer, capacity-bounded (see above).
             candBuf_.push(slot, l.part, 0.0);
         } else {
-            // fs-analyze: allow(hot-path-alloc) see above.
             candBuf_.push(slot, kInvalidPart, -1.0);
             all_valid = false;
         }
@@ -144,13 +145,11 @@ PartitionedCache::buildCandidates(Addr addr)
     for (std::size_t i = 0; i < n; ++i) {
         if (candBuf_.part[i] == kInvalidPart)
             continue;
-        // fs-analyze: allow(hot-path-alloc) reused gather scratch,
-        // capacity-bounded by the associativity.
+        // Reused gather scratch, capacity-bounded by the
+        // associativity.
         validIdx_.push_back(static_cast<std::uint32_t>(i));
-        // fs-analyze: allow(hot-path-alloc) see above.
         lineScratch_.push_back(candBuf_.line[i]);
     }
-    // fs-analyze: allow(hot-path-alloc) see above.
     futScratch_.resize(lineScratch_.size());
     ranking_->schemeFutilityMany(
         std::span<const LineId>(lineScratch_), futScratch_.data());
@@ -210,7 +209,7 @@ PartitionedCache::accessMiss(PartId part, Addr addr,
 
     if (slot == kInvalidLine) {
         // Eviction path.
-        buildCandidates(addr);
+        buildCandidates();
         fs_assert(!candBuf_.empty(), "no replacement candidates");
         std::uint32_t idx = scheme_->selectVictim(candBuf_, part);
         fs_assert(idx < candBuf_.size(), "victim index out of range");

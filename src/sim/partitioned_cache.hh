@@ -162,7 +162,7 @@ class PartitionedCache : public PartitionOps
     }
 
   private:
-    void buildCandidates(Addr addr);
+    void buildCandidates();
 
     /**
      * The miss path of access(): stats, placement, eviction,

@@ -121,9 +121,8 @@ StackDistGenerator::renumber()
     }
     std::uint32_t cap = stampCapacity(live);
     if (cap > live_.capacity()) {
-        // fs-analyze: allow(hot-path-alloc) the axis only grows with
-        // the live stack, which maxResident bounds: at most
-        // log2(maxResident) doublings per generator.
+        // The axis only grows with the live stack, which maxResident
+        // bounds: at most log2(maxResident) doublings per generator.
         lineAt_.resize(cap);
         live_.reset(cap);
     }

@@ -1,17 +1,17 @@
 /**
  * @file
- * Runtime witness for the no-alloc-on-hot-path contract that
- * tools/fscache_analyze.py checks statically: after a warmup replay
- * has grown every amortized buffer (order-index bucket pools and
- * class axes, candidate buffers) to its high-water mark, a
- * steady-state access() replay of the same stream
- * (or of one with the same shape) must perform ZERO heap allocations.
+ * The check of the zero-allocation contract of the per-access hot
+ * path: after a warmup replay has grown every amortized buffer
+ * (order-index bucket pools, class and next-use axes, candidate
+ * buffers, occupancy counters) to its high-water mark, a
+ * steady-state access() replay of the same stream (or of one with
+ * the same shape) must perform ZERO heap allocations. The widest
+ * test runs every array x scheme x ranking combination buildCache
+ * accepts.
  *
- * Every allow(hot-path-alloc) directive in src/ that cites amortized
- * or bounded growth names this test as its witness — if a push_back
- * on the hot path ever starts reallocating per access, the static
- * analyzer stays quiet (the directive suppresses it) but this test
- * fails.
+ * Each growth site in src/ that cites amortized or bounded growth
+ * names this test as its witness: if a push_back on the hot path
+ * ever starts reallocating per access, this test fails.
  *
  * The counting hook replaces global operator new/delete for the
  * whole test binary; gtest also allocates, so the zero-assert brackets
@@ -192,6 +192,52 @@ steadyStateAllocs(std::uint32_t num_lines, std::uint32_t num_parts,
     return g_allocs.load(std::memory_order_relaxed) - before;
 }
 
+/**
+ * Replay two bursty passes through the cache `spec` builds, with
+ * equal targets, and return the operator-new calls of the second.
+ * Each burst touches one fresh address of a random partition 1..20
+ * times in a row and never again; each access carries its next use
+ * within its pass, or kNeverUsed for a burst's last.
+ */
+std::uint64_t
+burstySteadyStateAllocs(const CacheSpec &spec)
+{
+    struct Ref
+    {
+        PartId part;
+        Addr addr;
+        AccessTime nextUse;
+    };
+    constexpr std::size_t kBursts = 2000;
+    Rng rng(991);
+    Addr fresh = 0;
+    auto burstyPass = [&]() {
+        std::vector<Ref> pass;
+        pass.reserve(20 * kBursts);
+        for (std::size_t b = 0; b < kBursts; ++b) {
+            auto part = static_cast<PartId>(rng.below(spec.numParts));
+            Addr addr = (part + 1) * 100000000 + 64 * fresh++;
+            for (std::uint64_t n = rng.range(1, 20); n > 0; --n) {
+                AccessTime next = n > 1 ? pass.size() + 1 : kNeverUsed;
+                pass.push_back({part, addr, next});
+            }
+        }
+        return pass;
+    };
+
+    auto cache = buildCache(spec);
+    cache->setTargets(std::vector<std::uint32_t>(
+        spec.numParts, spec.array.numLines / spec.numParts));
+    for (const Ref &r : burstyPass())
+        cache->access(r.part, r.addr, r.nextUse);
+
+    auto pass2 = burstyPass();
+    std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    for (const Ref &r : pass2)
+        cache->access(r.part, r.addr, r.nextUse);
+    return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
 /** The hook itself must be live, or the zero-assert below proves
  *  nothing. */
 TEST(HotPathAlloc, CountingHookIsInstalled)
@@ -238,58 +284,56 @@ TEST(HotPathAlloc, ManyPartitionCoarseCacheAllocatesNothing)
 }
 
 /**
+ * The contract over every cache buildCache assembles: each array ×
+ * scheme × ranking, way partitioning on the set-associative array
+ * only (it partitions a set's ways). This is the only check of the
+ * contract for the paths the smaller tests above do not reach: OPT,
+ * the skew, zcache, random-candidates and fully-associative arrays,
+ * and the PF, Vantage, PriSM and way-partitioning schemes.
+ *
  * Every ClassRankingBase client draws a bucket from a shared pool
  * for each nonempty (partition, class) pair; LFU and RRIP also grow
- * their class axis to the largest class seen, while exact LRU and
- * Random keep one class, so their bucket returns to the pool only
- * when a partition empties. LFU frequencies climb without bound on
- * a stream that
- * re-references resident lines, so this stream touches each address
- * in one burst of 1..20 accesses and never again: no frequency
- * passes 20, both partitions soon hold lines of every class, and
- * pass 1 takes the pool and the axes (doubled once, from 16 to 32
- * classes) to their high water. Pass 2 bursts over fresh addresses
- * with the same class mix and must reuse freed buckets, never grow
- * an axis, and allocate nothing — the witness for those
- * allow(hot-path-alloc) directives.
+ * their class axis to the largest class seen. LFU frequencies climb
+ * without bound on a stream that re-references resident lines, so
+ * this stream touches each address in one burst of 1..20 accesses
+ * and never again: no frequency passes 20, every partition soon
+ * holds lines of every class, and pass 1 takes the pools, the axes
+ * and the candidate buffers to their high water. Next uses are
+ * annotated within each pass, so OPT's next-use axis stops growing
+ * in pass 1 too. Pass 2 bursts over fresh addresses with the same
+ * shape and must allocate nothing.
  */
 TEST(HotPathAlloc, ClassRankingsSteadyStateAllocatesNothing)
 {
     if (diagnosticsOn())
         GTEST_SKIP() << "audit/shadow diagnostics may allocate";
 
-    constexpr std::uint32_t kParts = 2;
-    constexpr std::size_t kBursts = 6000;
-    for (const char *name : {"lfu", "rrip", "lru", "random"}) {
-        Rng rng(991);
-        Addr fresh = 0;
-        auto burstyPass = [&]() {
-            std::vector<std::pair<PartId, Addr>> pass;
-            pass.reserve(20 * kBursts);
-            for (std::size_t b = 0; b < kBursts; ++b) {
-                auto part = static_cast<PartId>(rng.below(kParts));
-                Addr addr = (part + 1) * 100000000 + 64 * fresh++;
-                for (std::uint64_t n = rng.range(1, 20); n > 0; --n)
-                    pass.emplace_back(part, addr);
+    constexpr std::uint32_t kLines = 1024;
+    constexpr std::uint32_t kParts = 4;
+    int combos = 0;
+    for (const char *array : {"setassoc", "direct", "skew", "zcache",
+                              "random", "fullyassoc"}) {
+        for (const char *scheme : {"none", "pf", "fs-analytic", "fs",
+                                   "vantage", "prism", "waypart"}) {
+            if (parseSchemeKind(scheme) == SchemeKind::WayPart &&
+                parseArrayKind(array) != ArrayKind::SetAssoc)
+                continue;
+            for (const char *ranking :
+                 {"lru", "coarse", "lfu", "opt", "random", "rrip"}) {
+                CacheSpec spec =
+                    hotSpec(kLines, kParts, parseRankKind(ranking));
+                spec.array.kind = parseArrayKind(array);
+                spec.scheme.kind = parseSchemeKind(scheme);
+                std::uint64_t allocs = burstySteadyStateAllocs(spec);
+                EXPECT_EQ(allocs, 0u)
+                    << array << " / " << scheme << " / " << ranking
+                    << " steady-state access() replay hit operator "
+                    << "new " << allocs << " time(s)";
+                ++combos;
             }
-            return pass;
-        };
-        auto cache =
-            buildCache(hotSpec(256, kParts, parseRankKind(name)));
-        cache->setTargets({128, 128});
-        for (auto [part, addr] : burstyPass())
-            cache->access(part, addr);
-
-        auto pass2 = burstyPass();
-        std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-        for (auto [part, addr] : pass2)
-            cache->access(part, addr);
-        std::uint64_t allocs =
-            g_allocs.load(std::memory_order_relaxed) - before;
-        EXPECT_EQ(allocs, 0u)
-            << name << " steady-state access() replay hit operator "
-            << "new " << allocs << " time(s)";
+        }
     }
+    EXPECT_EQ(combos, 222);
 }
 
 /**

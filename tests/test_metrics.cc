@@ -1,61 +1,17 @@
 /**
  * @file
- * Multiprogram metric tests (weighted speedup, harmonic mean,
- * slowdowns) plus golden determinism checks of the simulator.
+ * Golden determinism checks of the simulator.
  */
 
 #include <gtest/gtest.h>
 
 #include "analytic/scaling_solver.hh"
 #include "sim/experiment.hh"
-#include "sim/metrics.hh"
 
 namespace fscache
 {
 namespace
 {
-
-TEST(Metrics, ThroughputIsSum)
-{
-    EXPECT_DOUBLE_EQ(throughputMetric({0.5, 0.25, 0.25}), 1.0);
-}
-
-TEST(Metrics, WeightedSpeedupIdentity)
-{
-    // Shared == alone: every thread contributes 1.
-    std::vector<double> ipc{0.7, 0.3, 0.9};
-    EXPECT_DOUBLE_EQ(weightedSpeedup(ipc, ipc), 3.0);
-}
-
-TEST(Metrics, WeightedSpeedupKnownValues)
-{
-    std::vector<double> shared{0.5, 0.3};
-    std::vector<double> alone{1.0, 0.6};
-    EXPECT_DOUBLE_EQ(weightedSpeedup(shared, alone), 1.0);
-}
-
-TEST(Metrics, HarmonicMeanPenalizesImbalance)
-{
-    std::vector<double> alone{1.0, 1.0};
-    // Balanced halving vs one thread starving.
-    double balanced = harmonicMeanSpeedup({0.5, 0.5}, alone);
-    double skewed = harmonicMeanSpeedup({0.9, 0.1}, alone);
-    EXPECT_NEAR(balanced, 0.5, 1e-12);
-    EXPECT_LT(skewed, balanced);
-}
-
-TEST(Metrics, MaxSlowdown)
-{
-    std::vector<double> shared{0.5, 0.25};
-    std::vector<double> alone{1.0, 1.0};
-    EXPECT_DOUBLE_EQ(maxSlowdown(shared, alone), 4.0);
-}
-
-TEST(Metrics, DeathOnBadInput)
-{
-    EXPECT_DEATH(weightedSpeedup({1.0}, {1.0, 2.0}), "assertion");
-    EXPECT_DEATH(harmonicMeanSpeedup({0.0}, {1.0}), "assertion");
-}
 
 /**
  * Golden determinism: a fixed seed must always produce the exact

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the simulation extensions: banked NUCA model, L1
- * filtering, and the RRIP futility ranking.
+ * Tests for the simulation extensions: banked NUCA model and the
+ * RRIP futility ranking.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +12,6 @@
 #include "sim/experiment.hh"
 #include "sim/nuca_model.hh"
 #include "sim/timing_sim.hh"
-#include "trace/cyclic_generator.hh"
-#include "trace/l1_filter.hh"
-#include "trace/stream_generator.hh"
 
 namespace fscache
 {
@@ -87,56 +84,6 @@ TEST(Nuca, TimingSimIntegration)
     sim.run();
     EXPECT_GT(sim.perf(0).ipc(), 0.0);
     EXPECT_GT(sim.nuca().accesses(), 0u);
-}
-
-TEST(L1Filter, AbsorbsHitsAndKeepsInstructions)
-{
-    // A 4-line loop fits in the L1: after the cold misses the
-    // filter emits nothing more, accumulating gaps.
-    auto inner =
-        std::make_unique<CyclicGenerator>(0, 4, 10, Rng(1));
-    L1Config cfg;
-    cfg.lines = 64;
-    cfg.ways = 4;
-    L1FilterSource filt(std::move(inner), cfg);
-
-    std::uint64_t emitted_instr = 0;
-    // 4 cold misses come out...
-    for (int i = 0; i < 4; ++i)
-        emitted_instr += filt.next().instrGap;
-    EXPECT_EQ(filt.l1Misses(), 4u);
-    EXPECT_EQ(filt.l1Hits(), 0u);
-    // ...then the next emission needs many inner accesses; its gap
-    // carries all the absorbed instructions. With a pure loop it
-    // would never emit, so cap via hits counter instead.
-    EXPECT_GE(emitted_instr, 4u);
-}
-
-TEST(L1Filter, StreamPassesThrough)
-{
-    auto inner =
-        std::make_unique<StreamGenerator>(0, 1, 5, Rng(2));
-    L1FilterSource filt(std::move(inner));
-    for (int i = 0; i < 100; ++i)
-        filt.next();
-    EXPECT_EQ(filt.l1Misses(), 100u);
-    EXPECT_EQ(filt.l1Hits(), 0u);
-}
-
-TEST(L1Filter, ReducesAccessIntensity)
-{
-    // Mixed reuse: the filtered stream must be sparser (bigger
-    // average gap) than the raw stream.
-    auto raw = std::make_unique<CyclicGenerator>(0, 2048, 10,
-                                                 Rng(3));
-    L1FilterSource filt(std::move(raw), L1Config{512, 4});
-    std::uint64_t instr = 0;
-    for (int i = 0; i < 1000; ++i)
-        instr += filt.next().instrGap;
-    double mean_gap = static_cast<double>(instr) / 1000.0;
-    // 2048-line cycle in a 512-line L1: roughly 3/4 miss... at
-    // minimum the gap must not shrink.
-    EXPECT_GE(mean_gap, 10.0);
 }
 
 TEST(Rrip, InsertionIsLongNotDistant)

@@ -25,6 +25,19 @@ unordered-aggregation
     and metrics built there must not depend on hash-container
     iteration order, so unordered_map/unordered_set are banned there
     outright (use std::map, sorted vectors, or index-keyed vectors).
+    The rule also covers every header under src/: an alias such as
+    `using AddrSet = std::unordered_set<Addr>` declared in a header
+    elsewhere would otherwise carry the container into those paths
+    under a name the rule does not see.
+
+include-layering
+    The src/ subsystems form a DAG, set out in LAYERS below: common
+    at the bottom, sim and core at the top. A quoted #include from
+    one subsystem into another it may not depend on is a back-edge;
+    the CMake link lines cannot catch one that only reaches a
+    header. A directory under src/ that the table does not name
+    fires too, so a new subsystem gets its place in the DAG when it
+    is added.
 
 float-accum
     Accumulating into a float/double in src/stats without a named
@@ -39,10 +52,10 @@ hot-path-container
     cost a pointer chase plus an allocation per operation there, and
     their iteration order is a latent determinism hazard. Use
     common/flat_map.hh (open addressing, zero steady-state
-    allocation) or index-keyed vectors instead. In src/sim the
-    stricter unordered-aggregation rule already bans these
-    containers and takes precedence, so a line fires exactly one of
-    the two rules.
+    allocation) or index-keyed vectors instead. In src/sim and in
+    every src/ header the stricter unordered-aggregation rule
+    already bans these containers and takes precedence, so a line
+    fires exactly one of the two rules.
 
 unchecked-sto
     tools/ and bench/ must not call bare std::sto* (stoi, stoull,
@@ -163,6 +176,28 @@ SWALLOW_ALLOWLIST = frozenset({
     "src/runner/cell_guard.hh",
 })
 
+# Include DAG: src/ directory -> the directories it may include
+# from (its own is always allowed). Mirrors the link structure of
+# src/CMakeLists.txt, transitively closed.
+LAYERS = {
+    "common": set(),
+    "stats": {"common"},
+    "trace": {"common"},
+    "cache": {"common"},
+    "alloc": {"common"},
+    "ranking": {"common", "cache"},
+    "check": {"common", "cache", "ranking"},
+    "analytic": {"common", "cache", "ranking", "check"},
+    "partition": {"common", "cache", "ranking", "check", "analytic"},
+    "runner": {"common", "cache", "ranking", "check"},
+    "sim": {"common", "stats", "trace", "cache", "alloc", "ranking",
+            "check", "analytic", "partition", "runner"},
+    "core": {"common", "stats", "trace", "cache", "alloc", "ranking",
+             "check", "analytic", "partition", "runner", "sim"},
+}
+
+QUOTED_INCLUDE_RE = re.compile(r'#\s*include\s+"([^"]+)"')
+
 # Scopes are path prefixes relative to the scanned root.
 RANDOM_SCOPE = ("src/sim", "src/partition", "src/ranking", "src/cache")
 AGGREGATION_SCOPE = ("src/stats", "src/sim")
@@ -173,8 +208,9 @@ SWALLOW_SCOPE = ("src",)
 SIGNAL_SCOPE = ("src",)
 
 ALL_RULES = ("raw-random", "wall-clock", "unordered-aggregation",
-             "hot-path-container", "float-accum", "unchecked-sto",
-             "swallowed-exception", "signal-handler-safety")
+             "include-layering", "hot-path-container", "float-accum",
+             "unchecked-sto", "swallowed-exception",
+             "signal-handler-safety")
 
 DIRECTIVE_RE = re.compile(
     r"//\s*fs-lint:\s*(allow|float-accum)\(([\w-]+)\)\s*(.*)")
@@ -386,6 +422,35 @@ def handler_unsafe_lines(text: str):
                         yield start + off, name, what
 
 
+def layering_findings(rel: str, lines: list[str], code: dict):
+    """Yield (lineno, msg) for includes that break the src/ DAG.
+
+    `code` maps line numbers to comment-stripped code, so an include
+    inside a block comment is not read.
+    """
+    parts = rel.split("/")
+    if len(parts) < 3 or parts[0] != "src":
+        return
+    layer = parts[1]
+    allowed = LAYERS.get(layer)
+    if allowed is None:
+        yield 1, (f"src/{layer} is not in the layering table; add it "
+                  "to LAYERS in fscache_lint.py with the directories "
+                  "it may include from")
+        return
+    for no, raw in enumerate(lines, 1):
+        m = QUOTED_INCLUDE_RE.match(raw.lstrip())
+        if m is None or not code.get(no, "").lstrip().startswith("#"):
+            continue
+        dep = m.group(1).split("/")[0]
+        if "/" in m.group(1) and dep != layer and dep in LAYERS \
+                and dep not in allowed:
+            names = ", ".join(sorted(allowed)) or "none"
+            yield no, (f"src/{layer} must not include src/{dep} "
+                       f"(allowed: {names}); this is a back-edge in "
+                       "the subsystem DAG")
+
+
 def check_file(root: Path, path: Path, findings: list):
     rel = path.relative_to(root).as_posix()
     try:
@@ -414,12 +479,17 @@ def check_file(root: Path, path: Path, findings: list):
         findings.append(Finding(rel, no, rule, msg))
 
     scoped_random = in_scope(rel, RANDOM_SCOPE)
-    scoped_agg = in_scope(rel, AGGREGATION_SCOPE)
+    scoped_agg = (in_scope(rel, AGGREGATION_SCOPE) or
+                  (in_scope(rel, ("src",)) and path.suffix == ".hh"))
     scoped_hot = in_scope(rel, HOT_PATH_SCOPE)
     scoped_accum = in_scope(rel, ACCUM_SCOPE)
     scoped_sto = in_scope(rel, STO_SCOPE)
     scoped_swallow = (in_scope(rel, SWALLOW_SCOPE) and
                       rel not in SWALLOW_ALLOWLIST)
+
+    stripped = dict(code_lines(text))
+    for no, msg in layering_findings(rel, raw_lines, stripped):
+        report(no, "include-layering", msg)
 
     if in_scope(rel, SIGNAL_SCOPE):
         for no, name, what in handler_unsafe_lines(text):
@@ -446,7 +516,7 @@ def check_file(root: Path, path: Path, findings: list):
                 sibling = [hh]
         accum_names = float_names([path] + sibling)
 
-    for no, code in code_lines(text):
+    for no, code in stripped.items():
         if code.lstrip().startswith("#"):
             continue  # includes/defines aren't uses
         if scoped_random:
@@ -518,14 +588,9 @@ def scan(root: Path, files=None) -> list:
             if d.is_dir():
                 files.extend(p for p in d.rglob("*")
                              if p.suffix in (".cc", ".hh"))
-        # The bundled bad-snippet fixtures are *supposed* to fail
-        # (lint_fixtures for this linter, analyze_fixtures for the
-        # semantic analyzer's self-test).
+        # The bundled bad-snippet fixtures are *supposed* to fail.
         lint_fx = root / "tools" / "lint_fixtures"
-        analyze_fx = root / "tools" / "analyze_fixtures"
-        files = sorted(p for p in files
-                       if lint_fx not in p.parents
-                       and analyze_fx not in p.parents)
+        files = sorted(p for p in files if lint_fx not in p.parents)
     for f in files:
         check_file(root, f, findings)
     return findings
@@ -570,6 +635,9 @@ def self_test(repo_root: Path) -> int:
         ("src/check/bad_handler.cc", 12, "signal-handler-safety"),
         ("src/check/bad_handler.cc", 13, "signal-handler-safety"),
         ("src/check/bad_handler.cc", 14, "signal-handler-safety"),
+        ("src/stats/bad_layering.cc", 12, "include-layering"),
+        ("src/stats/bad_layering.cc", 13, "include-layering"),
+        ("src/common/bad_alias.hh", 21, "unordered-aggregation"),
     }
     ok = True
     for miss in sorted(expected - got):
@@ -582,7 +650,7 @@ def self_test(repo_root: Path) -> int:
     if not ok:
         return 2
     print(f"self-test: ok ({len(expected)} expected findings, "
-          "suppressed lines stayed quiet)")
+          "suppressed and allowed lines stayed quiet)")
     return 0
 
 
