@@ -32,6 +32,7 @@ ZCacheArray::ZCacheArray(LineId num_lines, std::uint32_t banks,
     }
     nominalCandidates_ = static_cast<std::uint32_t>(r);
 
+    probedSlots_.resize(banks_);
     parent_.resize(num_lines, kInvalidLine);
     walkGen_.resize(num_lines, 0);
 }
@@ -58,10 +59,12 @@ ZCacheArray::collectCandidates(Addr addr, std::vector<LineId> &out)
     }
 
     // Breadth-first walk. parent_[slot] records how the walk reached
-    // the slot so makeRoom can relocate the chain.
+    // the slot so makeRoom can relocate the chain. Level 1 reuses the
+    // slots the last lookup hashed, if it looked up this address.
+    const std::uint32_t probed = addr == probedAddr_ ? probedCount_ : 0;
     frontier_.clear();
     for (std::uint32_t b = 0; b < banks_; ++b) {
-        LineId slot = slotFor(addr, b);
+        LineId slot = b < probed ? probedSlots_[b] : slotFor(addr, b);
         if (visit(slot, kInvalidLine)) {
             // `out` and the frontier are reused buffers whose capacity
             // saturates at the walk size (witness:

@@ -42,15 +42,22 @@ class ZCacheArray : public CacheArray
     std::uint32_t candidateCount() const override
     { return nominalCandidates_; }
 
+    /** Probes addr's level-1 slots and keeps the ones it hashed,
+     *  so a miss's collectCandidates(addr) does not hash them again. */
     LineId
     lookup(Addr addr) const override
     {
+        probedAddr_ = addr;
         for (std::uint32_t b = 0; b < banks_; ++b) {
             LineId slot = slotFor(addr, b);
+            probedSlots_[b] = slot;
             const Line &l = tags_.line(slot);
-            if (l.addr == addr && l.valid)
+            if (l.addr == addr && l.valid) {
+                probedCount_ = b + 1;
                 return slot;
+            }
         }
+        probedCount_ = banks_;
         return kInvalidLine;
     }
 
@@ -80,6 +87,12 @@ class ZCacheArray : public CacheArray
     std::uint32_t nominalCandidates_;
     LineId bankLines_;
     std::vector<std::unique_ptr<IndexHash>> hashes_;
+
+    /** The last lookup's address and the first probedCount_ of its
+     *  level-1 slots (hashes are fixed, so they never go stale). */
+    mutable Addr probedAddr_ = 0;
+    mutable std::uint32_t probedCount_ = 0;
+    mutable std::vector<LineId> probedSlots_;
 
     /**
      * Walk parents from the last collectCandidates call, indexed by

@@ -52,10 +52,11 @@ runUntimed(PartitionedCache &cache, const Workload &workload,
         while (pos[turn] >= workload.thread(turn).trace.size())
             turn = (turn + 1 == n) ? 0 : turn + 1;
         const TraceBuffer &trace = workload.thread(turn).trace;
-        const Access &acc = trace[pos[turn]++];
-        cache.access(static_cast<PartId>(turn), acc.addr, acc.nextUse);
+        const std::uint64_t i = pos[turn]++;
+        cache.access(static_cast<PartId>(turn), trace.addr(i),
+                     trace.nextUse(i));
         if (pos[turn] < trace.size())
-            cache.prefetch(trace[pos[turn]].addr);
+            cache.prefetch(trace.addr(pos[turn]));
         turn = (turn + 1 == n) ? 0 : turn + 1;
         if (issued == warmup)
             cache.resetStats();

@@ -65,17 +65,17 @@ TimingSim::run()
         if (pos[t] >= trace.size())
             continue;
 
-        const Access &acc = trace[pos[t]];
+        const Addr addr = trace.addr(pos[t]);
+        const std::uint32_t gap = trace.instrGap(pos[t]);
 
         // Execute the instructions leading up to this access
         // (in-order core, 1 IPC between memory events).
-        Cycle now = ev.time + acc.instrGap;
+        Cycle now = ev.time + gap;
 
-        AccessOutcome out =
-            cache_.access(static_cast<PartId>(t), acc.addr,
-                          acc.nextUse);
+        AccessOutcome out = cache_.access(static_cast<PartId>(t), addr,
+                                          trace.nextUse(pos[t]));
         Cycle lookup_done = cfg_.modelNuca
-                                ? nuca_.access(t, acc.addr, now)
+                                ? nuca_.access(t, addr, now)
                                 : now + cfg_.hitLatency;
         Cycle done = out.hit ? lookup_done
                              : memory_.request(lookup_done);
@@ -84,8 +84,8 @@ TimingSim::run()
         if (measured) {
             if (instr[t] == 0)
                 measureStart[t] = ev.time;
-            instr[t] += acc.instrGap;
-            perf_[t].instructions += acc.instrGap;
+            instr[t] += gap;
+            perf_[t].instructions += gap;
             perf_[t].cycles = done - measureStart[t];
             ++perf_[t].accesses;
             if (!out.hit)
@@ -99,8 +99,12 @@ TimingSim::run()
                 statsReset = true;
             }
         }
-        if (pos[t] < trace.size())
+        // Re-queue the thread and prefetch its next record's cache
+        // state, as runUntimed does.
+        if (pos[t] < trace.size()) {
+            cache_.prefetch(trace.addr(pos[t]));
             ready.push({done, t});
+        }
     }
 }
 

@@ -111,6 +111,7 @@ readTrace(std::istream &in, const std::string &source)
             acc.instrGap = static_cast<std::uint32_t>(
                 gap < 1 ? 1 : gap);
         }
+        bool has_next_use = false;
         if (fields >> tok) {
             acc.nextUse = parseField(tok, "next-use", UINT64_MAX,
                                      source, record, lineno,
@@ -127,6 +128,10 @@ readTrace(std::istream &in, const std::string &source)
                     farthest = {acc.nextUse, record, lineno,
                                 line_start};
             }
+            // A next use too wide for the column is left out: the
+            // farthest one is at least as wide, so the end-of-input
+            // checks reject the trace.
+            has_next_use = TraceBuffer::nextUseFits(acc.nextUse);
         }
         if (fields >> tok) {
             throw TraceFormatError(strprintf(
@@ -138,7 +143,9 @@ readTrace(std::istream &in, const std::string &source)
                 static_cast<unsigned long long>(lineno),
                 static_cast<unsigned long long>(line_start)));
         }
-        buf.accesses().push_back(acc);
+        buf.append(acc.addr, acc.instrGap);
+        if (has_next_use)
+            buf.setNextUse(record, acc.nextUse);
     }
     if (buf.size() == 0) {
         throw TraceFormatError(strprintf(
@@ -150,6 +157,15 @@ readTrace(std::istream &in, const std::string &source)
             farthest.nextUse,
             strprintf("past the last record (the trace holds %llu)",
                       static_cast<unsigned long long>(buf.size())),
+            farthest.record, farthest.lineno, farthest.offset);
+    }
+    if (!TraceBuffer::nextUseFits(farthest.nextUse)) {
+        throw nextUseError(
+            farthest.nextUse,
+            strprintf("wider than the 32-bit next-use column (at most "
+                      "%llu)",
+                      static_cast<unsigned long long>(
+                          TraceBuffer::kMaxNextUse)),
             farthest.record, farthest.lineno, farthest.offset);
     }
     return buf;
@@ -171,7 +187,7 @@ writeTrace(std::ostream &out, const TraceBuffer &trace)
 {
     bool annotated = false;
     for (std::uint64_t i = 0; i < trace.size(); ++i) {
-        if (trace[i].nextUse != kNeverUsed) {
+        if (trace.nextUse(i) != kNeverUsed) {
             annotated = true;
             break;
         }
@@ -179,11 +195,10 @@ writeTrace(std::ostream &out, const TraceBuffer &trace)
     out << "# fscache trace: address instr-gap"
         << (annotated ? " next-use" : "") << "\n";
     for (std::uint64_t i = 0; i < trace.size(); ++i) {
-        const Access &a = trace[i];
-        out << "0x" << std::hex << a.addr << std::dec << ' '
-            << a.instrGap;
+        out << "0x" << std::hex << trace.addr(i) << std::dec << ' '
+            << trace.instrGap(i);
         if (annotated)
-            out << ' ' << a.nextUse;
+            out << ' ' << trace.nextUse(i);
         out << '\n';
     }
 }

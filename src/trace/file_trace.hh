@@ -9,8 +9,9 @@
  * most 2^32 - 1; '#' comments and blank lines ignored. next-use is
  * optional; run annotateNextUse() if OPT ranking is needed and the
  * field is absent. When present it is the index of a later record
- * (own index < next-use < record count) or 18446744073709551615 for
- * never.
+ * (own index < next-use < record count, and at most 2^32 - 2 so it
+ * fits TraceBuffer's 32-bit next-use column) or
+ * 18446744073709551615 for never.
  */
 
 #ifndef FSCACHE_TRACE_FILE_TRACE_HH
@@ -39,7 +40,8 @@ TraceBuffer readTrace(std::istream &in,
  *  malformed or empty (see readTrace). */
 TraceBuffer loadTraceFile(const std::string &path);
 
-/** Write a trace (with next-use fields if annotated). */
+/** Write a trace, with next-use fields iff some record has a
+ *  finite next use. */
 void writeTrace(std::ostream &out, const TraceBuffer &trace);
 
 /** Save a trace file (fatal if unwritable). */

@@ -2,9 +2,9 @@
  * @file
  * OPT (Belady) next-use annotation.
  *
- * Fills each access's nextUse field with the index of the *next*
- * access to the same address within the same thread's trace, or
- * kNeverUsed. The OPT futility ranking keys on this value: the line
+ * Fills a trace's next-use column with, for each access, the index
+ * of the *next* access to the same address within the same thread's
+ * trace, or kNeverUsed. The OPT futility ranking keys on this value: the line
  * whose next use is farthest away is the most futile (paper
  * Section III.A).
  */
@@ -19,7 +19,9 @@ namespace fscache
 
 /**
  * Annotate a single thread's trace in place (one backward pass,
- * O(n) expected).
+ * O(n) expected). Throws FsError, leaving the trace unchanged, if
+ * the trace is too long for its next uses to fit the 32-bit column
+ * (more than 2^32 - 1 records).
  */
 void annotateNextUse(TraceBuffer &trace);
 

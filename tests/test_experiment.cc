@@ -118,6 +118,16 @@ replayRoundRobin(PartitionedCache &cache, const Workload &wl,
     }
 }
 
+/** The first n records of a trace. */
+TraceBuffer
+prefix(const TraceBuffer &trace, std::uint64_t n)
+{
+    TraceBuffer out;
+    for (std::uint64_t i = 0; i < n; ++i)
+        out.append(trace.addr(i), trace.instrGap(i));
+    return out;
+}
+
 /** runUntimed against the reference on a real generated workload
  *  whose threads run out at different times, so the round-robin
  *  cursor must skip exhausted threads: same interleave, same reset
@@ -125,8 +135,8 @@ replayRoundRobin(PartitionedCache &cache, const Workload &wl,
 TEST(RunUntimed, MatchesPerAccessRoundRobinReference)
 {
     Workload wl = Workload::mix({"mcf", "lbm", "h264ref"}, 20000, 42);
-    wl.thread(1).trace.accesses().resize(5000);
-    wl.thread(2).trace.accesses().resize(12001);
+    wl.thread(1).trace = prefix(wl.thread(1).trace, 5000);
+    wl.thread(2).trace = prefix(wl.thread(2).trace, 12001);
     const std::uint64_t total = 20000 + 5000 + 12001;
 
     CacheSpec spec;

@@ -160,6 +160,80 @@ TEST(TraceBuffer, CaptureAndFootprint)
     EXPECT_GE(buf.totalInstructions(), 100u);
 }
 
+/** Capture scatters fillBatch chunks into the columns: record for
+ *  record it is the generator's next() sequence, across several
+ *  chunk boundaries and a partial last chunk. */
+TEST(TraceBuffer, CaptureEqualsNextSequence)
+{
+    StackDistConfig cfg;
+    cfg.pNew = 0.2;
+    cfg.depth = DepthDist::logUniform(1, 64);
+    StackDistGenerator a(cfg, 1ull << 40, Rng(17));
+    StackDistGenerator b(cfg, 1ull << 40, Rng(17));
+    TraceBuffer buf = TraceBuffer::capture(a, 1000);
+    ASSERT_EQ(buf.size(), 1000u);
+    for (std::uint64_t i = 0; i < buf.size(); ++i) {
+        const Access want = b.next();
+        ASSERT_EQ(buf.addr(i), want.addr) << "at index " << i;
+        ASSERT_EQ(buf.instrGap(i), want.instrGap) << "at index " << i;
+        ASSERT_EQ(buf.nextUse(i), want.nextUse) << "at index " << i;
+        ASSERT_EQ(buf[i].addr, want.addr) << "at index " << i;
+        ASSERT_EQ(buf[i].instrGap, want.instrGap) << "at index " << i;
+        ASSERT_EQ(buf[i].nextUse, want.nextUse) << "at index " << i;
+    }
+}
+
+/** An unannotated trace holds no next-use column and reads never;
+ *  annotation adds a 4-byte column to the 12 bytes per record. */
+TEST(TraceBuffer, NextUseColumnOnlyOnceAnnotated)
+{
+    CyclicGenerator g(0, 10, 5, Rng(1));
+    TraceBuffer buf = TraceBuffer::capture(g, 100);
+    EXPECT_FALSE(buf.hasNextUseColumn());
+    EXPECT_EQ(buf.bytes(), 12u * 100);
+    for (std::uint64_t i = 0; i < buf.size(); ++i)
+        ASSERT_EQ(buf[i].nextUse, kNeverUsed) << "at index " << i;
+
+    annotateNextUse(buf);
+    EXPECT_TRUE(buf.hasNextUseColumn());
+    EXPECT_EQ(buf.bytes(), 16u * 100);
+    EXPECT_EQ(buf.nextUse(0), 10u);
+    EXPECT_EQ(buf.nextUse(99), kNeverUsed);
+
+    // Appending to an annotated trace extends its column with never.
+    buf.append(0x42, 3);
+    EXPECT_EQ(buf.bytes(), 16u * 101);
+    EXPECT_EQ(buf[100].addr, 0x42u);
+    EXPECT_EQ(buf[100].instrGap, 3u);
+    EXPECT_EQ(buf[100].nextUse, kNeverUsed);
+}
+
+/** The 32-bit next-use column's edges: 2^32 - 2 is the largest
+ *  finite next use it holds, 2^32 - 1 is its never value and so
+ *  does not fit, and kNeverUsed round-trips to itself. */
+TEST(TraceBuffer, NextUseNarrowing)
+{
+    const AccessTime largest = (1ull << 32) - 2;
+    EXPECT_EQ(TraceBuffer::kMaxNextUse, largest);
+    EXPECT_TRUE(TraceBuffer::nextUseFits(largest));
+    EXPECT_EQ(TraceBuffer::narrowNextUse(largest), 0xfffffffeu);
+    EXPECT_EQ(TraceBuffer::widenNextUse(0xfffffffeu), largest);
+
+    EXPECT_FALSE(TraceBuffer::nextUseFits(largest + 1));
+    EXPECT_FALSE(TraceBuffer::nextUseFits(1ull << 32));
+    EXPECT_FALSE(TraceBuffer::nextUseFits(kNeverUsed - 1));
+
+    EXPECT_TRUE(TraceBuffer::nextUseFits(kNeverUsed));
+    EXPECT_EQ(TraceBuffer::narrowNextUse(kNeverUsed),
+              TraceBuffer::kNeverStored);
+    EXPECT_EQ(TraceBuffer::widenNextUse(TraceBuffer::kNeverStored),
+              kNeverUsed);
+
+    EXPECT_TRUE(TraceBuffer::nextUseFits(0));
+    EXPECT_EQ(TraceBuffer::widenNextUse(TraceBuffer::narrowNextUse(7)),
+              7u);
+}
+
 TEST(NextUseAnnotator, MatchesBruteForce)
 {
     StackDistConfig cfg;

@@ -143,6 +143,58 @@ TEST(FileTrace, RoundTripPreservesAnnotation)
         EXPECT_EQ(loaded[i].nextUse, original[i].nextUse);
 }
 
+/** writeTrace(readTrace(text)) reproduces the text byte for byte,
+ *  with next-use fields and without; a trace whose next uses are all
+ *  never is written without them. */
+TEST(FileTrace, RoundTripIsByteIdentical)
+{
+    CyclicGenerator cyclic(100, 17, 9, Rng(4));
+    TraceBuffer plain = TraceBuffer::capture(cyclic, 200);
+    TraceBuffer annotated = plain;
+    annotateNextUse(annotated);
+    StreamGenerator stream(7, 3, 11, Rng(2));
+    TraceBuffer never = TraceBuffer::capture(stream, 50);
+    annotateNextUse(never);
+
+    const struct
+    {
+        const TraceBuffer *trace;
+        bool fields;
+    } cases[] = {{&plain, false}, {&annotated, true}, {&never, false}};
+    for (const auto &c : cases) {
+        std::ostringstream first;
+        writeTrace(first, *c.trace);
+        EXPECT_EQ(first.str().find(" next-use\n") != std::string::npos,
+                  c.fields);
+        std::istringstream in(first.str());
+        TraceBuffer loaded = readTrace(in);
+        EXPECT_EQ(loaded.hasNextUseColumn(), c.fields);
+        std::ostringstream second;
+        writeTrace(second, loaded);
+        EXPECT_EQ(second.str(), first.str());
+    }
+}
+
+/** readTrace allocates the next-use column at the first record that
+ *  carries the field; earlier records, and later ones without it,
+ *  read never. */
+TEST(FileTrace, NextUseColumnFromFirstField)
+{
+    std::istringstream plain("0x1 1\n0x2 1\n");
+    TraceBuffer buf = readTrace(plain);
+    EXPECT_FALSE(buf.hasNextUseColumn());
+    EXPECT_EQ(buf.bytes(), 12u * 2);
+
+    std::istringstream mixed("0x1 1\n0x2 1 3\n0x3 1\n0x2 1\n");
+    buf = readTrace(mixed);
+    EXPECT_TRUE(buf.hasNextUseColumn());
+    EXPECT_EQ(buf.bytes(), 16u * 4);
+    EXPECT_EQ(buf[0].nextUse, kNeverUsed);
+    EXPECT_EQ(buf[1].nextUse, 3u);
+    EXPECT_EQ(buf[2].nextUse, kNeverUsed);
+    EXPECT_EQ(buf[3].nextUse, kNeverUsed);
+}
+
 TEST(FileTrace, FileRoundTrip)
 {
     StreamGenerator gen(7, 3, 11, Rng(2));
