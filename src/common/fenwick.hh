@@ -175,6 +175,13 @@ class FenwickTree
 
     std::uint32_t capacity() const { return cap_; }
 
+    /** Bytes the tree holds. */
+    std::uint64_t
+    bytes() const
+    {
+        return tree_.capacity() * sizeof(std::uint32_t);
+    }
+
     /**
      * Where the k-th mark in position order lies (0-based; a
      * position holding c marks is hit by c consecutive k, with
@@ -342,9 +349,24 @@ class BitFenwick
                popcount64(bits_[pos >> 6] & low);
     }
 
+    /** True iff `pos` is marked. */
+    bool
+    test(std::uint32_t pos) const
+    {
+        fs_assert(pos < capacity(), "fenwick position out of range");
+        return (bits_[pos >> 6] >> (pos & 63)) & 1;
+    }
+
     std::uint32_t total() const { return words_.total(); }
 
     std::uint32_t capacity() const { return words_.capacity() * 64; }
+
+    /** Bytes the bits and the word tree hold. */
+    std::uint64_t
+    bytes() const
+    {
+        return bits_.capacity() * sizeof(std::uint64_t) + words_.bytes();
+    }
 
     /** Position of the k-th marked position (0-based) in position
      *  order: one descent over the word tree, then a select inside

@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/log.hh"
@@ -102,17 +103,30 @@ class FlatMap
     void
     insert(std::uint64_t key, const V &value)
     {
+        bool inserted = tryInsert(key, value).second;
+        fs_assert(inserted, "flat map duplicate insert");
+    }
+
+    /**
+     * Find `key`, or insert it with `value` if absent, in one probe
+     * sequence. Returns the key's value slot and whether it was
+     * inserted (the key must not be the sentinel).
+     */
+    std::pair<V *, bool>
+    tryInsert(std::uint64_t key, const V &value)
+    {
         fs_assert(key != kEmptyKey, "flat map sentinel key inserted");
-        fs_assert(size_ < maxEntries_, "flat map over capacity");
         std::size_t i = home(key);
         while (slots_[i].key != kEmptyKey) {
-            fs_assert(slots_[i].key != key,
-                      "flat map duplicate insert");
+            if (slots_[i].key == key)
+                return {&slots_[i].value, false};
             i = (i + 1) & mask_;
         }
+        fs_assert(size_ < maxEntries_, "flat map over capacity");
         slots_[i].key = key;
         slots_[i].value = value;
         ++size_;
+        return {&slots_[i].value, true};
     }
 
     /**

@@ -99,7 +99,10 @@ readTrace(std::istream &in, const std::string &source)
 
         std::uint64_t record = buf.size();
         Access acc;
-        acc.addr = parseField(addr_str, "address", UINT64_MAX,
+        // The all-ones address is kInvalidAddr, which marks an empty
+        // cache line (and a free address-index slot), so no record
+        // may carry it.
+        acc.addr = parseField(addr_str, "address", kInvalidAddr - 1,
                               source, record, lineno, line_start);
 
         std::string tok;

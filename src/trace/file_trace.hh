@@ -5,8 +5,10 @@
  *
  * Format: one access per line, `<line-address> <instr-gap>
  * [next-use]`, every field an unsigned integer in hex (0x...) or
- * decimal (no sign; a leading 0 does not mean octal), instr-gap at
- * most 2^32 - 1; '#' comments and blank lines ignored. next-use is
+ * decimal (no sign; a leading 0 does not mean octal), line-address
+ * at most 2^64 - 2 (all ones is kInvalidAddr, an empty cache line's
+ * tag), instr-gap at most 2^32 - 1; '#' comments and blank lines
+ * ignored. next-use is
  * optional; run annotateNextUse() if OPT ranking is needed and the
  * field is absent. When present it is the index of a later record
  * (own index < next-use < record count, and at most 2^32 - 2 so it

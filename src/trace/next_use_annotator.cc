@@ -1,8 +1,10 @@
 #include "trace/next_use_annotator.hh"
 
-#include <unordered_map>
+#include <algorithm>
+#include <cstdint>
 
 #include "common/errors.hh"
+#include "common/flat_map.hh"
 #include "common/log.hh"
 #include "common/types.hh"
 
@@ -22,15 +24,14 @@ annotateNextUse(TraceBuffer &trace)
             static_cast<unsigned long long>(TraceBuffer::kMaxNextUse)));
     }
 
-    std::unordered_map<Addr, AccessTime> next_seen;
-    next_seen.reserve(trace.size() / 4 + 16);
-
+    // Distinct addresses are at most the records, so the map never
+    // fills; one probe per record finds or inserts its address.
+    FlatMap<AccessTime> next_seen(
+        std::max<std::uint64_t>(trace.size(), 1));
     for (std::uint64_t i = trace.size(); i-- > 0;) {
-        const Addr addr = trace.addr(i);
-        auto it = next_seen.find(addr);
-        trace.setNextUse(i, it == next_seen.end() ? kNeverUsed
-                                                  : it->second);
-        next_seen[addr] = i;
+        auto [seen, inserted] = next_seen.tryInsert(trace.addr(i), i);
+        trace.setNextUse(i, inserted ? kNeverUsed : *seen);
+        *seen = i;
     }
 }
 

@@ -19,9 +19,11 @@ namespace fscache
 
 /**
  * Annotate a single thread's trace in place (one backward pass,
- * O(n) expected). Throws FsError, leaving the trace unchanged, if
- * the trace is too long for its next uses to fit the 32-bit column
- * (more than 2^32 - 1 records).
+ * one FlatMap probe per record, O(n) expected). Throws FsError,
+ * leaving the trace unchanged, if the trace is too long for its next
+ * uses to fit the 32-bit column (more than 2^32 - 1 records). No
+ * record may carry kInvalidAddr (the map's free-slot key; readTrace
+ * rejects it).
  */
 void annotateNextUse(TraceBuffer &trace);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 
 #include "common/log.hh"
 
@@ -94,19 +96,16 @@ StackDistGenerator::StackDistGenerator(const StackDistConfig &cfg,
     // draw stays so every generated trace is unchanged.
     static_cast<void>(rng_());
 
-    // Prewarm: the oldest entries first, so depth d reaches address
-    // warm - d initially. warm <= maxResident, so nothing is evicted
-    // and the stack is a plain linear fill.
+    // Prewarm: stamp s holds address s (implicitly, see lineAt()),
+    // oldest first, so depth d reaches address warm - d initially.
+    // warm <= maxResident, so nothing is evicted.
     std::uint64_t warm =
         cfg_.prewarm ? std::min(cfg_.depth.maxDepth, cfg_.maxResident)
                      : 0;
-    std::uint32_t cap = stampCapacity(warm);
-    live_.reset(cap);
+    live_.reset(stampCapacity(warm));
     live_.fillPrefix(static_cast<std::uint32_t>(warm));
-    lineAt_.assign(cap, kEmpty);
-    for (std::uint32_t s = 0; s < warm; ++s)
-        lineAt_[s] = s;
-    stampNext_ = static_cast<std::uint32_t>(warm);
+    warm_ = static_cast<std::uint32_t>(warm);
+    stampNext_ = warm_;
     nextNewAddr_ = warm;
 }
 
@@ -114,19 +113,27 @@ void
 StackDistGenerator::renumber()
 {
     std::uint32_t live = live_.total();
+    // The axis only grows with the live stack, which maxResident
+    // bounds: at most log2(maxResident) doublings per generator.
+    // lineAt_ is reserved to each axis length once, so push() and
+    // later renumbers within it do not reallocate.
+    std::uint32_t cap = std::max(live_.capacity(), stampCapacity(live));
+    lineAt_.reserve(cap);
+    if (warm_ > 0) {
+        // Store the implicit stamps ahead of the pushed ones, so
+        // every stamp indexes lineAt_ from here on.
+        lineAt_.insert(lineAt_.begin(), warm_, 0);
+        std::iota(lineAt_.begin(), lineAt_.begin() + warm_, 0u);
+        warm_ = 0;
+    }
     std::uint32_t next = 0;
     for (std::uint32_t s = 0; s < stampNext_; ++s) {
-        if (lineAt_[s] != kEmpty)
+        if (live_.test(s))
             lineAt_[next++] = lineAt_[s];
     }
-    std::uint32_t cap = stampCapacity(live);
-    if (cap > live_.capacity()) {
-        // The axis only grows with the live stack, which maxResident
-        // bounds: at most log2(maxResident) doublings per generator.
-        lineAt_.resize(cap);
+    lineAt_.resize(live);
+    if (cap > live_.capacity())
         live_.reset(cap);
-    }
-    std::fill(lineAt_.begin() + next, lineAt_.end(), kEmpty);
     live_.fillPrefix(live);
     stampNext_ = live;
 }
@@ -136,13 +143,10 @@ StackDistGenerator::push(std::uint32_t local)
 {
     if (stampNext_ == live_.capacity())
         renumber();
-    lineAt_[stampNext_] = local;
+    lineAt_.push_back(local);
     live_.mark(stampNext_++);
-    if (live_.total() > cfg_.maxResident) {
-        std::uint32_t oldest = live_.select(0);
-        live_.unmark(oldest);
-        lineAt_[oldest] = kEmpty;
-    }
+    if (live_.total() > cfg_.maxResident)
+        live_.unmark(live_.select(0));
 }
 
 Access
@@ -150,7 +154,7 @@ StackDistGenerator::next()
 {
     std::uint32_t local;
     if (live_.total() == 0 || rng_.chance(cfg_.pNew)) {
-        fs_assert(nextNewAddr_ < kEmpty,
+        fs_assert(nextNewAddr_ <= UINT32_MAX,
                   "generator ran out of local addresses");
         local = static_cast<std::uint32_t>(nextNewAddr_++);
     } else {
@@ -161,9 +165,8 @@ StackDistGenerator::next()
         auto d = static_cast<std::uint32_t>(
             cfg_.depth.sample(rng_, size));
         std::uint32_t stamp = live_.select(size - d);
-        local = lineAt_[stamp];
+        local = lineAt(stamp);
         live_.unmark(stamp);
-        lineAt_[stamp] = kEmpty;
     }
     push(local);
 

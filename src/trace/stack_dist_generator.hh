@@ -4,17 +4,26 @@
  *
  * The generator maintains an exact LRU stack of previously touched
  * line addresses. Every touch takes the next stamp on a recency
- * axis; lineAt_ records the address at each stamp and a BitFenwick
- * (common/fenwick.hh) marks the live stamps, so the entry at depth
- * d is one select() and re-referencing it costs O(log capacity)
- * array arithmetic. A stamp holds at most one entry, so the index
- * is a bit per stamp plus a count per 64 stamps: 384 KB for a
- * 2^20-entry stack (a 2^21-stamp axis) rather than 8 MB of 4-byte
- * counts. When the axis fills, live entries are renumbered in place
- * onto its low end. Each access either touches a brand-new address
- * (probability pNew, modeling compulsory misses / footprint growth)
- * or re-references the address at a stack depth drawn from a
+ * axis and a BitFenwick (common/fenwick.hh) marks the live stamps,
+ * so the entry at depth d is one select() and re-referencing it
+ * costs O(log capacity) array arithmetic. A stamp holds at most one
+ * entry, so the index is a bit per stamp plus a count per 64
+ * stamps: 384 KB for a 2^20-entry stack (a 2^21-stamp axis). When
+ * the axis fills, live entries are renumbered in place onto its low
+ * end. Each access either touches a brand-new address (probability
+ * pNew, modeling compulsory misses / footprint growth) or
+ * re-references the address at a stack depth drawn from a
  * configurable distribution.
+ *
+ * The prewarmed stack is implicit: its `warm` entries hold stamps
+ * 0..warm-1, and stamp s holds local address s, so no address is
+ * stored for them. lineAt_ holds only the addresses of stamps pushed
+ * since (4 B each, grown as they are pushed). A trace much shorter
+ * than the stack touches a few percent of it, so a 2^20-entry mcf
+ * stack costs its 384 KB index plus 4 B per touch rather than 8 MB
+ * of identity addresses. The first renumber() lays the stack out
+ * once in a capacity-sized column; from then on every stamp is
+ * stored and later renumbers compact that column in place.
  *
  * Stack-distance structure is exactly what determines an
  * application's miss curve and associativity sensitivity, which is
@@ -131,21 +140,30 @@ class StackDistGenerator : public TraceSource
     /** Recency-axis length (for tests). */
     std::uint32_t capacity() const { return live_.capacity(); }
 
-  private:
-    /** lineAt_ value of a stamp no live entry holds. Local addresses
-     *  stay below it (< 2^32 - 1 distinct addresses per generator —
-     *  ample for any workload here). */
-    static constexpr std::uint32_t kEmpty = 0xffffffffu;
+    /** Bytes the stack's index and stored addresses hold. */
+    std::uint64_t
+    bytes() const
+    {
+        return live_.bytes() + lineAt_.capacity() * sizeof(std::uint32_t);
+    }
 
+  private:
     /** Push `local` as the most recent entry. */
     void push(std::uint32_t local);
+
+    /** Local address at live stamp `s`. */
+    std::uint32_t
+    lineAt(std::uint32_t s) const
+    {
+        return s < warm_ ? s : lineAt_[s - warm_];
+    }
 
     /**
      * Compact the axis: live entries keep their order but move to
      * stamps 0..live-1, and the axis doubles first if live entries
      * would leave it too little headroom. Runs once per
      * capacity - live touches, so its O(capacity) cost amortizes to
-     * O(1) per touch.
+     * O(1) per touch. The first one also stores the implicit stamps.
      */
     void renumber();
 
@@ -156,7 +174,11 @@ class StackDistGenerator : public TraceSource
 
     /** One mark per live stamp; total() is the stack size. */
     BitFenwick live_;
-    /** Local address at each stamp, kEmpty where none is live. */
+    /** Stamps below warm_ are implicit (stamp s holds address s);
+     *  0 once renumber() has stored them. */
+    std::uint32_t warm_ = 0;
+    /** Local address of stamp warm_ + i at index i, for every stamp
+     *  handed out since; a dead stamp's entry is stale. */
     std::vector<std::uint32_t> lineAt_;
     /** Next free stamp; every stamp below it has been handed out. */
     std::uint32_t stampNext_ = 0;

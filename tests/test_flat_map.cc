@@ -62,6 +62,26 @@ TEST(FlatMap, InsertFindErase)
     EXPECT_EQ(m.size(), 1u);
 }
 
+/** tryInsert finds a present key without touching its value, and
+ *  inserts an absent one; either way its slot is writable. */
+TEST(FlatMap, TryInsertFindsOrInserts)
+{
+    FlatMap<std::uint32_t> m(8);
+    auto [first, inserted] = m.tryInsert(100, 1);
+    EXPECT_TRUE(inserted);
+    EXPECT_EQ(*first, 1u);
+    EXPECT_EQ(m.size(), 1u);
+
+    auto [again, again_inserted] = m.tryInsert(100, 7);
+    EXPECT_FALSE(again_inserted);
+    EXPECT_EQ(again, first);
+    EXPECT_EQ(*again, 1u);
+    *again = 9;
+    EXPECT_EQ(*m.find(100), 9u);
+    EXPECT_EQ(m.size(), 1u);
+    EXPECT_EQ(m.auditInvariants(), "");
+}
+
 TEST(FlatMap, RandomizedDifferentialVsUnorderedMap)
 {
     FlatMap<std::uint64_t> m(2048);

@@ -962,16 +962,27 @@ class NaiveStackDist
 /**
  * Prewarm on and off, a stack held at maxResident (every new address
  * evicts the oldest), and runs long enough to renumber the stamp
- * axis many times and to grow it from 64 stamps.
+ * axis many times and to grow it from 64 stamps. The prewarmed stack
+ * is implicit until the first renumber stores it; the last three
+ * cases end before that renumber, evict implicit stamps as new
+ * addresses arrive, and cross it mid-run.
  */
 TEST(StackDistIndex, MatchesNaiveLruStack)
 {
+    /** Whether every stamp is stored by the end of the run. */
+    enum class Column
+    {
+        Unchecked,
+        Implicit, ///< the first renumber has not run
+        Stored,   ///< it has
+    };
     struct Case
     {
         bool prewarm;
         double pNew;
         DepthDist depth;
         std::uint64_t maxResident;
+        Column column = Column::Unchecked;
     };
     const Case cases[] = {
         {true, 0.05, DepthDist::logUniform(1, 300), 600},
@@ -979,6 +990,17 @@ TEST(StackDistIndex, MatchesNaiveLruStack)
         {true, 0.3, DepthDist::uniform(1, 64), 64},     // at the cap
         {false, 0.6, DepthDist::uniform(1, 2000), 3000}, // growth
         {true, 0.0, DepthDist::fixed(5), 1024},
+        // 2^16 prewarmed entries on a 2^17-stamp axis: 20000 touches
+        // never fill it.
+        {true, 0.05, DepthDist::logUniform(1, 1 << 16), 1 << 17,
+         Column::Implicit},
+        // The prewarm fills maxResident, so every new address evicts
+        // the oldest entry, an implicit stamp until they run out.
+        {true, 0.3, DepthDist::uniform(1, 4096), 4096},
+        // The first renumber, which stores the implicit stamps, comes
+        // about 2048 touches in; growth doubles the axis after.
+        {true, 0.1, DepthDist::logUniform(1, 2048), 1 << 14,
+         Column::Stored},
     };
     std::uint64_t seed = 1;
     for (const Case &c : cases) {
@@ -1006,6 +1028,15 @@ TEST(StackDistIndex, MatchesNaiveLruStack)
         EXPECT_LE(gen.resident(), c.maxResident);
         if (!c.prewarm && c.maxResident > 1000) {
             EXPECT_GT(gen.capacity(), startCap);
+        }
+        // Stored stamps take a 4-byte address per stamp of the axis.
+        std::uint64_t column = 4ull * gen.capacity();
+        if (c.column == Column::Implicit) {
+            EXPECT_EQ(gen.capacity(), startCap);
+            EXPECT_LT(gen.bytes(), column);
+        } else if (c.column == Column::Stored) {
+            EXPECT_GT(gen.capacity(), startCap);
+            EXPECT_GE(gen.bytes(), column);
         }
         ++seed;
     }

@@ -89,6 +89,30 @@ TEST(StackDistGenerator, FootprintGrowsWithPNew)
     EXPECT_GT(hi_seen.size(), 2 * lo_seen.size());
 }
 
+/** The prewarmed stack is implicit: an mcf-profile generator, whose
+ *  2^20-entry stack was once an 8 MB column of identity addresses,
+ *  holds its 384 KB index at construction and grows by the 4-byte
+ *  address of each stamp it pushes (every next() pushes one). */
+TEST(StackDistGenerator, PrewarmedStackStoresOnlyPushedAddresses)
+{
+    const StackDistConfig &cfg =
+        benchmarkProfile("mcf").components.at(0).stackDist;
+    StackDistGenerator gen(cfg, 0, Rng(1));
+    ASSERT_EQ(gen.resident(), 1u << 20);
+    const std::uint64_t start = gen.bytes();
+    EXPECT_LT(start, 512u * 1024);
+
+    // 2^17 pushes stay well inside the 2^21-stamp axis, so nothing
+    // renumbers; the vector's capacity may run up to twice ahead.
+    const std::uint64_t n = 1u << 17;
+    for (std::uint64_t i = 0; i < n; ++i)
+        gen.next();
+    EXPECT_EQ(gen.capacity(), 1u << 21);
+    const std::uint64_t grown = gen.bytes() - start;
+    EXPECT_GE(grown, 4 * n);
+    EXPECT_LT(grown, 8 * n);
+}
+
 TEST(StackDistGenerator, FixedDepthOneRepeatsMru)
 {
     // Depth 1 with pNew = 0 re-references the MRU line forever.

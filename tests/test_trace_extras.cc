@@ -299,21 +299,51 @@ TEST(FileTrace, MalformedIntegersThrowTyped)
 
 TEST(FileTrace, IntegerEdgesParse)
 {
-    std::istringstream in("0xFFFFFFFFFFFFFFFF 4294967295 0X2\n"
-                          "18446744073709551615 0xffffffff 002\n"
+    // The largest address is one below all ones (kInvalidAddr; see
+    // AllOnesAddressThrowsTyped).
+    std::istringstream in("0xFFFFFFFFFFFFFFFE 4294967295 0X2\n"
+                          "18446744073709551614 0xffffffff 002\n"
                           "010 0 0xFFFFFFFFFFFFFFFF\n");
     TraceBuffer buf = readTrace(in);
     ASSERT_EQ(buf.size(), 3u);
-    EXPECT_EQ(buf[0].addr, UINT64_MAX);
+    EXPECT_EQ(buf[0].addr, UINT64_MAX - 1);
     EXPECT_EQ(buf[0].instrGap, UINT32_MAX);
     EXPECT_EQ(buf[0].nextUse, 2u);
-    EXPECT_EQ(buf[1].addr, UINT64_MAX);
+    EXPECT_EQ(buf[1].addr, UINT64_MAX - 1);
     EXPECT_EQ(buf[1].instrGap, UINT32_MAX);
     EXPECT_EQ(buf[1].nextUse, 2u);
     // A leading 0 is decimal, not octal; a zero gap reads as 1.
     EXPECT_EQ(buf[2].addr, 10u);
     EXPECT_EQ(buf[2].instrGap, 1u);
     EXPECT_EQ(buf[2].nextUse, kNeverUsed);
+}
+
+/** The all-ones address is kInvalidAddr, an empty line's tag and
+ *  the address index's free-slot key: a record carrying it could not
+ *  be told from an empty way, and would abort a fully associative
+ *  array's index, so readTrace rejects it at its record. */
+TEST(FileTrace, AllOnesAddressThrowsTyped)
+{
+    for (const char *addr : {"0xffffffffffffffff", "0xFFFFFFFFFFFFFFFF",
+                             "18446744073709551615"}) {
+        SCOPED_TRACE(addr);
+        std::istringstream in(std::string("0x40 10\n0x80 10\n") +
+                              addr + " 10\n0x40 10\n");
+        try {
+            readTrace(in, "ones.trc");
+            FAIL() << "expected TraceFormatError";
+        } catch (const TraceFormatError &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find(std::string("bad address '") + addr +
+                               "': out of range (max "
+                               "18446744073709551614)"),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("record 2, line 3, byte offset 16"),
+                      std::string::npos)
+                << msg;
+        }
+    }
 }
 
 /**

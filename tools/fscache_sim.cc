@@ -33,10 +33,12 @@
 #include <vector>
 
 #include "common/arg_parser.hh"
+#include "common/errors.hh"
 #include "core/fscache.hh"
 #include "runner/sweep_runner.hh"
 #include "stats/json_writer.hh"
 #include "trace/file_trace.hh"
+#include "trace/next_use_annotator.hh"
 
 using namespace fscache;
 
@@ -240,7 +242,11 @@ main(int argc, char **argv)
             args.getInt("seed"));
         for (std::uint32_t t = 0; t < files.size(); ++t) {
             wl.thread(t).benchmark = files[t];
-            wl.thread(t).trace = loadTraceFile(files[t]);
+            try {
+                wl.thread(t).trace = loadTraceFile(files[t]);
+            } catch (const TraceFormatError &e) {
+                fatal("%s", e.what());
+            }
         }
     } else {
         names = split(args.getString("threads"), ',');
@@ -250,9 +256,16 @@ main(int argc, char **argv)
     }
     auto threads = static_cast<std::uint32_t>(names.size());
 
+    // OPT keys on next uses: a trace file's own next-use column is
+    // kept, and every other trace is annotated here.
     RankKind rank = parseRankKind(args.getString("ranking"));
-    if (rank == RankKind::Opt)
-        wl.annotateNextUse();
+    if (rank == RankKind::Opt) {
+        for (std::uint32_t t = 0; t < wl.threadCount(); ++t) {
+            TraceBuffer &trace = wl.thread(t).trace;
+            if (!trace.hasNextUseColumn())
+                annotateNextUse(trace);
+        }
+    }
 
     // Cache spec shared by every cell; numLines is set per cell.
     CacheSpec spec;
