@@ -12,9 +12,11 @@
  * Two shapes:
  *
  *  - FenwickTree: a 4-byte count per position, so a position can
- *    hold any number of marks. OptRanking's next-use axis (equal
- *    next uses share a position) and ClassRankingBase's class
- *    counts (a class holds many lines) need that.
+ *    hold any number of marks. ClassRankingBase's class counts (a
+ *    class holds many lines) need that, and so do OptRanking's
+ *    duplicate counts (a partition's lines beyond the first at one
+ *    next use), which exist only in a partition that has had two
+ *    lines at one next use.
  *  - BitFenwick: for mark-once axes, one bit per position plus a
  *    FenwickTree over the popcounts of the 64-bit words: 1/8 B
  *    plus 1/16 B per position instead of 4 B, and a tree six
@@ -22,9 +24,9 @@
  *    ClassRankingBase's per-class buckets on the recency stamp
  *    axis (marks are resident lines, prefix counts are touch-order
  *    ranks; LRU, coarse LRU's shadow and Random have one class,
- *    LFU and RRIP many), OPT's never-used set over line ids, and
- *    the StackDistGenerator's LRU stack (the k-th most recent
- *    entry is a select).
+ *    LFU and RRIP many), OPT's occupied next-use positions and its
+ *    never-used set over line ids, and the StackDistGenerator's LRU
+ *    stack (the k-th most recent entry is a select).
  */
 
 #ifndef FSCACHE_COMMON_FENWICK_HH
@@ -65,9 +67,10 @@ class FenwickTree
                   "fenwick capacity must be a power of two");
         cap_ = capacity;
         total_ = 0;
-        // Reset runs once per tree, from BitFenwick::reset or
-        // OptRanking's ensurePart; both are bounded (see
-        // BitFenwick::reset; witness: tests/test_hot_alloc.cc).
+        // Reset runs once per tree, from BitFenwick::reset or when
+        // an OptRanking partition first shares a next use; both are
+        // bounded (see BitFenwick::reset; witness:
+        // tests/test_hot_alloc.cc).
         tree_.assign(cap_ + 1, 0);
     }
 
@@ -92,8 +95,9 @@ class FenwickTree
         fs_assert(capacity >= cap_ && (capacity & (capacity - 1)) == 0,
                   "fenwick growth must be to a larger power of two");
         // Callers grow by doubling to cover a bounded axis
-        // (OptRanking: the largest next use, so at most log2(trace
-        // length) growths per run).
+        // (OptRanking's duplicate counts and BitFenwick::grow: the
+        // largest next use, so at most log2(trace length) growths
+        // per run).
         tree_.resize(capacity + 1, 0);
         for (std::uint32_t c = cap_; c < capacity; c <<= 1)
             tree_[2 * c] = total_;
@@ -257,6 +261,27 @@ class BitFenwick
         bits_.assign(capacity / 64 + 1, 0);
         words_.reset(capacity / 64);
         first_ = capacity / 64;
+    }
+
+    /**
+     * Extend to `capacity` (a power of two >= capacity()), keeping
+     * every mark: the old extra zero word becomes a real one, the
+     * new words and the new extra word are zero, and the word tree
+     * grows like FenwickTree::grow. An empty tree's first-word index
+     * moves to the new word count.
+     */
+    void
+    grow(std::uint32_t capacity)
+    {
+        fs_assert(this->capacity() >= 64 && capacity >= this->capacity() &&
+                      (capacity & (capacity - 1)) == 0,
+                  "fenwick growth must be to a larger power of two");
+        if (first_ == words_.capacity())
+            first_ = capacity / 64;
+        // Doubling growth to cover the largest next use (OptRanking),
+        // as FenwickTree::grow.
+        bits_.resize(capacity / 64 + 1, 0);
+        words_.grow(capacity / 64);
     }
 
     /** Empty every position; capacity is kept. */

@@ -15,9 +15,10 @@
  * partition, a FenwickTree over the class axis counts the
  * partition's lines per class; the axis doubles on demand to cover
  * the largest class the partition has seen (OptRanking's next-use
- * axis grows the same way). Each nonempty (partition, class) bucket
- * marks its lines' stamps in a BitFenwick drawn from a pool shared
- * by all partitions, and names its partition and class. A bucket
+ * axis, a BitFenwick per partition, grows the same way). Each
+ * nonempty (partition, class) bucket marks its lines' stamps in a
+ * BitFenwick drawn from a pool shared by all partitions, and names
+ * its partition and class. A bucket
  * that empties is all zero again, so it returns to the pool and is
  * reused without clearing.
  *

@@ -31,6 +31,7 @@ neverCapacity(LineId num_lines)
 
 OptRanking::OptRanking(LineId num_lines)
     : numLines_(num_lines), axisCap_(kInitialAxis),
+      headAt_(kInitialAxis, kInvalidLine),
       nextAt_(num_lines, kInvalidLine), posOf_(num_lines, kNeverPos),
       partOf_(num_lines, kInvalidPart), present_(num_lines, 0)
 {
@@ -56,11 +57,12 @@ OptRanking::growAxis(std::uint32_t pos)
         cap <<= 1;
     // Growth is by doubling to cover the largest next use, a trace
     // index: at most log2(trace length / kInitialAxis) growths per
-    // run, each O(partitions x axis).
+    // run, each O(axis) plus O(axis / 64) per partition.
+    headAt_.resize(cap, kInvalidLine);
     for (Part &p : parts_) {
-        p.byNextUse.grow(cap);
-        // Doubling growth bounded by the largest next use (see above).
-        p.headAt.resize(cap, kInvalidLine);
+        p.occupied.grow(cap);
+        if (p.dups.capacity() != 0)
+            p.dups.grow(cap);
     }
     axisCap_ = cap;
 }
@@ -74,12 +76,21 @@ OptRanking::ensurePart(PartId part)
     // partition count (witness: tests/test_hot_alloc.cc).
     parts_.resize(part + 1);
     for (Part &p : parts_) {
-        if (p.byNextUse.capacity() != 0)
+        if (p.occupied.capacity() != 0)
             continue;
-        p.byNextUse.reset(axisCap_);
-        p.headAt.assign(axisCap_, kInvalidLine);
+        p.occupied.reset(axisCap_);
         p.never.reset(neverCapacity(numLines_));
     }
+}
+
+bool
+OptRanking::holdsPart(std::uint32_t pos, PartId part) const
+{
+    for (LineId l = headAt_[pos]; l != kInvalidLine; l = nextAt_[l]) {
+        if (partOf_[l] == part)
+            return true;
+    }
+    return false;
 }
 
 void
@@ -91,9 +102,17 @@ OptRanking::link(LineId id, PartId part, std::uint32_t pos)
         p.never.mark(id);
         return;
     }
-    p.byNextUse.mark(pos);
-    nextAt_[id] = p.headAt[pos];
-    p.headAt[pos] = id;
+    if (p.occupied.test(pos)) [[unlikely]] {
+        // One-time growth per partition, at its first shared next use
+        // (witness: tests/test_hot_alloc.cc).
+        if (p.dups.capacity() == 0)
+            p.dups.reset(axisCap_);
+        p.dups.mark(pos);
+    } else {
+        p.occupied.mark(pos);
+    }
+    nextAt_[id] = headAt_[pos];
+    headAt_[pos] = id;
 }
 
 void
@@ -104,10 +123,9 @@ OptRanking::unlink(LineId id, PartId part, std::uint32_t pos)
         p.never.unmark(id);
         return;
     }
-    p.byNextUse.unmark(pos);
-    // Lists hold the partition's equal next uses: almost always one
-    // line, so this walk is one step.
-    LineId *link = &p.headAt[pos];
+    // A chain holds the lines of every partition at this next use:
+    // about one per partition, so the walk is short.
+    LineId *link = &headAt_[pos];
     while (*link != id) {
         fs_assert(*link != kInvalidLine, "line missing from its "
                   "next-use position");
@@ -115,6 +133,12 @@ OptRanking::unlink(LineId id, PartId part, std::uint32_t pos)
     }
     *link = nextAt_[id];
     nextAt_[id] = kInvalidLine;
+    // The position stays occupied while another of the partition's
+    // lines is there, and only a duplicate tree admits another.
+    if (p.dups.capacity() != 0 && holdsPart(pos, part))
+        p.dups.unmark(pos);
+    else
+        p.occupied.unmark(pos);
 }
 
 void
@@ -193,13 +217,16 @@ OptRanking::rankOf(LineId id) const
     if (pos == kNeverPos) {
         // Below every finite line; among the never-used, more
         // useful than every smaller id.
-        return 1 + p.byNextUse.total() + p.never.total() -
-               p.never.countBelow(id + 1);
+        return 1 + p.occupied.total() + p.dups.total() +
+               p.never.total() - p.never.countBelow(id + 1);
     }
+    std::uint32_t below = p.occupied.countBelow(pos);
+    if (p.dups.capacity() == 0)
+        return 1 + below;
     std::uint32_t ties = 0;
-    for (LineId l = p.headAt[pos]; l != kInvalidLine; l = nextAt_[l])
-        ties += l > id;
-    return 1 + p.byNextUse.countBelow(pos) + ties;
+    for (LineId l = headAt_[pos]; l != kInvalidLine; l = nextAt_[l])
+        ties += l > id && partOf_[l] == part;
+    return 1 + below + p.dups.countBelow(pos) + ties;
 }
 
 double
@@ -229,13 +256,14 @@ OptRanking::worstIn(PartId part) const
     const Part &p = parts_[part];
     if (p.never.total() > 0)
         return p.never.select(0);
-    if (p.byNextUse.total() == 0)
+    if (p.occupied.total() == 0)
         return kInvalidLine;
-    std::uint32_t pos =
-        p.byNextUse.select(p.byNextUse.total() - 1).pos;
+    std::uint32_t pos = p.occupied.select(p.occupied.total() - 1);
     LineId worst = kInvalidLine;
-    for (LineId l = p.headAt[pos]; l != kInvalidLine; l = nextAt_[l])
-        worst = std::min(worst, l);
+    for (LineId l = headAt_[pos]; l != kInvalidLine; l = nextAt_[l]) {
+        if (partOf_[l] == part)
+            worst = std::min(worst, l);
+    }
     return worst;
 }
 
@@ -243,6 +271,20 @@ std::uint32_t
 OptRanking::partLines(PartId part) const
 {
     return part < parts_.size() ? parts_[part].size : 0;
+}
+
+std::uint64_t
+OptRanking::bytes() const
+{
+    std::uint64_t n = headAt_.capacity() * sizeof(LineId) +
+                      nextAt_.capacity() * sizeof(LineId) +
+                      posOf_.capacity() * sizeof(std::uint32_t) +
+                      partOf_.capacity() * sizeof(PartId) +
+                      present_.capacity() +
+                      parts_.capacity() * sizeof(Part);
+    for (const Part &p : parts_)
+        n += p.occupied.bytes() + p.dups.bytes() + p.never.bytes();
+    return n;
 }
 
 bool
@@ -294,47 +336,87 @@ OptRanking::auditInvariants() const
                              "axis (%u)", id, pos, axisCap_);
     }
 
-    // Per partition: the next-use lists hold exactly its finite
-    // lines, each at its own position (acyclic: a list can never
-    // hold more than the count); the Fenwick marks match the lists
-    // position by position, and the never-used marks the never-used
-    // lines id by id; then the size counter (the corruption arm's
-    // target) against that ground truth.
+    // The chains hold exactly the finite lines, each at its own
+    // position (acyclic: the chains can never hold more than the
+    // count, and a line listed twice would close a cycle).
+    if (headAt_.size() != axisCap_) {
+        return strprintf("next-use chains have %zu heads on a %u-"
+                         "position axis", headAt_.size(), axisCap_);
+    }
+    std::uint32_t allFinite = 0;
+    for (std::uint32_t n : finite)
+        allFinite += n;
+    std::uint32_t listed = 0;
+    for (std::uint32_t pos = 0; pos < axisCap_; ++pos) {
+        for (LineId l = headAt_[pos]; l != kInvalidLine;
+             l = nextAt_[l]) {
+            if (++listed > allFinite) {
+                return strprintf("next-use chains list more than the "
+                                 "%u finite lines", allFinite);
+            }
+            if (present_[l] == 0 || posOf_[l] != pos) {
+                return strprintf("line %u listed at next use %u but "
+                                 "not there", l, pos);
+            }
+        }
+    }
+    if (listed != allFinite) {
+        return strprintf("next-use chains list %u of the %u finite "
+                         "lines", listed, allFinite);
+    }
+
+    // Per partition: position by position, the occupied set marks
+    // the positions its chain lines are at and the duplicate tree
+    // (which must exist once two share one) counts the rest; the
+    // never-used marks match the never-used lines id by id; then the
+    // size counter (the corruption arm's target) against that ground
+    // truth.
     for (std::size_t part = 0; part < parts_.size(); ++part) {
         const Part &p = parts_[part];
-        std::uint32_t listed = 0;
+        bool haveDups = p.dups.capacity() != 0;
+        if (p.occupied.capacity() != axisCap_ ||
+            (haveDups && p.dups.capacity() != axisCap_)) {
+            return strprintf("partition %zu next-use indexes do not "
+                             "span the %u-position axis", part,
+                             axisCap_);
+        }
         std::uint32_t prev = 0;
+        std::uint32_t prevDups = 0;
         for (std::uint32_t pos = 0; pos < axisCap_; ++pos) {
-            std::uint32_t want = 0;
-            for (LineId l = p.headAt[pos]; l != kInvalidLine;
-                 l = nextAt_[l]) {
-                if (++listed > finite[part]) {
-                    return strprintf("partition %zu lists more than "
-                                     "its %u finite lines", part,
-                                     finite[part]);
-                }
-                if (present_[l] == 0 || partOf_[l] != part ||
-                    posOf_[l] != pos) {
-                    return strprintf("line %u listed at partition "
-                                     "%zu next use %u but not there",
-                                     l, part, pos);
-                }
-                ++want;
-            }
-            std::uint32_t cur = p.byNextUse.countBelow(pos + 1);
-            if (cur - prev != want) {
-                return strprintf("partition %zu fenwick holds %u "
-                                 "lines at next use %u (want %u)",
-                                 part, cur - prev, pos, want);
+            std::uint32_t here = 0;
+            for (LineId l = headAt_[pos]; l != kInvalidLine;
+                 l = nextAt_[l])
+                here += partOf_[l] == part;
+            std::uint32_t cur = p.occupied.countBelow(pos + 1);
+            if (cur - prev != (here > 0 ? 1u : 0u)) {
+                return strprintf("partition %zu occupancy marks %u "
+                                 "at next use %u holding %u lines",
+                                 part, cur - prev, pos, here);
             }
             prev = cur;
+            std::uint32_t extra = here > 0 ? here - 1 : 0;
+            if (!haveDups) {
+                if (extra != 0) {
+                    return strprintf("partition %zu shares next use "
+                                     "%u with no duplicate tree",
+                                     part, pos);
+                }
+                continue;
+            }
+            std::uint32_t curDups = p.dups.countBelow(pos + 1);
+            if (curDups - prevDups != extra) {
+                return strprintf("partition %zu duplicate tree holds "
+                                 "%u at next use %u (want %u)", part,
+                                 curDups - prevDups, pos, extra);
+            }
+            prevDups = curDups;
         }
-        if (listed != finite[part] || prev != listed ||
-            p.byNextUse.total() != prev) {
+        if (p.occupied.total() != prev || p.dups.total() != prevDups ||
+            prev + prevDups != finite[part]) {
             return strprintf("partition %zu has %u finite lines, "
-                             "lists %u, fenwick total %u", part,
-                             finite[part], listed,
-                             p.byNextUse.total());
+                             "occupancy total %u, duplicate total %u",
+                             part, finite[part], p.occupied.total(),
+                             p.dups.total());
         }
         prev = 0;
         for (LineId id = 0; id < p.never.capacity(); ++id) {

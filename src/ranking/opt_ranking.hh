@@ -7,29 +7,36 @@
  * Requires traces annotated by annotateNextUse().
  *
  * Order: more useful = smaller next use, then larger line id. The
- * order lives in Fenwick indexes (common/fenwick.hh), one pair per
- * partition:
+ * order lives on one next-use axis shared by every partition, with
+ * Fenwick indexes (common/fenwick.hh) per partition:
  *
- *  - Finite next uses: a FenwickTree over the next-use axis counts
- *    the partition's lines per next-use time. The axis doubles on
- *    demand to cover the largest next use seen (the ranking is not
- *    told the trace length). Each position also heads a list of the
- *    partition's lines with that next use, so equal finite next
- *    uses are told apart by id. They need lines of several traces
- *    in one ranking partition, which the interface allows but no
- *    simulation loop produces (every thread owns its partition, and
- *    Vantage's demotions retag only the tag store), so the lists
- *    hold one line in practice.
+ *  - Occupied next uses: a BitFenwick over the axis marks the
+ *    positions that hold at least one of the partition's lines
+ *    (3/16 B per position). The axis doubles on demand to cover
+ *    the largest next use seen (the ranking is not told the trace
+ *    length).
+ *  - Lines at a position: one head per position, shared by every
+ *    partition, chains the lines with that next use through a
+ *    per-line link. A thread's next uses index its own trace, so a
+ *    chain holds about one line per partition that runs a thread.
+ *  - Equal next uses within one partition: a FenwickTree counts the
+ *    partition's lines beyond the first at each position. They need
+ *    lines keyed by several traces in one partition, which the
+ *    interface allows but no bench produces, so the tree is
+ *    allocated the first time the partition shares a position, and
+ *    never before.
  *  - Never-used lines all tie, so they are ordered by line id alone:
  *    a BitFenwick over line ids (3/16 B per id, the id axis
  *    rounded up to a power of two, per partition).
  *
  * Exact rank = 1 + (lines with a smaller next use) + (ties with a
- * larger id), the integer of the (usefulness, line id) key order;
- * the least useful line is the smallest-id
- * never-used line, else the smallest id at the highest occupied
- * next-use position. Every operation is O(log axis) array
- * arithmetic.
+ * larger id), the integer of the (usefulness, line id) key order:
+ * the occupied positions below, plus, once the duplicate tree
+ * exists, the duplicates below and the partition's lines in the
+ * position's chain with a larger id. The least useful line is the
+ * smallest-id never-used line, else the partition's smallest id in
+ * the chain at its highest occupied position. Every operation is
+ * O(log axis) array arithmetic plus a walk of one chain.
  */
 
 #ifndef FSCACHE_RANKING_OPT_RANKING_HH
@@ -76,17 +83,20 @@ class OptRanking : public FutilityRanking
     std::string auditInvariants() const override;
     bool corruptRankNodeForFaultInjection() override;
 
+    /** Bytes the index holds. */
+    std::uint64_t bytes() const;
+
   private:
     /** Axis position of a never-used line (it is on no axis). */
     static constexpr std::uint32_t kNeverPos = 0xffffffffu;
 
     struct Part
     {
-        /** Lines per finite next-use position. */
-        FenwickTree byNextUse;
-        /** First line at each next-use position (kInvalidLine if
-         *  none); OptRanking::nextAt_ chains the rest. */
-        std::vector<LineId> headAt;
+        /** Next-use positions holding at least one of its lines. */
+        BitFenwick occupied;
+        /** Its lines beyond the first at each next-use position;
+         *  empty (capacity 0) until two of them share a position. */
+        FenwickTree dups;
         /** Never-used lines, marked by line id. */
         BitFenwick never;
         /** Resident lines. Kept apart from the Fenwick totals so the
@@ -110,10 +120,16 @@ class OptRanking : public FutilityRanking
     /** Exact rank in [1, size]: 1 = most useful. */
     std::uint32_t rankOf(LineId id) const;
 
+    /** Whether the chain at `pos` holds a line of `part`. */
+    bool holdsPart(std::uint32_t pos, PartId part) const;
+
     LineId numLines_;
     /** Next-use axis length: a power of two above every position. */
     std::uint32_t axisCap_;
-    /** Next line at the same position of the same partition. */
+    /** First line at each next-use position, of any partition
+     *  (kInvalidLine if none); nextAt_ chains the rest. */
+    std::vector<LineId> headAt_;
+    /** Next line at the same position. */
     std::vector<LineId> nextAt_;
     std::vector<std::uint32_t> posOf_;
     std::vector<PartId> partOf_;

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <unordered_map>
 #include <vector>
 
 #include "common/random.hh"
@@ -192,6 +193,36 @@ steadyStateAllocs(std::uint32_t num_lines, std::uint32_t num_parts,
     return g_allocs.load(std::memory_order_relaxed) - before;
 }
 
+/** One access of a replayed pass: its partition, its address and
+ *  the next use it carries. */
+struct Ref
+{
+    PartId part;
+    Addr addr;
+    AccessTime nextUse;
+};
+
+/**
+ * Replay `pass1` and then `pass2` through the cache `spec` builds,
+ * with equal targets, and return the operator-new calls of the
+ * second pass.
+ */
+std::uint64_t
+twoPassAllocs(const CacheSpec &spec, const std::vector<Ref> &pass1,
+              const std::vector<Ref> &pass2)
+{
+    auto cache = buildCache(spec);
+    cache->setTargets(std::vector<std::uint32_t>(
+        spec.numParts, spec.array.numLines / spec.numParts));
+    for (const Ref &r : pass1)
+        cache->access(r.part, r.addr, r.nextUse);
+
+    std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    for (const Ref &r : pass2)
+        cache->access(r.part, r.addr, r.nextUse);
+    return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
 /**
  * Replay two bursty passes through the cache `spec` builds, with
  * equal targets, and return the operator-new calls of the second.
@@ -202,12 +233,6 @@ steadyStateAllocs(std::uint32_t num_lines, std::uint32_t num_parts,
 std::uint64_t
 burstySteadyStateAllocs(const CacheSpec &spec)
 {
-    struct Ref
-    {
-        PartId part;
-        Addr addr;
-        AccessTime nextUse;
-    };
     constexpr std::size_t kBursts = 2000;
     Rng rng(991);
     Addr fresh = 0;
@@ -224,18 +249,35 @@ burstySteadyStateAllocs(const CacheSpec &spec)
         }
         return pass;
     };
+    auto pass1 = burstyPass();
+    return twoPassAllocs(spec, pass1, burstyPass());
+}
 
-    auto cache = buildCache(spec);
-    cache->setTargets(std::vector<std::uint32_t>(
-        spec.numParts, spec.array.numLines / spec.numParts));
-    for (const Ref &r : burstyPass())
-        cache->access(r.part, r.addr, r.nextUse);
-
-    auto pass2 = burstyPass();
-    std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    for (const Ref &r : pass2)
-        cache->access(r.part, r.addr, r.nextUse);
-    return g_allocs.load(std::memory_order_relaxed) - before;
+/**
+ * Replay the same reuse-heavy pass twice through the cache `spec`
+ * builds and return the operator-new calls of the second. Each
+ * access picks a random partition and one of its 700 addresses, so
+ * with 4 partitions and 1024 lines the stream hits resident lines,
+ * misses and evicts; each access carries its next use within the
+ * pass, or kNeverUsed.
+ */
+std::uint64_t
+reuseSteadyStateAllocs(const CacheSpec &spec)
+{
+    constexpr std::size_t kAccesses = 20000;
+    Rng rng(4141);
+    std::vector<Ref> pass(kAccesses);
+    for (Ref &r : pass) {
+        r.part = static_cast<PartId>(rng.below(spec.numParts));
+        r.addr = (r.part + 1) * 100000000 + 64 * rng.below(700);
+    }
+    std::unordered_map<Addr, AccessTime> nextAt;
+    for (std::size_t i = kAccesses; i-- > 0;) {
+        auto [it, fresh] = nextAt.try_emplace(pass[i].addr, i);
+        pass[i].nextUse = fresh ? kNeverUsed : it->second;
+        it->second = i;
+    }
+    return twoPassAllocs(spec, pass, pass);
 }
 
 /** The hook itself must be live, or the zero-assert below proves
@@ -329,6 +371,112 @@ TEST(HotPathAlloc, ClassRankingsSteadyStateAllocatesNothing)
                     << array << " / " << scheme << " / " << ranking
                     << " steady-state access() replay hit operator "
                     << "new " << allocs << " time(s)";
+                ++combos;
+            }
+        }
+    }
+    EXPECT_EQ(combos, 222);
+}
+
+/**
+ * OPT with equal finite next uses in one partition, over every
+ * array x scheme: each burst touches two fresh addresses of one
+ * partition in alternation for 1..10 rounds, and both carry the
+ * start of the burst's next round (the first address's true next
+ * use), so the two lines share a next use. A partition's first
+ * shared next use allocates its duplicate count tree, in pass 1;
+ * pass 2 bursts over fresh addresses with the same shape and must
+ * allocate nothing.
+ */
+TEST(HotPathAlloc, OptSharedNextUsesAllocateNothing)
+{
+    if (diagnosticsOn())
+        GTEST_SKIP() << "audit/shadow diagnostics may allocate";
+
+    constexpr std::uint32_t kParts = 4;
+    constexpr std::size_t kBursts = 2000;
+    Rng rng(5353);
+    Addr fresh = 0;
+    auto pairedPass = [&]() {
+        std::vector<Ref> pass;
+        pass.reserve(20 * kBursts);
+        for (std::size_t b = 0; b < kBursts; ++b) {
+            auto part = static_cast<PartId>(rng.below(kParts));
+            Addr first = (part + 1) * 100000000 + 64 * fresh++;
+            Addr second = (part + 1) * 100000000 + 64 * fresh++;
+            for (std::uint64_t n = rng.range(1, 10); n > 0; --n) {
+                AccessTime next = n > 1 ? pass.size() + 2 : kNeverUsed;
+                pass.push_back({part, first, next});
+                pass.push_back({part, second, next});
+            }
+        }
+        return pass;
+    };
+
+    int combos = 0;
+    for (const char *array : {"setassoc", "direct", "skew", "zcache",
+                              "random", "fullyassoc"}) {
+        for (const char *scheme : {"none", "pf", "fs-analytic", "fs",
+                                   "vantage", "prism", "waypart"}) {
+            if (parseSchemeKind(scheme) == SchemeKind::WayPart &&
+                parseArrayKind(array) != ArrayKind::SetAssoc)
+                continue;
+            CacheSpec spec = hotSpec(1024, kParts, RankKind::Opt);
+            spec.array.kind = parseArrayKind(array);
+            spec.scheme.kind = parseSchemeKind(scheme);
+            auto pass1 = pairedPass();
+            std::uint64_t allocs =
+                twoPassAllocs(spec, pass1, pairedPass());
+            EXPECT_EQ(allocs, 0u)
+                << array << " / " << scheme << " / opt shared next "
+                << "uses hit operator new " << allocs << " time(s)";
+            ++combos;
+        }
+    }
+    EXPECT_EQ(combos, 37);
+}
+
+/**
+ * The contract on a reuse-heavy stream, which re-references lines
+ * while they are resident, over every array x scheme x ranking.
+ * Every ranking but LFU allocates nothing in pass 2. LFU does: a
+ * line that climbs to a frequency no line of its partition holds
+ * needs a new (partition, class) bucket, and once the bucket pool's
+ * free list is empty the pool grows by a BitFenwick the size of the
+ * stamp axis (the FOUND on ClassRankingBase under LFU in
+ * CHANGES.md). Its count is pinned at the largest measured, so any
+ * further growth fails here.
+ */
+TEST(HotPathAlloc, ReuseHeavyStreamAllocatesNothingButLfu)
+{
+    if (diagnosticsOn())
+        GTEST_SKIP() << "audit/shadow diagnostics may allocate";
+
+    constexpr std::uint64_t kLfuAllocsAtMost = 180;
+    int combos = 0;
+    for (const char *array : {"setassoc", "direct", "skew", "zcache",
+                              "random", "fullyassoc"}) {
+        for (const char *scheme : {"none", "pf", "fs-analytic", "fs",
+                                   "vantage", "prism", "waypart"}) {
+            if (parseSchemeKind(scheme) == SchemeKind::WayPart &&
+                parseArrayKind(array) != ArrayKind::SetAssoc)
+                continue;
+            for (const char *ranking :
+                 {"lru", "coarse", "lfu", "opt", "random", "rrip"}) {
+                CacheSpec spec =
+                    hotSpec(1024, 4, parseRankKind(ranking));
+                spec.array.kind = parseArrayKind(array);
+                spec.scheme.kind = parseSchemeKind(scheme);
+                std::uint64_t allocs = reuseSteadyStateAllocs(spec);
+                if (spec.ranking == RankKind::Lfu) {
+                    EXPECT_LE(allocs, kLfuAllocsAtMost)
+                        << array << " / " << scheme << " / lfu";
+                } else {
+                    EXPECT_EQ(allocs, 0u)
+                        << array << " / " << scheme << " / " << ranking
+                        << " reuse-heavy replay hit operator new "
+                        << allocs << " time(s)";
+                }
                 ++combos;
             }
         }

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -301,6 +302,85 @@ TEST(BitFenwick, MatchesFenwickTree)
             }
         }
     }
+}
+
+/**
+ * BitFenwick::grow keeps every mark. A tree marked at random grows
+ * from 64 positions through single doublings and one fourfold step
+ * to 4096, with marks added and removed between steps, and after
+ * every step countBelow, select, test and select(0) agree with a
+ * naive array at every position. An empty tree stays empty, and its
+ * first-word index moves to the new end: a mark in the new part is
+ * then the lowest.
+ */
+TEST(BitFenwick, GrowKeepsEveryMark)
+{
+    Rng rng(2048);
+    BitFenwick bits(64);
+    std::vector<std::uint8_t> marked(64, 0);
+    auto expectNaive = [&](const char *where) {
+        SCOPED_TRACE(testing::Message()
+                     << where << " at capacity " << bits.capacity());
+        std::uint32_t cap = bits.capacity();
+        ASSERT_EQ(cap, marked.size());
+        std::vector<std::uint32_t> at;
+        for (std::uint32_t pos = 0; pos < cap; ++pos) {
+            ASSERT_EQ(bits.countBelow(pos), at.size()) << pos;
+            ASSERT_EQ(bits.test(pos), marked[pos] != 0) << pos;
+            if (marked[pos])
+                at.push_back(pos);
+        }
+        ASSERT_EQ(bits.countBelow(cap), at.size());
+        ASSERT_EQ(bits.total(), at.size());
+        for (std::uint32_t k = 0; k < at.size(); ++k)
+            ASSERT_EQ(bits.select(k), at[k]) << "k=" << k;
+    };
+    auto churn = [&](int ops) {
+        for (int i = 0; i < ops; ++i) {
+            auto pos =
+                static_cast<std::uint32_t>(rng.below(marked.size()));
+            if (marked[pos])
+                bits.unmark(pos);
+            else
+                bits.mark(pos);
+            marked[pos] ^= 1;
+        }
+    };
+
+    churn(40);
+    expectNaive("marked");
+    for (std::uint32_t cap : {128u, 256u, 1024u, 2048u, 4096u}) {
+        bits.grow(cap);
+        marked.resize(cap, 0);
+        expectNaive("grown");
+        churn(static_cast<int>(cap / 4));
+        expectNaive("churned");
+    }
+    // Empty the low words, so the lowest mark lies in grown words.
+    for (std::uint32_t pos = 0; pos < 2048; ++pos) {
+        if (marked[pos]) {
+            bits.unmark(pos);
+            marked[pos] = 0;
+        }
+    }
+    expectNaive("low half emptied");
+
+    BitFenwick empty(64);
+    empty.mark(3);
+    empty.unmark(3);
+    empty.grow(256);
+    EXPECT_EQ(empty.capacity(), 256u);
+    EXPECT_EQ(empty.total(), 0u);
+    EXPECT_EQ(empty.countBelow(256), 0u);
+    empty.mark(200);
+    EXPECT_EQ(empty.select(0), 200u);
+    empty.unmark(200);
+    empty.grow(1024);
+    EXPECT_EQ(empty.total(), 0u);
+    empty.mark(1000);
+    empty.mark(700);
+    EXPECT_EQ(empty.select(0), 700u);
+    EXPECT_EQ(empty.select(1), 1000u);
 }
 
 TEST(BitFenwickDeathTest, RejectsDoubleMarksAndSmallCapacity)
@@ -903,6 +983,44 @@ TEST(OptIndex, CorruptionHookIsDetectedByAudits)
     EXPECT_EQ(rank.partLines(0), 4u);
     EXPECT_EQ(rank.worstIn(0), 1u) << "navigation must stay safe";
     EXPECT_NE(rank.auditInvariants(), "");
+}
+
+/**
+ * The index's memory. 131072 lines in 16 partitions with next uses
+ * up to 2^15 hold under 2.5 MB; a count and a list head per position
+ * per partition (8 B) would add 4 MB. Each partition added costs
+ * its occupied next-use positions (3/16 B per position) and its
+ * never-used set (3/16 B per line id), and a partition's first
+ * shared next use adds its duplicate count tree (4 B per position).
+ */
+TEST(OptIndex, MemoryIsBitsPerPositionPerPartition)
+{
+    constexpr LineId kLines = 131072;
+    constexpr std::uint32_t kAxis = 1u << 15;
+    // Lines i, i + parts, i + 2 * parts, ... form partition i, each at
+    // its own next use, counting down from the axis's last position.
+    auto filled = [&](PartId parts) {
+        auto rank = std::make_unique<OptRanking>(kLines);
+        for (LineId id = 0; id < kLines; ++id)
+            rank->onInstall(id, static_cast<PartId>(id % parts),
+                            kAxis - 1 - id / parts);
+        return rank;
+    };
+
+    auto sixteen = filled(16);
+    EXPECT_EQ(sixteen->auditInvariants(), "");
+    EXPECT_LT(sixteen->bytes(), 2.5 * 1024 * 1024);
+
+    auto thirtyTwo = filled(32);
+    std::uint64_t perPart = (thirtyTwo->bytes() - sixteen->bytes()) / 16;
+    // 12 B of end words per BitFenwick, and the partition's record.
+    EXPECT_LE(perPart, 3 * (kAxis + kLines) / 16 + 256);
+
+    std::uint64_t before = sixteen->bytes();
+    sixteen->onHit(0, kAxis - 2 - kLines / 16);
+    sixteen->onHit(16, kAxis - 2 - kLines / 16);
+    EXPECT_EQ(sixteen->auditInvariants(), "");
+    EXPECT_EQ(sixteen->bytes() - before, 4 * (kAxis + 1));
 }
 
 /**
