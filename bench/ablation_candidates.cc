@@ -94,8 +94,8 @@ main()
     // Cells 2k and 2k+1 are FS and PF at rs[k]; an infeasible R's
     // cells run nothing.
     const std::vector<std::uint32_t> rs{2, 4, 8, 16, 32, 64};
-    auto report = bench::runCells("ablation_candidates", 2 * rs.size(),
-                                  [&](std::size_t i) {
+    auto results = bench::runCells("ablation_candidates", 2 * rs.size(),
+                                   [&](std::size_t i) {
         std::uint32_t r = rs[i / 2];
         if (!analytic::feasible(0.75, 0.5, r))
             return Result{};
@@ -118,7 +118,7 @@ main()
             for (std::size_t i : {2 * k, 2 * k + 1})
                 for (double Result::*f :
                      {&Result::aef1, &Result::aef2, &Result::occ1})
-                    row.push_back(bench::cellText(report.cells[i], f, 3));
+                    row.push_back(TablePrinter::num(results[i].*f, 3));
         }
         table.addRow(std::move(row));
     }

@@ -103,18 +103,17 @@ main()
         {"feedback + coarse 8-bit TS", SchemeKind::Fs,
          RankKind::CoarseTsLru},
     };
-    auto report = bench::runCells(
+    auto results = bench::runCells(
         "ablation_feedback_vs_analytic", variants.size(),
         [&](std::size_t i) {
             return run(variants[i].scheme, variants[i].rank);
         });
     for (std::size_t i = 0; i < variants.size(); ++i) {
-        const CellOutcome<Result> &c = report.cells[i];
-        table.addRow({variants[i].name,
-                      bench::cellText(c, &Result::occErr, 4),
-                      bench::cellText(c, &Result::mad, 1),
-                      bench::cellText(c, &Result::aef1, 3),
-                      bench::cellText(c, &Result::aef2, 3)});
+        const Result &r = results[i];
+        table.addRow({variants[i].name, TablePrinter::num(r.occErr, 4),
+                      TablePrinter::num(r.mad, 1),
+                      TablePrinter::num(r.aef1, 3),
+                      TablePrinter::num(r.aef2, 3)});
     }
     table.print(std::cout);
     return 0;

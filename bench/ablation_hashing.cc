@@ -114,15 +114,14 @@ main()
         {"setassoc/h3", ArrayKind::SetAssoc, HashKind::H3},
         {"random (ideal)", ArrayKind::RandomCands, HashKind::H3},
     };
-    auto report = bench::runCells("ablation_hashing", configs.size(),
-                                  [&](std::size_t i) {
+    auto results = bench::runCells("ablation_hashing", configs.size(),
+                                   [&](std::size_t i) {
         return run(configs[i].array, configs[i].hash);
     });
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        const CellOutcome<Result> &c = report.cells[i];
         table.addRow({configs[i].name,
-                      bench::cellText(c, &Result::aefUnpart, 3),
-                      bench::cellText(c, &Result::fsOccErr, 4)});
+                      TablePrinter::num(results[i].aefUnpart, 3),
+                      TablePrinter::num(results[i].fsOccErr, 4)});
     }
     table.print(std::cout);
     std::printf("\nIdeal reference: AEF = R/(R+1) = %.3f for "

@@ -94,18 +94,16 @@ main()
         {"rrip", RankKind::Rrip},
         {"opt (ideal)", RankKind::Opt},
     };
-    auto report = bench::runCells(
+    auto results = bench::runCells(
         "ablation_rankings", entries.size(),
         [&](std::size_t i) { return run(entries[i].rank, wl); });
     for (std::size_t i = 0; i < entries.size(); ++i) {
-        const CellOutcome<Result> &c = report.cells[i];
-        std::vector<std::string> row{
-            entries[i].name, bench::cellText(c, &Result::occErr, 4)};
+        const Result &r = results[i];
+        std::vector<std::string> row{entries[i].name,
+                                     TablePrinter::num(r.occErr, 4)};
         for (PartId p = 0; p < 4; ++p)
-            row.push_back(bench::cellText(
-                c, [p](const Result &r) { return r.ipc[p]; }, 3));
-        row.push_back(bench::cellText(
-            c, [](const Result &r) { return r.missRatio[2]; }, 3));
+            row.push_back(TablePrinter::num(r.ipc[p], 3));
+        row.push_back(TablePrinter::num(r.missRatio[2], 3));
         table.addRow(std::move(row));
     }
     table.print(std::cout);

@@ -98,19 +98,16 @@ main()
         {"zcache 4-bank 2-level", ArrayKind::ZCache, 2},
         {"zcache 4-bank 3-level", ArrayKind::ZCache, 3},
     };
-    auto report = bench::runCells("ablation_vantage_array", configs.size(),
-                                  [&](std::size_t i) {
+    auto results = bench::runCells("ablation_vantage_array",
+                                   configs.size(), [&](std::size_t i) {
         return run(configs[i].array, configs[i].levels, wl);
     });
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        const CellOutcome<Result> &c = report.cells[i];
-        table.addRow(
-            {configs[i].name, bench::cellText(c, &Result::nominalR, 0),
-             bench::cellText(c, [](const Result &r) {
-                 return std::pow(0.9, r.nominalR);
-             }, 4),
-             bench::cellText(c, &Result::forcedRate, 4),
-             bench::cellText(c, &Result::occupancyFrac, 3)});
+        const Result &r = results[i];
+        table.addRow({configs[i].name, TablePrinter::num(r.nominalR, 0),
+                      TablePrinter::num(std::pow(0.9, r.nominalR), 4),
+                      TablePrinter::num(r.forcedRate, 4),
+                      TablePrinter::num(r.occupancyFrac, 3)});
     }
     table.print(std::cout);
     std::printf("\nMore candidates => fewer forced evictions => "

@@ -16,9 +16,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "common/arg_parser.hh"
 #include "common/log.hh"
@@ -80,43 +80,31 @@ section(const std::string &title)
 }
 
 /**
- * A sweep cell's table entry: get(value) printed to `precision`
- * decimals (`get` is a data member pointer or any callable on the
- * value), or, for a quarantined cell, its marker FAILED(class) —
- * e.g. "FAILED(corruption)". The marker is built from the error
- * class only, so artifacts stay deterministic.
+ * A finished sweep's values in cell order. A failed cell ends the
+ * bench: its error ("cell <i>: ...") goes to stderr and it exits 1.
  */
-template <typename R, typename Get>
-std::string
-cellText(const CellOutcome<R> &o, Get &&get, int precision)
+template <typename R>
+std::vector<R>
+valuesOrExit(const char *bench, const SweepReport<R> &report)
 {
-    if (!o.ok())
-        return std::string("FAILED(") + errorClassName(o.errorClass) + ")";
-    return TablePrinter::num(
-        static_cast<double>(std::invoke(get, *o.value)), precision);
+    try {
+        return report.values();
+    } catch (const FsError &e) {
+        std::fprintf(stderr, "[%s] %s\n", bench, e.what());
+        std::exit(1);
+    }
 }
 
 /**
  * Run a bench's cells 0..n-1 on SweepRunner::mapResilient (FS_JOBS
- * workers) and return their outcomes in cell order. A clean sweep
- * prints nothing; otherwise the quarantine manifest goes to stderr
- * and the bench renders each failed cell as FAILED(class). Exits 1
- * when every cell failed, since there is nothing to report.
+ * workers) and return their values in cell order; a failed cell
+ * ends the bench (valuesOrExit).
  */
 template <typename Fn>
 auto
 runCells(const char *bench, std::size_t n, Fn &&fn)
 {
-    auto report = SweepRunner().mapResilient(n, fn);
-    if (!report.allOk())
-        std::fprintf(stderr, "[%s] %s", bench,
-                     report.manifest().c_str());
-    if (report.okCount() == 0) {
-        std::fprintf(stderr, "[%s] every cell failed; no results "
-                             "to report\n", bench);
-        std::exit(1);
-    }
-    return report;
+    return valuesOrExit(bench, SweepRunner().mapResilient(n, fn));
 }
 
 } // namespace bench

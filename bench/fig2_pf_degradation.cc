@@ -97,8 +97,8 @@ main()
     // array.
     const std::size_t rows = benches.size() + 1;
     const std::size_t cols = kPartCounts.size();
-    auto report = bench::runCells("fig2", rows * cols,
-                                  [&](std::size_t i) {
+    auto results = bench::runCells("fig2", rows * cols,
+                                   [&](std::size_t i) {
         std::size_t row = i / cols, col = i % cols;
         if (row == benches.size())
             return run("mcf", kPartCounts[col], accesses,
@@ -116,18 +116,14 @@ main()
                             "SA CDF@0.4", "SA CDF@0.6",
                             "SA CDF@0.8"});
     for (std::size_t i = 0; i < kPartCounts.size(); ++i) {
-        const CellOutcome<RunResult> &sa = report.cells[i];
-        const CellOutcome<RunResult> &ideal =
-            report.cells[benches.size() * cols + i];
-        auto sa_cdf = [&sa](std::size_t x) {
-            return bench::cellText(
-                sa, [x](const RunResult &r) { return r.cdf[x]; }, 3);
-        };
+        const RunResult &sa = results[i];
+        const RunResult &ideal = results[benches.size() * cols + i];
         aef_table.addRow(
             {TablePrinter::num(std::uint64_t{kPartCounts[i]}),
-             bench::cellText(sa, &RunResult::aef, 3),
-             bench::cellText(ideal, &RunResult::aef, 3), sa_cdf(3),
-             sa_cdf(5), sa_cdf(7)});
+             TablePrinter::num(sa.aef, 3), TablePrinter::num(ideal.aef, 3),
+             TablePrinter::num(sa.cdf[3], 3),
+             TablePrinter::num(sa.cdf[5], 3),
+             TablePrinter::num(sa.cdf[7], 3)});
     }
     aef_table.print(std::cout);
     std::printf("(worst case is the diagonal CDF: AEF = 0.5; paper "
@@ -140,23 +136,14 @@ main()
     for (std::size_t b = 0; b < benches.size(); ++b) {
         std::vector<std::string> miss_row{benches[b]};
         std::vector<std::string> ipc_row{benches[b]};
-        const CellOutcome<RunResult> &base = report.cells[b * cols];
-        double base_misses =
-            base.ok() ? static_cast<double>(base.value->misses) : 0.0;
-        double base_ipc = base.ok() ? base.value->ipc : 0.0;
+        const RunResult &base = results[b * cols];
+        auto base_misses = static_cast<double>(base.misses);
         for (std::size_t i = 0; i < kPartCounts.size(); ++i) {
-            // A failed N = 1 baseline marks its whole row.
-            const CellOutcome<RunResult> &c =
-                base.ok() ? report.cells[b * cols + i] : base;
-            miss_row.push_back(bench::cellText(
-                c, [&](const RunResult &r) {
-                    return base_misses > 0 ? r.misses / base_misses
-                                           : 0.0;
-                }, 3));
-            ipc_row.push_back(bench::cellText(
-                c, [&](const RunResult &r) {
-                    return base_ipc > 0 ? r.ipc / base_ipc : 0.0;
-                }, 3));
+            const RunResult &r = results[b * cols + i];
+            miss_row.push_back(TablePrinter::num(
+                base_misses > 0 ? r.misses / base_misses : 0.0, 3));
+            ipc_row.push_back(TablePrinter::num(
+                base.ipc > 0 ? r.ipc / base.ipc : 0.0, 3));
         }
         miss_table.addRow(std::move(miss_row));
         ipc_table.addRow(std::move(ipc_row));

@@ -88,8 +88,8 @@ main()
     // 2 splits x 2 schemes = 4 independent cells (fixed seeds per
     // cell); cells 2i and 2i+1 are FS and PF at splits[i].
     const std::vector<double> splits{0.9, 0.6};
-    auto report = bench::runCells("fig4", 2 * splits.size(),
-                                  [&](std::size_t i) {
+    auto results = bench::runCells("fig4", 2 * splits.size(),
+                                   [&](std::size_t i) {
         return run(i % 2 == 0 ? SchemeKind::FsAnalytic : SchemeKind::PF,
                    splits[i / 2]);
     });
@@ -109,17 +109,16 @@ main()
         std::string split = strprintf("%.0f/%.0f", s1 * 10,
                                       (1.0 - s1) * 10);
         for (std::size_t k = 0; k < 2; ++k) {
-            const CellOutcome<Result> &c = report.cells[2 * i + k];
+            const Result &r = results[2 * i + k];
             const char *name = k == 0 ? "FS" : "PF";
-            table.addRow({name, split, bench::cellText(c, &Result::aef1, 3),
-                          bench::cellText(c, &Result::aef2, 3),
+            table.addRow({name, split, TablePrinter::num(r.aef1, 3),
+                          TablePrinter::num(r.aef2, 3),
                           k == 0 ? TablePrinter::num(model_aef2, 3)
                                  : "-"});
             std::vector<std::string> row{name,
                                          TablePrinter::num(1.0 - s1, 1)};
             for (std::size_t x : {1, 3, 5, 7, 8, 9})
-                row.push_back(bench::cellText(
-                    c, [x](const Result &r) { return r.cdf2[x]; }, 3));
+                row.push_back(TablePrinter::num(r.cdf2[x], 3));
             cdf.addRow(std::move(row));
         }
     }

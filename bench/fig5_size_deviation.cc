@@ -87,8 +87,8 @@ main()
 
     // 2 insertion rates x {FS, PF} = 4 independent cells.
     const std::vector<double> rates{0.1, 0.5};
-    auto report = bench::runCells("fig5", 2 * rates.size(),
-                                  [&](std::size_t i) {
+    auto results = bench::runCells("fig5", 2 * rates.size(),
+                                   [&](std::size_t i) {
         return run(i % 2 == 0 ? SchemeKind::FsAnalytic : SchemeKind::PF,
                    rates[i / 2]);
     });
@@ -96,15 +96,13 @@ main()
     TablePrinter table({"scheme", "I1", "MAD (lines)", "bias",
                         "P(|dev|<=32)", "P(|dev|<=128)",
                         "P(|dev|<=256)"});
-    for (std::size_t i = 0; i < report.cells.size(); ++i) {
-        const CellOutcome<Result> &c = report.cells[i];
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const Result &r = results[i];
         std::vector<std::string> row{
             i % 2 == 0 ? "FS" : "PF", TablePrinter::num(rates[i / 2], 1),
-            bench::cellText(c, &Result::mad, 1),
-            bench::cellText(c, &Result::bias, 1)};
+            TablePrinter::num(r.mad, 1), TablePrinter::num(r.bias, 1)};
         for (std::size_t x : {0, 3, 7})
-            row.push_back(bench::cellText(
-                c, [x](const Result &r) { return r.cdf[x]; }, 3));
+            row.push_back(TablePrinter::num(r.cdf[x], 3));
         table.addRow(std::move(row));
     }
     table.print(std::cout);

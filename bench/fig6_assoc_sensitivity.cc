@@ -74,7 +74,7 @@ main()
     }
     for (RankKind rank : {RankKind::Opt, RankKind::ExactLru}) {
         // Cell (benchmark b, size s) is b * sizes + s.
-        auto report = bench::runCells(
+        auto speedups = bench::runCells(
             "fig6", benches.size() * sizes.size(), [&](std::size_t i) {
                 const Workload &wl = workloads[i / sizes.size()];
                 LineId lines = sizes[i % sizes.size()];
@@ -90,9 +90,8 @@ main()
         for (std::size_t b = 0; b < benches.size(); ++b) {
             std::vector<std::string> row{benches[b]};
             for (std::size_t s = 0; s < sizes.size(); ++s)
-                row.push_back(bench::cellText(
-                    report.cells[b * sizes.size() + s],
-                    [](double ratio) { return ratio; }, 3));
+                row.push_back(TablePrinter::num(
+                    speedups[b * sizes.size() + s], 3));
             table.addRow(std::move(row));
         }
         table.print(std::cout);

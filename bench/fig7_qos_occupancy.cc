@@ -96,7 +96,7 @@ main()
 
         // Cell (mix m, scheme s) is m * schemes + s.
         const std::size_t schemes = qosSchemes().size();
-        auto report = bench::runCells(
+        auto results = bench::runCells(
             "fig7", subject_counts.size() * schemes,
             [&](std::size_t i) {
                 return run(qosSchemes()[i % schemes],
@@ -108,15 +108,14 @@ main()
             std::vector<std::string> occ_row{qosSchemes()[s].name};
             std::vector<std::string> aef_row{qosSchemes()[s].name};
             for (std::size_t m = 0; m < subject_counts.size(); ++m) {
-                const CellOutcome<QosResult> &c =
-                    report.cells[m * schemes + s];
-                bool na = c.ok() && !c.value->valid;
-                occ_row.push_back(na ? "n/a" : bench::cellText(
-                    c, &QosResult::occupancyFrac, 3));
+                const QosResult &r = results[m * schemes + s];
+                occ_row.push_back(r.valid
+                                      ? TablePrinter::num(r.occupancyFrac, 3)
+                                      : "n/a");
                 aef_row.push_back(
-                    na ? "n/a" : bench::cellText(c, &QosResult::aef, 3));
-                if (c.ok() && c.value->abnormality >= 0.0) {
-                    prism_abnormality += c.value->abnormality;
+                    r.valid ? TablePrinter::num(r.aef, 3) : "n/a");
+                if (r.abnormality >= 0.0) {
+                    prism_abnormality += r.abnormality;
                     ++prism_samples;
                 }
             }

@@ -76,7 +76,7 @@ main()
     for (std::uint32_t n : subject_counts)
         workloads.push_back(Workload::mix(qosMix(n), accesses, 888));
     const std::size_t schemes = qosSchemes().size();
-    auto report = bench::runCells(
+    auto results = bench::runCells(
         "fig8", subject_counts.size() * schemes, [&](std::size_t i) {
             return run(qosSchemes()[i % schemes],
                        subject_counts[i / schemes],
@@ -88,25 +88,22 @@ main()
                                  subject_counts[m]));
         TablePrinter table({"scheme", "subject IPC", "vs FullAssoc",
                             "subject MPKI", "throughput (sum IPC)"});
-        // Subject IPC per scheme; a failed or n/a cell reads as 0.
+        // Subject IPC per scheme; an n/a cell reads as 0.
         std::map<std::string, double> ipc;
         for (std::size_t s = 0; s < schemes; ++s) {
             const std::string &name = qosSchemes()[s].name;
-            const CellOutcome<PerfResult> &c =
-                report.cells[m * schemes + s];
-            if (c.ok() && !c.value->valid) {
+            const PerfResult &r = results[m * schemes + s];
+            if (!r.valid) {
                 table.addRow({name, "n/a", "n/a", "n/a", "n/a"});
                 continue;
             }
-            ipc[name] = c.ok() ? c.value->subjectIpc : 0.0;
+            ipc[name] = r.subjectIpc;
             double base = ipc["FullAssoc"];
             table.addRow(
-                {name, bench::cellText(c, &PerfResult::subjectIpc, 4),
-                 bench::cellText(c, [base](const PerfResult &r) {
-                     return base > 0 ? r.subjectIpc / base : 0.0;
-                 }, 3),
-                 bench::cellText(c, &PerfResult::subjectMpki, 2),
-                 bench::cellText(c, &PerfResult::throughput, 2)});
+                {name, TablePrinter::num(r.subjectIpc, 4),
+                 TablePrinter::num(base > 0 ? r.subjectIpc / base : 0.0, 3),
+                 TablePrinter::num(r.subjectMpki, 2),
+                 TablePrinter::num(r.throughput, 2)});
         }
         table.print(std::cout);
         double fs = ipc["FS"], vantage = ipc["Vantage"],

@@ -81,15 +81,14 @@ main()
         cfg.changingRatio = ratio;
         cells.push_back(cfg);
     }
-    auto report = bench::runCells(
+    auto results = bench::runCells(
         "fig9", cells.size(),
         [&](std::size_t i) { return run(cells[i], wl); });
     auto addRow = [&](TablePrinter &table, std::string label,
-                      const CellOutcome<SensResult> &c) {
-        table.addRow({std::move(label),
-                      bench::cellText(c, &SensResult::occErr, 4),
-                      bench::cellText(c, &SensResult::mad, 1),
-                      bench::cellText(c, &SensResult::aef, 3)});
+                      const SensResult &r) {
+        table.addRow({std::move(label), TablePrinter::num(r.occErr, 4),
+                      TablePrinter::num(r.mad, 1),
+                      TablePrinter::num(r.aef, 3)});
     };
 
     bench::section("interval length l (changing ratio = 2)");
@@ -98,7 +97,7 @@ main()
     for (std::size_t i = 0; i < lengths.size(); ++i)
         addRow(l_table,
                TablePrinter::num(std::uint64_t{lengths[i]}),
-               report.cells[i]);
+               results[i]);
     l_table.print(std::cout);
 
     bench::section("changing ratio (l = 16)");
@@ -106,7 +105,7 @@ main()
                           "size MAD (lines)", "subject AEF"});
     for (std::size_t i = 0; i < ratios.size(); ++i)
         addRow(a_table, TablePrinter::num(ratios[i], 3),
-               report.cells[lengths.size() + i]);
+               results[lengths.size() + i]);
     a_table.print(std::cout);
 
     std::printf("\nThe paper's defaults (l = 16, ratio = 2, i.e. "

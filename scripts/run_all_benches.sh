@@ -82,10 +82,9 @@ for b in "$build_dir"/bench/*; do
     "$b" >"$out_dir/$name.txt" 2>"$out_dir/$name.err" || status=$?
     cat "$out_dir/$name.txt"
     # A clean fig/ablation bench run writes nothing to stderr. A
-    # bench that quarantined cells still exits 0 but leaves its
-    # failure manifest (FAILED(permanent), FAILED(corruption))
-    # there, so non-empty stderr from a fig/ablation bench means a
-    # cell was lost: surface it instead of silently filing it away.
+    # bench whose cell failed exits 1 and leaves the failed cell's
+    # message ("cell <i>: ...") there, so non-empty stderr from a
+    # fig/ablation bench is surfaced instead of silently filed away.
     # The google-benchmark micro benches print their run context
     # there on every run, so theirs stays in the file.
     case "$name" in

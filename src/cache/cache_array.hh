@@ -131,8 +131,9 @@ class CacheArray
     std::string auditInvariants() const;
 
     /**
-     * Deliberately break lookup() for one valid line (FS_FAULTS
-     * `cell=N:corrupt`), leaving it valid and counted: rewrite the
+     * Deliberately break lookup() for one valid line (tests plant
+     * it to show the audits and the shadow model catch it), leaving
+     * it valid and counted: rewrite the
      * first valid line's address to the next non-resident address
      * up that lookup() does not find at that slot. Returns the
      * damaged line, or kInvalidLine (nothing changed) if the cache

@@ -106,8 +106,9 @@ class TagStore
 
     /**
      * Deliberately rewrite valid line `id`'s stored address to
-     * `addr`, as a flipped tag would (FS_FAULTS `cell=N:corrupt`;
-     * CacheArray picks the address). The counters stay as they are;
+     * `addr`, as a flipped tag would (test-only, through
+     * CacheArray::corruptLookupForFaultInjection, which picks the
+     * address). The counters stay as they are;
      * an index forgets the old address and does not learn the new
      * one, so neither is found at `id` through it.
      */
@@ -115,7 +116,7 @@ class TagStore
 
     /**
      * Deliberately inflate the first non-empty partition's occupancy
-     * counter by one (FS_FAULTS `cell=N:corrupt-occ`). The counter
+     * counter by one (test-only; tests/test_check.cc). The counter
      * then disagrees with a per-line recount and with validCount_,
      * which is exactly what auditOccupancySums / the shadow model's
      * size check exist to detect; nothing navigates off it, so the

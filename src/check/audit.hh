@@ -19,8 +19,8 @@
  * (check/shadow_cache.hh) inside PartitionedCache::access.
  *
  * A violation throws StateCorruptionError (common/errors.hh), which
- * the cell guard routes to quarantine as FAILED(corruption) — a
- * wrong cell is isolated exactly like a crashing one.
+ * fails the cell and with it the sweep: SweepReport::values()
+ * rethrows it, report included, naming the cell.
  *
  * The FSCACHE_AUDIT() macro is for cold/warm call sites outside the
  * access loop (solver, feedback): it compiles to one relaxed load +
@@ -106,7 +106,7 @@ void setShadowModeForTest(bool enabled);
 /**
  * Raise a StateCorruptionError for a failed audit: `where` names
  * the audited component, `detail` is the first violation found
- * (becomes the manifest-attached report).
+ * (becomes the report the failed cell carries).
  */
 [[noreturn]] FS_COLD void auditFail(const char *where,
                                     const std::string &detail);

@@ -5,14 +5,10 @@
  * fatal()/panic() (common/log.hh) remain the right tool for user
  * configuration errors at tool startup and for internal invariant
  * violations. Everything that can go wrong *inside one sweep cell*,
- * however, must be a typed exception derived from FsError so the
- * cell guard (runner/cell_guard.hh) can quarantine the cell instead
- * of the whole process dying.
- *
- * The cell guard sorts a failure into two classes:
- * StateCorruptionError (a self-check proved the cell's state
- * corrupt) and everything else (permanent). Nothing is retried:
- * every cell is deterministic, so a rerun fails the same way.
+ * however, must be a typed exception derived from FsError, so the
+ * sweep (runner/sweep_runner.hh) can report which cell failed and
+ * why before the bench or tool exits 1. Nothing is retried: every
+ * cell is deterministic, so a rerun fails the same way.
  */
 
 #ifndef FSCACHE_COMMON_ERRORS_HH
@@ -51,12 +47,11 @@ class TraceFormatError : public FsError
  * A runtime self-check (src/check: FS_AUDIT invariant audits or the
  * FS_SHADOW lockstep model) found the simulator's own bookkeeping
  * inconsistent. The cell's state — and therefore any value it would
- * produce — cannot be trusted, so the cell guard quarantines it
- * (ErrorClass::Corruption).
+ * produce — cannot be trusted, so the cell fails its sweep.
  *
  * report() carries the structured first-divergence / audit report
- * (multi-line) for the failure manifest; what() is the one-line
- * summary.
+ * (multi-line), which the sweep appends to the failed cell's error;
+ * what() is the one-line summary.
  */
 class StateCorruptionError : public FsError
 {

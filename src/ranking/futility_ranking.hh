@@ -118,8 +118,8 @@ class FutilityRanking
     { return std::string(); }
 
     /**
-     * Deliberately damage the ranking's order index (FS_FAULTS
-     * `cell=N:corrupt-rank`; see docs/ROBUSTNESS.md). The damage
+     * Deliberately damage the ranking's order index (test-only;
+     * tests/test_check.cc plants it). The damage
      * must be silent and navigation-safe — detectable only by the
      * audits / shadow model, never a crash. Returns false when the
      * ranking keeps no such index (nothing was corrupted).

@@ -21,14 +21,10 @@
  * defaulting to the hardware concurrency; FS_JOBS=1 recovers the
  * serial path.
  *
- * A failing cell becomes a typed CellOutcome behind the cell guard
- * instead of aborting the sweep; see docs/ROBUSTNESS.md.
- *
- * A sweep may run inside another sweep's cell (a cell calling
- * measureMissCurve). Such a nested sweep fires no FS_FAULTS fault
- * point, and the enclosing cell's armed corruption is set aside
- * while it runs, so `cell=N` names cell N of each top-level sweep
- * and lands in that cell's own caches at every FS_JOBS.
+ * A failing cell fails its sweep: SweepReport::values() throws an
+ * FsError naming the first failed cell in cell order, so the same
+ * cell is reported at every FS_JOBS. Every cell is deterministic, so
+ * nothing is retried; see docs/ROBUSTNESS.md.
  */
 
 #ifndef FSCACHE_RUNNER_SWEEP_RUNNER_HH
@@ -36,15 +32,62 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <exception>
+#include <optional>
+#include <string>
 #include <type_traits>
 #include <vector>
 
-#include "common/fault_injection.hh"
-#include "runner/cell_guard.hh"
+#include "common/errors.hh"
+#include "common/log.hh"
 #include "runner/thread_pool.hh"
 
 namespace fscache
 {
+
+/** One cell's result: its value, or the error it failed with. */
+template <typename R>
+struct CellOutcome
+{
+    std::optional<R> value;     ///< engaged iff ok()
+    /** what() of the failure; a StateCorruptionError's structured
+     *  report (audit violation / shadow first divergence) follows
+     *  on the next lines. */
+    std::string error;
+
+    bool ok() const { return value.has_value(); }
+};
+
+/** Every cell's outcome, in cell order (SweepRunner::mapResilient). */
+template <typename R>
+struct SweepReport
+{
+    std::vector<CellOutcome<R>> cells;
+
+    /**
+     * Every cell's value in cell order. Throws FsError
+     * "cell <i>: <error>" for the first failed cell i.
+     */
+    std::vector<R>
+    values() const
+    {
+        std::vector<R> out;
+        out.reserve(cells.size());
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            if (!cells[i].ok())
+                throw FsError(
+                    strprintf("cell %zu: %s", i, cells[i].error.c_str()));
+            out.push_back(*cells[i].value);
+        }
+        return out;
+    }
+};
+
+/** Empty; kept only for perfbench's mapResilient call until ROADMAP
+ *  item 2 renames it to map. */
+struct CellGuardConfig
+{
+};
 
 /** See file comment. */
 class SweepRunner
@@ -59,13 +102,9 @@ class SweepRunner
     unsigned jobs() const { return jobs_; }
 
     /**
-     * Run fn(cell) for every cell in [0, cells), each under the cell
-     * guard (runner/cell_guard.hh), and return every outcome in cell
-     * order. A failing cell is *quarantined* instead of aborting the
-     * sweep; this never throws.
-     *
-     * The guard adds no randomness, so a sweep with no failures
-     * carries exactly the values a plain serial loop would return.
+     * Run fn(cell) for every cell in [0, cells) and return every
+     * outcome in cell order. An exception a cell throws is caught
+     * into its outcome; this never throws.
      */
     template <typename Fn>
     auto
@@ -74,28 +113,32 @@ class SweepRunner
         -> SweepReport<std::invoke_result_t<Fn &, std::size_t>>
     {
         using R = std::invoke_result_t<Fn &, std::size_t>;
+        static_assert(!std::is_void_v<R>, "cells must return a value");
         SweepReport<R> report;
         report.cells.resize(cells);
-        // Captured here, on the starting thread: pool workers are
-        // never inside a cell when they pick a task up.
-        const bool nested = inGuardedCell();
-        auto guarded = [&fn, &report, nested](std::size_t i) {
-            report.cells[i] = runGuarded(i, fn, nested);
+        auto run = [&fn, &report](std::size_t i) {
+            CellOutcome<R> &out = report.cells[i];
+            try {
+                out.value.emplace(fn(i));
+            } catch (const StateCorruptionError &e) {
+                out.error = e.what();
+                if (!e.report().empty()) {
+                    out.error += "\n" + e.report();
+                    if (out.error.back() == '\n')
+                        out.error.pop_back();
+                }
+            } catch (const std::exception &e) {
+                out.error = e.what();
+            } catch (...) {
+                out.error = "unknown exception";
+            }
         };
-        // The enclosing cell's armed target is set aside: inline
-        // nested cells would otherwise consume it, and pooled ones
-        // run on workers that never had it.
-        FaultInjector::CorruptTarget outer =
-            nested ? FaultInjector::consumeArmedCorruption()
-                   : FaultInjector::CorruptTarget::None;
         if (jobs_ <= 1 || cells <= 1) {
             for (std::size_t i = 0; i < cells; ++i)
-                guarded(i);
+                run(i);
         } else {
-            runPooled(cells, guarded);
+            runPooled(cells, run);
         }
-        if (nested)
-            FaultInjector::rearm(outer);
         return report;
     }
 

@@ -83,8 +83,8 @@ void driveByInsertionRate(PartitionedCache &cache,
  * (16-way XOR-indexed set-associative, unpartitioned, given
  * ranking). Used to build UCP miss curves and size sweeps. The
  * sizes run as parallel SweepRunner cells (see FS_JOBS); results
- * are independent of the job count. Throws FsError carrying the
- * sweep's quarantine manifest when any size's cell fails.
+ * are independent of the job count. Throws FsError
+ * "cell <i>: <error>" for the first size whose cell fails.
  */
 std::vector<std::uint64_t>
 measureMissCurve(const std::string &benchmark,

@@ -6,7 +6,6 @@
 #include "check/invariants.hh"
 #include "check/shadow_cache.hh"
 #include "common/errors.hh"
-#include "common/fault_injection.hh"
 #include "common/log.hh"
 #include "sim/victim_check.hh"
 
@@ -161,10 +160,6 @@ AccessOutcome
 PartitionedCache::access(PartId part, Addr addr, AccessTime next_use)
 {
     fs_assert(part < numParts_, "access for unknown partition");
-    // The fault injector's armed corruption (FS_FAULTS) lands on a
-    // coarse stride, mid-cell.
-    if ((++accessTick_ & 0x1fff) == 0)
-        applyArmedCorruption();
     LineId id = array_->lookup(addr);
     if (id != kInvalidLine) [[likely]] {
         // Hits dominate every workload worth simulating; keep this
@@ -274,30 +269,6 @@ PartitionedCache::accessMiss(PartId part, Addr addr,
 }
 
 void
-PartitionedCache::applyArmedCorruption()
-{
-    // FS_FAULTS `cell=N:corrupt*`: the guard's fault point armed a
-    // thread-local target; consume it here, mid-cell, by silently
-    // damaging the matching structure — exactly the corruption
-    // class the audits and the shadow model exist to detect. One
-    // target per audited structure keeps every FS_AUDIT arm
-    // exercisable end to end.
-    switch (FaultInjector::consumeArmedCorruption()) {
-      case FaultInjector::CorruptTarget::None:
-        break;
-      case FaultInjector::CorruptTarget::Lookup:
-        array_->corruptLookupForFaultInjection();
-        break;
-      case FaultInjector::CorruptTarget::RankIndex:
-        ranking_->corruptRankNodeForFaultInjection();
-        break;
-      case FaultInjector::CorruptTarget::Occupancy:
-        array_->tags().corruptOccupancyForFaultInjection();
-        break;
-    }
-}
-
-void
 PartitionedCache::runAudits()
 {
     if (auditLevel_ == 0)
@@ -321,6 +292,7 @@ void
 PartitionedCache::selfCheckHit(LineId id, PartId part, Addr addr,
                                AccessTime next_use)
 {
+    ++accessTick_;
     if (shadow_ != nullptr) {
         shadow_->checkLookup(accessTick_, addr, part, id);
         shadow_->onHit(id, next_use);
@@ -331,6 +303,7 @@ PartitionedCache::selfCheckHit(LineId id, PartId part, Addr addr,
 void
 PartitionedCache::selfCheckMiss(PartId part, Addr addr)
 {
+    ++accessTick_;
     if (shadow_ != nullptr)
         shadow_->checkLookup(accessTick_, addr, part, kInvalidLine);
 }
@@ -398,10 +371,11 @@ PartitionedCache::resetStats()
     // deviation sample land early by however far warmup had already
     // advanced it, skewing sparse-sampled occupancy statistics.
     evictionsSinceSample_ = 0;
-    // accessTick_ deliberately keeps running: it paces the injected
-    // corruption and the audit strides — progress markers, not
-    // statistics — and resetting it would shift every subsequent
-    // FS_AUDIT/FS_SHADOW stride relative to a run without a reset.
+    // accessTick_ deliberately keeps running: it paces the audit
+    // strides and numbers the shadow model's accesses — progress
+    // markers, not statistics — and resetting it would shift every
+    // subsequent FS_AUDIT/FS_SHADOW stride relative to a run without
+    // a reset.
 }
 
 } // namespace fscache

@@ -189,7 +189,6 @@ class PartitionedCache : public PartitionOps
     FS_COLD void selfCheckInstall(LineId slot, PartId part,
                                   Addr addr, AccessTime next_use);
     FS_COLD void runAudits();
-    void applyArmedCorruption();
 
     std::unique_ptr<CacheArray> array_;
     std::unique_ptr<FutilityRanking> ranking_;
@@ -214,7 +213,11 @@ class PartitionedCache : public PartitionOps
     bool schemeFutilityExact_ = false;
     std::uint32_t devSampleInterval_ = 1;
     std::uint32_t evictionsSinceSample_ = 0;
-    std::uint64_t accessTick_ = 0; ///< paces injection and audits
+    /** Accesses so far, counted on the self-check paths only (every
+     *  access takes exactly one of selfCheckHit / selfCheckMiss when
+     *  selfCheck_); paces the audits and numbers the shadow's
+     *  accesses. */
+    std::uint64_t accessTick_ = 0;
 
     /** Lockstep reference model (FS_SHADOW=1), else null. */
     std::unique_ptr<check::ShadowCache> shadow_;

@@ -31,7 +31,7 @@ namespace fscache
  * Parse a trace from a stream. Malformed or empty input throws
  * TraceFormatError (common/errors.hh) with a diagnostic naming the
  * source, record index, line and byte offset — typed so a sweep
- * cell loading a bad trace is quarantined, not the process killed.
+ * cell loading a bad trace fails with its cell named (FsError).
  *
  * @param source name used in diagnostics (file path, "<stream>")
  */

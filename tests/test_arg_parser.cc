@@ -1,9 +1,8 @@
 /**
  * @file
  * ArgParser tests: option forms, typed accessors, defaults, help,
- * error handling, the checked environment-knob parser, and seeded
- * mutation tests of the two fatal()-on-error decoders (the CLI and
- * the FS_FAULTS grammar).
+ * error handling, the checked environment-knob parser, and a seeded
+ * mutation test of fscache_sim's fatal()-on-error argv decoding.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "common/arg_parser.hh"
-#include "common/fault_injection.hh"
 #include "common/random.hh"
 
 namespace fscache
@@ -395,57 +393,6 @@ TEST(ArgParserMutationDeathTest, MutatedSimArgvParsesOrFailsCleanly)
             },
             CleanExit{counts}, ::testing::MatchesRegex(kCleanStderr))
             << "mutant " << m << ":" << shown;
-    }
-    EXPECT_GT(counts[0], 10) << "too few mutants parsed";
-    EXPECT_GT(counts[1], 10) << "too few mutants were rejected";
-}
-
-TEST(ArgParserMutationDeathTest, MutatedFaultSpecsParseOrFailCleanly)
-{
-    const std::string bias = "cell=:;-0123456789corruptankoc";
-    Rng rng(0xfa017u);
-    int counts[2] = {0, 0};
-    for (int m = 0; m < 200; ++m) {
-        std::vector<std::string> clauses = {
-            "cell=1:corrupt", "cell=23:corrupt-rank",
-            "cell=4:corrupt-occ"};
-        for (std::uint64_t k = 1 + rng.below(3); k > 0; --k) {
-            std::size_t i = rng.below(clauses.size());
-            switch (rng.below(5)) {
-              case 0:
-                clauses.erase(clauses.begin() + static_cast<long>(i));
-                break;
-              case 1:
-                clauses.push_back(clauses[i]);
-                break;
-              case 2: {
-                // A new cell index of 1 to 21 digits (21 overflows).
-                std::string value = std::to_string(rng()) + "9";
-                value.resize(1 + rng.below(value.size()));
-                std::size_t colon = clauses[i].find(':');
-                clauses[i] = "cell=" + value +
-                             (colon == std::string::npos
-                                  ? std::string()
-                                  : clauses[i].substr(colon));
-                break;
-              }
-              default:
-                mutateToken(rng, clauses[i], bias);
-                break;
-            }
-            if (clauses.empty())
-                clauses.push_back("cell=0:corrupt");
-        }
-        std::string spec;
-        for (const std::string &c : clauses)
-            spec += (spec.empty() ? "" : ";") + c;
-        EXPECT_EXIT(
-            {
-                (void)FaultInjector::parse(spec);
-                exitParsed();
-            },
-            CleanExit{counts}, ::testing::MatchesRegex(kCleanStderr))
-            << "mutant " << m << ": [" << spec << "]";
     }
     EXPECT_GT(counts[0], 10) << "too few mutants parsed";
     EXPECT_GT(counts[1], 10) << "too few mutants were rejected";

@@ -3,8 +3,9 @@
  * Self-checking subsystem tests (src/check): structural invariant
  * auditors against hand-corrupted FlatMap / TagStore / lookup state,
  * lockstep shadow-model divergence detection and its deterministic
- * first-divergence report, and corruption-aware quarantine routing
- * through the cell guard (FS_FAULTS cell=N:corrupt* end to end).
+ * first-divergence report, and damage planted through the
+ * corrupt*ForFaultInjection accessors failing its sweep, report
+ * attached, at any job count.
  */
 
 #include <gtest/gtest.h>
@@ -21,11 +22,10 @@
 #include "check/invariants.hh"
 #include "check/shadow_cache.hh"
 #include "common/errors.hh"
-#include "common/fault_injection.hh"
 #include "common/flat_map.hh"
 #include "common/log.hh"
+#include "bench_util.hh"
 #include "runner/sweep_runner.hh"
-#include "sim/experiment.hh"
 
 namespace fscache
 {
@@ -68,7 +68,7 @@ struct FlatMap<std::uint32_t>::TestAccess
 namespace
 {
 
-/** Restores global check/fault state however a test exits. */
+/** Restores global check state however a test exits. */
 class CheckFixture : public ::testing::Test
 {
   protected:
@@ -77,7 +77,6 @@ class CheckFixture : public ::testing::Test
     {
         check::setAuditLevelForTest(check::AuditLevel::Off);
         check::setShadowModeForTest(false);
-        FaultInjector::installForTest("");
     }
 };
 
@@ -362,63 +361,21 @@ TEST_F(CorruptionInjection, ParanoidAuditCatchesCorruptionOnStride)
     }
 }
 
-/**
- * End to end: FS_FAULTS cell=N:corrupt arms at the fault point, the
- * cache desynchronizes its own tag store mid-cell, the self-checks
- * catch it, and the cell guard quarantines FAILED(corruption) with
- * the report attached — while the rest of the sweep completes.
- */
-TEST_F(CorruptionInjection, InjectedCellQuarantinedSweepContinues)
+/** The report of the StateCorruptionError that a hit on a resident
+ *  line of partition 1 raises. A hit runs the paranoid audits
+ *  before anything else moves, so the report is exact. */
+std::string
+reportOfResidentHit(PartitionedCache &cache)
 {
-    FaultInjector::installForTest("cell=0:corrupt");
-    check::setAuditLevelForTest(check::AuditLevel::Paranoid);
-    check::setShadowModeForTest(true);
-    for (ArrayKind kind : kLookupArrays) {
-        SCOPED_TRACE(lookupName(kind));
-        SweepRunner runner(1);
-        auto report = runner.mapResilient(2, [kind](std::size_t cell) {
-            auto cache = buildCache(lookupSpec(kind));
-            cache->setTargets({128, 128});
-            // > 8192 accesses: the armed corruption is consumed on
-            // the cache's 8192-access stride. Resident-set
-            // footprint: no eviction can heal it undetected.
-            return driveCyclic(*cache, 20000 + cell,
-                               /*footprint=*/100);
-        });
-
-        ASSERT_FALSE(report.cells[0].ok());
-        EXPECT_EQ(report.cells[0].errorClass, ErrorClass::Corruption);
-        EXPECT_FALSE(report.cells[0].detail.empty());
-
-        ASSERT_TRUE(report.cells[1].ok());
-        EXPECT_EQ(report.okCount(), 1u);
-
-        std::string manifest = report.manifest();
-        EXPECT_NE(manifest.find("corruption"), std::string::npos);
-        // The structured report rides into the manifest, indented.
-        EXPECT_NE(manifest.find(report.cells[0].detail.substr(
-                      0, report.cells[0].detail.find('\n'))),
-                  std::string::npos);
+    const Addr addr = 2 * 100000 + 1;
+    EXPECT_NE(cache.array().lookup(addr), kInvalidLine);
+    try {
+        cache.access(1, addr);
+    } catch (const StateCorruptionError &e) {
+        return e.report();
     }
-}
-
-TEST_F(CorruptionInjection, UnconsumedArmDoesNotLeakAcrossCells)
-{
-    FaultInjector::installForTest("cell=0:corrupt");
-    check::setAuditLevelForTest(check::AuditLevel::Paranoid);
-    for (ArrayKind kind : kLookupArrays) {
-        SCOPED_TRACE(lookupName(kind));
-        SweepRunner runner(1);
-        // Cell 0 runs too few accesses to reach the consuming
-        // stride; the armed flag must be discarded at cell 1's
-        // fault point, not corrupt cell 1.
-        auto report = runner.mapResilient(2, [kind](std::size_t) {
-            auto cache = buildCache(lookupSpec(kind));
-            cache->setTargets({128, 128});
-            return driveCyclic(*cache, 4000);
-        });
-        EXPECT_TRUE(report.allOk()) << report.manifest();
-    }
+    ADD_FAILURE() << "expected StateCorruptionError";
+    return std::string();
 }
 
 /** The ranking-order arm: a silent bump of the order index's
@@ -428,23 +385,28 @@ TEST_F(CorruptionInjection, UnconsumedArmDoesNotLeakAcrossCells)
 TEST_F(CorruptionInjection, RankIndexCorruptionDetectedByAudits)
 {
     check::setAuditLevelForTest(check::AuditLevel::Paranoid);
+    check::setShadowModeForTest(false);
     for (RankKind rk : {RankKind::ExactLru, RankKind::Lfu}) {
         auto cache = buildCache(checkSpec(rk));
         cache->setTargets({128, 128});
         driveCyclic(*cache, 1500, /*footprint=*/100);
         ASSERT_TRUE(
             cache->ranking().corruptRankNodeForFaultInjection());
-        EXPECT_NE(check::auditOccupancySums(cache->array().tags(),
+        unsigned valid = cache->array().tags().validCount();
+        std::string want =
+            strprintf("ranking tracks %u lines but the tag store "
+                      "holds %u", valid + 1, valid);
+        EXPECT_EQ(check::auditOccupancySums(cache->array().tags(),
                                             cache->ranking(),
                                             cache->numPartitions()),
-                  "");
+                  want);
         // The damage sits in partition 0's counter (the first
         // non-empty one). Touch the *other* partition so the
         // cross-structure sum audit sees the drift before partition
         // 0's own bookkeeping is exercised — exactly how the stride
         // audits catch it in a live run.
-        EXPECT_THROW(cache->access(1, 2 * 100000 + 1),
-                     StateCorruptionError);
+        EXPECT_EQ(reportOfResidentHit(*cache),
+                  "audit violation in occupancy sums:\n  " + want);
     }
 }
 
@@ -454,150 +416,105 @@ TEST_F(CorruptionInjection, RankIndexCorruptionDetectedByAudits)
 TEST_F(CorruptionInjection, OccupancyCounterCorruptionDetectedByAudits)
 {
     check::setAuditLevelForTest(check::AuditLevel::Paranoid);
+    check::setShadowModeForTest(false);
     auto cache = buildCache(checkSpec());
     cache->setTargets({128, 128});
     driveCyclic(*cache, 1500, /*footprint=*/100);
     ASSERT_NE(cache->array().tags().corruptOccupancyForFaultInjection(),
               kInvalidPart);
-    EXPECT_THROW(driveCyclic(*cache, 2048, /*footprint=*/100),
-                 StateCorruptionError);
+    unsigned valid = cache->array().tags().validCount();
+    EXPECT_EQ(reportOfResidentHit(*cache),
+              strprintf("audit violation in occupancy sums:\n"
+                        "  per-partition occupancy sums to %u but "
+                        "the tag store holds %u valid lines",
+                        valid + 1, valid));
 }
 
-/** FS_FAULTS corrupt-rank / corrupt-occ end to end, mirroring the
- *  tag-index clause above: armed at the fault point, consumed on the
- *  cache's stride, quarantined FAILED(corruption). */
-TEST_F(CorruptionInjection, RankIndexAndOccupancyCellsQuarantined)
+/** One sweep cell: a warm cache driven on under the audits. Cell 1
+ *  plants rank-index damage and cell 3 occupancy damage first. */
+std::uint64_t
+plantedCell(std::size_t cell)
 {
-    for (const char *faults :
-         {"cell=0:corrupt-rank", "cell=0:corrupt-occ"}) {
-        FaultInjector::installForTest(faults);
-        check::setAuditLevelForTest(check::AuditLevel::Paranoid);
-        SweepRunner runner(1);
-        auto report = runner.mapResilient(2, [](std::size_t cell) {
-            auto cache = buildCache(checkSpec());
-            cache->setTargets({128, 128});
-            return driveCyclic(*cache, 20000 + cell,
-                               /*footprint=*/100);
-        });
-        ASSERT_FALSE(report.cells[0].ok()) << faults;
-        EXPECT_EQ(report.cells[0].errorClass, ErrorClass::Corruption)
-            << faults;
-        EXPECT_TRUE(report.cells[1].ok()) << faults;
-    }
+    auto cache = buildCache(checkSpec());
+    cache->setTargets({128, 128});
+    std::uint64_t hits = driveCyclic(*cache, 1500, /*footprint=*/100);
+    if (cell == 1)
+        cache->ranking().corruptRankNodeForFaultInjection();
+    if (cell == 3)
+        cache->array().tags().corruptOccupancyForFaultInjection();
+    return hits + driveCyclic(*cache, 2048, /*footprint=*/100);
 }
 
-/** measureMissCurve has no table to mark a failed size in: a
- *  quarantined cell surfaces as an FsError carrying the manifest. */
-TEST_F(CorruptionInjection, MeasureMissCurveFailedCellThrowsFsError)
+/** What values() throws for a failed sweep, or "" if it returns. */
+template <typename R>
+std::string
+firstFailure(const SweepReport<R> &report)
 {
-    FaultInjector::installForTest("cell=1:corrupt-rank");
-    check::setAuditLevelForTest(check::AuditLevel::Paranoid);
     try {
-        (void)measureMissCurve("omnetpp", {256, 512}, 20000,
-                               RankKind::CoarseTsLru, 3);
-        FAIL() << "expected FsError";
-    } catch (const StateCorruptionError &) {
-        FAIL() << "the cell's corruption must not escape the guard";
+        (void)report.values();
     } catch (const FsError &e) {
-        std::string what = e.what();
-        EXPECT_NE(what.find("measureMissCurve(omnetpp)"),
-                  std::string::npos) << what;
-        EXPECT_NE(what.find("cell 1: failed [corruption]"),
-                  std::string::npos) << what;
-        EXPECT_NE(what.find("quarantined cells: 1\n"),
-                  std::string::npos) << what;
+        return e.what();
     }
+    return std::string();
 }
 
-/** A sweep nested in a guarded cell fires no fault point of its
- *  own: under cell=1:corrupt-rank, the measureMissCurve each cell
- *  runs (whose own cell 1 would otherwise be re-armed, and whose
- *  cell 0 would disarm the enclosing cell) stays clean, and only
- *  the enclosing cell 1's own cache is corrupted — with the nested
- *  sweep inline or pooled, and the outer one either way too. */
-TEST_F(CorruptionInjection, NestedSweepLeavesOuterCellArmed)
+const char *const kCell1Failure =
+    "cell 1: state audit failed in occupancy sums\n"
+    "audit violation in occupancy sums:\n  ranking tracks ";
+
+/** A cell whose audits catch planted damage fails its sweep: every
+ *  other cell still holds its value, and values() names the first
+ *  failed cell in cell order, report attached, at any job count. */
+TEST_F(CorruptionInjection, FirstCorruptCellFailsSweepAtAnyJobs)
 {
-    FaultInjector::installForTest("cell=1:corrupt-rank");
     check::setAuditLevelForTest(check::AuditLevel::Paranoid);
-    for (const char *innerJobs : {"1", "2"}) {
-        for (unsigned outerJobs : {1u, 2u}) {
-            SCOPED_TRACE(strprintf("inner FS_JOBS=%s, outer jobs %u",
-                                   innerJobs, outerJobs));
-            // setenv is safe here: no pool is alive between sweeps.
-            setenv("FS_JOBS", innerJobs, 1);
-            SweepRunner runner(outerJobs);
-            auto report = runner.mapResilient(3, [](std::size_t) {
-                std::vector<std::uint64_t> curve = measureMissCurve(
-                    "omnetpp", {256, 512}, 20000,
-                    RankKind::CoarseTsLru, 3);
-                auto cache = buildCache(checkSpec());
-                cache->setTargets({128, 128});
-                return curve[0] + curve[1] +
-                       driveCyclic(*cache, 20000, /*footprint=*/100);
+    check::setShadowModeForTest(false);
+    std::vector<std::string> failures;
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(strprintf("jobs %u", jobs));
+        auto report = SweepRunner(jobs).mapResilient(5, plantedCell);
+        for (std::size_t i : {0u, 2u, 4u})
+            EXPECT_TRUE(report.cells[i].ok()) << report.cells[i].error;
+        EXPECT_FALSE(report.cells[1].ok());
+        EXPECT_FALSE(report.cells[3].ok());
+        failures.push_back(firstFailure(report));
+        EXPECT_EQ(failures.back().rfind(kCell1Failure, 0), 0u)
+            << failures.back();
+    }
+    EXPECT_EQ(failures[0], failures[1]);
+}
+
+/** A failing sweep inside a cell (as measureMissCurve runs inside a
+ *  bench cell) reaches the top prefixed with both cells. */
+TEST_F(CorruptionInjection, NestedSweepFailureNamesBothCells)
+{
+    check::setAuditLevelForTest(check::AuditLevel::Paranoid);
+    check::setShadowModeForTest(false);
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(strprintf("jobs %u", jobs));
+        auto report = SweepRunner(jobs).mapResilient(
+            3, [jobs](std::size_t cell) {
+                SweepRunner inner(jobs);
+                return inner.mapResilient(cell == 2 ? 2 : 1, plantedCell)
+                    .values()
+                    .front();
             });
-            unsetenv("FS_JOBS");
-            ASSERT_TRUE(report.cells[0].ok()) << report.manifest();
-            ASSERT_TRUE(report.cells[2].ok()) << report.manifest();
-            EXPECT_EQ(*report.cells[0].value, *report.cells[2].value);
-            ASSERT_FALSE(report.cells[1].ok());
-            EXPECT_EQ(report.cells[1].errorClass,
-                      ErrorClass::Corruption)
-                << report.manifest();
-        }
+        std::string what = firstFailure(report);
+        EXPECT_EQ(what.rfind(std::string("cell 2: ") + kCell1Failure, 0),
+                  0u)
+            << what;
     }
 }
 
-TEST_F(CorruptionInjection, CorruptClauseParses)
-{
-    EXPECT_NO_THROW(FaultInjector::parse("cell=3:corrupt"));
-    EXPECT_NO_THROW(FaultInjector::parse("cell=4:corrupt-rank"));
-    EXPECT_NO_THROW(FaultInjector::parse("cell=5:corrupt-occ"));
-    EXPECT_NO_THROW(FaultInjector::parse(
-        "cell=0:corrupt-rank;cell=1:corrupt-occ;;cell=2:corrupt"));
-    EXPECT_NO_THROW(FaultInjector::parse(""));
-}
+using RunCellsDeathTest = CheckFixture;
 
-/** Specs that used to parse into a fault that never fires (a wrapped
- *  "-1" cell), and actions and keys that no longer exist, must all be
- *  rejected up front: a stale spec fails loudly rather than running
- *  the cells unharmed. */
-TEST(FaultSpecDeathTest, MalformedClausesAreFatal)
+/** A bench's first failed cell ends it: exit 1, the cell on stderr. */
+TEST_F(RunCellsDeathTest, FailedCellExitsOne)
 {
-    const std::pair<const char *, const char *> cases[] = {
-        {"cell=-1:corrupt", "bad cell index \"-1\""},
-        {"cell=+1:corrupt", "bad cell index \"\\+1\""},
-        {"cell=:corrupt", "bad cell index \"\""},
-        {"cell=99999999999999999999:corrupt",
-         "cell index \"99999999999999999999\" is out of range"},
-        {"cell=1", "is not key=value:action"},
-        {"core=1:corrupt", "unknown key \"core\""},
-        {"cell=1:corrupt-rank*2", "unknown action \"corrupt-rank\\*2\""},
-        // The order index's former name.
-        {"cell=1:corrupt-treap", "unknown action \"corrupt-treap\""},
-        // The two retired network arms, split so their names stay
-        // greppable as gone from the tree.
-        {"cell=1:net" "drop", "unknown action \"net" "drop\""},
-        {"cell=1:stall", "unknown action \"stall\""},
-        // The retired worker-fatal arms.
-        {"cell=1:segv", "unknown action \"segv\""},
-        {"cell=0:spin", "unknown action \"spin\""},
-        // The retired retry and watchdog arms, and the rate key.
-        {"cell=1:throw", "unknown action \"throw\""},
-        {"cell=1:hang", "unknown action \"hang\""},
-        {"cell=0:transient", "unknown action \"transient\""},
-        {"rate=0.5:transient", "unknown key \"rate\""},
-    };
-    for (const auto &[spec, message] : cases)
-        EXPECT_EXIT((void)FaultInjector::parse(spec),
-                    ::testing::ExitedWithCode(1), message)
-            << spec;
-}
-
-TEST(ErrorClassNames, CorruptionIsStable)
-{
-    // Printed into FAILED(...) markers; renaming changes artifacts.
-    EXPECT_STREQ(errorClassName(ErrorClass::Corruption),
-                 "corruption");
+    check::setAuditLevelForTest(check::AuditLevel::Paranoid);
+    check::setShadowModeForTest(false);
+    EXPECT_EXIT((void)bench::runCells("planted", 5, plantedCell),
+                ::testing::ExitedWithCode(1), "\\[planted\\] cell 1: ");
 }
 
 TEST(AuditLevelKnob, TestOverridesApply)

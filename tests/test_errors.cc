@@ -83,7 +83,7 @@ TEST(ErrorDeathTest, TargetForUnknownPartition)
 TEST(ErrorTyped, InfeasiblePartitioningThrows)
 {
     // Typed and recoverable: a sweep cell exploring the config
-    // space catches this (or is quarantined by the cell guard)
+    // space catches this (or fails its sweep with the cell named)
     // instead of the whole process dying.
     try {
         analytic::scalingFactorTwoPart(0.99, 0.5, 16);

@@ -3,7 +3,8 @@
  * Runner-subsystem tests: ThreadPool task execution, stealing under
  * uneven load, exception propagation without deadlock, and
  * SweepRunner's ordered, jobs-invariant results on real simulation
- * cells, with throwing cells quarantined serially and pooled.
+ * cells, and a throwing cell failing its sweep alike serially and
+ * pooled.
  */
 
 #include <gtest/gtest.h>
@@ -93,19 +94,34 @@ TEST(SweepRunner, PreservesCellOrder)
         EXPECT_EQ(out[i], i * i);
 }
 
-TEST(SweepRunner, ThrowingCellIsQuarantinedSerialAndPooled)
+TEST(SweepRunner, ThrowingCellFailsSweepSerialAndPooled)
 {
-    for (unsigned jobs : {1u, 4u}) {
-        SweepRunner runner(jobs);
-        auto report = runner.mapResilient(16, [](std::size_t i) {
-            if (i == 3)
-                throw std::runtime_error("boom");
-            return i;
-        });
-        EXPECT_EQ(report.okCount(), 15u) << "jobs=" << jobs;
-        EXPECT_EQ(report.cells[3].errorClass, ErrorClass::Permanent);
-        EXPECT_EQ(report.cells[3].error, "boom");
-        EXPECT_EQ(*report.cells[4].value, 4u) << "jobs=" << jobs;
+    // Cells 3 and 9 throw (9 not a std::exception); the rest keep
+    // their values, and values() names cell 3 at any job count.
+    auto cell = [](std::size_t i) {
+        if (i == 3)
+            throw std::runtime_error("boom");
+        if (i == 9)
+            throw 7;
+        return i;
+    };
+    auto s = SweepRunner(1).mapResilient(16, cell);
+    auto p = SweepRunner(8).mapResilient(16, cell);
+    for (std::size_t i = 0; i < 16; ++i) {
+        EXPECT_EQ(s.cells[i].value, p.cells[i].value) << "cell " << i;
+        EXPECT_EQ(s.cells[i].error, p.cells[i].error) << "cell " << i;
+        EXPECT_EQ(s.cells[i].ok(), i != 3 && i != 9) << "cell " << i;
+    }
+    EXPECT_EQ(s.cells[3].error, "boom");
+    EXPECT_EQ(s.cells[9].error, "unknown exception");
+    EXPECT_EQ(*s.cells[4].value, 4u);
+    for (const auto *report : {&s, &p}) {
+        try {
+            (void)report->values();
+            ADD_FAILURE() << "expected FsError";
+        } catch (const FsError &e) {
+            EXPECT_STREQ(e.what(), "cell 3: boom");
+        }
     }
 }
 

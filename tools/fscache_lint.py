@@ -71,8 +71,8 @@ swallowed-exception
     A silently swallowed exception is how state corruption escapes
     the self-checking layer (src/check): the error vanishes and the
     sweep keeps aggregating garbage. The two sanctioned catch-all
-    sites — the thread pool's exception trampoline and the cell
-    guard's outcome conversion — are allowlisted by path below;
+    sites — the thread pool's exception trampoline and the sweep's
+    per-cell outcome — are allowlisted by path below;
     anything else must rethrow or use // fs-lint: allow(...) with a
     justification.
 
@@ -169,11 +169,12 @@ UNSAFE_IN_HANDLER = [
 ]
 
 # The sanctioned catch-all sites: the pool forwards the captured
-# exception_ptr to the submitter, and the guard converts the error
-# into a typed CellOutcome. Both "produce a typed outcome".
+# exception_ptr to the submitter, and the sweep records the error in
+# the cell's CellOutcome, which values() rethrows. Both "produce a
+# typed outcome".
 SWALLOW_ALLOWLIST = frozenset({
     "src/runner/thread_pool.cc",
-    "src/runner/cell_guard.hh",
+    "src/runner/sweep_runner.hh",
 })
 
 # Include DAG: src/ directory -> the directories it may include

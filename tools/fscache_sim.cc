@@ -287,8 +287,7 @@ main(int argc, char **argv)
 
     // Run: one cell per cache size, each with a private cache (all
     // randomness re-seeded from --seed) driving the shared traces.
-    // Resilient: a failing size renders as an explicit FAILED entry
-    // and the other sizes still report (docs/ROBUSTNESS.md).
+    // A failing size ends the run (docs/ROBUSTNESS.md).
     SweepRunner runner;
     auto report = runner.mapResilient(
         sizes.size(),
@@ -346,46 +345,30 @@ main(int argc, char **argv)
             return rec;
         });
 
-    // Quarantine manifest to stderr; printed only when cells
-    // failed, so fault-free runs stay byte-identical.
-    auto failures = report.failures();
-    if (!failures.empty())
-        std::fprintf(stderr, "%s", renderManifest(failures).c_str());
-    const SimCellRecord *first = nullptr;
-    for (const CellOutcome<SimCellRecord> &o : report.cells) {
-        if (o.ok()) {
-            first = &*o.value;
-            break;
-        }
-    }
-    if (first == nullptr) {
-        std::fprintf(stderr, "fscache_sim: every sweep cell failed; "
-                             "no results\n");
+    std::vector<SimCellRecord> cells;
+    try {
+        cells = report.values();
+    } catch (const FsError &e) {
+        std::fprintf(stderr, "fscache_sim: %s\n", e.what());
         return 1;
     }
+    const SimCellRecord &first = cells.front();
 
     // Report in size order regardless of completion order.
     if (args.getFlag("json")) {
         JsonWriter json(std::cout);
-        json.field("scheme", first->scheme);
-        json.field("array", first->array);
-        json.field("ranking", first->ranking);
-        if (report.cells.size() == 1) {
-            json.field("lines", std::uint64_t{first->cacheLines});
-            reportJson(json, *first, wl, threads);
+        json.field("scheme", first.scheme);
+        json.field("array", first.array);
+        json.field("ranking", first.ranking);
+        if (cells.size() == 1) {
+            json.field("lines", std::uint64_t{first.cacheLines});
+            reportJson(json, first, wl, threads);
         } else {
             json.beginArray("cells");
-            for (std::size_t i = 0; i < report.cells.size(); ++i) {
-                const CellOutcome<SimCellRecord> &o =
-                    report.cells[i];
+            for (std::size_t i = 0; i < cells.size(); ++i) {
                 json.beginObject();
                 json.field("lines", std::uint64_t{sizes[i]});
-                if (o.ok()) {
-                    reportJson(json, *o.value, wl, threads);
-                } else {
-                    json.field("failed", true);
-                    json.field("error_class", errorClassName(o.errorClass));
-                }
+                reportJson(json, cells[i], wl, threads);
                 json.endObject();
             }
             json.endArray();
@@ -395,15 +378,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    for (std::size_t i = 0; i < report.cells.size(); ++i) {
-        const CellOutcome<SimCellRecord> &o = report.cells[i];
-        if (!o.ok()) {
-            std::printf("FAILED(%s) | %u lines, %u threads\n",
-                        errorClassName(o.errorClass), sizes[i],
-                        threads);
-            continue;
-        }
-        const SimCellRecord &cell = *o.value;
+    for (const SimCellRecord &cell : cells) {
         std::printf("%s | %s | %s | %u lines, %u threads\n",
                     cell.scheme.c_str(), cell.array.c_str(),
                     cell.ranking.c_str(), cell.cacheLines,
