@@ -40,14 +40,16 @@ struct RunResult
 RunResult
 run(SchemeKind scheme, const Workload &wl)
 {
-    auto cache = CacheBuilder()
-                     .lines(kLines)
-                     .setAssociative(16)
-                     .ranking(RankKind::CoarseTsLru)
-                     .scheme(scheme)
-                     .partitions(kThreads)
-                     .seed(3)
-                     .build();
+    CacheSpec spec;
+    spec.array.kind = ArrayKind::SetAssoc;
+    spec.array.numLines = kLines;
+    spec.array.ways = 16;
+    spec.array.hash = HashKind::XorFold;
+    spec.ranking = RankKind::CoarseTsLru;
+    spec.scheme.kind = scheme;
+    spec.numParts = kThreads;
+    spec.seed = 3;
+    auto cache = buildCache(spec);
     cache->setTargets(qosAllocation(kLines, kThreads, 1,
                                     kSubjectLines));
 

@@ -22,14 +22,16 @@ main()
     //    indexing, coarse-timestamp LRU futility ranking, and the
     //    feedback-based Futility Scaling partitioning scheme —
     //    the paper's hardware design.
-    auto cache = CacheBuilder()
-                     .sizeBytes(8ull << 20)
-                     .setAssociative(16)
-                     .ranking(RankKind::CoarseTsLru)
-                     .scheme(SchemeKind::Fs)
-                     .partitions(2)
-                     .seed(42)
-                     .build();
+    CacheSpec spec;
+    spec.array.kind = ArrayKind::SetAssoc;
+    spec.array.numLines = (8u << 20) / 64; // 64-byte lines
+    spec.array.ways = 16;
+    spec.array.hash = HashKind::XorFold;
+    spec.ranking = RankKind::CoarseTsLru;
+    spec.scheme.kind = SchemeKind::Fs;
+    spec.numParts = 2;
+    spec.seed = 42;
+    auto cache = buildCache(spec);
 
     // 2. Allocate capacity: 75% to partition 0, 25% to partition 1
     //    (any allocation policy from alloc/ produces such targets).

@@ -85,8 +85,6 @@ for b in "$build_dir"/bench/*; do
     # bench whose cell failed exits 1 and leaves the failed cell's
     # message ("cell <i>: ...") there, so non-empty stderr from a
     # fig/ablation bench is surfaced instead of silently filed away.
-    # The google-benchmark micro benches print their run context
-    # there on every run, so theirs stays in the file.
     case "$name" in
         fig*|ablation_*)
             if [ -s "$out_dir/$name.err" ]; then

@@ -8,12 +8,13 @@
  * together with every substrate its evaluation needs: cache array
  * models, futility rankings (LRU / coarse-timestamp LRU / LFU /
  * OPT), baseline schemes (Partitioning-First, Vantage, PriSM, way
- * partitioning), synthetic SPEC-like workloads, allocation
- * policies, and a trace-driven multi-core timing simulator.
+ * partitioning), synthetic SPEC-like workloads, static and QoS
+ * allocations, and a trace-driven multi-core timing simulator.
  *
- * Typical use: configure with CacheBuilder, generate a Workload,
- * run a TimingSim (or the untimed drivers in sim/experiment.hh) and
- * read per-partition statistics off the PartitionedCache.
+ * Typical use: fill a CacheSpec and assemble it with buildCache,
+ * generate a Workload, run a TimingSim (or runUntimed) and read
+ * per-partition statistics off the PartitionedCache. buildCache and
+ * runUntimed are in sim/experiment.hh.
  */
 
 #ifndef FSCACHE_CORE_FSCACHE_HH
@@ -26,7 +27,6 @@
 // Allocation policies.
 #include "alloc/qos_alloc.hh"
 #include "alloc/static_alloc.hh"
-#include "alloc/utility_alloc.hh"
 
 // Partitioning schemes (concrete classes for direct configuration;
 // the factories in sim/experiment.hh cover the common paths).
@@ -38,10 +38,7 @@
 #include "partition/vantage_scheme.hh"
 #include "partition/way_partition_scheme.hh"
 
-// Configuration + assembly.
-#include "core/cache_builder.hh"
-
-// Simulation.
+// Assembly (CacheSpec, buildCache) and simulation.
 #include "sim/experiment.hh"
 #include "sim/partitioned_cache.hh"
 #include "sim/system_config.hh"

@@ -1,7 +1,6 @@
 #include "sim/experiment.hh"
 
 #include "common/log.hh"
-#include "runner/sweep_runner.hh"
 #include "trace/benchmark_profiles.hh"
 #include "trace/trace_buffer.hh"
 
@@ -179,37 +178,6 @@ driveByInsertionRate(PartitionedCache &cache,
             reset = true;
         }
     }
-}
-
-std::vector<std::uint64_t>
-measureMissCurve(const std::string &benchmark,
-                 const std::vector<LineId> &sizes_lines,
-                 std::uint64_t accesses, RankKind ranking,
-                 std::uint64_t seed)
-{
-    Workload wl = Workload::duplicate(benchmark, 1, accesses, seed);
-    if (ranking == RankKind::Opt)
-        wl.annotateNextUse();
-
-    // Each size is an independent cell: a private cache (all random
-    // state seeded from `seed`) driven by the shared read-only
-    // workload, so the parallel sweep is bit-identical to FS_JOBS=1.
-    SweepRunner runner;
-    return runner.mapResilient(sizes_lines.size(), [&](std::size_t i) {
-        CacheSpec spec;
-        spec.array.kind = ArrayKind::SetAssoc;
-        spec.array.numLines = sizes_lines[i];
-        spec.array.ways = 16;
-        spec.array.hash = HashKind::XorFold;
-        spec.ranking = ranking;
-        spec.scheme.kind = SchemeKind::None;
-        spec.numParts = 1;
-        spec.seed = seed;
-        auto cache = buildCache(spec);
-        cache->setTarget(0, sizes_lines[i]);
-        runUntimed(*cache, wl, 0.2);
-        return cache->stats(0).misses;
-    }).values();
 }
 
 } // namespace fscache

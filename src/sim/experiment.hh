@@ -4,7 +4,7 @@
  * cache assembly from a single spec, untimed workload drivers, the
  * paper's insertion-rate-controlled driver (Section IV.C: "the
  * insertion rate of each partition is controlled by adjusting the
- * speed of the trace feeding"), and miss-curve measurement.
+ * speed of the trace feeding").
  */
 
 #ifndef FSCACHE_SIM_EXPERIMENT_HH
@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cache/array_factory.hh"
@@ -77,20 +76,6 @@ void driveByInsertionRate(PartitionedCache &cache,
                           std::uint64_t seed,
                           const std::vector<double> *prefill_probs =
                               nullptr);
-
-/**
- * Misses of one benchmark alone in caches of the given sizes
- * (16-way XOR-indexed set-associative, unpartitioned, given
- * ranking). Used to build UCP miss curves and size sweeps. The
- * sizes run as parallel SweepRunner cells (see FS_JOBS); results
- * are independent of the job count. Throws FsError
- * "cell <i>: <error>" for the first size whose cell fails.
- */
-std::vector<std::uint64_t>
-measureMissCurve(const std::string &benchmark,
-                 const std::vector<LineId> &sizes_lines,
-                 std::uint64_t accesses, RankKind ranking,
-                 std::uint64_t seed);
 
 } // namespace fscache
 

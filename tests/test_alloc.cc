@@ -1,7 +1,6 @@
 /**
  * @file
- * Allocation policy tests: equal/proportional shares, QoS targets,
- * UCP lookahead.
+ * Allocation policy tests: equal/proportional shares and QoS targets.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 
 #include "alloc/qos_alloc.hh"
 #include "alloc/static_alloc.hh"
-#include "alloc/utility_alloc.hh"
 
 namespace fscache
 {
@@ -44,14 +42,6 @@ TEST(StaticAlloc, ProportionalRounding)
         EXPECT_GE(v, 3u);
 }
 
-TEST(StaticAlloc, ScaleForManagedRegion)
-{
-    Allocation a{100, 200};
-    Allocation s = scaleAllocation(a, 0.9);
-    EXPECT_EQ(s[0], 90u);
-    EXPECT_EQ(s[1], 180u);
-}
-
 TEST(QosAlloc, PaperConfiguration)
 {
     // 8MB / 64B = 131072 lines; 4 subjects at 4096 lines each;
@@ -80,47 +70,6 @@ TEST(QosAlloc, NoSubjects)
 {
     Allocation a = qosAllocation(1000, 4, 0, 0);
     EXPECT_EQ(std::accumulate(a.begin(), a.end(), 0u), 1000u);
-}
-
-TEST(UtilityAlloc, PrefersSteeperCurve)
-{
-    // Partition 0 gains 100 misses per block; partition 1 gains 10.
-    MissCurve steep{1000, 900, 800, 700, 600};
-    MissCurve flat{1000, 990, 980, 970, 960};
-    Allocation a =
-        lookaheadAllocation({steep, flat}, 4, 64);
-    EXPECT_EQ(a[0], 4u * 64u);
-    EXPECT_EQ(a[1], 0u);
-}
-
-TEST(UtilityAlloc, LookaheadSeesThroughPlateau)
-{
-    // Partition 0: no gain for 1 block, huge gain at 3 blocks
-    // (non-convex). Greedy-per-block would starve it; lookahead
-    // must grant all 3.
-    MissCurve cliff{1000, 1000, 1000, 100};
-    MissCurve gentle{1000, 950, 900, 850};
-    Allocation a = lookaheadAllocation({cliff, gentle}, 3, 1);
-    EXPECT_EQ(a[0], 3u);
-    EXPECT_EQ(a[1], 0u);
-}
-
-TEST(UtilityAlloc, SplitsWhenBothBenefit)
-{
-    MissCurve c0{100, 50, 25, 20, 19};
-    MissCurve c1{100, 40, 30, 29, 28};
-    Allocation a = lookaheadAllocation({c0, c1}, 4, 1);
-    EXPECT_EQ(a[0] + a[1], 4u);
-    EXPECT_GE(a[0], 1u);
-    EXPECT_GE(a[1], 1u);
-}
-
-TEST(UtilityAlloc, FlatCurvesDontLoseCapacity)
-{
-    MissCurve f0{100, 100, 100};
-    MissCurve f1{100, 100, 100};
-    Allocation a = lookaheadAllocation({f0, f1}, 2, 10);
-    EXPECT_EQ(a[0] + a[1], 20u);
 }
 
 } // namespace

@@ -530,17 +530,27 @@ TEST(ZCache, EveryLineSitsInAHomeSlot)
 
 TEST(ArrayFactory, BuildsEveryKind)
 {
-    for (ArrayKind kind :
-         {ArrayKind::SetAssoc, ArrayKind::DirectMapped,
-          ArrayKind::SkewAssoc, ArrayKind::ZCache,
-          ArrayKind::RandomCands, ArrayKind::FullyAssoc}) {
+    // ArrayConfig's defaults: 16 ways, 4 banks of 4 ways, a 4-bank
+    // 2-level zcache walk, 16 random candidates.
+    struct Shape
+    {
+        ArrayKind kind;
+        std::uint32_t cands;
+    };
+    for (Shape shape : {Shape{ArrayKind::SetAssoc, 16},
+                        Shape{ArrayKind::DirectMapped, 1},
+                        Shape{ArrayKind::SkewAssoc, 16},
+                        Shape{ArrayKind::ZCache, 16},
+                        Shape{ArrayKind::RandomCands, 16},
+                        Shape{ArrayKind::FullyAssoc, 256}}) {
         ArrayConfig cfg;
-        cfg.kind = kind;
+        cfg.kind = shape.kind;
         cfg.numLines = 256;
         auto arr = makeArray(cfg);
         ASSERT_NE(arr, nullptr);
         EXPECT_EQ(arr->numLines(), 256u);
         EXPECT_FALSE(arr->name().empty());
+        EXPECT_EQ(arr->candidateCount(), shape.cands) << arr->name();
     }
     EXPECT_EQ(parseArrayKind("zcache"), ArrayKind::ZCache);
     EXPECT_EQ(parseArrayKind("setassoc"), ArrayKind::SetAssoc);

@@ -484,8 +484,8 @@ TEST_F(CorruptionInjection, FirstCorruptCellFailsSweepAtAnyJobs)
     EXPECT_EQ(failures[0], failures[1]);
 }
 
-/** A failing sweep inside a cell (as measureMissCurve runs inside a
- *  bench cell) reaches the top prefixed with both cells. */
+/** A failing sweep run inside another sweep's cell reaches the top
+ *  prefixed with both cells. */
 TEST_F(CorruptionInjection, NestedSweepFailureNamesBothCells)
 {
     check::setAuditLevelForTest(check::AuditLevel::Paranoid);

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cache_builder.hh"
 #include "alloc/static_alloc.hh"
 #include "sim/experiment.hh"
 #include "trace/benchmark_profiles.hh"
@@ -34,42 +33,6 @@ TEST(BuildCache, WiringMatchesSpec)
     EXPECT_EQ(cache->array().name(), "skew-4b-2w");
     EXPECT_EQ(cache->ranking().name(), "lfu");
     EXPECT_EQ(cache->scheme().name(), "prism");
-}
-
-TEST(CacheBuilder, SizeBytesToLines)
-{
-    auto cache = CacheBuilder()
-                     .sizeBytes(1 << 20)
-                     .lineBytes(64)
-                     .setAssociative(16)
-                     .scheme(SchemeKind::None)
-                     .partitions(1)
-                     .build();
-    EXPECT_EQ(cache->cacheLines(), 16384u);
-}
-
-TEST(CacheBuilder, ExplicitLinesWin)
-{
-    auto cache = CacheBuilder()
-                     .sizeBytes(1 << 20)
-                     .lines(1024)
-                     .setAssociative(4)
-                     .build();
-    EXPECT_EQ(cache->cacheLines(), 1024u);
-}
-
-TEST(CacheBuilder, AllArrayShapes)
-{
-    EXPECT_EQ(CacheBuilder().lines(256).directMapped().build()
-                  ->array().candidateCount(), 1u);
-    EXPECT_EQ(CacheBuilder().lines(256).skewAssociative(4, 2)
-                  .build()->array().candidateCount(), 8u);
-    EXPECT_GT(CacheBuilder().lines(256).zcache(4, 2).build()
-                  ->array().candidateCount(), 4u);
-    EXPECT_EQ(CacheBuilder().lines(256).randomCandidates(8).build()
-                  ->array().candidateCount(), 8u);
-    EXPECT_TRUE(CacheBuilder().lines(256).fullyAssociative().build()
-                    ->array().fullyAssociative());
 }
 
 TEST(RunUntimed, WarmupResetsStats)
@@ -254,17 +217,6 @@ TEST(DriveByInsertionRate, PrefillReachesTargets)
                          &prefill);
     EXPECT_NEAR(cache->actualSize(0), 3072.0, 160.0);
     EXPECT_NEAR(cache->actualSize(1), 1024.0, 160.0);
-}
-
-TEST(MeasureMissCurve, StreamingIsFlat)
-{
-    auto misses = measureMissCurve("lbm", {1024, 8192}, 20000,
-                                   RankKind::ExactLru, 7);
-    ASSERT_EQ(misses.size(), 2u);
-    // Streaming: more cache barely helps.
-    EXPECT_GT(misses[0], 0u);
-    double ratio = static_cast<double>(misses[1]) / misses[0];
-    EXPECT_GT(ratio, 0.8);
 }
 
 } // namespace

@@ -10,7 +10,8 @@
  *  - feedback FS converges to targets on a real set-assoc array;
  *  - PF's associativity collapses as N -> R (Fig. 2);
  *  - PriSM's abnormality rate explodes at N = 2R (Sec. VIII.A);
- *  - miss curves decrease with cache size.
+ *  - miss curves decrease with cache size, and stay flat for a
+ *    streaming thread.
  */
 
 #include <gtest/gtest.h>
@@ -186,14 +187,38 @@ TEST(Integration, PrismAbnormalityRateAtScale)
     EXPECT_GT(prism.abnormalityRate(), 0.5);
 }
 
+/** Post-warmup misses of a one-thread workload alone in an
+ *  unpartitioned 16-way cache of `lines` lines. */
+std::uint64_t
+missesAlone(const Workload &wl, LineId lines, std::uint64_t seed)
+{
+    CacheSpec spec;
+    spec.array.numLines = lines;
+    spec.array.ways = 16;
+    spec.ranking = RankKind::ExactLru;
+    spec.scheme.kind = SchemeKind::None;
+    spec.seed = seed;
+    auto cache = buildCache(spec);
+    cache->setTarget(0, lines);
+    runUntimed(*cache, wl, 0.2);
+    return cache->stats(0).misses;
+}
+
 TEST(Integration, MissCurvesDecreaseWithSize)
 {
-    std::vector<LineId> sizes{2048, 8192, 32768};
-    auto misses = measureMissCurve("gromacs", sizes, 60000,
-                                   RankKind::ExactLru, 23);
-    ASSERT_EQ(misses.size(), 3u);
-    EXPECT_GT(misses[0], misses[1]);
-    EXPECT_GE(misses[1], misses[2]);
+    Workload gromacs = Workload::duplicate("gromacs", 1, 60000, 23);
+    std::uint64_t m2k = missesAlone(gromacs, 2048, 23);
+    std::uint64_t m8k = missesAlone(gromacs, 8192, 23);
+    std::uint64_t m32k = missesAlone(gromacs, 32768, 23);
+    EXPECT_GT(m2k, m8k);
+    EXPECT_GE(m8k, m32k);
+
+    // Streaming: eight times the cache barely helps lbm.
+    Workload lbm = Workload::duplicate("lbm", 1, 20000, 7);
+    std::uint64_t small = missesAlone(lbm, 1024, 7);
+    EXPECT_GT(small, 0u);
+    EXPECT_GT(static_cast<double>(missesAlone(lbm, 8192, 7)) / small,
+              0.8);
 }
 
 TEST(Integration, FsDeviationSmallButNonzero)

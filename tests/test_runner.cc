@@ -176,21 +176,6 @@ TEST(SweepRunner, ParallelMatchesSerialOnSimCells)
     }
 }
 
-TEST(SweepRunner, MeasureMissCurveJobsInvariant)
-{
-    // measureMissCurve shards its sizes through SweepRunner; pin
-    // the job count via FS_JOBS both ways and compare.
-    setenv("FS_JOBS", "1", 1);
-    auto serial = measureMissCurve("omnetpp", {256, 512, 1024, 2048},
-                                   8000, RankKind::CoarseTsLru, 3);
-    setenv("FS_JOBS", "4", 1);
-    auto parallel = measureMissCurve("omnetpp",
-                                     {256, 512, 1024, 2048}, 8000,
-                                     RankKind::CoarseTsLru, 3);
-    unsetenv("FS_JOBS");
-    EXPECT_EQ(serial, parallel);
-}
-
 TEST(SweepRunner, JobsFromEnv)
 {
     setenv("FS_JOBS", "7", 1);

@@ -15,13 +15,13 @@ namespace
 
 TEST(Smoke, BuildAndAccess)
 {
-    auto cache = CacheBuilder()
-                     .lines(1024)
-                     .setAssociative(16)
-                     .ranking(RankKind::CoarseTsLru)
-                     .scheme(SchemeKind::Fs)
-                     .partitions(2)
-                     .build();
+    CacheSpec spec;
+    spec.array.numLines = 1024;
+    spec.array.ways = 16;
+    spec.ranking = RankKind::CoarseTsLru;
+    spec.scheme.kind = SchemeKind::Fs;
+    spec.numParts = 2;
+    auto cache = buildCache(spec);
     cache->setTargets({512, 512});
 
     AccessOutcome out = cache->access(0, 0x1234);

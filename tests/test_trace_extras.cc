@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the trace extensions: text trace I/O round-trips and
- * the phased generator.
+ * Tests for the trace extensions: text trace I/O round-trips.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <memory>
 #include <sstream>
 #include <string>
 
@@ -18,7 +16,6 @@
 #include "trace/cyclic_generator.hh"
 #include "trace/file_trace.hh"
 #include "trace/next_use_annotator.hh"
-#include "trace/phased_generator.hh"
 #include "trace/stream_generator.hh"
 
 namespace fscache
@@ -204,35 +201,6 @@ TEST(FileTrace, FileRoundTrip)
     TraceBuffer loaded = loadTraceFile(path);
     ASSERT_EQ(loaded.size(), 50u);
     EXPECT_EQ(loaded[49].addr, original[49].addr);
-}
-
-TEST(PhasedGenerator, SwitchesAtBoundaries)
-{
-    std::vector<PhasedGenerator::Phase> phases;
-    phases.push_back(
-        {10, std::make_unique<StreamGenerator>(0, 1, 1, Rng(1))});
-    phases.push_back(
-        {5, std::make_unique<StreamGenerator>(1ull << 30, 1, 1,
-                                              Rng(2))});
-    PhasedGenerator gen("p", std::move(phases));
-
-    for (int i = 0; i < 10; ++i)
-        EXPECT_LT(gen.next().addr, 1ull << 30) << "access " << i;
-    for (int i = 0; i < 5; ++i)
-        EXPECT_GE(gen.next().addr, 1ull << 30) << "access " << i;
-    // Wraps back to phase 0 (stream continues where it left off).
-    EXPECT_LT(gen.next().addr, 1ull << 30);
-    EXPECT_EQ(gen.currentPhase(), 0u);
-}
-
-TEST(PhasedGenerator, SinglePhaseLoopsForever)
-{
-    std::vector<PhasedGenerator::Phase> phases;
-    phases.push_back(
-        {3, std::make_unique<CyclicGenerator>(0, 4, 1, Rng(1))});
-    PhasedGenerator gen("p", std::move(phases));
-    for (int i = 0; i < 20; ++i)
-        EXPECT_LT(gen.next().addr, 4u);
 }
 
 

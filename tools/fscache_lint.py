@@ -192,7 +192,7 @@ LAYERS = {
     "partition": {"common", "cache", "ranking", "check", "analytic"},
     "runner": {"common", "cache", "ranking", "check"},
     "sim": {"common", "stats", "trace", "cache", "alloc", "ranking",
-            "check", "analytic", "partition", "runner"},
+            "check", "analytic", "partition"},
     "core": {"common", "stats", "trace", "cache", "alloc", "ranking",
              "check", "analytic", "partition", "runner", "sim"},
 }
